@@ -449,16 +449,39 @@ def l2_normalize(x, axis=-1, eps=DEFAULT_NORM_EPS) -> Tensor:
     if eps <= 0:
         raise ParameterError("l2_normalize eps must be positive")
     x = _coerce(x)
-    n = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    live = n >= eps
-    n_safe = np.where(live, n, 1.0)
-    y = np.where(live, x.data / n_safe, 0.0)
+    y, n_safe, live = _unit_fibers(x.data, axis, eps)
 
     def grad_fn(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (np.where(live, (g - y * inner) / n_safe, 0.0),)
+        return (_unit_fibers_grad(g, y, n_safe, live, axis),)
 
     return _result(y, (x,), grad_fn, "l2_normalize")
+
+
+def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS):
+    """The array rule behind :func:`l2_normalize`, for fused ops that
+    normalize an intermediate they never put on the tape.  Returns the
+    unit fibers and the saved state :func:`_unit_fibers_grad` needs."""
+    # temporaries are reused in place; each keeps the layout the
+    # out-of-place expression would give it, so sums add in the same order
+    sq = x * x
+    n = np.sqrt(sq.sum(axis=axis, keepdims=True))
+    live = n >= eps
+    n_safe = np.where(live, n, 1.0)
+    y = np.divide(x, n_safe, out=sq)
+    np.copyto(y, 0.0, where=~live)
+    return y, n_safe, live
+
+
+def _unit_fibers_grad(g, y, n_safe, live, axis):
+    """Gradient of :func:`_unit_fibers` with respect to its input ``x``:
+    (g - y <g, y>) / |x| on live fibers, zero on the rest."""
+    gx = g * y
+    inner = gx.sum(axis=axis, keepdims=True)
+    np.multiply(y, inner, out=gx)
+    np.subtract(g, gx, out=gx)
+    gx /= n_safe
+    np.copyto(gx, 0.0, where=~live)
+    return gx
 
 
 def huber(a, b, delta=1.0) -> Tensor:

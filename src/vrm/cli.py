@@ -169,8 +169,13 @@ def cmd_gen_data(args, parser) -> int:
     data = make_synthetic_dataset(args.kind, args.classes, args.dim,
                                   args.per_class, args.noise, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(data, out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_dataset(data, out)
+    except OSError as exc:
+        # an unwritable output is a bad --out, whatever errno the OS picks
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
     print(f"wrote {out} ({data.inputs.shape[0]} samples, dim {data.dim}, "
           f"{data.n_classes} classes)")
     return EXIT_OK

@@ -5,6 +5,11 @@ relate samples (fiber length = class count) or classes (fiber length =
 batch size); across the real and virtual views only the cross-view
 pairs are materialized, which structurally removes the redundant
 symmetric half and the intra-view relations.
+
+Each cross-view kind is built as one tape node whose hand-derived
+backward runs the l2_normalize rule and sums straight down to the
+[B, C] gradients of the two views; the within-view kinds are composites
+of the generic tape ops.
 """
 from __future__ import annotations
 
@@ -13,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DEFAULT_NORM_EPS, Tensor, _coerce, l2_normalize, softmax
+from .autodiff import (
+    DEFAULT_NORM_EPS,
+    Tensor,
+    _coerce,
+    _result,
+    _unit_fibers,
+    _unit_fibers_grad,
+    l2_normalize,
+    softmax,
+)
 from .errors import InputError, UsageError
 
 EDGE_KINDS = ("IS", "IC", "ISV", "ICV")
@@ -124,9 +138,7 @@ def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
     two views of the same sample; real-real and virtual-virtual
     relations are never materialized.
     """
-    b, c = batch.batch_size, batch.n_classes
-    diff = batch.real.reshape(1, b, c) - batch.virtual.reshape(b, 1, c)
-    return EdgeTensor("ISV", l2_normalize(diff, axis=2), norm_axis=2)
+    return EdgeTensor("ISV", _cross_view_edges(batch, "ISV"), norm_axis=2)
 
 
 def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -137,14 +149,40 @@ def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
     batch axis, so the relation spans the two views at batch length B
     rather than concatenating views into 2B-vectors.
     """
-    b, c = batch.batch_size, batch.n_classes
-    if c < 2:
+    if batch.n_classes < 2:
         raise InputError("inter-class edges need at least 2 classes")
-    # natural broadcast layout is [B, C, C]; move batch to the trailing
-    # axis so teacher/student comparisons share one canonical layout
-    diff = batch.real.reshape(b, 1, c) - batch.virtual.reshape(b, c, 1)
-    canonical = diff.transpose((1, 2, 0))
-    return EdgeTensor("ICV", l2_normalize(canonical, axis=2), norm_axis=2)
+    return EdgeTensor("ICV", _cross_view_edges(batch, "ICV"), norm_axis=2)
+
+
+def _cross_view_edges(batch: LogitBatch, kind: str) -> Tensor:
+    """Unit-normalized cross-view differences as one tape node.
+
+    ISV broadcasts to [B, B, C] directly.  ICV broadcasts to [B, C, C]
+    and normalizes a transposed [C, C, B] view of it, so teacher and
+    student share one canonical layout.  The backward pass applies the
+    l2_normalize rule and then sums straight down to the [B, C] views,
+    on the same array layouts as the composite of reshape, subtract,
+    transpose and l2_normalize, so every reduction adds in the same
+    order and the gradients are bit-identical to it.
+    """
+    real, virtual = batch.real, batch.virtual
+    b, c = real.shape
+    # the gradient of each view sums the broadcast difference over the
+    # axis only the other view varies along
+    if kind == "ISV":
+        x = real.data.reshape(1, b, c) - virtual.data.reshape(b, 1, c)
+        real_axis, virtual_axis = 0, 1
+    else:
+        x = (real.data.reshape(b, 1, c) - virtual.data.reshape(b, c, 1)).transpose(1, 2, 0)
+        real_axis, virtual_axis = 1, 2
+    y, n_safe, live = _unit_fibers(x, 2)
+
+    def grad_fn(g):
+        gx = _unit_fibers_grad(g, y, n_safe, live, 2)
+        g_diff = gx if kind == "ISV" else gx.transpose(2, 0, 1)
+        return g_diff.sum(axis=real_axis), -g_diff.sum(axis=virtual_axis)
+
+    return _result(y, (real, virtual), grad_fn, f"{kind.lower()}_edges")
 
 
 # -- scalar-loop oracle -------------------------------------------------

@@ -19,7 +19,9 @@ from .graphs import (
     build_isv_edges,
     soften,
 )
-from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, uep_mask
+# the fused edge loss applies mask weights itself; apply_mask stays bound
+# here because the benchmark's tracer wraps the step's helpers by name
+from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, mask_weights, uep_mask
 
 
 @dataclass
@@ -93,13 +95,6 @@ class LossBreakdown:
         return out
 
 
-def _edge_residual(values_s: Tensor, values_t: Tensor, delta: float, metric: str) -> Tensor:
-    if metric == "huber":
-        return ad.huber(values_s, values_t, delta)
-    diff = values_s - values_t
-    return diff * diff
-
-
 def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
                       delta: float, reduction: str, metric: str = "huber"):
     """Shared reduction for both edge losses.  Returns (scalar, kept_count)."""
@@ -110,13 +105,9 @@ def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
     if reduction not in ("mean_over_kept", "sum"):
         raise ParameterError(f"unknown reduction {reduction!r}")
 
-    n_fibers = e_s.values.shape[0] * e_s.values.shape[1]
-    fiber_len = e_s.fiber_length
-    teacher_vals = e_t.values.detach()
-
     if mask is None:
-        kept = n_fibers
-        elem = _edge_residual(e_s.values, teacher_vals, delta, metric)
+        kept = e_s.values.shape[0] * e_s.values.shape[1]
+        weights = None
     else:
         kept = mask.kept_count
         if kept == 0:
@@ -126,14 +117,61 @@ def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
                 stacklevel=3,
             )
             return Tensor(0.0), 0
-        masked_s = apply_mask(e_s, mask)
-        masked_t = apply_mask(EdgeTensor(e_t.kind, teacher_vals, e_t.norm_axis), mask)
-        elem = _edge_residual(masked_s, masked_t, delta, metric)
+        weights = mask_weights(e_s, mask)
+    scale = None if reduction == "sum" else 1.0 / (kept * e_s.fiber_length)
+    return _edge_loss(e_s.values, e_t.values.data, weights, delta, metric, scale), kept
 
-    total = elem.sum()
-    if reduction == "sum":
-        return total, kept
-    return total * (1.0 / (kept * fiber_len)), kept
+
+def _edge_loss(values_s: Tensor, values_t, weights, delta: float, metric: str,
+               scale) -> Tensor:
+    """Masked residual penalty of the student edges against constant teacher
+    edges, summed and optionally scaled, as one tape node.
+
+    It replays the composite of apply_mask, huber (or a squared
+    difference), sum and the 1/(kept * fiber_len) scale on the same array
+    layouts, so the value and the gradient are bit-identical to it.  The
+    gradient reaches the student edges only, so the products the composite
+    formed for the teacher edges and the mask weights are never computed.
+    """
+    # the buffers below are reused in place and keep the layout of the
+    # edges (one builder makes both sides), as the composite's temporaries
+    # did, so elem.sum() adds in the same order
+    if weights is None:
+        r = values_s.data - values_t
+        elem = np.empty_like(r)
+    else:
+        elem = values_t * weights
+        r = values_s.data * weights
+        r -= elem
+    if metric == "huber":
+        # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
+        np.abs(r, out=elem)
+        quadratic = elem <= delta
+        elem -= 0.5 * delta
+        elem *= delta
+        np.multiply(0.5, r, out=elem, where=quadratic)
+        np.multiply(elem, r, out=elem, where=quadratic)
+        slope = np.clip(r, -delta, delta, out=r)
+    else:
+        np.multiply(r, r, out=elem)
+        slope = r
+    out = np.asarray(elem.sum())
+    if scale is not None:
+        out = out * scale
+
+    def grad_fn(g):
+        if scale is not None:
+            g = g * scale
+        # the composite spreads g over a C-ordered buffer before the
+        # product; the layout fixes the order of later fiber-axis sums
+        gs = np.multiply(g, slope, order="C")
+        if metric != "huber":
+            gs += gs
+        if weights is not None:
+            gs *= weights
+        return (gs,)
+
+    return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,

@@ -61,9 +61,14 @@ def mixture_entropy(p, q) -> float:
 
 def _mixture_entropy_grid(P, Q):
     # JE[i, j] pairs row j of P with row i of Q, matching edge orientation
-    mix = (P[None, :, :] + Q[:, None, :]) / 2.0
+    mix = P[None, :, :] + Q[:, None, :]
+    mix /= 2.0
     pos = mix > 0.0
-    plogp = np.where(pos, mix * np.log(np.where(pos, mix, 1.0)), 0.0)
+    # mix log(mix) where mix > 0, else 0, in one scratch buffer
+    plogp = np.where(pos, mix, 1.0)
+    np.log(plogp, out=plogp)
+    plogp *= mix
+    np.copyto(plogp, 0.0, where=~pos)
     return -plogp.sum(axis=2)
 
 
@@ -103,8 +108,9 @@ def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:
     """Retention mask keeping entries at or below the m-th percentile.
 
     The cutoff P_m is the nearest-rank percentile: the value at 1-based
-    index ceil(m/100 * N) of the ascending sort of all N entries.  Ties
-    at the cutoff are all kept, and m = 100 keeps everything.
+    index ceil(m/100 * N) of the ascending sort of all N entries, found
+    by selection rather than a full sort.  Ties at the cutoff are all
+    kept, and m = 100 keeps everything.
     """
     if not 0.0 < m <= 100.0:
         raise ParameterError("percentile must lie in (0, 100]")
@@ -112,7 +118,7 @@ def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:
     if je.size == 0:
         raise InputError("empty joint-entropy matrix")
     rank = math.ceil(m / 100.0 * je.size)
-    threshold = np.sort(je, axis=None)[rank - 1]
+    threshold = np.partition(je, rank - 1, axis=None)[rank - 1]
     return EdgeMask(kind, je <= threshold, m, float(threshold))
 
 
@@ -122,12 +128,16 @@ def apply_mask(edges: EdgeTensor, mask: EdgeMask) -> Tensor:
     Multiplication by the 0/1 mask makes pruned fibers contribute
     exactly zero to any reduction and pass exactly zero gradient back.
     """
+    return edges.values * Tensor(mask_weights(edges, mask))
+
+
+def mask_weights(edges: EdgeTensor, mask: EdgeMask) -> np.ndarray:
+    """The 0/1 fiber weights of ``mask``, shaped to broadcast over ``edges``."""
     if edges.kind != mask.kind:
         raise UsageError(f"mask kind {mask.kind} does not match edges {edges.kind}")
     if edges.values.shape[:2] != mask.keep.shape:
         raise UsageError("mask shape does not match edge leading axes")
-    weights = Tensor(mask.keep.astype(float)[:, :, None])
-    return edges.values * weights
+    return mask.keep.astype(float)[:, :, None]
 
 
 def full_mask(edges: EdgeTensor, m: float = 100.0) -> EdgeMask:

@@ -57,6 +57,17 @@ def test_gen_data_unwritable_path_exits_nonzero(run_env, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_data_output_under_a_regular_file_exits_2(run_env, capsys):
+    blocker = run_env / "blocker"
+    blocker.write_text("not a directory")
+    code = main(["gen-data", "--kind", "blobs", "--classes", "3", "--dim", "4",
+                 "--per-class", "20", "--out", str(blocker / "sub" / "data.bin")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_train_teacher_writes_artifacts(run_env):
     data = gen_data(run_env)
     ckpt = train_teacher(run_env, data)

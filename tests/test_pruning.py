@@ -200,3 +200,19 @@ def test_uep_masks_recomputed_from_student():
     assert not np.array_equal(m1.keep, m2.keep)
     m1_again, _ = uep_masks_for(batch1, weights)
     assert np.array_equal(m1.keep, m1_again.keep)
+
+
+def test_uep_cutoff_matches_full_sort_with_ties():
+    # the cutoff is a selection, not a sort: same threshold and mask as the
+    # value at nearest rank of the ascending sort, ties at the cutoff included
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        je = rng.integers(0, 4, size=(n, n)).astype(float)  # heavy ties
+        for m in (1.0, 25.0, 50.0, 95.0, 99.9, 100.0):
+            rank = math.ceil(m / 100.0 * je.size)
+            expected = np.sort(je, axis=None)[rank - 1]
+            mask = uep_mask(je, m)
+            assert mask.threshold_value == expected
+            assert np.array_equal(mask.keep, je <= expected)
+    assert uep_mask(je, 100.0).keep.all()
