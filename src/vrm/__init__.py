@@ -18,13 +18,7 @@ from .autodiff import (
     no_grad,
     softmax,
 )
-from .baselines import (
-    RelationKind,
-    angular_relations,
-    baseline_relation_loss,
-    gram_inter_class,
-    gram_inter_sample,
-)
+from .baselines import angular_relations, gram_inter_class, gram_inter_sample
 from .data import (
     AugmentSpec,
     Dataset,
@@ -59,7 +53,6 @@ from .graphs import (
 from .losses import (
     LossBreakdown,
     VRMWeights,
-    im_kd_loss,
     loss_icv,
     loss_isv,
     total_loss,

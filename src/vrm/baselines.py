@@ -1,22 +1,13 @@
 """Reference relation encoders for head-to-head comparison with the
-edge-tensor objective: inner-product Gram matrices and third-order
-angular relations, matched with the same Huber metric."""
+edge-tensor objective: inner-product Gram matrices (SP, Tung & Mori 2019)
+and third-order angular relations (RKD, Park et al. 2019).  The ``gram``
+and ``angular`` training objectives match them with the Huber metric."""
 from __future__ import annotations
-
-from enum import Enum
 
 from . import autodiff as ad
 from .autodiff import Tensor, _coerce
-from .errors import InputError, UsageError
-from .graphs import LogitBatch, build_icv_edges, build_inter_sample_edges, build_isv_edges
-from .losses import loss_icv, loss_isv
-
-
-class RelationKind(Enum):
-    GRAM_INTER_SAMPLE = "gram_inter_sample"
-    GRAM_INTER_CLASS = "gram_inter_class"
-    ANGULAR = "angular"
-    VRM_ISV_ICV = "vrm_isv_icv"
+from .errors import InputError
+from .graphs import build_inter_sample_edges
 
 
 def gram_inter_sample(Z) -> Tensor:
@@ -51,36 +42,3 @@ def angular_relations(Z) -> Tensor:
     left = e.reshape(b, b, 1, c)
     right = e.transpose((1, 0, 2)).reshape(1, b, b, c)
     return (left * right).sum(axis=3)
-
-
-def _relation(kind: RelationKind, batch: LogitBatch) -> Tensor:
-    stacked = ad.concat([batch.real, batch.virtual], axis=0)
-    if kind is RelationKind.GRAM_INTER_SAMPLE:
-        return gram_inter_sample(stacked)
-    if kind is RelationKind.GRAM_INTER_CLASS:
-        return gram_inter_class(stacked)
-    if kind is RelationKind.ANGULAR:
-        return angular_relations(stacked)
-    raise UsageError(f"no single-tensor relation for {kind}")
-
-
-def baseline_relation_loss(kind, student: LogitBatch, teacher: LogitBatch,
-                           delta: float = 1.0) -> Tensor:
-    """Huber distance between the chosen relation representation of the
-    student and the teacher, mean-reduced.
-
-    Both views are stacked into one 2B-sample batch before encoding, so
-    every baseline sees the same inputs as the edge-tensor objective.
-    The ``vrm_isv_icv`` kind evaluates the unmasked pair of edge losses
-    for a like-for-like comparison at the relation level.
-    """
-    kind = RelationKind(kind)
-    teacher = teacher.detach()
-    if kind is RelationKind.VRM_ISV_ICV:
-        isv = loss_isv(build_isv_edges(student), build_isv_edges(teacher), None, delta)
-        icv = loss_icv(build_icv_edges(student), build_icv_edges(teacher), None, delta)
-        return isv + icv
-    rel_s = _relation(kind, student)
-    with ad.no_grad():
-        rel_t = _relation(kind, teacher)
-    return ad.huber(rel_s, rel_t.detach(), delta).mean()

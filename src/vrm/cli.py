@@ -19,14 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import AugmentSpec, load_dataset, make_synthetic_dataset, save_dataset
-from .diagnostics import PilotSpec, gradient_diffusion_pilot, write_pilot_csv
-from .errors import ParameterError, TrainingError
+from .data import AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, save_dataset
+from .diagnostics import PILOT_LOSS_KINDS, PilotSpec, gradient_diffusion_pilot, write_pilot_csv
+from .errors import InputError, ParameterError, TrainingError
 from .losses import VRMWeights
-from .models import MLPSpec, load_checkpoint, save_checkpoint
+from .models import MLP, MLPSpec, load_checkpoint, save_checkpoint
 from .training import (
+    OBJECTIVES,
     TrainConfig,
+    _fmt,
     distill_student,
+    lookup_objective,
     train_teacher,
     write_breakdown_csv,
     write_metrics_csv,
@@ -38,11 +41,14 @@ EXIT_FLAGS = 2
 EXIT_MISSING = 3
 EXIT_DIVERGED = 4
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# exception -> exit code, first match wins (FileNotFoundError is an OSError)
+_EXIT_CODES = (
+    (TrainingError, EXIT_DIVERGED),
+    (FileNotFoundError, EXIT_MISSING),
+    (InputError, EXIT_MISSING),
+    (ParameterError, EXIT_FLAGS),
+    (OSError, EXIT_FLAGS),
+)
 
 
 def run_root() -> Path:
@@ -58,7 +64,12 @@ def _make_run_dir(command: str, name: str | None) -> Path:
 
 
 class Manifest:
-    """Flat key=value run metadata, written at start and finalized at end."""
+    """Flat key=value run metadata, written at start and finalized at end.
+
+    As a context manager it never leaves a run at status=running: an
+    exception escaping the block finalizes the run as ``diverged`` (a
+    TrainingError) or ``failed``, records ``error_class``, and propagates.
+    """
 
     def __init__(self, run_dir: Path, command: str, config: dict):
         self.path = run_dir / "manifest.txt"
@@ -72,9 +83,20 @@ class Manifest:
         lines = [f"{k}={_fmt(v)}" for k, v in self.fields.items()]
         self.path.write_text("\n".join(lines) + "\n")
 
-    def finalize(self, **extra):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            return
+        if isinstance(exc, TrainingError):
+            self.finalize("diverged", epoch=exc.epoch, error_class=exc_type.__name__)
+        else:
+            self.finalize("failed", error_class=exc_type.__name__)
+
+    def finalize(self, status="complete", **extra):
         self.fields.update(extra)
-        self.fields["status"] = "complete"
+        self.fields["status"] = status
         self.fields["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
         self.write()
 
@@ -181,151 +203,136 @@ def cmd_gen_data(args, parser) -> int:
     return EXIT_OK
 
 
+def _existing(path, what: str) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return path
+
+
+def _check_fit(widths, data: Dataset, what: str, error) -> None:
+    if widths[0] != data.dim or widths[-1] != data.n_classes:
+        raise error(f"{what} {','.join(map(str, widths))} do not fit the data "
+                    f"({data.dim} features, {data.n_classes} classes)")
+
+
+def _load_teacher(path, data: Dataset) -> MLP:
+    teacher, _ = load_checkpoint(_existing(path, "teacher checkpoint"))
+    _check_fit(teacher.spec.layer_widths, data, "teacher widths", InputError)
+    return teacher
+
+
+def _fitted_spec(widths: str, hidden: tuple, activation: str, seed: int,
+                 data: Dataset) -> MLPSpec:
+    """The --widths spec, or the data's ends around ``hidden`` by default."""
+    spec = MLPSpec(_parse_int_list(widths) if widths else [data.dim, *hidden, data.n_classes],
+                   activation, seed)
+    _check_fit(spec.layer_widths, data, "--widths", ParameterError)
+    return spec
+
+
 def cmd_train_teacher(args, parser) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: dataset not found: {data_path}", file=sys.stderr)
-        return EXIT_MISSING
+    data_path = _existing(args.data, "dataset")
     data = load_dataset(data_path)
     cfg = _effective(args, ["lr", "momentum", "weight_decay", "lr_decay",
                             "milestones", "batch_size", "epochs", "seed",
                             "alpha", "beta", "tau", "delta", "uep",
                             "n_ops", "magnitude", "im_kd_weight"])
-    widths = _parse_int_list(args.widths) if args.widths else [data.dim, 64, 64, data.n_classes]
-    spec = MLPSpec(widths, args.activation, cfg["seed"])
+    spec = _fitted_spec(args.widths, (64, 64), args.activation, cfg["seed"], data)
     config = _train_config(cfg)
 
     run_dir = _make_run_dir("train-teacher", args.name)
-    manifest = Manifest(run_dir, "train-teacher", {
-        "data": str(data_path), "widths": ",".join(map(str, widths)),
-        "activation": args.activation, **cfg})
-    try:
+    with Manifest(run_dir, "train-teacher", {
+            "data": str(data_path), "widths": ",".join(map(str, spec.layer_widths)),
+            "activation": args.activation, **cfg}) as manifest:
         model, records = train_teacher(spec, data, config)
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finalize(status="diverged", epoch=exc.epoch)
-        return EXIT_DIVERGED
-    write_metrics_csv(records, run_dir / "metrics.csv")
-    ckpt = run_dir / "teacher.ckpt"
-    save_checkpoint(model, ckpt, epoch=config.epochs)
-    manifest.finalize(checkpoint=str(ckpt), metrics=str(run_dir / "metrics.csv"),
-                      final_val_acc=records[-1].val_acc)
+        write_metrics_csv(records, run_dir / "metrics.csv")
+        ckpt = run_dir / "teacher.ckpt"
+        save_checkpoint(model, ckpt, epoch=config.epochs)
+        manifest.finalize(checkpoint=str(ckpt), metrics=str(run_dir / "metrics.csv"),
+                          final_val_acc=records[-1].val_acc)
     print(f"teacher val acc {records[-1].val_acc:.4f} -> {ckpt}")
     return EXIT_OK
 
 
-def _run_distill_cell(data, teacher, cfg: dict, objective: str, run_dir: Path | None):
+def cmd_distill(args, parser) -> int:
+    data_path = _existing(args.data, "dataset")
+    cfg = _effective(args, list(_TRAIN_DEFAULTS))
+    objective = cfg["objective"]
+    data = load_dataset(data_path)
+    teacher = _load_teacher(args.teacher, data) if args.teacher else None
+    lookup_objective(objective, teacher)
     config = _train_config(cfg)
-    widths = (_parse_int_list(cfg["widths"]) if cfg.get("widths")
-              else [data.dim, 32, data.n_classes])
-    spec = MLPSpec(widths, "relu", cfg["seed"])
-    student, records = distill_student(spec, teacher, data, config, objective)
-    if run_dir is not None:
+    spec = _fitted_spec(cfg["widths"], (32,), "relu", cfg["seed"], data)
+
+    run_dir = _make_run_dir("distill", args.name)
+    with Manifest(run_dir, "distill", {
+            "data": str(data_path), "teacher": str(args.teacher), **cfg}) as manifest:
+        student, records = distill_student(spec, teacher, data, config, objective)
         write_metrics_csv(records, run_dir / "metrics.csv")
         write_breakdown_csv(records, run_dir / "breakdown.csv")
         save_checkpoint(student, run_dir / "student.ckpt", epoch=config.epochs)
-    return student, records
-
-
-def cmd_distill(args, parser) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: dataset not found: {data_path}", file=sys.stderr)
-        return EXIT_MISSING
-    teacher_path = Path(args.teacher) if args.teacher else None
-    cfg = _effective(args, list(_TRAIN_DEFAULTS))
-    objective = cfg["objective"]
-    if objective not in ("vrm", "im_kd", "ce_only", "gram", "angular"):
-        parser.error(f"unknown objective {objective!r}")
-
-    teacher = None
-    if objective != "ce_only":
-        if teacher_path is None or not teacher_path.exists():
-            print(f"error: teacher checkpoint not found: {teacher_path}", file=sys.stderr)
-            return EXIT_MISSING
-        teacher, _ = load_checkpoint(teacher_path)
-
-    data = load_dataset(data_path)
-    run_dir = _make_run_dir("distill", args.name)
-    manifest = Manifest(run_dir, "distill", {
-        "data": str(data_path), "teacher": str(teacher_path), **cfg})
-    try:
-        _, records = _run_distill_cell(data, teacher, cfg, objective, run_dir)
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.finalize(status="diverged", epoch=exc.epoch)
-        return EXIT_DIVERGED
-    manifest.finalize(final_val_acc=records[-1].val_acc,
-                      metrics=str(run_dir / "metrics.csv"),
-                      breakdown=str(run_dir / "breakdown.csv"),
-                      checkpoint=str(run_dir / "student.ckpt"))
+        manifest.finalize(final_val_acc=records[-1].val_acc,
+                          metrics=str(run_dir / "metrics.csv"),
+                          breakdown=str(run_dir / "breakdown.csv"),
+                          checkpoint=str(run_dir / "student.ckpt"))
     print(f"{objective} val acc {records[-1].val_acc:.4f} -> {run_dir}")
     return EXIT_OK
 
 
 def cmd_ablate(args, parser) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        print(f"error: dataset not found: {data_path}", file=sys.stderr)
-        return EXIT_MISSING
-    teacher_path = Path(args.teacher)
-    if not teacher_path.exists():
-        print(f"error: teacher checkpoint not found: {teacher_path}", file=sys.stderr)
-        return EXIT_MISSING
-
+    data_path = _existing(args.data, "dataset")
     objectives = [tok for tok in args.objectives.split(",") if tok]
     seeds = _parse_int_list(args.seeds)
     alphas = [float(t) for t in args.alphas.split(",") if t] if args.alphas else [None]
     if not objectives or not seeds:
         parser.error("empty sweep grid")
     for obj in objectives:
-        if obj not in ("vrm", "im_kd", "ce_only", "gram", "angular"):
+        if obj not in OBJECTIVES:
             parser.error(f"unknown objective {obj!r}")
 
     cfg_base = _effective(args, list(_TRAIN_DEFAULTS))
     data = load_dataset(data_path)
-    teacher, _ = load_checkpoint(teacher_path)
-    run_dir = _make_run_dir("ablate", args.name)
-    manifest = Manifest(run_dir, "ablate", {
-        "data": str(data_path), "teacher": str(teacher_path),
-        "objectives": args.objectives, "sweep_seeds": args.seeds,
-        "alphas": args.alphas or "", **cfg_base})
-
-    rows = []
+    teacher = _load_teacher(args.teacher, data)
+    # every cell is validated before the run directory exists
+    cells = []
     for obj in objectives:
         for alpha in alphas:
             for seed in seeds:
-                cfg = dict(cfg_base)
-                cfg["seed"] = seed
+                cfg = dict(cfg_base, seed=seed)
                 if alpha is not None:
                     cfg["alpha"] = alpha
-                try:
-                    _, records = _run_distill_cell(
-                        data, None if obj == "ce_only" else teacher, cfg, obj, None)
-                except TrainingError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    manifest.finalize(status="diverged", epoch=exc.epoch)
-                    return EXIT_DIVERGED
-                final = records[-1]
-                rows.append({
-                    "objective": obj, "seed": seed,
-                    "alpha": cfg["alpha"], "beta": cfg["beta"],
-                    "tau": cfg["tau"], "uep": cfg["uep"],
-                    "final_val_acc": final.val_acc,
-                    "final_train_acc": final.train_acc,
-                    "train_val_gap": final.train_acc - final.val_acc,
-                })
-                print(f"  {obj} seed={seed} alpha={cfg['alpha']} "
-                      f"val={final.val_acc:.4f}")
+                spec = _fitted_spec(cfg["widths"], (32,), "relu", cfg["seed"], data)
+                cells.append((obj, cfg, _train_config(cfg), spec))
 
-    summary = run_dir / "summary.csv"
-    with open(summary, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        header = list(rows[0])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
-    manifest.finalize(summary=str(summary), cells=len(rows))
+    run_dir = _make_run_dir("ablate", args.name)
+    with Manifest(run_dir, "ablate", {
+            "data": str(data_path), "teacher": args.teacher,
+            "objectives": args.objectives, "sweep_seeds": args.seeds,
+            "alphas": args.alphas or "", **cfg_base}) as manifest:
+        rows = []
+        for obj, cfg, config, spec in cells:
+            _, records = distill_student(spec, teacher, data, config, obj)
+            final = records[-1]
+            rows.append({
+                "objective": obj, "seed": cfg["seed"],
+                "alpha": cfg["alpha"], "beta": cfg["beta"],
+                "tau": cfg["tau"], "uep": cfg["uep"],
+                "final_val_acc": final.val_acc,
+                "final_train_acc": final.train_acc,
+                "train_val_gap": final.train_acc - final.val_acc,
+            })
+            print(f"  {obj} seed={cfg['seed']} alpha={cfg['alpha']} "
+                  f"val={final.val_acc:.4f}")
+
+        summary = run_dir / "summary.csv"
+        with open(summary, "w", newline="\n") as fh:
+            writer = csv.writer(fh)
+            header = list(rows[0])
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(row[k]) for k in header])
+        manifest.finalize(summary=str(summary), cells=len(rows))
     print(f"{len(rows)} cells -> {summary}")
     return EXIT_OK
 
@@ -333,37 +340,38 @@ def cmd_ablate(args, parser) -> int:
 def cmd_pilot(args, parser) -> int:
     if not 0 <= args.spurious_index < args.batch:
         parser.error("spurious index must lie in [0, batch)")
+    if args.seeds < 1:
+        parser.error("need >= 1 seed")
     kinds = [k.strip().upper() for k in args.loss_kinds.split(",") if k]
     for kind in kinds:
-        if kind not in ("IM", "RM", "RM_GRAM"):
+        if kind not in PILOT_LOSS_KINDS:
             parser.error(f"unknown loss kind {kind!r}")
     run_dir = _make_run_dir("pilot", args.name)
-    manifest = Manifest(run_dir, "pilot", {
-        "batch": args.batch, "dim": args.dim, "spurious_index": args.spurious_index,
-        "noise_scale": args.noise_scale, "n_seeds": args.seeds,
-        "loss_kinds": ",".join(kinds)})
-
-    medians = {}
-    for kind in kinds:
-        per_seed = []
-        for seed in range(args.seeds):
-            spec = PilotSpec(args.batch, args.dim, args.spurious_index,
-                             args.noise_scale, seed, kind)
-            dg = gradient_diffusion_pilot(spec)
-            write_pilot_csv(dg, args.spurious_index,
-                            run_dir / f"pilot_{kind.lower()}_seed{seed}.csv")
-            per_seed.append(float(np.median(np.abs(np.delete(dg, args.spurious_index)))))
-        medians[kind] = float(np.median(per_seed))
-
-    with open(run_dir / "summary.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss_kind", "median_offtarget_abs_delta_g"])
+    with Manifest(run_dir, "pilot", {
+            "batch": args.batch, "dim": args.dim, "spurious_index": args.spurious_index,
+            "noise_scale": args.noise_scale, "n_seeds": args.seeds,
+            "loss_kinds": ",".join(kinds)}) as manifest:
+        medians = {}
         for kind in kinds:
-            writer.writerow([kind, _fmt(medians[kind])])
-        if "IM" in medians and "RM" in medians:
-            ratio = medians["RM"] / max(medians["IM"], 1e-300)
-            writer.writerow(["RM_over_IM_ratio", _fmt(ratio)])
-    manifest.finalize(summary=str(run_dir / "summary.csv"))
+            per_seed = []
+            for seed in range(args.seeds):
+                spec = PilotSpec(args.batch, args.dim, args.spurious_index,
+                                 args.noise_scale, seed, kind)
+                dg = gradient_diffusion_pilot(spec)
+                write_pilot_csv(dg, args.spurious_index,
+                                run_dir / f"pilot_{kind.lower()}_seed{seed}.csv")
+                per_seed.append(float(np.median(np.abs(np.delete(dg, args.spurious_index)))))
+            medians[kind] = float(np.median(per_seed))
+
+        with open(run_dir / "summary.csv", "w", newline="\n") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["loss_kind", "median_offtarget_abs_delta_g"])
+            for kind in kinds:
+                writer.writerow([kind, _fmt(medians[kind])])
+            if "IM" in medians and "RM" in medians:
+                ratio = medians["RM"] / max(medians["IM"], 1e-300)
+                writer.writerow(["RM_over_IM_ratio", _fmt(ratio)])
+        manifest.finalize(summary=str(run_dir / "summary.csv"))
     for kind in kinds:
         print(f"{kind}: median off-target |delta_g| = {medians[kind]:.3e}")
     return EXIT_OK
@@ -389,7 +397,7 @@ def cmd_check(args, parser) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser, with_objective: bool):
     if with_objective:
-        p.add_argument("--objective", choices=["vrm", "im_kd", "ce_only", "gram", "angular"])
+        p.add_argument("--objective", choices=list(OBJECTIVES))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--tau", type=float)
@@ -469,15 +477,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FileNotFoundError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry():

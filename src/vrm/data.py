@@ -185,16 +185,45 @@ def save_dataset(data: Dataset, path) -> None:
         fh.write(data.labels.astype("<i4").tobytes())
 
 
+class ArtifactReader:
+    """Reads a binary artifact front to back, after its magic bytes.  A
+    wrong magic, asking for more bytes than are left, or leaving bytes
+    unread raises InputError."""
+
+    def __init__(self, path, magic: bytes, what: str):
+        with open(path, "rb") as fh:
+            self._blob = fh.read()
+        head = self._blob[:len(magic)]
+        if head != magic:
+            raise InputError(f"not a {what}: bad magic {head!r}")
+        self._pos = len(magic)
+        self.what = what
+
+    @property
+    def remaining(self) -> int:
+        return len(self._blob) - self._pos
+
+    def take(self, n_bytes: int) -> bytes:
+        if n_bytes > self.remaining:
+            raise InputError(f"truncated {self.what}: needs {n_bytes} more bytes, "
+                             f"{self.remaining} left")
+        self._pos += n_bytes
+        return self._blob[self._pos - n_bytes:self._pos]
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype=dtype)
+
+    def finish(self) -> None:
+        if self.remaining:
+            raise InputError(f"{self.what} has trailing bytes")
+
+
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != DATASET_MAGIC:
-            raise InputError(f"not a dataset file: bad magic {magic!r}")
-        n, d, c, n_train, n_val = struct.unpack("<5I", fh.read(20))
-        train_idx = np.frombuffer(fh.read(4 * n_train), dtype="<u4").astype(np.int64)
-        val_idx = np.frombuffer(fh.read(4 * n_val), dtype="<u4").astype(np.int64)
-        inputs = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        labels = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int64)
-        if fh.read(1):
-            raise InputError("dataset file has trailing bytes")
+    reader = ArtifactReader(path, DATASET_MAGIC, "dataset file")
+    n, d, c, n_train, n_val = struct.unpack("<5I", reader.take(20))
+    train_idx = reader.array("<u4", n_train).astype(np.int64)
+    val_idx = reader.array("<u4", n_val).astype(np.int64)
+    inputs = reader.array("<f8", n * d).reshape(n, d).copy()
+    labels = reader.array("<i4", n).astype(np.int64)
+    reader.finish()
     return Dataset(inputs, labels, train_idx, val_idx, c)

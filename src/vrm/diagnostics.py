@@ -14,6 +14,7 @@ from .autodiff import Tensor, backward
 from .baselines import gram_inter_sample
 from .errors import ParameterError
 from .graphs import build_inter_sample_edges
+from .training import _fmt
 
 PILOT_LOSS_KINDS = ("IM", "RM", "RM_GRAM")
 
@@ -162,10 +163,6 @@ def logit_stats(model, inputs: np.ndarray, bins: int = 50) -> LogitStats:
 
 
 # -- CSV writers ----------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def write_pilot_csv(delta_g: np.ndarray, t: int, path) -> None:

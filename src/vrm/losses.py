@@ -1,6 +1,5 @@
 """The full training objective: masked Huber matching of cross-view
-edges between teacher and student, plus label supervision on both views,
-and the classic softened-KL instance-matching objective for comparison.
+edges between teacher and student, plus label supervision on both views.
 """
 from __future__ import annotations
 
@@ -41,9 +40,6 @@ class VRMWeights:
     uep_percentile: float = 95.0
     reduction: str = "mean_over_kept"
     metric: str = "huber"
-    include_virtual_ce: bool = True
-    vertex_weight: float = 0.0
-    soften_edges: bool = True
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -58,8 +54,6 @@ class VRMWeights:
             raise ParameterError(f"unknown reduction {self.reduction!r}")
         if self.metric not in ("huber", "mse"):
             raise ParameterError(f"unknown metric {self.metric!r}")
-        if self.vertex_weight < 0:
-            raise ParameterError("vertex weight must be nonnegative")
 
 
 @dataclass
@@ -68,7 +62,7 @@ class LossBreakdown:
 
     ``total`` carries the tape for the backward pass; the identity
     total = ce_real + ce_virtual + alpha * isv + beta * icv holds
-    exactly as written (plus the optional vertex term when enabled).
+    exactly as written.
     """
 
     total: Tensor
@@ -78,21 +72,6 @@ class LossBreakdown:
     icv: Tensor
     kept_isv: int
     kept_icv: int
-    vertex: Tensor | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "total": self.total.item(),
-            "ce_real": self.ce_real.item(),
-            "ce_virtual": self.ce_virtual.item(),
-            "isv": self.isv.item(),
-            "icv": self.icv.item(),
-            "kept_isv": self.kept_isv,
-            "kept_icv": self.kept_icv,
-        }
-        if self.vertex is not None:
-            out["vertex"] = self.vertex.item()
-        return out
 
 
 def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
@@ -228,18 +207,11 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
     labels = np.asarray(labels)
 
     ce_real = ad.cross_entropy(student.real, labels)
-    if weights.include_virtual_ce:
-        ce_virtual = ad.cross_entropy(student.virtual, labels)
-    else:
-        ce_virtual = Tensor(0.0)
+    ce_virtual = ad.cross_entropy(student.virtual, labels)
 
-    if weights.soften_edges:
-        s_in = soften(student, weights.tau)
-        with ad.no_grad():
-            t_probs = soften(teacher, weights.tau)
-        t_in = t_probs
-    else:
-        s_in, t_in = student, teacher
+    s_in = soften(student, weights.tau)
+    with ad.no_grad():
+        t_in = soften(teacher, weights.tau)
 
     e_s_isv = build_isv_edges(s_in)
     e_s_icv = build_icv_edges(s_in)
@@ -258,33 +230,4 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
         e_s_icv, e_t_icv, mask_icv, weights.huber_delta, weights.reduction, weights.metric)
 
     total = ce_real + ce_virtual + isv * weights.alpha + icv * weights.beta
-
-    vertex = None
-    if weights.vertex_weight > 0:
-        vertex = (ad.huber(s_in.real, t_in.real.detach(), weights.huber_delta).mean()
-                  + ad.huber(s_in.virtual, t_in.virtual.detach(), weights.huber_delta).mean())
-        total = total + vertex * weights.vertex_weight
-
-    return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv, vertex)
-
-
-def im_kd_parts(student: LogitBatch, teacher: LogitBatch, labels,
-                tau: float = 4.0, weight: float = 1.0) -> dict:
-    """Components of the instance-matching objective: label CE on both
-    views plus the softened KL divergence to the teacher, view-averaged."""
-    if student.softened or teacher.softened:
-        raise InputError("instance matching expects raw logits")
-    teacher = teacher.detach()
-    labels = np.asarray(labels)
-    ce_real = ad.cross_entropy(student.real, labels)
-    ce_virtual = ad.cross_entropy(student.virtual, labels)
-    kl = (ad.kld(teacher.real, student.real, tau)
-          + ad.kld(teacher.virtual, student.virtual, tau)) * 0.5
-    total = ce_real + ce_virtual + kl * weight
-    return {"total": total, "ce_real": ce_real, "ce_virtual": ce_virtual, "kld": kl}
-
-
-def im_kd_loss(student: LogitBatch, teacher: LogitBatch, labels,
-               tau: float = 4.0, weight: float = 1.0) -> Tensor:
-    """Scalar instance-matching objective (see :func:`im_kd_parts`)."""
-    return im_kd_parts(student, teacher, labels, tau, weight)["total"]
+    return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv)

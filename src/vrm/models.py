@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import ArtifactReader
 from .errors import InputError, ParameterError
 
 CHECKPOINT_MAGIC = b"VRMCKPT1"
@@ -108,18 +109,21 @@ def save_checkpoint(model: MLP, path, epoch: int = 0) -> None:
 
 
 def load_checkpoint(path) -> tuple[MLP, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise InputError(f"not a checkpoint file: bad magic {magic!r}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    reader = ArtifactReader(path, CHECKPOINT_MAGIC, "checkpoint file")
+    (meta_len,) = struct.unpack("<I", reader.take(4))
+    try:
+        meta = json.loads(reader.take(meta_len).decode("utf-8"))
         spec = MLPSpec(meta["layer_widths"], meta["activation"], meta["seed"])
-        model = MLP(spec)
-        for w, b in zip(model.weights, model.biases):
-            w.data = np.frombuffer(fh.read(w.data.size * 8), dtype="<f8").reshape(w.shape).copy()
-            b.data = np.frombuffer(fh.read(b.data.size * 8), dtype="<f8").copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise InputError("checkpoint has trailing bytes")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"corrupt checkpoint metadata: {exc}") from exc
+    # sized before the model is built, so a corrupt width cannot allocate
+    widths = spec.layer_widths
+    n_values = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+    if reader.remaining != 8 * n_values:
+        raise InputError(f"checkpoint holds {reader.remaining} weight bytes, "
+                         f"its layer widths need {8 * n_values}")
+    model = MLP(spec)
+    for w, b in zip(model.weights, model.biases):
+        w.data = reader.array("<f8", w.data.size).reshape(w.shape).copy()
+        b.data = reader.array("<f8", b.data.size).copy()
     return model, meta

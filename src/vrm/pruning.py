@@ -47,10 +47,6 @@ class EdgeMask:
     def kept_count(self) -> int:
         return int(self.keep.sum())
 
-    @property
-    def kept_fraction(self) -> float:
-        return self.kept_count / self.keep.size
-
 
 def mixture_entropy(p, q) -> float:
     """Entropy of the equal-weight mixture of two categorical distributions."""

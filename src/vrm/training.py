@@ -17,9 +17,6 @@ from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
 
-OBJECTIVES = ("vrm", "im_kd", "ce_only", "gram", "angular")
-
-
 @dataclass
 class TrainConfig:
     """Optimizer, schedule, and objective hyperparameters for one run."""
@@ -107,69 +104,106 @@ def _epoch_batches(n_train: int, batch_size: int, seed: int, epoch: int):
         yield perm[b * batch_size:(b + 1) * batch_size]
 
 
-def _step_loss(objective, model, teacher, xb, yb, xv, config):
-    """Returns (loss tensor, components dict, kept fractions)."""
-    w = config.weights
-    if objective == "ce_only":
-        loss = ad.cross_entropy(model(xb), yb)
-        parts = {"ce_real": loss.item(), "ce_virtual": 0.0, "isv": 0.0, "icv": 0.0}
-        return loss, parts, (0.0, 0.0)
+PARTS = ("ce_real", "ce_virtual", "isv", "icv")
 
-    if objective == "vrm":
-        s_batch = LogitBatch(model(xb), model(xv))
-        with ad.no_grad():
-            t_batch = LogitBatch(Tensor(teacher.logits(xb)), Tensor(teacher.logits(xv)))
-        bd = total_loss(s_batch, t_batch, yb, w)
-        parts = {"ce_real": bd.ce_real.item(), "ce_virtual": bd.ce_virtual.item(),
-                 "isv": bd.isv.item(), "icv": bd.icv.item()}
-        b, c = s_batch.batch_size, s_batch.n_classes
-        return bd.total, parts, (bd.kept_isv / (b * b), bd.kept_icv / (c * c))
 
-    # classic single-view distillation arms: no virtual views, so any
-    # difference against vrm comes from the objective itself
+def _parts(ce_real, ce_virtual=None, isv=None, icv=None) -> dict:
+    """The per-step loss components as floats; an absent one reads 0."""
+    values = (ce_real, ce_virtual, isv, icv)
+    return {k: 0.0 if v is None else v.item() for k, v in zip(PARTS, values)}
+
+
+def _ce_only(model, teacher, xb, yb, xv, config):
+    """Label cross-entropy alone; the teacher is never consulted."""
+    loss = ad.cross_entropy(model(xb), yb)
+    return loss, _parts(loss), (0.0, 0.0)
+
+
+def _vrm(model, teacher, xb, yb, xv, config):
+    """Masked cross-view edge matching plus label CE on both views
+    (:func:`total_loss`)."""
+    s_batch = LogitBatch(model(xb), model(xv))
+    with ad.no_grad():
+        t_batch = LogitBatch(Tensor(teacher.logits(xb)), Tensor(teacher.logits(xv)))
+    bd = total_loss(s_batch, t_batch, yb, config.weights)
+    b, c = s_batch.batch_size, s_batch.n_classes
+    parts = _parts(bd.ce_real, bd.ce_virtual, bd.isv, bd.icv)
+    return bd.total, parts, (bd.kept_isv / (b * b), bd.kept_icv / (c * c))
+
+
+# the classic distillation arms see the real view only, so any difference
+# against vrm comes from the objective itself
+
+
+def _single_view(model, teacher, xb, yb):
+    """Student logits (on the tape), teacher logits (off it) and label CE."""
     s_logits = model(xb)
     with ad.no_grad():
         t_logits = Tensor(teacher.logits(xb))
-    ce = ad.cross_entropy(s_logits, yb)
+    return s_logits, t_logits, ad.cross_entropy(s_logits, yb)
 
-    if objective == "im_kd":
-        kl = ad.kld(t_logits, s_logits, w.tau)
-        loss = ce + kl * config.im_kd_weight
-        parts = {"ce_real": ce.item(), "ce_virtual": 0.0, "isv": kl.item(), "icv": 0.0}
-        return loss, parts, (1.0, 1.0)
 
+def _im_kd(model, teacher, xb, yb, xv, config):
+    """Instance matching (Hinton et al.): label CE plus the softened KL
+    divergence from the teacher, logged in the ``isv`` column."""
+    s_logits, t_logits, ce = _single_view(model, teacher, xb, yb)
+    kl = ad.kld(t_logits, s_logits, config.weights.tau)
+    loss = ce + kl * config.im_kd_weight
+    return loss, _parts(ce, isv=kl), (1.0, 1.0)
+
+
+def _relation_arm(model, teacher, xb, yb, config, *encoders):
+    """Label CE plus, for each relation encoder in turn, the mean Huber
+    distance between the encodings of the student's and the teacher's
+    softened predictions, weighted by alpha, then beta."""
+    w = config.weights
+    s_logits, t_logits, ce = _single_view(model, teacher, xb, yb)
     s_soft = ad.softmax(s_logits, axis=1, tau=w.tau)
     with ad.no_grad():
         t_soft = ad.softmax(t_logits, axis=1, tau=w.tau)
-    if objective == "gram":
-        rel_is = ad.huber(gram_inter_sample(s_soft), gram_inter_sample(t_soft).detach(),
-                          w.huber_delta).mean()
-        rel_ic = ad.huber(gram_inter_class(s_soft), gram_inter_class(t_soft).detach(),
-                          w.huber_delta).mean()
-        loss = ce + rel_is * w.alpha + rel_ic * w.beta
-        parts = {"ce_real": ce.item(), "ce_virtual": 0.0,
-                 "isv": rel_is.item(), "icv": rel_ic.item()}
-    elif objective == "angular":
-        rel = ad.huber(angular_relations(s_soft), angular_relations(t_soft).detach(),
-                       w.huber_delta).mean()
-        loss = ce + rel * w.alpha
-        parts = {"ce_real": ce.item(), "ce_virtual": 0.0, "isv": rel.item(), "icv": 0.0}
-    else:
-        raise ParameterError(f"unknown objective {objective!r}")
-    return loss, parts, (1.0, 1.0)
+    rels = [ad.huber(encode(s_soft), encode(t_soft).detach(), w.huber_delta).mean()
+            for encode in encoders]
+    loss = ce
+    for rel, weight in zip(rels, (w.alpha, w.beta)):
+        loss = loss + rel * weight
+    return loss, _parts(ce, None, *rels), (1.0, 1.0)
+
+
+def _gram(model, teacher, xb, yb, xv, config):
+    """SP baseline (Tung & Mori, 2019): inter-sample and inter-class Gram
+    matrices, logged as ``isv`` and ``icv``."""
+    return _relation_arm(model, teacher, xb, yb, config, gram_inter_sample, gram_inter_class)
+
+
+def _angular(model, teacher, xb, yb, xv, config):
+    """RKD-angle baseline (Park et al., 2019): third-order angular
+    relations, logged as ``isv``."""
+    return _relation_arm(model, teacher, xb, yb, config, angular_relations)
+
+
+# objective -> fn(model, teacher, xb, yb, xv, config) -> (loss tensor,
+# PARTS dict, (kept ISV fraction, kept ICV fraction)).  The entries look
+# up their loss functions when called, so a rebinding of, say,
+# ``training.total_loss`` reaches them.
+OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
+              "gram": _gram, "angular": _angular}
 
 
 def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
-           objective: str) -> list[EpochRecord]:
-    needs_virtual = objective == "vrm"
+           step_loss) -> list[EpochRecord]:
+    """SGD on ``step_loss``, an :data:`OBJECTIVES` entry, over full batches."""
+    x_train, y_train = data.train_inputs, data.train_labels
+    if config.batch_size > x_train.shape[0]:
+        raise ParameterError(f"batch size {config.batch_size} exceeds the "
+                             f"{x_train.shape[0]} training samples")
+    needs_virtual = step_loss is _vrm
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
     records: list[EpochRecord] = []
-    x_train, y_train = data.train_inputs, data.train_labels
 
     for epoch in range(config.epochs):
         opt.lr = config.lr_at(epoch)
-        sums = {"total": 0.0, "ce_real": 0.0, "ce_virtual": 0.0, "isv": 0.0, "icv": 0.0}
+        sums = dict.fromkeys(("total",) + PARTS, 0.0)
         kept = [0.0, 0.0]
         n_steps = 0
         for step, batch_idx in enumerate(_epoch_batches(
@@ -178,7 +212,7 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
             xv = (virtual_batch(xb, config.augment, (epoch, step))
                   if needs_virtual else None)
             try:
-                loss, parts, fracs = _step_loss(objective, model, teacher, xb, yb, xv, config)
+                loss, parts, fracs = step_loss(model, teacher, xb, yb, xv, config)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise NumericError("loss is not finite")
@@ -188,52 +222,60 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
             except NumericError as exc:
                 raise TrainingError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from exc
             sums["total"] += loss_val
-            for k in ("ce_real", "ce_virtual", "isv", "icv"):
+            for k in PARTS:
                 sums[k] += parts[k]
             kept[0] += fracs[0]
             kept[1] += fracs[1]
             n_steps += 1
 
-        denom = max(n_steps, 1)
         records.append(EpochRecord(
             epoch=epoch,
             lr=opt.lr,
             train_acc=accuracy(model, x_train, y_train),
             val_acc=accuracy(model, data.val_inputs, data.val_labels),
-            total=sums["total"] / denom,
-            ce_real=sums["ce_real"] / denom,
-            ce_virtual=sums["ce_virtual"] / denom,
-            isv=sums["isv"] / denom,
-            icv=sums["icv"] / denom,
-            kept_isv_frac=kept[0] / denom,
-            kept_icv_frac=kept[1] / denom,
+            total=sums["total"] / n_steps,
+            ce_real=sums["ce_real"] / n_steps,
+            ce_virtual=sums["ce_virtual"] / n_steps,
+            isv=sums["isv"] / n_steps,
+            icv=sums["icv"] / n_steps,
+            kept_isv_frac=kept[0] / n_steps,
+            kept_icv_frac=kept[1] / n_steps,
         ))
     return records
+
+
+def lookup_objective(objective: str, teacher: MLP | None):
+    """The :data:`OBJECTIVES` entry for ``objective``.  Raises
+    ParameterError for an unknown name, or for an objective that needs a
+    teacher when ``teacher`` is None."""
+    step_loss = OBJECTIVES.get(objective)
+    if step_loss is None:
+        raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}")
+    if step_loss is not _ce_only and teacher is None:
+        raise ParameterError(f"objective {objective!r} needs a teacher")
+    return step_loss
 
 
 def train_teacher(spec: MLPSpec, data: Dataset, config: TrainConfig):
     """Label-only SGD training; returns (model, per-epoch records)."""
     model = MLP(spec)
-    records = _train(model, None, data, config, "ce_only")
+    records = _train(model, None, data, config, _ce_only)
     return model, records
 
 
 def distill_student(student_spec: MLPSpec, teacher: MLP | None, data: Dataset,
                     config: TrainConfig, objective: str = "vrm"):
-    """Train a student under the chosen objective with a frozen teacher.
+    """Train a student under the chosen :data:`OBJECTIVES` entry with a
+    frozen teacher.
 
-    Every step generates fresh virtual views (the same views are fed to
-    teacher and student), evaluates the objective, and applies one SGD
-    update.  ``ce_only`` ignores the teacher and skips view generation,
-    which makes it identical to :func:`train_teacher` on the student
-    architecture.
+    The vrm objective draws fresh virtual views every step (the same
+    views are fed to teacher and student); the other objectives see the
+    real view only.  ``ce_only`` ignores the teacher, which makes it
+    identical to :func:`train_teacher` on the student architecture.
     """
-    if objective not in OBJECTIVES:
-        raise ParameterError(f"objective must be one of {OBJECTIVES}")
-    if objective != "ce_only" and teacher is None:
-        raise ParameterError(f"objective {objective!r} needs a teacher")
+    step_loss = lookup_objective(objective, teacher)
     student = MLP(student_spec)
-    records = _train(student, teacher, data, config, objective)
+    records = _train(student, teacher, data, config, step_loss)
     return student, records
 
 
@@ -241,6 +283,7 @@ def distill_student(student_spec: MLPSpec, teacher: MLP | None, data: Dataset,
 
 
 def _fmt(value) -> str:
+    """Floats with every digit a float64 needs to round-trip; else str."""
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

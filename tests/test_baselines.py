@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from vrm.autodiff import Tensor, finite_diff_check
-from vrm.baselines import (
-    RelationKind,
-    angular_relations,
-    baseline_relation_loss,
-    gram_inter_class,
-    gram_inter_sample,
-)
+from vrm.baselines import angular_relations, gram_inter_class, gram_inter_sample
 from vrm.errors import InputError
-from vrm.graphs import LogitBatch, soften
+from vrm.losses import VRMWeights
+from vrm.models import MLP, MLPSpec
+from vrm.training import OBJECTIVES, TrainConfig
 
 
 def test_gram_inter_sample_orthonormal_rows():
@@ -102,67 +98,71 @@ def test_relation_input_guards():
         angular_relations(Tensor(np.zeros((2, 3))))
 
 
-def softened_pair(rng, b, c):
-    s = soften(LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c))), 4.0)
-    t = soften(LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c))), 4.0)
-    return s, t
+# the relation baselines as training objectives: OBJECTIVES["gram"] (SP)
+# and OBJECTIVES["angular"] (RKD) match these encoders of the student's and
+# the teacher's softened predictions on the real view
+
+CONFIG = TrainConfig(weights=VRMWeights(alpha=8.0, beta=2.0, tau=4.0, uep_percentile=100.0))
 
 
-@pytest.mark.parametrize("kind", list(RelationKind))
-def test_baseline_losses_zero_at_equality_and_nonnegative(kind):
-    rng = np.random.default_rng(4)
-    s, t = softened_pair(rng, 4, 3)
-    same = LogitBatch(s.real.data.copy(), s.virtual.data.copy(), softened=True)
-    assert baseline_relation_loss(kind, s, same).item() == pytest.approx(0.0, abs=1e-15)
-    assert baseline_relation_loss(kind, s, t).item() >= 0.0
+def models_and_batch(seed, b, c, dim=4):
+    rng = np.random.default_rng(seed)
+    xb = rng.standard_normal((b, dim))
+    xv = xb + 0.3 * rng.standard_normal((b, dim))
+    yb = rng.integers(0, c, size=b)
+    student = MLP(MLPSpec([dim, 5, c], "relu", seed))
+    teacher = MLP(MLPSpec([dim, 7, c], "relu", seed + 1))
+    return student, teacher, xb, yb, xv
+
+
+def loss_of_last_layer(objective, student, teacher, xb, yb):
+    def f(w):
+        student.weights[-1] = w
+        return OBJECTIVES[objective](student, teacher, xb, yb, None, CONFIG)[0]
+    return f
+
+
+@pytest.mark.parametrize("objective", ["gram", "angular", "vrm"])
+def test_baseline_losses_zero_at_equality_and_nonnegative(objective):
+    student, teacher, xb, yb, xv = models_and_batch(4, 5, 3)
+    clone = MLP(student.spec)
+    _, parts, _ = OBJECTIVES[objective](student, clone, xb, yb, xv, CONFIG)
+    assert parts["isv"] == pytest.approx(0.0, abs=1e-15)
+    assert parts["icv"] == pytest.approx(0.0, abs=1e-15)
+    _, parts, _ = OBJECTIVES[objective](student, teacher, xb, yb, xv, CONFIG)
+    assert parts["isv"] > 0.0 and parts["icv"] >= 0.0
 
 
 def test_baseline_gram_loss_scalar_oracle():
-    rng = np.random.default_rng(5)
-    s, t = softened_pair(rng, 3, 4)
-    got = baseline_relation_loss(RelationKind.GRAM_INTER_SAMPLE, s, t).item()
-    zs = np.vstack([s.real.data, s.virtual.data])
-    zt = np.vstack([t.real.data, t.virtual.data])
+    student, teacher, xb, yb, _ = models_and_batch(5, 3, 4)
+    loss, parts, _ = OBJECTIVES["gram"](student, teacher, xb, yb, None, CONFIG)
+
+    def soft(z):
+        e = np.exp(z / CONFIG.weights.tau)
+        return e / e.sum(axis=1, keepdims=True)
 
     def gram(z):
         zn = z / np.linalg.norm(z, axis=1, keepdims=True)
         return zn @ zn.T
 
-    r = gram(zs) - gram(zt)
-    hub = np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5)
-    assert got == pytest.approx(hub.mean(), abs=1e-12)
+    def huber_mean(r):
+        return np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5).mean()
 
-
-def test_baseline_losses_accept_string_kinds():
-    rng = np.random.default_rng(6)
-    s, t = softened_pair(rng, 4, 3)
-    by_enum = baseline_relation_loss(RelationKind.VRM_ISV_ICV, s, t).item()
-    by_str = baseline_relation_loss("vrm_isv_icv", s, t).item()
-    assert by_enum == by_str
+    zs, zt = soft(student.logits(xb)), soft(teacher.logits(xb))
+    assert parts["isv"] == pytest.approx(huber_mean(gram(zs) - gram(zt)), abs=1e-12)
+    assert parts["icv"] == pytest.approx(huber_mean(gram(zs.T) - gram(zt.T)), abs=1e-12)
+    w = CONFIG.weights
+    want = parts["ce_real"] + w.alpha * parts["isv"] + w.beta * parts["icv"]
+    assert loss.item() == pytest.approx(want, abs=1e-12)
 
 
 def test_baseline_angular_gradcheck():
-    rng = np.random.default_rng(7)
-    t_batch = soften(LogitBatch(rng.standard_normal((3, 3)), rng.standard_normal((3, 3))), 4.0)
-
-    def objective(x):
-        from vrm.autodiff import row_slice, softmax
-        s = LogitBatch(softmax(row_slice(x, 0, 3), axis=1, tau=4.0),
-                       softmax(row_slice(x, 3, 6), axis=1, tau=4.0), softened=True)
-        return baseline_relation_loss(RelationKind.ANGULAR, s, t_batch)
-
-    err = finite_diff_check(objective, Tensor(rng.standard_normal((6, 3))))
-    assert err < 1e-4
+    student, teacher, xb, yb, _ = models_and_batch(7, 4, 3)
+    f = loss_of_last_layer("angular", student, teacher, xb, yb)
+    assert finite_diff_check(f, student.weights[-1].data) < 1e-4
 
 
 def test_baseline_gram_gradcheck():
-    rng = np.random.default_rng(8)
-    t_batch = soften(LogitBatch(rng.standard_normal((4, 3)), rng.standard_normal((4, 3))), 4.0)
-
-    def objective(x):
-        from vrm.autodiff import row_slice, softmax
-        s = LogitBatch(softmax(row_slice(x, 0, 4), axis=1, tau=4.0),
-                       softmax(row_slice(x, 4, 8), axis=1, tau=4.0), softened=True)
-        return baseline_relation_loss(RelationKind.GRAM_INTER_SAMPLE, s, t_batch)
-
-    assert finite_diff_check(objective, Tensor(rng.standard_normal((8, 3)))) < 1e-4
+    student, teacher, xb, yb, _ = models_and_batch(8, 4, 3)
+    f = loss_of_last_layer("gram", student, teacher, xb, yb)
+    assert finite_diff_check(f, student.weights[-1].data) < 1e-4

@@ -6,6 +6,7 @@ import pytest
 import vrm.autodiff
 from vrm.cli import main
 from vrm.data import load_dataset
+from vrm.models import MLP, MLPSpec, save_checkpoint
 
 
 @pytest.fixture()
@@ -129,6 +130,76 @@ def test_distill_divergence_exits_4(run_env, capsys):
                  "--widths", "6,12,3", "--name", "boom"])
     assert code == 4
     assert "diverged at epoch" in capsys.readouterr().err
+    manifest = (run_env / "runs" / "boom" / "manifest.txt").read_text()
+    assert "status=diverged" in manifest and "error_class=TrainingError" in manifest
+
+
+def assert_clean_error(capsys, code, want_code):
+    err = capsys.readouterr().err
+    assert code == want_code
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_distill_dataset_as_teacher_exits_3(run_env, capsys):
+    data = gen_data(run_env)
+    code = main(["distill", "--data", str(data), "--teacher", str(data),
+                 "--objective", "vrm", "--epochs", "2", "--milestones", "1", "--name", "x"])
+    assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
+
+
+def test_distill_truncated_artifacts_exit_3(run_env, capsys):
+    data = gen_data(run_env)
+    ckpt = train_teacher(run_env, data)
+    cut_ckpt = run_env / "cut.ckpt"
+    cut_ckpt.write_bytes(ckpt.read_bytes()[:60])
+    cut_data = run_env / "cut.vrmdata"
+    cut_data.write_bytes(data.read_bytes()[:40])
+    for data_path, teacher_path in ((data, cut_ckpt), (cut_data, ckpt)):
+        code = main(["distill", "--data", str(data_path), "--teacher", str(teacher_path),
+                     "--epochs", "2", "--milestones", "1", "--name", "x"])
+        assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
+
+
+def test_distill_teacher_of_other_shape_exits_3(run_env, capsys):
+    data = gen_data(run_env)
+    ckpt = run_env / "four_classes.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 4], "relu", 0)), ckpt)
+    code = main(["distill", "--data", str(data), "--teacher", str(ckpt),
+                 "--epochs", "2", "--milestones", "1", "--name", "x"])
+    assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--widths", "4,8,5"],
+                                   ["--widths", "6,8,5"]])
+def test_distill_bad_config_exits_2_before_the_run_dir(run_env, capsys, flags):
+    data = gen_data(run_env)
+    ckpt = train_teacher(run_env, data)
+    code = main(["distill", "--data", str(data), "--teacher", str(ckpt),
+                 "--epochs", "2", "--milestones", "1", "--batch-size", "16",
+                 "--name", "bad"] + flags)
+    assert_clean_error(capsys, code, 2)
+    assert not (run_env / "runs" / "bad").exists()
+
+
+def test_distill_batch_larger_than_train_split_exits_2(run_env, capsys):
+    data = gen_data(run_env)
+    code = main(["distill", "--data", str(data), "--objective", "ce_only",
+                 "--epochs", "2", "--milestones", "1", "--batch-size", "1000",
+                 "--widths", "6,12,3", "--name", "big"])
+    assert_clean_error(capsys, code, 2)
+    manifest = (run_env / "runs" / "big" / "manifest.txt").read_text()
+    assert "status=failed" in manifest and "error_class=ParameterError" in manifest
+
+
+def test_pilot_rejects_zero_seeds(run_env, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["pilot", "--seeds", "0", "--name", "p0"])
+    assert exc_info.value.code == 2
+    assert "need >= 1 seed" in capsys.readouterr().err
+    assert not (run_env / "runs" / "p0").exists()
 
 
 def test_config_file_with_flag_override(run_env):

@@ -11,14 +11,14 @@ from vrm.graphs import LogitBatch, build_icv_edges, build_isv_edges, soften
 from vrm.losses import (
     LossBreakdown,
     VRMWeights,
-    im_kd_loss,
-    im_kd_parts,
     loss_icv,
     loss_isv,
     total_loss,
     uep_masks_for,
 )
+from vrm.models import MLP, MLPSpec
 from vrm.pruning import EdgeMask, full_mask
+from vrm.training import OBJECTIVES, TrainConfig
 
 
 def raw_pair(rng, b, c):
@@ -49,7 +49,7 @@ def test_weights_validation():
     VRMWeights()  # defaults are legal
     for kw in (dict(alpha=-1.0), dict(beta=-0.5), dict(tau=0.0), dict(huber_delta=0.0),
                dict(uep_percentile=0.0), dict(uep_percentile=101.0),
-               dict(reduction="median"), dict(metric="l1"), dict(vertex_weight=-1.0)):
+               dict(reduction="median"), dict(metric="l1")):
         with pytest.raises(ParameterError):
             VRMWeights(**kw)
 
@@ -269,38 +269,43 @@ def test_total_loss_mse_metric_mode():
     assert bd.isv.item() >= bd_h.isv.item() - 1e-15
 
 
-def test_total_loss_vertex_flag_off_by_default():
-    rng = np.random.default_rng(15)
-    student, teacher = raw_pair(rng, 4, 3)
-    labels = rng.integers(0, 3, size=4)
-    bd = total_loss(student, teacher, labels, VRMWeights())
-    assert bd.vertex is None
-    bd_v = total_loss(student, teacher, labels, VRMWeights(vertex_weight=1.0))
-    assert bd_v.vertex is not None and bd_v.total.item() > bd.total.item() - 1e-12
+# instance matching is the OBJECTIVES["im_kd"] training objective: label CE
+# plus the softened KL from the teacher on the real view, logged as isv
+
+
+def im_kd_case(seed, b, c, dim=4):
+    rng = np.random.default_rng(seed)
+    xb = rng.standard_normal((b, dim))
+    yb = rng.integers(0, c, size=b)
+    return MLP(MLPSpec([dim, 5, c], "relu", seed)), xb, yb
 
 
 def test_im_kd_examples():
-    rng = np.random.default_rng(16)
-    z = rng.standard_normal((4, 3))
-    student = LogitBatch(Tensor(z.copy(), requires_grad=True), Tensor(z.copy(), requires_grad=True))
-    teacher = LogitBatch(z.copy(), z.copy())
-    labels = rng.integers(0, 3, size=4)
-    parts = im_kd_parts(student, teacher, labels, tau=4.0, weight=1.0)
-    assert parts["kld"].item() == pytest.approx(0.0, abs=1e-14)
+    student, xb, yb = im_kd_case(16, 4, 3)
+    teacher = MLP(MLPSpec([4, 6, 3], "relu", 99))
+    _, parts, fracs = OBJECTIVES["im_kd"](student, MLP(student.spec), xb, yb, None, TrainConfig())
+    assert parts["isv"] == pytest.approx(0.0, abs=1e-14)
+    assert fracs == (1.0, 1.0)
 
-    student2, teacher2 = raw_pair(rng, 4, 3)
-    zero_w = im_kd_loss(student2, teacher2, labels, tau=4.0, weight=0.0).item()
-    ce = (ad.cross_entropy(student2.real, labels).item()
-          + ad.cross_entropy(student2.virtual, labels).item())
-    assert zero_w == pytest.approx(ce, abs=1e-12)
+    zero_w = TrainConfig(im_kd_weight=0.0)
+    loss, parts, _ = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, zero_w)
+    assert parts["isv"] > 0.0 and parts["ce_virtual"] == 0.0 and parts["icv"] == 0.0
+    ce = ad.cross_entropy(Tensor(student.logits(xb)), yb).item()
+    assert loss.item() == pytest.approx(ce, abs=1e-12)
+
+    def f(w):
+        student.weights[-1] = w
+        return OBJECTIVES["im_kd"](student, teacher, xb, yb, None, TrainConfig())[0]
+
+    assert finite_diff_check(f, student.weights[-1].data) < 1e-4
 
 
 def test_im_kd_matches_scalar_oracle():
-    rng = np.random.default_rng(17)
     b, c, tau = 3, 4, 2.0
-    student, teacher = raw_pair(rng, b, c)
-    labels = rng.integers(0, c, size=b)
-    parts = im_kd_parts(student, teacher, labels, tau=tau, weight=1.0)
+    student, xb, yb = im_kd_case(17, b, c)
+    teacher = MLP(MLPSpec([4, 6, c], "relu", 98))
+    config = TrainConfig(weights=VRMWeights(tau=tau), im_kd_weight=0.7)
+    loss, parts, _ = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, config)
 
     def kl_rows(zt, zs):
         total = 0.0
@@ -310,6 +315,6 @@ def test_im_kd_matches_scalar_oracle():
             total += (pt * np.log(pt / ps)).sum()
         return tau * tau * total / zt.shape[0]
 
-    want = 0.5 * (kl_rows(teacher.real.data, student.real.data)
-                  + kl_rows(teacher.virtual.data, student.virtual.data))
-    assert parts["kld"].item() == pytest.approx(want, rel=1e-10)
+    want = kl_rows(teacher.logits(xb), student.logits(xb))
+    assert parts["isv"] == pytest.approx(want, rel=1e-10)
+    assert loss.item() == pytest.approx(parts["ce_real"] + 0.7 * want, rel=1e-12)

@@ -145,6 +145,20 @@ def test_dataset_file_bad_magic(tmp_path):
         load_dataset(p)
 
 
+def test_dataset_file_every_strict_prefix_raises_input_error(tmp_path):
+    full = tmp_path / "full.vrmdata"
+    save_dataset(make_synthetic_dataset("blobs", 2, 2, 10, 0.3, seed=2), full)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.vrmdata"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(InputError):
+            load_dataset(cut)
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(InputError):
+        load_dataset(cut)
+
+
 def test_mlp_spec_validation():
     with pytest.raises(ParameterError):
         MLPSpec([4, 3])  # no hidden layer
@@ -189,3 +203,17 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"XXXXXXXX" + b"\0" * 16)
     with pytest.raises(InputError):
         load_checkpoint(p)
+
+
+def test_checkpoint_every_strict_prefix_raises_input_error(tmp_path):
+    full = tmp_path / "full.ckpt"
+    save_checkpoint(MLP(MLPSpec([2, 3, 2], "relu", 1)), full, epoch=4)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(InputError):
+            load_checkpoint(cut)
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(InputError):
+        load_checkpoint(cut)

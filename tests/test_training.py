@@ -98,6 +98,17 @@ def test_clone_start_relation_losses_vanish(blobs):
     assert records[0].ce_real > 0.0
 
 
+def test_batch_larger_than_train_split_is_rejected(blobs):
+    n_train = blobs.train_idx.size
+    spec = MLPSpec([6, 12, 3], "relu", 0)
+    with pytest.raises(ParameterError, match="exceeds"):
+        train_teacher(spec, blobs, TrainConfig(epochs=1, milestones=(1,), batch_size=n_train + 1))
+    # one full batch is the largest that trains
+    _, records = train_teacher(spec, blobs, TrainConfig(epochs=1, milestones=(1,),
+                                                        batch_size=n_train))
+    assert len(records) == 1
+
+
 def test_objective_validation(blobs, blobs_teacher):
     teacher, _ = blobs_teacher
     cfg = TrainConfig(epochs=1, milestones=(1,), batch_size=16)
