@@ -82,11 +82,11 @@ def test_virtual_view_pinned_regression_values():
     out = virtual_view(x, AugmentSpec(n_ops=2, magnitude=0.25, seed=11), 3)
     expected = [-1.2987396945099634, -0.8513781923574272, -0.43054524673659045,
                 -0.07330692399777394, 0.32435869760114716, 0.712968798828257]
-    assert np.allclose(out, expected, atol=1e-15)
+    assert np.array_equal(out, expected)
     out2 = virtual_view(x, AugmentSpec(n_ops=1, magnitude=0.5, op_pool=("random_scale",), seed=2), 7)
     expected2 = [-0.6205482095622838, -0.3723289257373703, -0.12410964191245674,
                  0.12410964191245688, 0.37232892573737036, 0.6205482095622838]
-    assert np.allclose(out2, expected2, atol=1e-15)
+    assert np.array_equal(out2, expected2)
 
 
 @pytest.mark.parametrize("op", AUGMENT_OPS)
