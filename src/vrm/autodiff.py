@@ -53,7 +53,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InputError("tensor data must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -210,7 +210,7 @@ def _coerce(x) -> Tensor:
 
 
 def _result(arr, inputs, grad_fn, op) -> Tensor:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr
@@ -277,6 +277,22 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _result(out, (a, b), grad_fn, "matmul")
+
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` as one tape node, with the arithmetic of matmul then
+    add, so the value and the gradients are bit-identical to theirs."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise UsageError("affine supports 2-D operands only")
+    out = x.data @ w.data + b.data
+
+    def grad_fn(g):
+        # a network's input carries no gradient, so none is formed for it
+        gx = g @ w.data.T if x.requires_grad or x.node is not None else None
+        return gx, x.data.T @ g, _unbroadcast(g, b.shape)
+
+    return _result(out, (x, w, b), grad_fn, "affine")
 
 
 def relu(x) -> Tensor:

@@ -155,7 +155,7 @@ def _effective(args, keys) -> dict:
             if key not in _TRAIN_DEFAULTS:
                 raise ParameterError(f"unknown config key {key!r}")
             if key in keys:
-                merged[key] = _CASTS.get(key, str)(val)
+                merged[key] = _parse_number(_CASTS.get(key, str), val, f"config key {key}")
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -163,8 +163,16 @@ def _effective(args, keys) -> dict:
     return merged
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
+def _parse_number(cast, text: str, what: str):
+    """``cast(text)``, with a ParameterError naming ``what`` if it does not parse."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParameterError(f"{what}: {text!r} is not a valid {cast.__name__}") from None
+
+
+def _parse_list(text: str, what: str, cast=int) -> list:
+    return [_parse_number(cast, tok, what) for tok in str(text).split(",") if tok != ""]
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -175,7 +183,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         weights=weights, augment=augment, lr=cfg["lr"], momentum=cfg["momentum"],
         weight_decay=cfg["weight_decay"], lr_decay=cfg["lr_decay"],
-        milestones=tuple(_parse_int_list(cfg["milestones"])),
+        milestones=tuple(_parse_list(cfg["milestones"], "milestones")),
         batch_size=cfg["batch_size"], epochs=cfg["epochs"], seed=cfg["seed"],
         im_kd_weight=cfg["im_kd_weight"])
 
@@ -225,7 +233,7 @@ def _load_teacher(path, data: Dataset) -> MLP:
 def _fitted_spec(widths: str, hidden: tuple, activation: str, seed: int,
                  data: Dataset) -> MLPSpec:
     """The --widths spec, or the data's ends around ``hidden`` by default."""
-    spec = MLPSpec(_parse_int_list(widths) if widths else [data.dim, *hidden, data.n_classes],
+    spec = MLPSpec(_parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes],
                    activation, seed)
     _check_fit(spec.layer_widths, data, "--widths", ParameterError)
     return spec
@@ -283,8 +291,8 @@ def cmd_distill(args, parser) -> int:
 def cmd_ablate(args, parser) -> int:
     data_path = _existing(args.data, "dataset")
     objectives = [tok for tok in args.objectives.split(",") if tok]
-    seeds = _parse_int_list(args.seeds)
-    alphas = [float(t) for t in args.alphas.split(",") if t] if args.alphas else [None]
+    seeds = _parse_list(args.seeds, "--seeds")
+    alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [None]
     if not objectives or not seeds:
         parser.error("empty sweep grid")
     for obj in objectives:

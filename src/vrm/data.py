@@ -2,6 +2,7 @@
 dataset file format."""
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -27,6 +28,14 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
         self.val_idx = np.asarray(self.val_idx, dtype=np.int64)
+        n = self.inputs.shape[0]
+        if self.inputs.ndim != 2 or self.labels.shape != (n,):
+            raise InputError("need [n, dim] inputs and one label per row")
+        if n == 0:
+            raise InputError("dataset is empty")
+        for name, idx in (("train", self.train_idx), ("val", self.val_idx)):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise InputError(f"{name} split indices must lie in [0, {n})")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise InputError("labels out of range")
         if np.intersect1d(self.train_idx, self.val_idx).size:
@@ -116,29 +125,111 @@ class AugmentSpec:
             raise ParameterError("magnitude must lie in [0, 1]")
 
 
-def _apply_op(name: str, x: np.ndarray, magnitude: float, rng) -> np.ndarray:
-    norm = float(np.linalg.norm(x))
-    budget = magnitude * (norm + 1.0)
-    if name == "gaussian_noise":
-        g = rng.standard_normal(x.shape)
-        g_norm = np.linalg.norm(g)
-        if g_norm == 0.0:
-            return x
-        return x + (budget * rng.uniform()) * (g / g_norm)
-    if name == "feature_dropout":
-        # soften a random quarter of the coordinates instead of zeroing
-        # them outright, which keeps the perturbation inside the budget
-        k = max(1, x.size // 4)
-        idx = rng.choice(x.size, size=k, replace=False)
-        out = x.copy()
-        out[idx] *= 1.0 - magnitude
+def _seed_words(parts) -> np.ndarray:
+    """The uint32 words numpy's SeedSequence derives from a list of
+    nonnegative ints: 0 is one word 0, a larger int its little-endian
+    32-bit words.  Seeding from them gives the same generator state as
+    seeding from the list, without the per-element conversion."""
+    words = []
+    for part in parts:
+        part = operator.index(part)
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        part >>= 32
+        while part:
+            words.append(part & 0xFFFFFFFF)
+            part >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # one np.linalg.norm per row: a reduction over axis 1 differs from it
+    # in the last bit on some rows
+    return np.array([float(np.linalg.norm(row)) for row in rows])
+
+
+# Each op draws for one row from that row's generator, then is applied to
+# every row that drew it in the same slot at once.  draw(rng, dim) returns
+# the row's draws, or None when the op leaves the row as it is;
+# apply(rows, magnitude, *draws stacked over the rows) returns the new rows.
+
+
+def _noise_draw(rng, dim):
+    g = rng.standard_normal(dim)
+    g_norm = np.linalg.norm(g)
+    if g_norm == 0.0:
+        return None
+    return g, g_norm, rng.uniform()
+
+
+def _noise_apply(x, magnitude, g, g_norm, u):
+    budget = magnitude * (_row_norms(x) + 1.0)
+    return x + (budget * u)[:, None] * (g / g_norm[:, None])
+
+
+def _dropout_draw(rng, dim):
+    # soften a random quarter of the coordinates instead of zeroing
+    # them outright, which keeps the perturbation inside the budget
+    return (rng.choice(dim, size=max(1, dim // 4), replace=False),)
+
+
+def _dropout_apply(x, magnitude, idx):
+    x[np.arange(x.shape[0])[:, None], idx] *= 1.0 - magnitude
+    return x
+
+
+def _sign_draw(rng, dim):
+    return (rng.uniform(-1.0, 1.0),)
+
+
+def _scale_apply(x, magnitude, u):
+    return x * (1.0 + magnitude * u)[:, None]
+
+
+def _shift_apply(x, magnitude, u):
+    shift = magnitude * u * (_row_norms(x) + 1.0) / np.sqrt(x.shape[1])
+    return x + shift[:, None]
+
+
+_OPS = {
+    "gaussian_noise": (_noise_draw, _noise_apply),
+    "feature_dropout": (_dropout_draw, _dropout_apply),
+    "random_scale": (_sign_draw, _scale_apply),
+    "random_shift": (_sign_draw, _shift_apply),
+}
+
+
+def _augment(x: np.ndarray, spec: AugmentSpec, seeds) -> np.ndarray:
+    """Virtual views of the rows of ``x``; row i draws from a generator
+    seeded with the words ``seeds[i]``.
+
+    Each row picks ``spec.n_ops`` ops and makes every draw of them, in
+    order, from its own generator.  Then each op slot is applied across
+    the batch, one vectorized update per op, with the arithmetic of a
+    single row done elementwise.
+    """
+    out = np.array(x, dtype=np.float64)
+    if spec.n_ops == 0:
         return out
-    if name == "random_scale":
-        return x * (1.0 + magnitude * rng.uniform(-1.0, 1.0))
-    if name == "random_shift":
-        shift = magnitude * rng.uniform(-1.0, 1.0) * (norm + 1.0) / np.sqrt(x.size)
-        return x + shift
-    raise ParameterError(f"unknown augment op {name!r}")
+    n_rows, dim = out.shape
+    pool = [_OPS[name] for name in spec.op_pool]
+    # slots[s][op] -> (rows that drew op in slot s, their draws)
+    slots = [{} for _ in range(spec.n_ops)]
+    for i in range(n_rows):
+        rng = np.random.default_rng(seeds[i])
+        for slot, op_idx in zip(slots, rng.choice(len(pool), size=spec.n_ops, replace=False)):
+            draw, apply = pool[op_idx]
+            drawn = draw(rng, dim)
+            if drawn is not None:
+                rows, draws = slot.setdefault(apply, ([], []))
+                rows.append(i)
+                draws.append(drawn)
+    for slot in slots:
+        for apply, (rows, draws) in slot.items():
+            stacked = [np.array(column) for column in zip(*draws)]
+            out[rows] = apply(out[rows], spec.magnitude, *stacked)
+    return out
 
 
 def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarray:
@@ -148,26 +239,17 @@ def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarra
     sample passes through unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    if spec.n_ops == 0:
-        return x.copy()
-    seed_parts = [spec.seed]
-    if np.iterable(per_sample_seed):
-        seed_parts.extend(int(s) for s in per_sample_seed)
-    else:
-        seed_parts.append(int(per_sample_seed))
-    rng = np.random.default_rng(seed_parts)
-    chosen = rng.choice(len(spec.op_pool), size=spec.n_ops, replace=False)
-    out = x
-    for op_idx in chosen:
-        out = _apply_op(spec.op_pool[op_idx], out, spec.magnitude, rng)
-    return out
+    key = per_sample_seed if np.iterable(per_sample_seed) else (per_sample_seed,)
+    words = _seed_words((spec.seed, *(int(s) for s in key)))
+    return _augment(x.reshape(1, -1), spec, [words]).reshape(x.shape)
 
 
 def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndarray:
-    """Virtual views for a whole batch, one derived seed per sample."""
-    return np.stack([
-        virtual_view(xb[i], spec, (*step_key, i)) for i in range(xb.shape[0])
-    ])
+    """Virtual views for a whole batch: sample i draws as
+    ``virtual_view(xb[i], spec, (*step_key, i))`` does."""
+    prefix = _seed_words((spec.seed, *(int(s) for s in step_key)))
+    seeds = [np.concatenate((prefix, _seed_words((i,)))) for i in range(len(xb))]
+    return _augment(xb, spec, seeds)
 
 
 # -- file format ---------------------------------------------------------

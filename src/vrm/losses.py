@@ -177,12 +177,12 @@ def loss_icv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
     return value
 
 
-def uep_masks_for(student_raw: LogitBatch, weights: VRMWeights) -> tuple[EdgeMask, EdgeMask]:
+def uep_masks_for(student: LogitBatch, weights: VRMWeights) -> tuple[EdgeMask, EdgeMask]:
     """Fresh retention masks from the student's current softened
-    predictions.  Detached by construction: mask building never joins
-    the tape."""
+    predictions; raw logits are softened with ``weights.tau`` first.
+    Detached by construction: mask building never joins the tape."""
     with ad.no_grad():
-        probs = soften(student_raw.detach(), weights.tau)
+        probs = student if student.softened else soften(student.detach(), weights.tau)
         m_isv = uep_mask(joint_entropy_matrix(probs, "ISV"), weights.uep_percentile, "ISV")
         m_icv = uep_mask(joint_entropy_matrix(probs, "ICV"), weights.uep_percentile, "ICV")
     return m_isv, m_icv
@@ -220,7 +220,7 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
         e_t_icv = build_icv_edges(t_in)
 
     if masks is None:
-        mask_isv, mask_icv = uep_masks_for(student, weights)
+        mask_isv, mask_icv = uep_masks_for(s_in, weights)
     else:
         mask_isv, mask_icv = masks
 

@@ -67,7 +67,7 @@ class MLP:
         h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = ad.affine(h, w, b)
             if i != last:
                 h = self._act(h)
         return h

@@ -1,0 +1,139 @@
+"""The batched virtual-view kernel against the per-sample reference it
+replaced: same generator per sample, same draws, same bits."""
+import numpy as np
+import pytest
+
+from vrm.data import AUGMENT_OPS, AugmentSpec, _seed_words, virtual_batch, virtual_view
+from vrm.errors import ParameterError
+
+
+# -- reference: one generator and one op at a time, per sample ------------
+
+
+def ref_apply_op(name, x, magnitude, rng):
+    norm = float(np.linalg.norm(x))
+    budget = magnitude * (norm + 1.0)
+    if name == "gaussian_noise":
+        g = rng.standard_normal(x.shape)
+        g_norm = np.linalg.norm(g)
+        if g_norm == 0.0:
+            return x
+        return x + (budget * rng.uniform()) * (g / g_norm)
+    if name == "feature_dropout":
+        k = max(1, x.size // 4)
+        idx = rng.choice(x.size, size=k, replace=False)
+        out = x.copy()
+        out[idx] *= 1.0 - magnitude
+        return out
+    if name == "random_scale":
+        return x * (1.0 + magnitude * rng.uniform(-1.0, 1.0))
+    if name == "random_shift":
+        shift = magnitude * rng.uniform(-1.0, 1.0) * (norm + 1.0) / np.sqrt(x.size)
+        return x + shift
+    raise ParameterError(f"unknown augment op {name!r}")
+
+
+def ref_virtual_view(x, spec, per_sample_seed):
+    x = np.asarray(x, dtype=np.float64)
+    if spec.n_ops == 0:
+        return x.copy()
+    seed_parts = [spec.seed]
+    if np.iterable(per_sample_seed):
+        seed_parts.extend(int(s) for s in per_sample_seed)
+    else:
+        seed_parts.append(int(per_sample_seed))
+    rng = np.random.default_rng(seed_parts)
+    chosen = rng.choice(len(spec.op_pool), size=spec.n_ops, replace=False)
+    out = x
+    for op_idx in chosen:
+        out = ref_apply_op(spec.op_pool[op_idx], out, spec.magnitude, rng)
+    return out
+
+
+def ref_virtual_batch(xb, spec, step_key):
+    return np.stack([ref_virtual_view(xb[i], spec, (*step_key, i))
+                     for i in range(xb.shape[0])])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+BIG = 2**32
+
+
+def random_case(rng):
+    pool = tuple(rng.permutation(AUGMENT_OPS)[:rng.integers(1, len(AUGMENT_OPS) + 1)])
+    n_ops = int(rng.integers(0, len(pool) + 1))
+    magnitude = float(rng.choice([0.0, 1.0, rng.uniform()]))
+    seed = int(rng.choice([0, BIG + 5, 3 * BIG**2, rng.integers(0, 1000)]))
+    key = tuple(int(rng.choice([0, BIG, BIG + 7, rng.integers(0, 100)]))
+                for _ in range(rng.integers(0, 3)))
+    return AugmentSpec(n_ops, magnitude, pool, seed), key
+
+
+@pytest.mark.parametrize("case_seed", range(12))
+def test_virtual_batch_matches_per_sample_reference(case_seed):
+    rng = np.random.default_rng(case_seed)
+    for _ in range(15):
+        b, d = int(rng.integers(1, 41)), int(rng.integers(1, 34))
+        spec, key = random_case(rng)
+        xb = rng.standard_normal((b, d)) * rng.uniform(0.01, 10.0)
+        xb[rng.integers(0, b)] = 0.0   # a zero row: norm 0, signed zeros
+        assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
+
+
+@pytest.mark.parametrize("op", AUGMENT_OPS)
+@pytest.mark.parametrize("magnitude", [0.0, 1.0])
+def test_each_op_alone_matches_reference(op, magnitude):
+    rng = np.random.default_rng(7)
+    xb = rng.standard_normal((40, 33))
+    spec = AugmentSpec(n_ops=1, magnitude=magnitude, op_pool=(op,), seed=BIG + 1)
+    for key in [(0, 0), (BIG, 3), (2, BIG * 5)]:
+        assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
+
+
+def test_full_pool_at_the_desk_shapes_matches_reference():
+    rng = np.random.default_rng(8)
+    xb = rng.standard_normal((32, 16))
+    for n_ops in range(len(AUGMENT_OPS) + 1):
+        spec = AugmentSpec(n_ops=n_ops, magnitude=0.05, seed=0)
+        for step in range(3):
+            key = (step, step + 1)
+            assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
+
+
+def test_virtual_view_is_the_one_row_case():
+    rng = np.random.default_rng(9)
+    spec = AugmentSpec(n_ops=3, magnitude=0.4, seed=BIG + 2)
+    for per_sample_seed in (0, 5, BIG, (1, 2), (BIG, 0, 7)):
+        x = rng.standard_normal(9)
+        assert_same_bits(virtual_view(x, spec, per_sample_seed),
+                         ref_virtual_view(x, spec, per_sample_seed))
+
+
+def test_virtual_batch_leaves_its_input_alone():
+    xb = np.random.default_rng(10).standard_normal((6, 5))
+    before = xb.copy()
+    virtual_batch(xb, AugmentSpec(n_ops=4, magnitude=1.0), (0, 0))
+    assert np.array_equal(xb, before)
+
+
+@pytest.mark.parametrize("parts", [[0], [0, 0, 0], [7, 1, 2], [BIG - 1, BIG, BIG + 1],
+                                   [3 * BIG**2 + 5, 0, 2**70], [np.int64(4), 9]])
+def test_seed_words_give_the_list_seeded_generator_state(parts):
+    by_list = np.random.default_rng(list(parts))
+    by_words = np.random.default_rng(_seed_words(parts))
+    assert by_words.bit_generator.state == by_list.bit_generator.state
+
+
+def test_negative_seed_still_raises_value_error():
+    xb = np.zeros((2, 3))
+    with pytest.raises(ValueError):
+        virtual_batch(xb, AugmentSpec(seed=-1), (0, 0))
+    with pytest.raises(ValueError):
+        virtual_batch(xb, AugmentSpec(seed=1), (0, -2))
+    with pytest.raises(ValueError):
+        virtual_view(xb[0], AugmentSpec(seed=1), -3)

@@ -5,7 +5,7 @@ import pytest
 
 from vrm import autodiff as ad
 from vrm.autodiff import Tensor, backward, finite_diff_check
-from vrm.errors import InputError, ParameterError, UsageError
+from vrm.errors import InputError, NumericError, ParameterError, UsageError
 
 
 def test_tensor_rejects_non_finite():
@@ -274,3 +274,56 @@ def test_broadcast_add_unbroadcasts_gradient():
     backward((x + bias).sum())
     assert np.array_equal(bias.grad, np.full(4, 3.0))
     assert np.array_equal(x.grad, np.ones((3, 4)))
+
+
+def affine_case(rng, x_grad, row_bias):
+    n, d, h = (int(v) for v in rng.integers(1, 9, size=3))
+    x = Tensor(rng.standard_normal((n, d)), requires_grad=x_grad)
+    w = Tensor(rng.standard_normal((d, h)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, h) if row_bias else h), requires_grad=True)
+    return x, w, b
+
+
+def leaf_grads(out, leaves, upstream):
+    backward((out * Tensor(upstream)).sum())
+    grads = [None if t.grad is None else t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return grads
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_affine_is_bit_identical_to_matmul_then_add(x_grad):
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        x, w, b = affine_case(rng, x_grad, row_bias=trial % 2 == 1)
+        upstream = rng.standard_normal((x.shape[0], w.shape[1]))
+        fused = ad.affine(x, w, b)
+        composite = ad.add(ad.matmul(x, w), b)
+        assert np.array_equal(fused.data, composite.data)
+        g_fused = leaf_grads(fused, (x, w, b), upstream)
+        g_comp = leaf_grads(composite, (x, w, b), upstream)
+        for gf, gc in zip(g_fused, g_comp):
+            if gc is None:
+                assert gf is None
+            else:
+                assert np.array_equal(gf, gc)
+                assert np.array_equal(np.signbit(gf), np.signbit(gc))
+        assert fused.node.op == "affine" and len(fused.node.inputs) == 3
+
+
+def test_affine_gradients_against_finite_differences():
+    rng = np.random.default_rng(22)
+    x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,)))
+    up = rng.standard_normal((5, 3))
+    assert finite_diff_check(lambda t: (ad.affine(t, Tensor(w), Tensor(b)) * up).sum(), x) < 1e-6
+    assert finite_diff_check(lambda t: (ad.affine(Tensor(x), t, Tensor(b)) * up).sum(), w) < 1e-6
+    assert finite_diff_check(lambda t: (ad.affine(Tensor(x), Tensor(w), t) * up).sum(), b) < 1e-6
+
+
+def test_affine_overflow_names_the_op():
+    x = Tensor([[1e308, 1e308], [-1e308, -1e308]])
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="affine"):
+        ad.affine(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(UsageError):
+        ad.affine(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))

@@ -277,3 +277,48 @@ def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):
     assert code == 1
     assert "FAIL grad:huber" in captured.out
     assert "grad:huber" in captured.err
+
+
+@pytest.mark.parametrize("case", ["milestones", "widths", "alphas", "config"])
+def test_unparsable_numbers_exit_2_before_the_run_dir(run_env, capsys, case):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    cfg = run_env / "bad.cfg"
+    cfg.write_text("lr=abc\n")
+    common = ["--data", str(data), "--teacher", str(ckpt), "--epochs", "2", "--name", "bad"]
+    argv = {"milestones": ["distill", *common, "--milestones", "a"],
+            "widths": ["distill", *common, "--widths", "4,x"],
+            "alphas": ["ablate", *common, "--alphas", "x"],
+            "config": ["distill", *common, "--config", str(cfg)]}[case]
+    code = main(argv)
+    assert_clean_error(capsys, code, 2)
+    assert not (run_env / "runs" / "bad").exists()
+
+
+def patched_dataset(path, offset, value):
+    """The dataset file at ``path`` with the <u4 at byte ``offset`` set."""
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = int(value).to_bytes(4, "little")
+    out = path.with_name(f"patched-{offset}.vrmdata")
+    out.write_bytes(bytes(blob))
+    return out
+
+
+def test_distill_rejects_bad_split_indices_and_empty_data(run_env, capsys, monkeypatch):
+    import vrm.training
+
+    def never(*args, **kwargs):
+        raise AssertionError("training started on a bad dataset")
+
+    monkeypatch.setattr(vrm.training, "_train", never)
+    data = gen_data(run_env)
+    # header: 8 magic bytes, then n, dim, classes, n_train, n_val; then the indices
+    bad_index = patched_dataset(data, 28, 1_000_000)
+    empty = run_env / "empty.vrmdata"
+    empty.write_bytes(data.read_bytes()[:8] + np.array([0, 6, 3, 0, 0], "<u4").tobytes())
+    for path in (bad_index, empty):
+        code = main(["distill", "--data", str(path), "--objective", "ce_only",
+                     "--epochs", "2", "--milestones", "1", "--name", "x"])
+        assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()

@@ -318,3 +318,17 @@ def test_im_kd_matches_scalar_oracle():
     want = kl_rows(teacher.logits(xb), student.logits(xb))
     assert parts["isv"] == pytest.approx(want, rel=1e-10)
     assert loss.item() == pytest.approx(parts["ce_real"] + 0.7 * want, rel=1e-12)
+
+
+def test_uep_masks_equal_on_raw_and_softened_student():
+    rng = np.random.default_rng(31)
+    for b, c in ((2, 2), (8, 10), (32, 10), (17, 5)):
+        raw = LogitBatch(rng.standard_normal((b, c)) * 3.0, rng.standard_normal((b, c)) * 3.0)
+        for w in (VRMWeights(), VRMWeights(tau=1.0, uep_percentile=50.0),
+                  VRMWeights(uep_percentile=100.0)):
+            from_raw = uep_masks_for(raw, w)
+            from_soft = uep_masks_for(soften(raw, w.tau), w)
+            for m_raw, m_soft in zip(from_raw, from_soft):
+                assert m_raw.kind == m_soft.kind
+                assert np.array_equal(m_raw.keep, m_soft.keep)
+                assert m_raw.threshold_value == m_soft.threshold_value

@@ -58,6 +58,20 @@ def test_dataset_type_invariants():
         Dataset(np.zeros((4, 2)), np.array([0, 1, 1, 0]), np.array([0, 1]), np.array([1, 3]), 2)
 
 
+def test_dataset_rejects_bad_shapes_and_split_indices():
+    x, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    with pytest.raises(InputError, match="empty"):
+        Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), 2)
+    with pytest.raises(InputError, match="one label per row"):
+        Dataset(x, y[:3], np.array([0, 1]), np.array([2]), 2)
+    with pytest.raises(InputError, match="one label per row"):
+        Dataset(np.zeros(4), y, np.array([0, 1]), np.array([2, 3]), 2)
+    for train, val in (([0, 4], [1]), ([0, 1], [-1]), ([-2], [3])):
+        with pytest.raises(InputError, match="split indices"):
+            Dataset(x, y, np.array(train), np.array(val), 2)
+    Dataset(x, y, np.array([0, 3]), np.array([], dtype=np.int64), 2)
+
+
 def test_virtual_view_identity_cases():
     x = np.linspace(-2, 2, 10)
     out = virtual_view(x, AugmentSpec(n_ops=0, magnitude=0.5, seed=1), 0)
