@@ -233,8 +233,8 @@ def _load_teacher(path, data: Dataset) -> MLP:
 def _fitted_spec(widths: str, hidden: tuple, activation: str, seed: int,
                  data: Dataset) -> MLPSpec:
     """The --widths spec, or the data's ends around ``hidden`` by default."""
-    spec = MLPSpec(_parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes],
-                   activation, seed)
+    layers = _parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes]
+    spec = MLPSpec(layers, activation, seed)
     _check_fit(spec.layer_widths, data, "--widths", ParameterError)
     return spec
 

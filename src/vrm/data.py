@@ -179,7 +179,7 @@ def _dropout_apply(x, magnitude, idx):
     return x
 
 
-def _sign_draw(rng, dim):
+def _signed_draw(rng, dim):
     return (rng.uniform(-1.0, 1.0),)
 
 
@@ -195,8 +195,8 @@ def _shift_apply(x, magnitude, u):
 _OPS = {
     "gaussian_noise": (_noise_draw, _noise_apply),
     "feature_dropout": (_dropout_draw, _dropout_apply),
-    "random_scale": (_sign_draw, _scale_apply),
-    "random_shift": (_sign_draw, _shift_apply),
+    "random_scale": (_signed_draw, _scale_apply),
+    "random_shift": (_signed_draw, _shift_apply),
 }
 
 
