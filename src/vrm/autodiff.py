@@ -473,31 +473,49 @@ def l2_normalize(x, axis=-1, eps=DEFAULT_NORM_EPS) -> Tensor:
     return _result(y, (x,), grad_fn, "l2_normalize")
 
 
-def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS):
+def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS, out=None):
     """The array rule behind :func:`l2_normalize`, for fused ops that
     normalize an intermediate they never put on the tape.  Returns the
-    unit fibers and the saved state :func:`_unit_fibers_grad` needs."""
+    unit fibers, written to ``out`` when given, and the saved state
+    :func:`_unit_fibers_grad` needs."""
     # temporaries are reused in place; each keeps the layout the
     # out-of-place expression would give it, so sums add in the same order
     sq = x * x
     n = np.sqrt(sq.sum(axis=axis, keepdims=True))
     live = n >= eps
-    n_safe = np.where(live, n, 1.0)
-    y = np.divide(x, n_safe, out=sq)
-    np.copyto(y, 0.0, where=~live)
+    # guarding and zeroing the dead fibers changes nothing when there are none
+    all_live = live.all()
+    n_safe = n if all_live else np.where(live, n, 1.0)
+    y = np.divide(x, n_safe, out=sq if out is None else out)
+    if not all_live:
+        np.copyto(y, 0.0, where=~live)
     return y, n_safe, live
 
 
-def _unit_fibers_grad(g, y, n_safe, live, axis):
+def _unit_fibers_grad(g, y, n_safe, live, axis, out=None):
     """Gradient of :func:`_unit_fibers` with respect to its input ``x``:
     (g - y <g, y>) / |x| on live fibers, zero on the rest."""
-    gx = g * y
+    gx = np.multiply(g, y, out=out)
     inner = gx.sum(axis=axis, keepdims=True)
     np.multiply(y, inner, out=gx)
     np.subtract(g, gx, out=gx)
     gx /= n_safe
-    np.copyto(gx, 0.0, where=~live)
+    if not live.all():
+        np.copyto(gx, 0.0, where=~live)
     return gx
+
+
+# Size of one row block of the [n, n, f] edge-shaped arithmetic: a block
+# and its few temporaries stay in a core's L2 cache (2 MiB or more).
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(n_rows, row_elems):
+    """Consecutive slices covering ``range(n_rows)`` in order, each about
+    ``_BLOCK_BYTES`` of rows of ``row_elems`` float64 values; a single
+    slice when the whole array fits in one block, an empty one too."""
+    step = max(1, _BLOCK_BYTES // (8 * row_elems) if row_elems else n_rows)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
 
 
 def huber(a, b, delta=1.0) -> Tensor:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the finiteness check
+hyperparameter records run before their range checks."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -23,3 +26,13 @@ class TrainingError(RuntimeError):
     def __init__(self, message, epoch=None):
         super().__init__(message)
         self.epoch = epoch
+
+
+def require_finite(record, names):
+    """Raise :class:`ParameterError` for the first of the attributes
+    ``names`` of ``record`` that is NaN or infinite.  Range checks such as
+    ``lr <= 0`` let NaN through, since every comparison with it is false."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")

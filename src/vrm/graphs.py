@@ -23,6 +23,7 @@ from .autodiff import (
     Tensor,
     _coerce,
     _result,
+    _row_blocks,
     _unit_fibers,
     _unit_fibers_grad,
     l2_normalize,
@@ -138,7 +139,7 @@ def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
     two views of the same sample; real-real and virtual-virtual
     relations are never materialized.
     """
-    return EdgeTensor("ISV", _cross_view_edges(batch, "ISV"), norm_axis=2)
+    return EdgeTensor("ISV", _isv_edges(batch.real, batch.virtual), norm_axis=2)
 
 
 def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -151,38 +152,66 @@ def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
     """
     if batch.n_classes < 2:
         raise InputError("inter-class edges need at least 2 classes")
-    return EdgeTensor("ICV", _cross_view_edges(batch, "ICV"), norm_axis=2)
+    return EdgeTensor("ICV", _icv_edges(batch.real, batch.virtual), norm_axis=2)
 
 
-def _cross_view_edges(batch: LogitBatch, kind: str) -> Tensor:
-    """Unit-normalized cross-view differences as one tape node.
+def _icv_edges(real: Tensor, virtual: Tensor) -> Tensor:
+    """The ICV node: unit-normalized cross-view class differences.
 
-    ISV broadcasts to [B, B, C] directly.  ICV broadcasts to [B, C, C]
-    and normalizes a transposed [C, C, B] view of it, so teacher and
-    student share one canonical layout.  The backward pass applies the
-    l2_normalize rule and then sums straight down to the [B, C] views,
-    on the same array layouts as the composite of reshape, subtract,
-    transpose and l2_normalize, so every reduction adds in the same
-    order and the gradients are bit-identical to it.
+    It broadcasts to [B, C, C] and normalizes a transposed [C, C, B] view
+    of it, so teacher and student share one canonical layout.  The
+    backward pass applies the l2_normalize rule and then sums straight
+    down to the [B, C] views, on the same array layouts as the composite
+    of reshape, subtract, transpose and l2_normalize, so every reduction
+    adds in the same order and the gradients are bit-identical to it.
     """
-    real, virtual = batch.real, batch.virtual
     b, c = real.shape
-    # the gradient of each view sums the broadcast difference over the
-    # axis only the other view varies along
-    if kind == "ISV":
-        x = real.data.reshape(1, b, c) - virtual.data.reshape(b, 1, c)
-        real_axis, virtual_axis = 0, 1
-    else:
-        x = (real.data.reshape(b, 1, c) - virtual.data.reshape(b, c, 1)).transpose(1, 2, 0)
-        real_axis, virtual_axis = 1, 2
+    x = (real.data.reshape(b, 1, c) - virtual.data.reshape(b, c, 1)).transpose(1, 2, 0)
     y, n_safe, live = _unit_fibers(x, 2)
 
     def grad_fn(g):
-        gx = _unit_fibers_grad(g, y, n_safe, live, 2)
-        g_diff = gx if kind == "ISV" else gx.transpose(2, 0, 1)
-        return g_diff.sum(axis=real_axis), -g_diff.sum(axis=virtual_axis)
+        # each view's gradient sums the broadcast difference over the
+        # axis only the other view varies along
+        g_diff = _unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
+        return g_diff.sum(axis=1), -g_diff.sum(axis=2)
 
-    return _result(y, (real, virtual), grad_fn, f"{kind.lower()}_edges")
+    return _result(y, (real, virtual), grad_fn, "icv_edges")
+
+
+def _isv_edges(real: Tensor, virtual: Tensor) -> Tensor:
+    """The ISV node: unit-normalized cross-view sample differences,
+    [B, B, C], with the same hand-derived backward as :func:`_icv_edges`.
+
+    Forward and backward stream through row blocks of virtual-view
+    samples: each block runs the whole-tensor expressions on rows ``i``,
+    so its temporaries stay in cache, and writes into full-size outputs.
+    That is exact: fibers run along the last axis and are never split,
+    the virtual view's gradient sums each row on its own, and the real
+    view's gradient, a sum over rows, keeps its running total in row 0
+    of the block buffer, so it adds the rows in the order one
+    ``sum(axis=0)`` over the whole tensor does.
+    """
+    b, c = real.shape
+    blocks = _row_blocks(b, b * c)
+    y = np.empty((b, b, c))
+    n_safe = np.empty((b, b, 1))
+    live = np.empty((b, b, 1), dtype=bool)
+    for rows in blocks:
+        x = real.data.reshape(1, b, c) - virtual.data[rows].reshape(-1, 1, c)
+        _, n_safe[rows], live[rows] = _unit_fibers(x, 2, out=y[rows])
+
+    def grad_fn(g):
+        g_virtual = np.empty((b, c))
+        buf = np.empty((1 + blocks[0].stop, b, c))
+        for k, rows in enumerate(blocks):
+            n = rows.stop - rows.start
+            gx = _unit_fibers_grad(g[rows], y[rows], n_safe[rows], live[rows], 2,
+                                   out=buf[1:1 + n])
+            g_virtual[rows] = gx.sum(axis=1)
+            buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
+        return buf[0].copy(), -g_virtual
+
+    return _result(y, (real, virtual), grad_fn, "isv_edges")
 
 
 # -- scalar-loop oracle -------------------------------------------------

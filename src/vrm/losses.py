@@ -3,6 +3,7 @@ edges between teacher and student, plus label supervision on both views.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, ParameterError, UsageError
+from .errors import InputError, ParameterError, UsageError, require_finite
 from .graphs import (
     EdgeTensor,
     LogitBatch,
@@ -42,6 +43,7 @@ class VRMWeights:
     metric: str = "huber"
 
     def __post_init__(self):
+        require_finite(self, ("alpha", "beta", "tau", "huber_delta"))
         if self.alpha < 0 or self.beta < 0:
             raise ParameterError("edge-loss weights must be nonnegative")
         if self.tau <= 0:
@@ -112,42 +114,52 @@ def _edge_loss(values_s: Tensor, values_t, weights, delta: float, metric: str,
     gradient reaches the student edges only, so the products the composite
     formed for the teacher edges and the mask weights are never computed.
     """
-    # the buffers below are reused in place and keep the layout of the
-    # edges (one builder makes both sides), as the composite's temporaries
-    # did, so elem.sum() adds in the same order
-    if weights is None:
-        r = values_s.data - values_t
-        elem = np.empty_like(r)
-    else:
-        elem = values_t * weights
-        r = values_s.data * weights
-        r -= elem
-    if metric == "huber":
-        # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
-        np.abs(r, out=elem)
-        quadratic = elem <= delta
-        elem -= 0.5 * delta
-        elem *= delta
-        np.multiply(0.5, r, out=elem, where=quadratic)
-        np.multiply(elem, r, out=elem, where=quadratic)
-        slope = np.clip(r, -delta, delta, out=r)
-    else:
-        np.multiply(r, r, out=elem)
-        slope = r
+    s = values_s.data
+    # the outputs keep the layout of the edges (one builder makes both
+    # sides), as the composite's temporaries did, so elem.sum() adds in
+    # the same order; a C-ordered tensor is streamed through row blocks
+    # that stay in cache, since every step but that sum is elementwise
+    elem = np.empty_like(s)
+    slope = np.empty_like(s)
+    blocks = (ad._row_blocks(len(s), math.prod(s.shape[1:])) if s.flags.c_contiguous
+              else [slice(None)])
+    for rows in blocks:
+        e, r = elem[rows], slope[rows]
+        if weights is None:
+            np.subtract(s[rows], values_t[rows], out=r)
+        else:
+            w = weights[rows]
+            np.multiply(values_t[rows], w, out=e)
+            np.multiply(s[rows], w, out=r)
+            r -= e
+        if metric == "huber":
+            # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
+            np.abs(r, out=e)
+            quadratic = e <= delta
+            e -= 0.5 * delta
+            e *= delta
+            np.multiply(0.5, r, out=e, where=quadratic)
+            np.multiply(e, r, out=e, where=quadratic)
+            np.clip(r, -delta, delta, out=r)
+        else:
+            np.multiply(r, r, out=e)
     out = np.asarray(elem.sum())
     if scale is not None:
         out = out * scale
+    # elem is free after the sum; a first backward writes the gradient into
+    # it when it has the C layout that gradient needs, saving a fresh buffer
+    spare = [elem] if elem.flags.c_contiguous else []
 
     def grad_fn(g):
         if scale is not None:
             g = g * scale
         # the composite spreads g over a C-ordered buffer before the
-        # product; the layout fixes the order of later fiber-axis sums
-        gs = np.multiply(g, slope, order="C")
+        # product; the layout fixes the order of later fiber-axis sums.
+        # It then multiplies by the 0/1 weights, which changes no bit: the
+        # slope is already a signed zero wherever a weight is 0
+        gs = np.multiply(g, slope, out=spare.pop() if spare else None, order="C")
         if metric != "huber":
             gs += gs
-        if weights is not None:
-            gs *= weights
         return (gs,)
 
     return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
@@ -213,21 +225,20 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
     with ad.no_grad():
         t_in = soften(teacher, weights.tau)
 
-    e_s_isv = build_isv_edges(s_in)
-    e_s_icv = build_icv_edges(s_in)
-    with ad.no_grad():
-        e_t_isv = build_isv_edges(t_in)
-        e_t_icv = build_icv_edges(t_in)
-
     if masks is None:
-        mask_isv, mask_icv = uep_masks_for(s_in, weights)
-    else:
-        mask_isv, mask_icv = masks
+        masks = uep_masks_for(s_in, weights)
 
-    isv, kept_isv = _masked_edge_loss(
-        e_s_isv, e_t_isv, mask_isv, weights.huber_delta, weights.reduction, weights.metric)
-    icv, kept_icv = _masked_edge_loss(
-        e_s_icv, e_t_icv, mask_icv, weights.huber_delta, weights.reduction, weights.metric)
+    # one edge kind at a time: a kind's edges are freed before the next
+    # kind is built, which keeps the step's peak memory down
+    terms = []
+    for build, mask in zip((build_isv_edges, build_icv_edges), masks):
+        e_s = build(s_in)
+        with ad.no_grad():
+            e_t = build(t_in)
+        terms.append(_masked_edge_loss(
+            e_s, e_t, mask, weights.huber_delta, weights.reduction, weights.metric))
+        del e_s, e_t
+    (isv, kept_isv), (icv, kept_icv) = terms
 
     total = ce_real + ce_virtual + isv * weights.alpha + icv * weights.beta
     return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _row_blocks
 from .errors import InputError, ParameterError, UsageError
 from .graphs import EdgeTensor, LogitBatch
 
@@ -56,16 +56,26 @@ def mixture_entropy(p, q) -> float:
 
 
 def _mixture_entropy_grid(P, Q):
-    # JE[i, j] pairs row j of P with row i of Q, matching edge orientation
-    mix = P[None, :, :] + Q[:, None, :]
-    mix /= 2.0
-    pos = mix > 0.0
-    # mix log(mix) where mix > 0, else 0, in one scratch buffer
-    plogp = np.where(pos, mix, 1.0)
-    np.log(plogp, out=plogp)
-    plogp *= mix
-    np.copyto(plogp, 0.0, where=~pos)
-    return -plogp.sum(axis=2)
+    # JE[i, j] pairs row j of P with row i of Q, matching edge orientation.
+    # The [len(Q), len(P), C] grid is streamed through row blocks of Q that
+    # stay in cache; each entry sums its own fiber, so blocks are exact.
+    je = np.empty((Q.shape[0], P.shape[0]))
+    for rows in _row_blocks(Q.shape[0], P.size):
+        mix = P[None, :, :] + Q[rows, None, :]
+        mix /= 2.0
+        if mix.min() > 0.0:
+            # every entry positive: the masking below would change nothing
+            plogp = np.log(mix)
+            plogp *= mix
+        else:
+            pos = mix > 0.0
+            # mix log(mix) where mix > 0, else 0, in one scratch buffer
+            plogp = np.where(pos, mix, 1.0)
+            np.log(plogp, out=plogp)
+            plogp *= mix
+            np.copyto(plogp, 0.0, where=~pos)
+        np.negative(plogp.sum(axis=2), out=je[rows])
+    return je
 
 
 def joint_entropy_matrix(batch: LogitBatch, kind: str) -> np.ndarray:

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
 from .data import AugmentSpec, Dataset, virtual_batch
-from .errors import NumericError, ParameterError, TrainingError
+from .errors import NumericError, ParameterError, TrainingError, require_finite
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
@@ -34,6 +34,7 @@ class TrainConfig:
     im_kd_weight: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, ("lr", "momentum", "weight_decay", "lr_decay", "im_kd_weight"))
         if self.batch_size < 2:
             raise ParameterError("relations need batches of at least 2")
         stones = tuple(self.milestones)

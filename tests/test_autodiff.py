@@ -327,3 +327,18 @@ def test_affine_overflow_names_the_op():
         ad.affine(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(UsageError):
         ad.affine(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+
+
+@pytest.mark.parametrize("n_rows, row_elems", [(1, 1), (5, 3), (128, 4096), (131, 3144),
+                                               (3, 10**6), (32, 320), (0, 7), (4, 0)])
+def test_row_blocks_cover_rows_in_order_within_the_budget(n_rows, row_elems):
+    blocks = ad._row_blocks(n_rows, row_elems)
+    assert blocks
+    assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n_rows))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    if n_rows * row_elems * 8 <= ad._BLOCK_BYTES:
+        assert sizes == [n_rows]
+    else:
+        # full blocks hold as many rows as fit, and at least one
+        assert all(s == max(1, ad._BLOCK_BYTES // (8 * row_elems)) for s in sizes[:-1])
+        assert sizes[0] * row_elems * 8 <= ad._BLOCK_BYTES or sizes[0] == 1

@@ -184,6 +184,19 @@ def test_distill_bad_config_exits_2_before_the_run_dir(run_env, capsys, flags):
     assert not (run_env / "runs" / "bad").exists()
 
 
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--momentum", "nan"],
+                                   ["--weight-decay", "inf"], ["--lr-decay", "nan"],
+                                   ["--im-kd-weight", "inf"], ["--alpha", "nan"],
+                                   ["--tau", "inf"], ["--delta", "nan"]])
+def test_distill_non_finite_hyperparameter_exits_2_before_the_run_dir(run_env, capsys, flags):
+    data = gen_data(run_env)
+    code = main(["distill", "--data", str(data), "--objective", "ce_only",
+                 "--epochs", "2", "--milestones", "1", "--batch-size", "8",
+                 "--widths", "6,12,3", "--name", "bad"] + flags)
+    assert_clean_error(capsys, code, 2)
+    assert not (run_env / "runs" / "bad").exists()
+
+
 def test_distill_batch_larger_than_train_split_exits_2(run_env, capsys):
     data = gen_data(run_env)
     code = main(["distill", "--data", str(data), "--objective", "ce_only",

@@ -101,9 +101,14 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def check_case(rng, kind, b, c, m, reduction, metric, same_views=False, delta=1.0):
+def check_case(rng, kind, b, c, m, reduction, metric, same_views=False, delta=1.0,
+               tied_rows=()):
     real = probs(rng, b, c)
     virtual = real.copy() if same_views else probs(rng, b, c)
+    # a virtual row within 1e-14 of its real row makes the ISV fiber (i, i)
+    # dead: below the norm floor, yet not zero until it is zeroed
+    virtual[list(tied_rows)] = real[list(tied_rows)]
+    virtual[list(tied_rows), 0] += 1e-14
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     shape = (b, b) if kind == "ISV" else (c, c)
     mask = random_mask(rng, kind, shape, m)
@@ -145,6 +150,86 @@ def test_fused_path_is_bit_identical_with_zero_norm_fibers(kind):
     for m, reduction, metric in CONFIGS:
         b, c = (int(n) for n in rng.integers(2, 17, size=2))
         check_case(rng, kind, b, c, m, reduction, metric, same_views=True)
+
+
+# B=131, C=24: the ISV node and its loss run in blocks of 10 rows, the
+# last of which holds a single row
+PARTIAL = (131, 24)
+
+
+def test_isv_rows_split_into_blocks_with_a_partial_last_block():
+    b, c = PARTIAL
+    blocks = ad._row_blocks(b, b * c)
+    assert len(blocks) > 1 and blocks[0].stop - blocks[0].start == 10
+    assert blocks[-1] == slice(130, 131)
+
+
+def test_fused_path_is_bit_identical_with_a_partial_last_block():
+    rng = np.random.default_rng(19)
+    for m, reduction, metric in CONFIGS:
+        check_case(rng, "ISV", *PARTIAL, m, reduction, metric)
+
+
+@pytest.mark.parametrize("tied_rows", [(), (4,), (3, 71, 130), tuple(range(131))],
+                         ids=["all-live", "one-block-dead", "three-blocks-dead",
+                              "every-block-dead"])
+def test_blocked_dead_fiber_shortcut_both_branches(tied_rows):
+    # blocks without a zero-norm fiber skip zeroing dead fibers, the others
+    # zero them, forward and backward; both must match the composite
+    rng = np.random.default_rng(20)
+    for m, metric in ((95.0, "huber"), (None, "mse")):
+        check_case(rng, "ISV", *PARTIAL, m, "mean_over_kept", metric, tied_rows=tied_rows)
+    real = probs(rng, *PARTIAL)
+    virtual = probs(rng, *PARTIAL)
+    virtual[list(tied_rows)] = real[list(tied_rows)]
+    virtual[list(tied_rows), 0] += 1e-14
+    values = build_isv_edges(LogitBatch(real, virtual)).values.data
+    dead = np.abs(values).sum(axis=2) == 0.0
+    assert sorted(np.flatnonzero(dead.diagonal())) == sorted(tied_rows)
+
+
+def test_overflow_in_the_last_block_names_the_fused_builder():
+    b, c = PARTIAL
+    real = np.zeros((b, c))
+    virtual = np.zeros((b, c))
+    virtual[-1] = 1e308
+    real[0] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="isv_edges"):
+            build_isv_edges(LogitBatch(real, virtual))
+
+
+def test_empty_batch_builds_reduces_and_backpropagates():
+    r = Tensor(np.zeros((0, 3)), requires_grad=True)
+    v = Tensor(np.zeros((0, 3)), requires_grad=True)
+    edges = build_isv_edges(LogitBatch(r, v))
+    loss = loss_isv(edges, edges, None, reduction="sum")
+    assert edges.values.shape == (0, 0, 3) and float(loss) == 0.0
+    backward(loss)
+    assert r.grad.shape == v.grad.shape == (0, 3)
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_second_backward_through_the_loss_node_keeps_the_first(kind):
+    # the first backward writes the loss gradient into the forward's
+    # buffer; a second one through the same node must get its own
+    rng = np.random.default_rng(21)
+    r = Tensor(probs(rng, 9, 6), requires_grad=True)
+    v = Tensor(probs(rng, 9, 6), requires_grad=True)
+    e_s = BUILDERS[kind](LogitBatch(r, v))
+    with ad.no_grad():
+        e_t = BUILDERS[kind](LogitBatch(probs(rng, 9, 6), probs(rng, 9, 6)))
+    loss = LOSSES[kind](e_s, e_t, None)
+    first = backward(loss * 1.0)[id(e_s.values)]
+    kept = first.copy()
+    grads = r.grad.copy(), v.grad.copy()
+    r.grad = v.grad = None
+    second = backward(loss * 1.0)[id(e_s.values)]
+    assert second is not first
+    assert_same_bits(first, kept)
+    assert_same_bits(second, kept)
+    assert_same_bits(r.grad, grads[0])
+    assert_same_bits(v.grad, grads[1])
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])

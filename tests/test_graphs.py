@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrm.autodiff import Tensor, backward, finite_diff_check
 from vrm.errors import InputError, UsageError
 from vrm.graphs import (
+    ORACLE_MAX_DIM,
     LogitBatch,
     brute_force_edges,
     build_icv_edges,
@@ -215,3 +218,35 @@ def test_oracle_guards():
         brute_force_edges(rng.standard_normal((3, 3)), "ISV")
     with pytest.raises(UsageError):
         brute_force_edges(rng.standard_normal((3, 3)), "bogus")
+
+
+@st.composite
+def tied_batches(draw):
+    """A [B, C] real/virtual pair, B and C in [2, 16], with optional exact
+    ties: a virtual row equal to a real row (a zero ISV difference), a
+    virtual column equal to a real column (a zero ICV difference) and a
+    real column constant across the batch."""
+    b = draw(st.integers(2, ORACLE_MAX_DIM))
+    c = draw(st.integers(2, ORACLE_MAX_DIM))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = rng.standard_normal((b, c))
+    virtual = rng.standard_normal((b, c))
+    if draw(st.booleans()):
+        virtual[draw(st.integers(0, b - 1))] = real[draw(st.integers(0, b - 1))]
+    if draw(st.booleans()):
+        virtual[:, draw(st.integers(0, c - 1))] = real[:, draw(st.integers(0, c - 1))]
+    if draw(st.booleans()):
+        real[:, draw(st.integers(0, c - 1))] = draw(st.floats(-3.0, 3.0))
+    return LogitBatch(real, virtual)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=tied_batches())
+def test_cross_view_builders_match_the_oracle_property(batch):
+    for kind, build in (("ISV", build_isv_edges), ("ICV", build_icv_edges)):
+        fast = build(batch).values.data
+        slow = brute_force_edges(batch, kind).values.data
+        assert fast.shape == slow.shape
+        assert np.abs(fast - slow).max() < 1e-12
+        # a zero difference is the zero fiber in both, exactly
+        assert np.array_equal(fast == 0.0, slow == 0.0)

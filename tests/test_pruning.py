@@ -8,6 +8,7 @@ from vrm.errors import InputError, ParameterError, UsageError
 from vrm.graphs import LogitBatch, build_isv_edges, soften
 from vrm.losses import VRMWeights, total_loss, uep_masks_for
 from vrm.pruning import (
+    _batch_softmax,
     EdgeMask,
     apply_mask,
     full_mask,
@@ -216,3 +217,61 @@ def test_uep_cutoff_matches_full_sort_with_ties():
             assert mask.threshold_value == expected
             assert np.array_equal(mask.keep, je <= expected)
     assert uep_mask(je, 100.0).keep.all()
+
+
+# -- blocked joint-entropy grid ------------------------------------------
+
+
+def reference_grid(P, Q):
+    """The whole-tensor mixture-entropy grid the row-blocked one replaces."""
+    mix = P[None, :, :] + Q[:, None, :]
+    mix /= 2.0
+    pos = mix > 0.0
+    plogp = np.where(pos, mix, 1.0)
+    np.log(plogp, out=plogp)
+    plogp *= mix
+    np.copyto(plogp, 0.0, where=~pos)
+    return -plogp.sum(axis=2)
+
+
+def reference_joint_entropy(batch, kind):
+    real, virt = batch.real.data, batch.virtual.data
+    if kind == "ISV":
+        return reference_grid(real, virt)
+    return reference_grid(_batch_softmax(real).T, _batch_softmax(virt).T)
+
+
+def with_zero_mixture_entry(rng, b, c, kind):
+    """A softened batch with an exact-zero mixture entry: for ISV one class
+    at zero in a real row and a virtual row, for ICV a dominant sample
+    whose batch softmax underflows the rest of two class columns to zero."""
+    lb = softened_batch(rng, b, c)
+    real, virt = lb.real.data.copy(), lb.virtual.data.copy()
+    if kind == "ISV":
+        for m, row in ((real, b - 2), (virt, b - 1)):
+            m[row, 1] += m[row, 3]
+            m[row, 3] = 0.0
+    else:
+        for m in (real, virt):
+            m[b - 1, :2] = (800.0, -799.0)
+            m[b - 1, 2:] = 0.0
+    return LogitBatch(real, virt, softened=True)
+
+
+@pytest.mark.parametrize("shape", [(128, 32), (131, 24), (7, 5)])
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+@pytest.mark.parametrize("zero", [False, True], ids=["all-positive", "zero-entry"])
+def test_blocked_joint_entropy_is_bit_identical(kind, shape, zero):
+    rng = np.random.default_rng(sum(shape) + zero)
+    b, c = shape
+    batch = with_zero_mixture_entry(rng, b, c, kind) if zero else softened_batch(rng, b, c)
+    if kind == "ISV":
+        P, Q = batch.real.data, batch.virtual.data
+    else:
+        P, Q = _batch_softmax(batch.real.data).T, _batch_softmax(batch.virtual.data).T
+    mix_zero = (P[None, :, :] + Q[:, None, :]) / 2.0 == 0.0
+    assert mix_zero.any() == zero
+    got = joint_entropy_matrix(batch, kind)
+    want = reference_joint_entropy(batch, kind)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
