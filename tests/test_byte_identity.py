@@ -7,6 +7,12 @@ the arithmetic alone must leave these 15 digests alone.  They were
 recorded with numpy 2.4.6; other numpy versions may round differently
 (BLAS kernels, pairwise sums), so there the test is skipped rather than
 failed.
+
+A second fixture adds a ``distill`` run that sets no training flag, an
+``ablate`` sweep and a ``pilot`` study to the same run root, and pins the
+sha256 of their CSV files and the ``manifest.txt`` of five runs, so the
+defaults, the order of the manifest keys and the CSV writer stay as they
+were recorded.
 """
 import hashlib
 
@@ -70,3 +76,180 @@ def test_distill_outputs_match_recorded_digests(replay, objective):
     got = tuple(hashlib.sha256((replay / objective / name).read_bytes()).hexdigest()
                 for name in OUTPUTS)
     assert dict(zip(OUTPUTS, got)) == dict(zip(OUTPUTS, DIGESTS[objective]))
+
+
+MORE_DIGESTS = {
+    "defaults/metrics.csv": "3ed231c4245b96d1e6ff976e86c2f65a5388eaeda8cfc4f6fb74b458147ab09e",
+    "defaults/breakdown.csv": "4f98c5ab20c26b4175b4ce283c21fdac7fb7a4a846c0cb8ce0ea007d37a78794",
+    "defaults/student.ckpt": "d9ab3abfd9e81e4f2c855289be7b98aa89b9bede6a8bbf9cb05bd20473002c37",
+    "ablate/summary.csv": "efe250f14493cbe0e97fa2a2690eaca13f2f4f2c990c4e297f3d39d4acea1b79",
+    "pilot/summary.csv": "5ce019e4bde815f7b9d4e383ff9a766b31d602ed9c540a866b070a7b9a08c46b",
+    "pilot/pilot_rm_seed1.csv": "29844430fdad516c389d44f7f692d50da01798ccf5f3a5e000e74e3ca6510ac6",
+}
+
+# each run's manifest.txt without its started_at and wall_clock_s lines,
+# with the temporary root written as <root>
+MANIFESTS = {
+    "teacher": """\
+command=train-teacher
+version=0.1.0
+status=complete
+data=<root>/d.vrmdata
+widths=8,32,4
+activation=relu
+lr=0.10000000000000001
+momentum=0.90000000000000002
+weight_decay=0.00050000000000000001
+lr_decay=0.10000000000000001
+milestones=5,7
+batch_size=16
+epochs=8
+seed=1
+alpha=128
+beta=32
+tau=4
+delta=1
+uep=95
+n_ops=2
+magnitude=0.29999999999999999
+im_kd_weight=1
+checkpoint=<root>/runs/teacher/teacher.ckpt
+metrics=<root>/runs/teacher/metrics.csv
+final_val_acc=0.875
+""",
+    "vrm": """\
+command=distill
+version=0.1.0
+status=complete
+data=<root>/d.vrmdata
+teacher=<root>/runs/teacher/teacher.ckpt
+objective=vrm
+alpha=8
+beta=2
+tau=4
+delta=1
+uep=95
+n_ops=2
+magnitude=0.29999999999999999
+lr=0.050000000000000003
+momentum=0.90000000000000002
+weight_decay=0.00050000000000000001
+lr_decay=0.10000000000000001
+milestones=4,5
+batch_size=16
+epochs=6
+seed=2
+im_kd_weight=1
+widths=8,16,4
+final_val_acc=0.91666666666666663
+metrics=<root>/runs/vrm/metrics.csv
+breakdown=<root>/runs/vrm/breakdown.csv
+checkpoint=<root>/runs/vrm/student.ckpt
+""",
+    "defaults": """\
+command=distill
+version=0.1.0
+status=complete
+data=<root>/d.vrmdata
+teacher=<root>/runs/teacher/teacher.ckpt
+objective=vrm
+alpha=128
+beta=32
+tau=4
+delta=1
+uep=95
+n_ops=2
+magnitude=0.29999999999999999
+lr=0.050000000000000003
+momentum=0.90000000000000002
+weight_decay=0.00050000000000000001
+lr_decay=0.10000000000000001
+milestones=30,40,50
+batch_size=32
+epochs=60
+seed=0
+im_kd_weight=1
+widths=
+final_val_acc=0.83333333333333337
+metrics=<root>/runs/defaults/metrics.csv
+breakdown=<root>/runs/defaults/breakdown.csv
+checkpoint=<root>/runs/defaults/student.ckpt
+""",
+    "ablate": """\
+command=ablate
+version=0.1.0
+status=complete
+data=<root>/d.vrmdata
+teacher=<root>/runs/teacher/teacher.ckpt
+objectives=vrm,ce_only
+sweep_seeds=0,1
+alphas=4,8
+objective=vrm
+alpha=128
+beta=32
+tau=4
+delta=1
+uep=95
+n_ops=2
+magnitude=0.29999999999999999
+lr=0.050000000000000003
+momentum=0.90000000000000002
+weight_decay=0.00050000000000000001
+lr_decay=0.10000000000000001
+milestones=1
+batch_size=16
+epochs=2
+seed=0
+im_kd_weight=1
+widths=8,16,4
+summary=<root>/runs/ablate/summary.csv
+cells=8
+""",
+    "pilot": """\
+command=pilot
+version=0.1.0
+status=complete
+batch=12
+dim=4
+spurious_index=3
+noise_scale=1
+n_seeds=2
+loss_kinds=IM,RM,RM_GRAM
+summary=<root>/runs/pilot/summary.csv
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def more_runs(replay):
+    root = replay.parent
+    data = str(root / "d.vrmdata")
+    teacher = str(replay / "teacher" / "teacher.ckpt")
+    mp = pytest.MonkeyPatch()
+    mp.setenv("VRM_RUN_DIR", str(replay))
+    try:
+        assert main(["distill", "--data", data, "--teacher", teacher,
+                     "--name", "defaults"]) == 0
+        assert main(["ablate", "--data", data, "--teacher", teacher,
+                     "--objectives", "vrm,ce_only", "--seeds", "0,1", "--alphas", "4,8",
+                     "--epochs", "2", "--milestones", "1", "--batch-size", "16",
+                     "--widths", "8,16,4", "--name", "ablate"]) == 0
+        assert main(["pilot", "--batch", "12", "--dim", "4", "--spurious-index", "3",
+                     "--seeds", "2", "--loss-kinds", "im,rm,rm_gram", "--name", "pilot"]) == 0
+    finally:
+        mp.undo()
+    return replay
+
+
+@pytest.mark.parametrize("output", list(MORE_DIGESTS))
+def test_more_outputs_match_recorded_digests(more_runs, output):
+    got = hashlib.sha256((more_runs / output).read_bytes()).hexdigest()
+    assert got == MORE_DIGESTS[output]
+
+
+@pytest.mark.parametrize("run", list(MANIFESTS))
+def test_manifest_matches_recorded_lines(more_runs, run):
+    lines = (more_runs / run / "manifest.txt").read_text().splitlines()
+    kept = [line.replace(str(more_runs.parent), "<root>") for line in lines
+            if line.split("=", 1)[0] not in ("started_at", "wall_clock_s")]
+    assert kept == MANIFESTS[run].splitlines()
