@@ -27,12 +27,7 @@ from .data import (
     save_dataset,
     virtual_view,
 )
-from .diagnostics import (
-    PilotSpec,
-    gradient_conflict,
-    gradient_diffusion_pilot,
-    logit_stats,
-)
+from .diagnostics import PilotSpec, gradient_diffusion_pilot
 from .errors import (
     InputError,
     NumericError,

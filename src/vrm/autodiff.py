@@ -403,18 +403,6 @@ def row_slice(x, start, stop) -> Tensor:
     return _result(out, (x,), grad_fn, "row_slice")
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, cuts, axis=axis))
-
-    return _result(out, tuple(tensors), grad_fn, "concat")
-
-
 # -- fused numeric ops --------------------------------------------------
 
 

@@ -2,15 +2,17 @@
 distillation, ablation sweeps, the spurious-gradient pilot, and the
 self-check gate.
 
-Exit codes: 0 ok, 1 property failure, 2 flag validation, 3 missing
-input artifact, 4 numeric divergence.  The output root comes from
-VRM_RUN_DIR (default ./runs); every run directory carries a manifest
-that makes it self-describing.
+Exit codes: 0 ok, 1 property failure, 2 a bad flag or an unwritable
+output, 3 a missing, unreadable, corrupt or mismatched input artifact,
+4 numeric divergence.  The output root comes from VRM_RUN_DIR (default
+./runs); every run directory carries a manifest that makes it
+self-describing.
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
+import itertools
 import os
 import sys
 import time
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, save_dataset
+from .data import (AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, read_input,
+                   save_dataset)
 from .diagnostics import PILOT_LOSS_KINDS, PilotSpec, gradient_diffusion_pilot, write_pilot_csv
 from .errors import InputError, ParameterError, TrainingError
 from .losses import VRMWeights
@@ -32,6 +35,7 @@ from .training import (
     lookup_objective,
     train_teacher,
     write_breakdown_csv,
+    write_csv,
     write_metrics_csv,
 )
 
@@ -41,121 +45,107 @@ EXIT_FLAGS = 2
 EXIT_MISSING = 3
 EXIT_DIVERGED = 4
 
-# exception -> exit code, first match wins (FileNotFoundError is an OSError)
+# exception -> exit code, first match wins.  Input files are read through
+# data.read_input, which raises InputError, so an OSError that gets here
+# comes from the output side
 _EXIT_CODES = (
     (TrainingError, EXIT_DIVERGED),
-    (FileNotFoundError, EXIT_MISSING),
     (InputError, EXIT_MISSING),
     (ParameterError, EXIT_FLAGS),
     (OSError, EXIT_FLAGS),
 )
 
 
-def run_root() -> Path:
-    return Path(os.environ.get("VRM_RUN_DIR", "./runs"))
+class Run:
+    """A command's run directory under VRM_RUN_DIR and its flat key=value
+    manifest.  Entering creates both, at status=running; leaving ends the
+    run ``complete``, or ``diverged`` (a TrainingError) or ``failed`` with
+    ``error_class`` when an exception escapes, which then propagates."""
 
-
-def _make_run_dir(command: str, name: str | None) -> Path:
-    root = run_root()
-    sub = name if name else f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    path = root / sub
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-class Manifest:
-    """Flat key=value run metadata, written at start and finalized at end.
-
-    As a context manager it never leaves a run at status=running: an
-    exception escaping the block finalizes the run as ``diverged`` (a
-    TrainingError) or ``failed``, records ``error_class``, and propagates.
-    """
-
-    def __init__(self, run_dir: Path, command: str, config: dict):
-        self.path = run_dir / "manifest.txt"
-        self.fields = {"command": command, "version": __version__,
-                       "status": "running", "started_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-        self.fields.update(config)
-        self._t0 = time.monotonic()
-        self.write()
-
-    def write(self):
-        lines = [f"{k}={_fmt(v)}" for k, v in self.fields.items()]
-        self.path.write_text("\n".join(lines) + "\n")
+    def __init__(self, args, config: dict):
+        root = Path(os.environ.get("VRM_RUN_DIR", "./runs"))
+        self.dir = root / (args.name or f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
+        self.fields = {"command": args.command, "version": __version__, "status": "running",
+                       "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **config}
 
     def __enter__(self):
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self._t0 = time.monotonic()
+        self._write()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
-            return
-        if isinstance(exc, TrainingError):
-            self.finalize("diverged", epoch=exc.epoch, error_class=exc_type.__name__)
+            self.fields["status"] = "complete"
+        elif isinstance(exc, TrainingError):
+            self.fields.update(status="diverged", epoch=exc.epoch, error_class=exc_type.__name__)
         else:
-            self.finalize("failed", error_class=exc_type.__name__)
-
-    def finalize(self, status="complete", **extra):
-        self.fields.update(extra)
-        self.fields["status"] = status
+            self.fields.update(status="failed", error_class=exc_type.__name__)
         self.fields["wall_clock_s"] = round(time.monotonic() - self._t0, 3)
-        self.write()
+        self._write()
+
+    def _write(self):
+        lines = [f"{k}={_fmt(v)}" for k, v in self.fields.items()]
+        (self.dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _read_config_file(path: Path) -> dict:
-    values = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"bad config line: {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
-    return values
-
-
-# defaults shared by distill/ablate; CLI flags override config-file values
-_TRAIN_DEFAULTS = {
-    "objective": "vrm",
-    "alpha": 128.0,
-    "beta": 32.0,
-    "tau": 4.0,
-    "delta": 1.0,
-    "uep": 95.0,
-    "n_ops": 2,
-    "magnitude": 0.3,
-    "lr": 0.05,
-    "momentum": 0.9,
-    "weight_decay": 5e-4,
-    "lr_decay": 0.1,
-    "milestones": "30,40,50",
-    "batch_size": 32,
-    "epochs": 60,
-    "seed": 0,
-    "im_kd_weight": 1.0,
-    "widths": "",
+# CLI key -> (dataclass, field): the key's default and type are the field's
+_TRAIN_KEYS = {
+    "alpha": (VRMWeights, "alpha"),
+    "beta": (VRMWeights, "beta"),
+    "tau": (VRMWeights, "tau"),
+    "delta": (VRMWeights, "huber_delta"),
+    "uep": (VRMWeights, "uep_percentile"),
+    "n_ops": (AugmentSpec, "n_ops"),
+    "magnitude": (AugmentSpec, "magnitude"),
+    "lr": (TrainConfig, "lr"),
+    "momentum": (TrainConfig, "momentum"),
+    "weight_decay": (TrainConfig, "weight_decay"),
+    "lr_decay": (TrainConfig, "lr_decay"),
+    "milestones": (TrainConfig, "milestones"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "epochs": (TrainConfig, "epochs"),
+    "seed": (TrainConfig, "seed"),
+    "im_kd_weight": (TrainConfig, "im_kd_weight"),
 }
 
-_CASTS = {
-    "alpha": float, "beta": float, "tau": float, "delta": float, "uep": float,
-    "n_ops": int, "magnitude": float, "lr": float, "momentum": float,
-    "weight_decay": float, "lr_decay": float, "batch_size": int, "epochs": int,
-    "seed": int, "im_kd_weight": float,
-}
+# train-teacher's keys, in the order its manifest lists them
+_TEACHER_KEYS = ("lr", "momentum", "weight_decay", "lr_decay", "milestones", "batch_size",
+                 "epochs", "seed", "alpha", "beta", "tau", "delta", "uep", "n_ops",
+                 "magnitude", "im_kd_weight")
+
+_HELP = {"uep": "retention percentile, 100 disables pruning",
+         "widths": "comma-separated layer widths"}
+
+
+def _field_default(cls, name):
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+    # a tuple (the milestones) is spelled as on the command line: 30,40,50
+    return ",".join(map(str, default)) if isinstance(default, tuple) else default
+
+
+# distill's keys in manifest order, each a config-file key and a flag (n_ops
+# is --n-ops); empty widths are the data's ends around the default hidden layers
+_DEFAULTS = {"objective": "vrm",
+             **{key: _field_default(*row) for key, row in _TRAIN_KEYS.items()},
+             "widths": ""}
 
 
 def _effective(args, keys) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    merged = {k: _TRAIN_DEFAULTS[k] for k in keys}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        for key, val in _read_config_file(path).items():
-            if key not in _TRAIN_DEFAULTS:
+    """Merge defaults < config file (flat key=value lines) < explicit flags."""
+    merged = {k: _DEFAULTS[k] for k in keys}
+    # bytes that are not UTF-8 end in a bad line or value (exit 2), not a traceback
+    text = read_input(args.config, "config file").decode(errors="replace") if args.config else ""
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ParameterError(f"bad config line: {raw!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _DEFAULTS:
                 raise ParameterError(f"unknown config key {key!r}")
             if key in keys:
-                merged[key] = _parse_number(_CASTS.get(key, str), val, f"config key {key}")
+                merged[key] = _parse_number(type(_DEFAULTS[key]), val, f"config key {key}")
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -175,17 +165,37 @@ def _parse_list(text: str, what: str, cast=int) -> list:
     return [_parse_number(cast, tok, what) for tok in str(text).split(",") if tok != ""]
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    weights = VRMWeights(alpha=cfg["alpha"], beta=cfg["beta"], tau=cfg["tau"],
-                         huber_delta=cfg["delta"], uep_percentile=cfg["uep"])
-    augment = AugmentSpec(n_ops=cfg["n_ops"], magnitude=cfg["magnitude"],
-                          seed=cfg["seed"])
-    return TrainConfig(
-        weights=weights, augment=augment, lr=cfg["lr"], momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"], lr_decay=cfg["lr_decay"],
-        milestones=tuple(_parse_list(cfg["milestones"], "milestones")),
-        batch_size=cfg["batch_size"], epochs=cfg["epochs"], seed=cfg["seed"],
-        im_kd_weight=cfg["im_kd_weight"])
+def _check_fit(widths, data: Dataset, what: str, error) -> None:
+    if widths[0] != data.dim or widths[-1] != data.n_classes:
+        raise error(f"{what} {','.join(map(str, widths))} do not fit the data "
+                    f"({data.dim} features, {data.n_classes} classes)")
+
+
+def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
+         activation: str = "relu") -> tuple[TrainConfig, MLPSpec]:
+    """The TrainConfig of ``cfg`` and the MLPSpec of ``widths`` (by default
+    the data's ends around ``hidden``), checked against ``data`` before any
+    run directory exists."""
+    kwargs = {VRMWeights: {}, AugmentSpec: {"seed": cfg["seed"]}, TrainConfig: {}}
+    for key, (cls, name) in _TRAIN_KEYS.items():
+        kwargs[cls][name] = cfg[key]
+    kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "milestones"))
+    config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
+                         augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
+    n_train = len(data.train_idx)
+    if config.batch_size > n_train:
+        raise ParameterError(f"batch size {config.batch_size} exceeds the "
+                             f"{n_train} training samples")
+    layers = _parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes]
+    spec = MLPSpec(layers, activation, cfg["seed"])
+    _check_fit(spec.layer_widths, data, "--widths", ParameterError)
+    return config, spec
+
+
+def _load_teacher(path, data: Dataset) -> MLP:
+    teacher, _ = load_checkpoint(path)
+    _check_fit(teacher.spec.layer_widths, data, "teacher widths", InputError)
+    return teacher
 
 
 # -- commands --------------------------------------------------------------
@@ -199,148 +209,87 @@ def cmd_gen_data(args, parser) -> int:
     data = make_synthetic_dataset(args.kind, args.classes, args.dim,
                                   args.per_class, args.noise, args.seed)
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_dataset(data, out)
-    except OSError as exc:
-        # an unwritable output is a bad --out, whatever errno the OS picks
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_dataset(data, out)
     print(f"wrote {out} ({data.inputs.shape[0]} samples, dim {data.dim}, "
           f"{data.n_classes} classes)")
     return EXIT_OK
 
 
-def _existing(path, what: str) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} not found: {path}")
-    return path
-
-
-def _check_fit(widths, data: Dataset, what: str, error) -> None:
-    if widths[0] != data.dim or widths[-1] != data.n_classes:
-        raise error(f"{what} {','.join(map(str, widths))} do not fit the data "
-                    f"({data.dim} features, {data.n_classes} classes)")
-
-
-def _load_teacher(path, data: Dataset) -> MLP:
-    teacher, _ = load_checkpoint(_existing(path, "teacher checkpoint"))
-    _check_fit(teacher.spec.layer_widths, data, "teacher widths", InputError)
-    return teacher
-
-
-def _fitted_spec(widths: str, hidden: tuple, activation: str, seed: int,
-                 data: Dataset) -> MLPSpec:
-    """The --widths spec, or the data's ends around ``hidden`` by default."""
-    layers = _parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes]
-    spec = MLPSpec(layers, activation, seed)
-    _check_fit(spec.layer_widths, data, "--widths", ParameterError)
-    return spec
-
-
 def cmd_train_teacher(args, parser) -> int:
-    data_path = _existing(args.data, "dataset")
-    data = load_dataset(data_path)
-    cfg = _effective(args, ["lr", "momentum", "weight_decay", "lr_decay",
-                            "milestones", "batch_size", "epochs", "seed",
-                            "alpha", "beta", "tau", "delta", "uep",
-                            "n_ops", "magnitude", "im_kd_weight"])
-    spec = _fitted_spec(args.widths, (64, 64), args.activation, cfg["seed"], data)
-    config = _train_config(cfg)
+    cfg = _effective(args, _TEACHER_KEYS)
+    data = load_dataset(args.data)
+    config, spec = _fit(cfg, data, args.widths, (64, 64), args.activation)
 
-    run_dir = _make_run_dir("train-teacher", args.name)
-    with Manifest(run_dir, "train-teacher", {
-            "data": str(data_path), "widths": ",".join(map(str, spec.layer_widths)),
-            "activation": args.activation, **cfg}) as manifest:
+    with Run(args, {"data": str(Path(args.data)),
+                    "widths": ",".join(map(str, spec.layer_widths)),
+                    "activation": args.activation, **cfg}) as run:
         model, records = train_teacher(spec, data, config)
-        write_metrics_csv(records, run_dir / "metrics.csv")
-        ckpt = run_dir / "teacher.ckpt"
+        metrics, ckpt = run.dir / "metrics.csv", run.dir / "teacher.ckpt"
+        write_metrics_csv(records, metrics)
         save_checkpoint(model, ckpt, epoch=config.epochs)
-        manifest.finalize(checkpoint=str(ckpt), metrics=str(run_dir / "metrics.csv"),
+        run.fields.update(checkpoint=str(ckpt), metrics=str(metrics),
                           final_val_acc=records[-1].val_acc)
     print(f"teacher val acc {records[-1].val_acc:.4f} -> {ckpt}")
     return EXIT_OK
 
 
 def cmd_distill(args, parser) -> int:
-    data_path = _existing(args.data, "dataset")
-    cfg = _effective(args, list(_TRAIN_DEFAULTS))
+    cfg = _effective(args, _DEFAULTS)
     objective = cfg["objective"]
-    data = load_dataset(data_path)
+    data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data) if args.teacher else None
     lookup_objective(objective, teacher)
-    config = _train_config(cfg)
-    spec = _fitted_spec(cfg["widths"], (32,), "relu", cfg["seed"], data)
+    config, spec = _fit(cfg, data, cfg["widths"], (32,))
 
-    run_dir = _make_run_dir("distill", args.name)
-    with Manifest(run_dir, "distill", {
-            "data": str(data_path), "teacher": str(args.teacher), **cfg}) as manifest:
+    with Run(args, {"data": str(Path(args.data)), "teacher": str(args.teacher), **cfg}) as run:
         student, records = distill_student(spec, teacher, data, config, objective)
-        write_metrics_csv(records, run_dir / "metrics.csv")
-        write_breakdown_csv(records, run_dir / "breakdown.csv")
-        save_checkpoint(student, run_dir / "student.ckpt", epoch=config.epochs)
-        manifest.finalize(final_val_acc=records[-1].val_acc,
-                          metrics=str(run_dir / "metrics.csv"),
-                          breakdown=str(run_dir / "breakdown.csv"),
-                          checkpoint=str(run_dir / "student.ckpt"))
-    print(f"{objective} val acc {records[-1].val_acc:.4f} -> {run_dir}")
+        metrics, breakdown = run.dir / "metrics.csv", run.dir / "breakdown.csv"
+        ckpt = run.dir / "student.ckpt"
+        write_metrics_csv(records, metrics)
+        write_breakdown_csv(records, breakdown)
+        save_checkpoint(student, ckpt, epoch=config.epochs)
+        run.fields.update(final_val_acc=records[-1].val_acc, metrics=str(metrics),
+                          breakdown=str(breakdown), checkpoint=str(ckpt))
+    print(f"{objective} val acc {records[-1].val_acc:.4f} -> {run.dir}")
     return EXIT_OK
 
 
 def cmd_ablate(args, parser) -> int:
-    data_path = _existing(args.data, "dataset")
     objectives = [tok for tok in args.objectives.split(",") if tok]
     seeds = _parse_list(args.seeds, "--seeds")
-    alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [None]
     if not objectives or not seeds:
         parser.error("empty sweep grid")
     for obj in objectives:
         if obj not in OBJECTIVES:
             parser.error(f"unknown objective {obj!r}")
 
-    cfg_base = _effective(args, list(_TRAIN_DEFAULTS))
-    data = load_dataset(data_path)
+    cfg_base = _effective(args, _DEFAULTS)
+    alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [cfg_base["alpha"]]
+    data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data)
     # every cell is validated before the run directory exists
     cells = []
-    for obj in objectives:
-        for alpha in alphas:
-            for seed in seeds:
-                cfg = dict(cfg_base, seed=seed)
-                if alpha is not None:
-                    cfg["alpha"] = alpha
-                spec = _fitted_spec(cfg["widths"], (32,), "relu", cfg["seed"], data)
-                cells.append((obj, cfg, _train_config(cfg), spec))
+    for obj, alpha, seed in itertools.product(objectives, alphas, seeds):
+        cfg = dict(cfg_base, alpha=alpha, seed=seed)
+        cells.append((obj, cfg, *_fit(cfg, data, cfg["widths"], (32,))))
 
-    run_dir = _make_run_dir("ablate", args.name)
-    with Manifest(run_dir, "ablate", {
-            "data": str(data_path), "teacher": args.teacher,
-            "objectives": args.objectives, "sweep_seeds": args.seeds,
-            "alphas": args.alphas or "", **cfg_base}) as manifest:
+    with Run(args, {"data": str(Path(args.data)), "teacher": args.teacher,
+                    "objectives": args.objectives, "sweep_seeds": args.seeds,
+                    "alphas": args.alphas or "", **cfg_base}) as run:
         rows = []
         for obj, cfg, config, spec in cells:
             _, records = distill_student(spec, teacher, data, config, obj)
             final = records[-1]
-            rows.append({
-                "objective": obj, "seed": cfg["seed"],
-                "alpha": cfg["alpha"], "beta": cfg["beta"],
-                "tau": cfg["tau"], "uep": cfg["uep"],
-                "final_val_acc": final.val_acc,
-                "final_train_acc": final.train_acc,
-                "train_val_gap": final.train_acc - final.val_acc,
-            })
+            rows.append([obj, cfg["seed"], cfg["alpha"], cfg["beta"], cfg["tau"], cfg["uep"],
+                         final.val_acc, final.train_acc, final.train_acc - final.val_acc])
             print(f"  {obj} seed={cfg['seed']} alpha={cfg['alpha']} "
                   f"val={final.val_acc:.4f}")
 
-        summary = run_dir / "summary.csv"
-        with open(summary, "w", newline="\n") as fh:
-            writer = csv.writer(fh)
-            header = list(rows[0])
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row[k]) for k in header])
-        manifest.finalize(summary=str(summary), cells=len(rows))
+        summary = run.dir / "summary.csv"
+        write_csv(summary, ["objective", "seed", "alpha", "beta", "tau", "uep", "final_val_acc",
+                            "final_train_acc", "train_val_gap"], rows)
+        run.fields.update(summary=str(summary), cells=len(rows))
     print(f"{len(rows)} cells -> {summary}")
     return EXIT_OK
 
@@ -354,11 +303,9 @@ def cmd_pilot(args, parser) -> int:
     for kind in kinds:
         if kind not in PILOT_LOSS_KINDS:
             parser.error(f"unknown loss kind {kind!r}")
-    run_dir = _make_run_dir("pilot", args.name)
-    with Manifest(run_dir, "pilot", {
-            "batch": args.batch, "dim": args.dim, "spurious_index": args.spurious_index,
-            "noise_scale": args.noise_scale, "n_seeds": args.seeds,
-            "loss_kinds": ",".join(kinds)}) as manifest:
+    with Run(args, {"batch": args.batch, "dim": args.dim,
+                    "spurious_index": args.spurious_index, "noise_scale": args.noise_scale,
+                    "n_seeds": args.seeds, "loss_kinds": ",".join(kinds)}) as run:
         medians = {}
         for kind in kinds:
             per_seed = []
@@ -367,19 +314,15 @@ def cmd_pilot(args, parser) -> int:
                                  args.noise_scale, seed, kind)
                 dg = gradient_diffusion_pilot(spec)
                 write_pilot_csv(dg, args.spurious_index,
-                                run_dir / f"pilot_{kind.lower()}_seed{seed}.csv")
+                                run.dir / f"pilot_{kind.lower()}_seed{seed}.csv")
                 per_seed.append(float(np.median(np.abs(np.delete(dg, args.spurious_index)))))
             medians[kind] = float(np.median(per_seed))
 
-        with open(run_dir / "summary.csv", "w", newline="\n") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["loss_kind", "median_offtarget_abs_delta_g"])
-            for kind in kinds:
-                writer.writerow([kind, _fmt(medians[kind])])
-            if "IM" in medians and "RM" in medians:
-                ratio = medians["RM"] / max(medians["IM"], 1e-300)
-                writer.writerow(["RM_over_IM_ratio", _fmt(ratio)])
-        manifest.finalize(summary=str(run_dir / "summary.csv"))
+        rows = [[kind, medians[kind]] for kind in kinds]
+        if "IM" in medians and "RM" in medians:
+            rows.append(["RM_over_IM_ratio", medians["RM"] / max(medians["IM"], 1e-300)])
+        write_csv(run.dir / "summary.csv", ["loss_kind", "median_offtarget_abs_delta_g"], rows)
+        run.fields.update(summary=str(run.dir / "summary.csv"))
     for kind in kinds:
         print(f"{kind}: median off-target |delta_g| = {medians[kind]:.3e}")
     return EXIT_OK
@@ -404,25 +347,12 @@ def cmd_check(args, parser) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser, with_objective: bool):
+    p.add_argument("--data", required=True)
     if with_objective:
         p.add_argument("--objective", choices=list(OBJECTIVES))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--uep", type=float, help="retention percentile, 100 disables pruning")
-    p.add_argument("--n-ops", dest="n_ops", type=int)
-    p.add_argument("--magnitude", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float)
-    p.add_argument("--milestones")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--im-kd-weight", dest="im_kd_weight", type=float)
-    p.add_argument("--widths", help="comma-separated layer widths")
+    for key, default in _DEFAULTS.items():
+        if key != "objective":
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), help=_HELP.get(key))
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--name", help="run directory name under VRM_RUN_DIR")
 
@@ -443,19 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-teacher", help="label-only teacher pretraining")
-    p.add_argument("--data", required=True)
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
     _add_train_flags(p, with_objective=False)
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="train a student against a frozen teacher")
-    p.add_argument("--data", required=True)
     p.add_argument("--teacher")
     _add_train_flags(p, with_objective=True)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("ablate", help="sweep objectives/hyperparameters")
-    p.add_argument("--data", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--objectives", default="vrm,gram,ce_only")
     p.add_argument("--seeds", default="0,1,2,3,4")

@@ -267,14 +267,23 @@ def save_dataset(data: Dataset, path) -> None:
         fh.write(data.labels.astype("<i4").tobytes())
 
 
+def read_input(path, what: str) -> bytes:
+    """The bytes of the input file ``path``.  A file that cannot be read
+    (missing, a directory, no permission) raises InputError naming ``what``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"{what} not found or unreadable: {path} ({exc.strerror})") from None
+
+
 class ArtifactReader:
-    """Reads a binary artifact front to back, after its magic bytes.  A
-    wrong magic, asking for more bytes than are left, or leaving bytes
-    unread raises InputError."""
+    """Reads a binary artifact front to back, after its magic bytes.  An
+    unreadable file, a wrong magic, asking for more bytes than are left, or
+    leaving bytes unread raises InputError."""
 
     def __init__(self, path, magic: bytes, what: str):
-        with open(path, "rb") as fh:
-            self._blob = fh.read()
+        self._blob = read_input(path, what)
         head = self._blob[:len(magic)]
         if head != magic:
             raise InputError(f"not a {what}: bad magic {head!r}")

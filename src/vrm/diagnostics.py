@@ -1,10 +1,8 @@
-"""Numerical reproductions of the analytical studies: how a spurious
+"""Numerical reproduction of the spurious-gradient study: how one bad
 prediction's gradient spreads through a batch under instance- versus
-relation-matching losses, gradient-conflict summaries, and logit
-statistics."""
+relation-matching losses."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +12,7 @@ from .autodiff import Tensor, backward
 from .baselines import gram_inter_sample
 from .errors import ParameterError
 from .graphs import build_inter_sample_edges
-from .training import _fmt
+from .training import write_csv
 
 PILOT_LOSS_KINDS = ("IM", "RM", "RM_GRAM")
 
@@ -79,113 +77,7 @@ def gradient_diffusion_pilot(spec: PilotSpec) -> np.ndarray:
     return after - before
 
 
-def diffusion_summary(B=64, D=16, t=32, c=1.0, seeds=range(20),
-                      kinds=("IM", "RM")) -> dict:
-    """Medians of off-target |delta_g| per loss kind across seeds."""
-    out = {}
-    for kind in kinds:
-        med = []
-        for seed in seeds:
-            dg = gradient_diffusion_pilot(PilotSpec(B, D, t, c, seed, kind))
-            off = np.abs(np.delete(dg, t))
-            med.append(np.median(off))
-        out[kind] = float(np.median(med))
-    return out
-
-
-@dataclass
-class ConflictResult:
-    mean_cosine: float
-    n_pairs: int
-    n_excluded: int
-    defined: bool
-
-
-def gradient_conflict(grad_vectors) -> ConflictResult:
-    """Mean pairwise cosine similarity over all unordered pairs of
-    nonzero gradient vectors.  Zero vectors are excluded and counted;
-    with fewer than two nonzero vectors the mean is undefined."""
-    vecs = [np.asarray(g, dtype=float).ravel() for g in grad_vectors]
-    norms = [np.linalg.norm(v) for v in vecs]
-    live = [v / n for v, n in zip(vecs, norms) if n > 0.0]
-    excluded = len(vecs) - len(live)
-    if len(live) < 2:
-        return ConflictResult(float("nan"), 0, excluded, False)
-    total = 0.0
-    pairs = 0
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            total += float(live[i] @ live[j])
-            pairs += 1
-    return ConflictResult(total / pairs, pairs, excluded, True)
-
-
-def dynamics_log(records) -> list:
-    """Normalize a training run's per-epoch records into the rows the
-    overfitting comparison works from: accuracy pair, generalization
-    gap, loss components, and kept-edge fractions.  Append-only: one row
-    per epoch in training order."""
-    rows = []
-    for r in records:
-        rows.append({
-            "epoch": r.epoch,
-            "train_acc": r.train_acc,
-            "val_acc": r.val_acc,
-            "gap": r.train_acc - r.val_acc,
-            "total": r.total,
-            "ce_real": r.ce_real,
-            "ce_virtual": r.ce_virtual,
-            "isv": r.isv,
-            "icv": r.icv,
-            "kept_isv_frac": r.kept_isv_frac,
-            "kept_icv_frac": r.kept_icv_frac,
-        })
-    return rows
-
-
-@dataclass
-class LogitStats:
-    means: np.ndarray
-    stds: np.ndarray
-    hist: np.ndarray
-    mean_edges: np.ndarray
-    std_edges: np.ndarray
-
-
-def logit_stats(model, inputs: np.ndarray, bins: int = 50) -> LogitStats:
-    """Per-sample mean and standard deviation of the logit vector plus a
-    fixed-bin 2-D histogram over the observed ranges."""
-    logits = model.logits(inputs)
-    means = logits.mean(axis=1)
-    stds = logits.std(axis=1)
-    hist, mean_edges, std_edges = np.histogram2d(means, stds, bins=bins)
-    return LogitStats(means, stds, hist, mean_edges, std_edges)
-
-
-# -- CSV writers ----------------------------------------------------------
-
-
 def write_pilot_csv(delta_g: np.ndarray, t: int, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "delta_g", "is_spurious"])
-        for i, dg in enumerate(delta_g):
-            writer.writerow([i, _fmt(dg), int(i == t)])
+    write_csv(path, ["index", "delta_g", "is_spurious"],
+              ([i, dg, int(i == t)] for i, dg in enumerate(delta_g)))
 
-
-def write_logit_stats_csv(stats: LogitStats, stats_path, hist_path) -> None:
-    with open(stats_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mean", "std"])
-        for i, (m, s) in enumerate(zip(stats.means, stats.stds)):
-            writer.writerow([i, _fmt(m), _fmt(s)])
-    with open(hist_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mean_lo", "mean_hi", "std_lo", "std_hi", "count"])
-        for i in range(stats.hist.shape[0]):
-            for j in range(stats.hist.shape[1]):
-                writer.writerow([
-                    _fmt(stats.mean_edges[i]), _fmt(stats.mean_edges[i + 1]),
-                    _fmt(stats.std_edges[j]), _fmt(stats.std_edges[j + 1]),
-                    int(stats.hist[i, j]),
-                ])

@@ -39,8 +39,6 @@ class VRMWeights:
     tau: float = 4.0
     huber_delta: float = 1.0
     uep_percentile: float = 95.0
-    reduction: str = "mean_over_kept"
-    metric: str = "huber"
 
     def __post_init__(self):
         require_finite(self, ("alpha", "beta", "tau", "huber_delta"))
@@ -52,10 +50,6 @@ class VRMWeights:
             raise ParameterError("huber delta must be positive")
         if not 0.0 < self.uep_percentile <= 100.0:
             raise ParameterError("percentile must lie in (0, 100]")
-        if self.reduction not in ("mean_over_kept", "sum"):
-            raise ParameterError(f"unknown reduction {self.reduction!r}")
-        if self.metric not in ("huber", "mse"):
-            raise ParameterError(f"unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -77,14 +71,13 @@ class LossBreakdown:
 
 
 def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
-                      delta: float, reduction: str, metric: str = "huber"):
-    """Shared reduction for both edge losses.  Returns (scalar, kept_count)."""
+                      delta: float):
+    """The body of both edge losses: the Huber penalty, averaged over the
+    elements of the kept fibers.  Returns (scalar, kept_count)."""
     if e_s.kind != e_t.kind:
         raise UsageError("student and teacher edge kinds differ")
     if e_s.values.shape != e_t.values.shape:
         raise UsageError("student and teacher edge shapes differ")
-    if reduction not in ("mean_over_kept", "sum"):
-        raise ParameterError(f"unknown reduction {reduction!r}")
 
     if mask is None:
         kept = e_s.values.shape[0] * e_s.values.shape[1]
@@ -99,20 +92,19 @@ def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
             )
             return Tensor(0.0), 0
         weights = mask_weights(e_s, mask)
-    scale = None if reduction == "sum" else 1.0 / (kept * e_s.fiber_length)
-    return _edge_loss(e_s.values, e_t.values.data, weights, delta, metric, scale), kept
+    scale = 1.0 / (kept * e_s.fiber_length)
+    return _edge_loss(e_s.values, e_t.values.data, weights, delta, scale), kept
 
 
-def _edge_loss(values_s: Tensor, values_t, weights, delta: float, metric: str,
-               scale) -> Tensor:
-    """Masked residual penalty of the student edges against constant teacher
-    edges, summed and optionally scaled, as one tape node.
+def _edge_loss(values_s: Tensor, values_t, weights, delta: float, scale: float) -> Tensor:
+    """Masked Huber penalty of the student edges against constant teacher
+    edges, summed and scaled, as one tape node.
 
-    It replays the composite of apply_mask, huber (or a squared
-    difference), sum and the 1/(kept * fiber_len) scale on the same array
-    layouts, so the value and the gradient are bit-identical to it.  The
-    gradient reaches the student edges only, so the products the composite
-    formed for the teacher edges and the mask weights are never computed.
+    It replays the composite of apply_mask, huber, sum and the
+    1/(kept * fiber_len) scale on the same array layouts, so the value and
+    the gradient are bit-identical to it.  The gradient reaches the student
+    edges only, so the products the composite formed for the teacher edges
+    and the mask weights are never computed.
     """
     s = values_s.data
     # the outputs keep the layout of the edges (one builder makes both
@@ -132,60 +124,49 @@ def _edge_loss(values_s: Tensor, values_t, weights, delta: float, metric: str,
             np.multiply(values_t[rows], w, out=e)
             np.multiply(s[rows], w, out=r)
             r -= e
-        if metric == "huber":
-            # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
-            np.abs(r, out=e)
-            quadratic = e <= delta
-            e -= 0.5 * delta
-            e *= delta
-            np.multiply(0.5, r, out=e, where=quadratic)
-            np.multiply(e, r, out=e, where=quadratic)
-            np.clip(r, -delta, delta, out=r)
-        else:
-            np.multiply(r, r, out=e)
-    out = np.asarray(elem.sum())
-    if scale is not None:
-        out = out * scale
+        # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
+        np.abs(r, out=e)
+        quadratic = e <= delta
+        e -= 0.5 * delta
+        e *= delta
+        np.multiply(0.5, r, out=e, where=quadratic)
+        np.multiply(e, r, out=e, where=quadratic)
+        np.clip(r, -delta, delta, out=r)
+    out = np.asarray(elem.sum()) * scale
     # elem is free after the sum; a first backward writes the gradient into
     # it when it has the C layout that gradient needs, saving a fresh buffer
     spare = [elem] if elem.flags.c_contiguous else []
 
     def grad_fn(g):
-        if scale is not None:
-            g = g * scale
+        g = g * scale
         # the composite spreads g over a C-ordered buffer before the
         # product; the layout fixes the order of later fiber-axis sums.
         # It then multiplies by the 0/1 weights, which changes no bit: the
         # slope is already a signed zero wherever a weight is 0
-        gs = np.multiply(g, slope, out=spare.pop() if spare else None, order="C")
-        if metric != "huber":
-            gs += gs
-        return (gs,)
+        return (np.multiply(g, slope, out=spare.pop() if spare else None, order="C"),)
 
     return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
-             delta: float = 1.0, reduction: str = "mean_over_kept",
-             metric: str = "huber") -> Tensor:
-    """Penalty between student and teacher inter-sample cross-view edges.
+             delta: float = 1.0) -> Tensor:
+    """Huber penalty between student and teacher inter-sample cross-view edges.
 
     Gradients flow into the student edges only; teacher values are
     detached here even if the caller forgot to.
     """
     if e_s.kind != "ISV":
         raise UsageError("loss_isv expects ISV edges")
-    value, _ = _masked_edge_loss(e_s, e_t, mask, delta, reduction, metric)
+    value, _ = _masked_edge_loss(e_s, e_t, mask, delta)
     return value
 
 
 def loss_icv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
-             delta: float = 1.0, reduction: str = "mean_over_kept",
-             metric: str = "huber") -> Tensor:
-    """Penalty between student and teacher inter-class cross-view edges."""
+             delta: float = 1.0) -> Tensor:
+    """Huber penalty between student and teacher inter-class cross-view edges."""
     if e_s.kind != "ICV":
         raise UsageError("loss_icv expects ICV edges")
-    value, _ = _masked_edge_loss(e_s, e_t, mask, delta, reduction, metric)
+    value, _ = _masked_edge_loss(e_s, e_t, mask, delta)
     return value
 
 
@@ -235,8 +216,7 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
         e_s = build(s_in)
         with ad.no_grad():
             e_t = build(t_in)
-        terms.append(_masked_edge_loss(
-            e_s, e_t, mask, weights.huber_delta, weights.reduction, weights.metric))
+        terms.append(_masked_edge_loss(e_s, e_t, mask, weights.huber_delta))
         del e_s, e_t
     (isv, kept_isv), (icv, kept_icv) = terms
 

@@ -145,9 +145,3 @@ def mask_weights(edges: EdgeTensor, mask: EdgeMask) -> np.ndarray:
         raise UsageError("mask shape does not match edge leading axes")
     return mask.keep.astype(float)[:, :, None]
 
-
-def full_mask(edges: EdgeTensor, m: float = 100.0) -> EdgeMask:
-    """All-true mask matching an edge tensor (no pruning)."""
-    if edges.kind not in MASK_KINDS:
-        raise UsageError(f"masks only apply to {MASK_KINDS} edges")
-    return EdgeMask(edges.kind, np.ones(edges.values.shape[:2], dtype=bool), m, float("inf"))

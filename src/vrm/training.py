@@ -290,19 +290,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(records: list[EpochRecord], path) -> None:
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row with each value through :func:`_fmt`."""
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_acc", "val_acc"])
-        for r in records:
-            writer.writerow([r.epoch, _fmt(r.lr), _fmt(r.train_acc), _fmt(r.val_acc)])
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_metrics_csv(records: list[EpochRecord], path) -> None:
+    cols = ["epoch", "lr", "train_acc", "val_acc"]
+    write_csv(path, cols, ([getattr(r, c) for c in cols] for r in records))
 
 
 def write_breakdown_csv(records: list[EpochRecord], path) -> None:
-    cols = ["total", "ce_real", "ce_virtual", "isv", "icv",
+    cols = ["epoch", "total", "ce_real", "ce_virtual", "isv", "icv",
             "kept_isv_frac", "kept_icv_frac"]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch"] + cols)
-        for r in records:
-            writer.writerow([r.epoch] + [_fmt(getattr(r, c)) for c in cols])
+    write_csv(path, cols, ([getattr(r, c) for c in cols] for r in records))

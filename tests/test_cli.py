@@ -203,8 +203,43 @@ def test_distill_batch_larger_than_train_split_exits_2(run_env, capsys):
                  "--epochs", "2", "--milestones", "1", "--batch-size", "1000",
                  "--widths", "6,12,3", "--name", "big"])
     assert_clean_error(capsys, code, 2)
-    manifest = (run_env / "runs" / "big" / "manifest.txt").read_text()
-    assert "status=failed" in manifest and "error_class=ParameterError" in manifest
+    assert not (run_env / "runs" / "big").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "ablate"])
+def test_batch_larger_than_train_split_exits_2_before_the_run_dir(run_env, capsys, command):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    extra = ["--teacher", str(ckpt), "--objectives", "ce_only", "--seeds", "0"]
+    code = main([command, "--data", str(data), "--epochs", "2", "--milestones", "1",
+                 "--batch-size", "1000", "--name", "big"]
+                + (extra if command == "ablate" else []))
+    assert_clean_error(capsys, code, 2)
+    assert not (run_env / "runs" / "big").exists()
+
+
+def test_unwritable_output_exits_2_and_fails_the_run(run_env, capsys):
+    data = gen_data(run_env)
+    (run_env / "runs" / "blocked" / "metrics.csv").mkdir(parents=True)
+    code = main(["distill", "--data", str(data), "--objective", "ce_only",
+                 "--epochs", "2", "--milestones", "1", "--batch-size", "16",
+                 "--widths", "6,12,3", "--name", "blocked"])
+    assert_clean_error(capsys, code, 2)
+    manifest = (run_env / "runs" / "blocked" / "manifest.txt").read_text()
+    assert "status=failed" in manifest and "error_class=IsADirectoryError" in manifest
+
+
+@pytest.mark.parametrize("flag", ["--data", "--teacher", "--config"])
+def test_directory_as_input_artifact_exits_3(run_env, capsys, flag):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    args = {"--data": str(data), "--teacher": str(ckpt), flag: str(run_env)}
+    code = main(["distill", *[tok for item in args.items() for tok in item],
+                 "--epochs", "2", "--milestones", "1", "--name", "x"])
+    assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
 
 
 def test_pilot_rejects_zero_seeds(run_env, capsys):
@@ -292,18 +327,21 @@ def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):
     assert "grad:huber" in captured.err
 
 
-@pytest.mark.parametrize("case", ["milestones", "widths", "alphas", "config"])
+@pytest.mark.parametrize("case", ["milestones", "widths", "alphas", "config", "config-bytes"])
 def test_unparsable_numbers_exit_2_before_the_run_dir(run_env, capsys, case):
     data = gen_data(run_env)
     ckpt = run_env / "teacher.ckpt"
     save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
     cfg = run_env / "bad.cfg"
     cfg.write_text("lr=abc\n")
+    not_utf8 = run_env / "bytes.cfg"
+    not_utf8.write_bytes(b"lr=0.1\xff\n")
     common = ["--data", str(data), "--teacher", str(ckpt), "--epochs", "2", "--name", "bad"]
     argv = {"milestones": ["distill", *common, "--milestones", "a"],
             "widths": ["distill", *common, "--widths", "4,x"],
             "alphas": ["ablate", *common, "--alphas", "x"],
-            "config": ["distill", *common, "--config", str(cfg)]}[case]
+            "config": ["distill", *common, "--config", str(cfg)],
+            "config-bytes": ["distill", *common, "--config", str(not_utf8)]}[case]
     code = main(argv)
     assert_clean_error(capsys, code, 2)
     assert not (run_env / "runs" / "bad").exists()

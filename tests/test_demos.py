@@ -1,0 +1,22 @@
+"""Every demo script runs to completion against the package in ``src``."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the distillation experiment trains a teacher and several students (~30 s)
+SLOW = {"04_distillation_experiment.py"}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    if demo.name in SLOW:
+        pytest.skip(f"{demo.name} takes about 30 s; run it by hand")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

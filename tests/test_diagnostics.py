@@ -1,22 +1,10 @@
 import csv
-import math
 
 import numpy as np
 import pytest
 
-from vrm.data import make_synthetic_dataset
-from vrm.diagnostics import (
-    PilotSpec,
-    diffusion_summary,
-    dynamics_log,
-    gradient_conflict,
-    gradient_diffusion_pilot,
-    logit_stats,
-    write_logit_stats_csv,
-    write_pilot_csv,
-)
+from vrm.diagnostics import PilotSpec, gradient_diffusion_pilot, write_pilot_csv
 from vrm.errors import ParameterError
-from vrm.models import MLP, MLPSpec
 
 
 def test_pilot_spec_validation():
@@ -53,80 +41,6 @@ def test_pilot_determinism():
     assert np.array_equal(gradient_diffusion_pilot(spec), gradient_diffusion_pilot(spec))
 
 
-def test_diffusion_summary_keys():
-    out = diffusion_summary(B=12, D=4, t=3, c=1.0, seeds=range(3), kinds=("IM", "RM"))
-    assert set(out) == {"IM", "RM"}
-    assert out["RM"] > out["IM"]
-
-
-def test_gradient_conflict_examples():
-    v = np.array([1.0, 2.0, 3.0])
-    res = gradient_conflict([v, v.copy(), v.copy()])
-    assert res.mean_cosine == pytest.approx(1.0, abs=1e-12)
-    assert res.n_pairs == 3 and res.defined
-    res = gradient_conflict([v, -v])
-    assert res.mean_cosine == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_gradient_conflict_scalar_oracle():
-    rng = np.random.default_rng(3)
-    vecs = [rng.standard_normal(6) for _ in range(3)]
-    res = gradient_conflict(vecs)
-    want = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            want += vecs[i] @ vecs[j] / (np.linalg.norm(vecs[i]) * np.linalg.norm(vecs[j]))
-    assert res.mean_cosine == pytest.approx(want / 3.0, abs=1e-12)
-
-
-def test_gradient_conflict_zero_vector_handling():
-    res = gradient_conflict([np.zeros(3), np.ones(3), np.ones(3)])
-    assert res.n_excluded == 1 and res.defined
-    res = gradient_conflict([np.zeros(3), np.ones(3)])
-    assert not res.defined and math.isnan(res.mean_cosine)
-    assert res.n_excluded == 1
-
-
-def test_logit_stats_constant_model():
-    model = MLP(MLPSpec([4, 6, 3], "relu", 0))
-    for w in model.weights:
-        w.data = np.zeros_like(w.data)
-    for b in model.biases:
-        b.data = np.zeros_like(b.data)
-    x = np.random.default_rng(0).standard_normal((20, 4))
-    stats = logit_stats(model, x, bins=10)
-    assert np.allclose(stats.means, 0.0) and np.allclose(stats.stds, 0.0)
-    assert stats.hist.sum() == 20
-
-
-def test_logit_stats_histogram_conservation():
-    data = make_synthetic_dataset("blobs", 3, 4, 15, 0.4, seed=2)
-    model = MLP(MLPSpec([4, 8, 3], "relu", 1))
-    stats = logit_stats(model, data.inputs, bins=50)
-    assert stats.hist.shape == (50, 50)
-    assert int(stats.hist.sum()) == data.inputs.shape[0]
-    assert stats.means.shape == (data.inputs.shape[0],)
-
-
-def test_dynamics_log_rows():
-    from vrm.data import AugmentSpec
-    from vrm.losses import VRMWeights
-    from vrm.training import TrainConfig, distill_student, train_teacher
-
-    data = make_synthetic_dataset("blobs", 3, 4, 15, 0.3, seed=4)
-    cfg = TrainConfig(epochs=4, milestones=(3,), lr=0.1, batch_size=12, seed=0,
-                      weights=VRMWeights(alpha=4.0, beta=1.0),
-                      augment=AugmentSpec(magnitude=0.1, seed=0))
-    teacher, _ = train_teacher(MLPSpec([4, 12, 3], "relu", 0), data, cfg)
-    _, records = distill_student(MLPSpec([4, 8, 3], "relu", 1), teacher, data, cfg, "vrm")
-    rows = dynamics_log(records)
-    assert len(rows) == cfg.epochs
-    for row in rows:
-        assert 0.0 <= row["train_acc"] <= 1.0 and 0.0 <= row["val_acc"] <= 1.0
-        assert row["gap"] == pytest.approx(row["train_acc"] - row["val_acc"])
-        assert 0.0 < row["kept_isv_frac"] <= 1.0
-
-
 def test_pilot_csv_format(tmp_path):
     dg = gradient_diffusion_pilot(PilotSpec(B=8, D=4, t=2, c=1.0, seed=0, loss_kind="RM"))
     path = tmp_path / "pilot.csv"
@@ -138,16 +52,3 @@ def test_pilot_csv_format(tmp_path):
     assert rows[3][2] == "1" and rows[1][2] == "0"
     # float round-trips exactly through repr-format
     assert float(rows[1][1]) == dg[0]
-
-
-def test_logit_stats_csv(tmp_path):
-    model = MLP(MLPSpec([4, 8, 3], "relu", 1))
-    x = np.random.default_rng(5).standard_normal((12, 4))
-    stats = logit_stats(model, x, bins=5)
-    sp, hp = tmp_path / "stats.csv", tmp_path / "hist.csv"
-    write_logit_stats_csv(stats, sp, hp)
-    srows = list(csv.reader(open(sp)))
-    assert srows[0] == ["index", "mean", "std"] and len(srows) == 13
-    hrows = list(csv.reader(open(hp)))
-    assert hrows[0] == ["mean_lo", "mean_hi", "std_lo", "std_hi", "count"]
-    assert sum(int(r[4]) for r in hrows[1:]) == 12

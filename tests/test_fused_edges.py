@@ -3,7 +3,7 @@ against the composite of public tape ops they replace.
 
 The composite below is the reference: it builds the edges from reshape,
 subtraction, transpose and l2_normalize, and the loss from apply_mask,
-huber (or a squared difference), sum and a scale.  The fused nodes must
+huber, sum and the 1/(kept * fiber length) scale.  The fused nodes must
 agree with it bit for bit, in the loss and in the gradients that reach
 the real and virtual views.
 """
@@ -35,7 +35,7 @@ def composite_edges(batch, kind):
     return EdgeTensor("ICV", ad.l2_normalize(diff.transpose((1, 2, 0)), axis=2))
 
 
-def composite_loss(e_s, e_t, mask, delta, reduction, metric):
+def composite_loss(e_s, e_t, mask, delta):
     teacher = e_t.values.detach()
     if mask is None:
         kept = e_s.values.shape[0] * e_s.values.shape[1]
@@ -46,15 +46,7 @@ def composite_loss(e_s, e_t, mask, delta, reduction, metric):
             return Tensor(0.0)
         s = apply_mask(e_s, mask)
         t = apply_mask(EdgeTensor(e_t.kind, teacher), mask)
-    if metric == "huber":
-        elem = ad.huber(s, t, delta)
-    else:
-        diff = s - t
-        elem = diff * diff
-    total = elem.sum()
-    if reduction == "sum":
-        return total
-    return total * (1.0 / (kept * e_s.fiber_length))
+    return ad.huber(s, t, delta).sum() * (1.0 / (kept * e_s.fiber_length))
 
 
 # -- helpers -------------------------------------------------------------
@@ -73,19 +65,19 @@ def random_mask(rng, kind, shape, m):
     return uep_mask(je, m, kind)
 
 
-def run(kind, real, virtual, teacher, mask, delta, reduction, metric, fused):
+def run(kind, real, virtual, teacher, mask, delta, fused):
     r = Tensor(real, requires_grad=True)
     v = Tensor(virtual, requires_grad=True)
     if fused:
         e_s = BUILDERS[kind](LogitBatch(r, v))
         with ad.no_grad():
             e_t = BUILDERS[kind](teacher)
-        loss = LOSSES[kind](e_s, e_t, mask, delta, reduction, metric)
+        loss = LOSSES[kind](e_s, e_t, mask, delta)
     else:
         e_s = composite_edges(LogitBatch(r, v), kind)
         with ad.no_grad():
             e_t = composite_edges(teacher, kind)
-        loss = composite_loss(e_s, e_t, mask, delta, reduction, metric)
+        loss = composite_loss(e_s, e_t, mask, delta)
     if loss.node is not None:
         backward(loss)
     return loss.data, r.grad, v.grad
@@ -101,8 +93,7 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def check_case(rng, kind, b, c, m, reduction, metric, same_views=False, delta=1.0,
-               tied_rows=()):
+def check_case(rng, kind, b, c, m, same_views=False, delta=1.0, tied_rows=()):
     real = probs(rng, b, c)
     virtual = real.copy() if same_views else probs(rng, b, c)
     # a virtual row within 1e-14 of its real row makes the ISV fiber (i, i)
@@ -112,8 +103,8 @@ def check_case(rng, kind, b, c, m, reduction, metric, same_views=False, delta=1.
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     shape = (b, b) if kind == "ISV" else (c, c)
     mask = random_mask(rng, kind, shape, m)
-    fused = run(kind, real, virtual, teacher, mask, delta, reduction, metric, True)
-    ref = run(kind, real, virtual, teacher, mask, delta, reduction, metric, False)
+    fused = run(kind, real, virtual, teacher, mask, delta, True)
+    ref = run(kind, real, virtual, teacher, mask, delta, False)
     for x, y in zip(fused, ref):
         assert_same_bits(x, y)
 
@@ -121,25 +112,23 @@ def check_case(rng, kind, b, c, m, reduction, metric, same_views=False, delta=1.
 # -- exactness -----------------------------------------------------------
 
 
-CONFIGS = [(m, reduction, metric)
-           for m in (50.0, 95.0, 100.0, None)
-           for reduction in ("mean_over_kept", "sum")
-           for metric in ("huber", "mse")]
+# retention percentiles of the masks; None passes no mask
+PERCENTILES = (50.0, 95.0, 100.0, None)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_fused_path_is_bit_identical_to_composite(kind):
     rng = np.random.default_rng(7 if kind == "ISV" else 8)
-    for m, reduction, metric in CONFIGS:
+    for m in PERCENTILES:
         for _ in range(3):
             b, c = (int(n) for n in rng.integers(2, 17, size=2))
-            check_case(rng, kind, b, c, m, reduction, metric)
+            check_case(rng, kind, b, c, m)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_fused_path_is_bit_identical_at_wide_shape(kind):
     rng = np.random.default_rng(11)
-    check_case(rng, kind, 128, 32, 95.0, "mean_over_kept", "huber")
+    check_case(rng, kind, 128, 32, 95.0)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -147,9 +136,9 @@ def test_fused_path_is_bit_identical_with_zero_norm_fibers(kind):
     # identical views (augmentation with n_ops=0): diagonal fibers are exact
     # zeros, so the l2_normalize zero branch applies in both paths
     rng = np.random.default_rng(12)
-    for m, reduction, metric in CONFIGS:
+    for m in PERCENTILES:
         b, c = (int(n) for n in rng.integers(2, 17, size=2))
-        check_case(rng, kind, b, c, m, reduction, metric, same_views=True)
+        check_case(rng, kind, b, c, m, same_views=True)
 
 
 # B=131, C=24: the ISV node and its loss run in blocks of 10 rows, the
@@ -166,8 +155,8 @@ def test_isv_rows_split_into_blocks_with_a_partial_last_block():
 
 def test_fused_path_is_bit_identical_with_a_partial_last_block():
     rng = np.random.default_rng(19)
-    for m, reduction, metric in CONFIGS:
-        check_case(rng, "ISV", *PARTIAL, m, reduction, metric)
+    for m in PERCENTILES:
+        check_case(rng, "ISV", *PARTIAL, m)
 
 
 @pytest.mark.parametrize("tied_rows", [(), (4,), (3, 71, 130), tuple(range(131))],
@@ -177,8 +166,8 @@ def test_blocked_dead_fiber_shortcut_both_branches(tied_rows):
     # blocks without a zero-norm fiber skip zeroing dead fibers, the others
     # zero them, forward and backward; both must match the composite
     rng = np.random.default_rng(20)
-    for m, metric in ((95.0, "huber"), (None, "mse")):
-        check_case(rng, "ISV", *PARTIAL, m, "mean_over_kept", metric, tied_rows=tied_rows)
+    for m in (95.0, None):
+        check_case(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
     real = probs(rng, *PARTIAL)
     virtual = probs(rng, *PARTIAL)
     virtual[list(tied_rows)] = real[list(tied_rows)]
@@ -203,7 +192,7 @@ def test_empty_batch_builds_reduces_and_backpropagates():
     r = Tensor(np.zeros((0, 3)), requires_grad=True)
     v = Tensor(np.zeros((0, 3)), requires_grad=True)
     edges = build_isv_edges(LogitBatch(r, v))
-    loss = loss_isv(edges, edges, None, reduction="sum")
+    loss = edges.values.sum()
     assert edges.values.shape == (0, 0, 3) and float(loss) == 0.0
     backward(loss)
     assert r.grad.shape == v.grad.shape == (0, 3)
@@ -237,7 +226,7 @@ def test_fused_path_residuals_beyond_delta(kind):
     # a small delta puts residuals on both branches of the Huber penalty
     rng = np.random.default_rng(13)
     for m in (50.0, None):
-        check_case(rng, kind, 9, 6, m, "mean_over_kept", "huber", delta=0.05)
+        check_case(rng, kind, 9, 6, m, delta=0.05)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -249,12 +238,11 @@ def test_all_pruned_mask_warns_and_returns_untaped_zero(kind):
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     with pytest.warns(RuntimeWarning, match="pruned"):
-        loss, g_real, g_virtual = run(kind, real, virtual, teacher, mask, 1.0,
-                                      "mean_over_kept", "huber", True)
+        loss, g_real, g_virtual = run(kind, real, virtual, teacher, mask, 1.0, True)
     assert float(loss) == 0.0 and g_real is None and g_virtual is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = run(kind, real, virtual, teacher, mask, 1.0, "mean_over_kept", "huber", False)
+        ref = run(kind, real, virtual, teacher, mask, 1.0, False)
     assert float(ref[0]) == 0.0
 
 
@@ -293,10 +281,8 @@ def test_builder_finite_difference(kind):
         assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
 
 
-@pytest.mark.parametrize("metric", ["huber", "mse"])
-@pytest.mark.parametrize("reduction", ["mean_over_kept", "sum"])
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_edge_loss_finite_difference(kind, reduction, metric):
+def test_edge_loss_finite_difference(kind):
     rng = np.random.default_rng(17)
     b, c = 4, 3
     shape = (b, b, c) if kind == "ISV" else (c, c, b)
@@ -304,7 +290,7 @@ def test_edge_loss_finite_difference(kind, reduction, metric):
     mask = random_mask(rng, kind, shape[:2], 75.0)
 
     def f(x):
-        return LOSSES[kind](EdgeTensor(kind, x), teacher, mask, 1.0, reduction, metric)
+        return LOSSES[kind](EdgeTensor(kind, x), teacher, mask, 1.0)
 
     for _ in range(5):
         assert finite_diff_check(f, rng.standard_normal(shape) * 0.3) < 1e-6
@@ -326,10 +312,9 @@ def test_overflowing_edges_name_the_fused_loss():
     values[0, 1] = 1e308
     student = EdgeTensor("ISV", Tensor(values))
     teacher = EdgeTensor("ISV", Tensor(-values))
-    for metric in ("huber", "mse"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="masked_edge_loss"):
-                loss_isv(student, teacher, None, metric=metric)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="masked_edge_loss"):
+            loss_isv(student, teacher, None)
 
 
 def test_l2_normalize_gradient_keeps_layout_of_upstream():

@@ -11,7 +11,6 @@ from vrm.pruning import (
     _batch_softmax,
     EdgeMask,
     apply_mask,
-    full_mask,
     joint_entropy_matrix,
     mixture_entropy,
     uep_mask,
@@ -165,8 +164,9 @@ def test_full_mask_matches_unmasked_loss():
     rng = np.random.default_rng(9)
     lb = softened_batch(rng, 5, 4)
     edges = build_isv_edges(lb)
-    assert full_mask(edges).kept_count == 25
-    masked = apply_mask(edges, full_mask(edges))
+    keep_all = uep_mask(joint_entropy_matrix(lb, "ISV"), 100.0)
+    assert keep_all.kept_count == 25
+    masked = apply_mask(edges, keep_all)
     assert np.array_equal(masked.data, edges.values.data)
 
 
