@@ -467,14 +467,15 @@ def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS, out=None):
     unit fibers, written to ``out`` when given, and the saved state
     :func:`_unit_fibers_grad` needs."""
     # temporaries are reused in place; each keeps the layout the
-    # out-of-place expression would give it, so sums add in the same order
-    sq = x * x
+    # out-of-place expression would give it, so sums add in the same order.
+    # The squares go to ``out`` (which has x's layout) until y overwrites them
+    sq = np.multiply(x, x, out=out)
     n = np.sqrt(sq.sum(axis=axis, keepdims=True))
     live = n >= eps
     # guarding and zeroing the dead fibers changes nothing when there are none
     all_live = live.all()
     n_safe = n if all_live else np.where(live, n, 1.0)
-    y = np.divide(x, n_safe, out=sq if out is None else out)
+    y = np.divide(x, n_safe, out=sq)
     if not all_live:
         np.copyto(y, 0.0, where=~live)
     return y, n_safe, live

@@ -18,10 +18,13 @@ from .graphs import (
     build_isv_edges,
     soften,
 )
-from .losses import VRMWeights, loss_isv, total_loss, uep_masks_for
+from .losses import VRMWeights, isv_edge_loss, loss_isv, total_loss, uep_masks_for
 from .pruning import joint_entropy_matrix, uep_mask
 
 GRAD_TOL = 1e-4
+# the ISV node is checked on raw unit-scale views, whose large differences
+# keep a central difference from straddling the Huber joint
+ISV_GRAD_TOL = 1e-6
 ORACLE_TOL = 1e-12
 
 
@@ -68,6 +71,24 @@ def gradient_checks(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     results.append(_grad_case(
         "grad:entropy",
         lambda x: ad.entropy(ad.softmax(x, axis=1), axis=1).sum(), (4, 5), n, seed + 5))
+
+    # the ISV term as training runs it: one node from both models' views
+    rng = np.random.default_rng(seed + 7)
+    worst = 0.0
+    for _ in range(n):
+        b, c = 4, 3
+        teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+        mask = uep_mask(rng.random((b, b)), 75.0, "ISV")
+
+        def isv_term(x, teacher=teacher, mask=mask):
+            views = LogitBatch(ad.row_slice(x, 0, b), ad.row_slice(x, b, 2 * b))
+            return isv_edge_loss(views, teacher, mask, 1.0)[0]
+
+        x = rng.standard_normal((2 * b, c))
+        worst = max(worst, ad.finite_diff_check(isv_term, ad.Tensor(x)))
+    results.append(CheckResult(
+        "grad:isv_edge_loss", worst < ISV_GRAD_TOL,
+        f"max rel err {worst:.3e} (tol {ISV_GRAD_TOL:g})"))
 
     # full objective with frozen masks
     rng = np.random.default_rng(seed + 6)
@@ -127,6 +148,25 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
         worst = max(worst, abs(fast - slow))
     results.append(CheckResult(
         "oracle:masked_loss", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
+
+    # the ISV term of total_loss, which training runs, against scalar loops
+    # over the scalar-loop edges of both models
+    worst = 0.0
+    weights = VRMWeights()
+    for _ in range(n):
+        b, c = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        student = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+        teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+        masks = uep_masks_for(student, weights)
+        labels = rng.integers(0, c, size=b)
+        fast = total_loss(student, teacher, labels, weights, masks).isv.item()
+        slow = _scalar_masked_loss(
+            brute_force_edges(soften(student, weights.tau), "ISV").values.data,
+            brute_force_edges(soften(teacher, weights.tau), "ISV").values.data,
+            masks[0].keep, weights.huber_delta)
+        worst = max(worst, abs(fast - slow))
+    results.append(CheckResult(
+        "oracle:total_loss_isv", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
     return results
 
 

@@ -144,8 +144,9 @@ def _effective(args, keys) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _DEFAULTS:
                 raise ParameterError(f"unknown config key {key!r}")
-            if key in keys:
-                merged[key] = _parse_number(type(_DEFAULTS[key]), val, f"config key {key}")
+            if key not in keys:
+                raise ParameterError(f"config key {key!r} does not apply to {args.command}")
+            merged[key] = _parse_number(type(_DEFAULTS[key]), val, f"config key {key}")
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -217,9 +218,10 @@ def cmd_gen_data(args, parser) -> int:
 
 
 def cmd_train_teacher(args, parser) -> int:
-    cfg = _effective(args, _TEACHER_KEYS)
+    cfg = _effective(args, _TEACHER_KEYS + ("widths",))
+    widths = cfg.pop("widths")  # the manifest lists the spec's widths
     data = load_dataset(args.data)
-    config, spec = _fit(cfg, data, args.widths, (64, 64), args.activation)
+    config, spec = _fit(cfg, data, widths, (64, 64), args.activation)
 
     with Run(args, {"data": str(Path(args.data)),
                     "widths": ",".join(map(str, spec.layer_widths)),

@@ -186,10 +186,8 @@ def _isv_edges(real: Tensor, virtual: Tensor) -> Tensor:
     samples: each block runs the whole-tensor expressions on rows ``i``,
     so its temporaries stay in cache, and writes into full-size outputs.
     That is exact: fibers run along the last axis and are never split,
-    the virtual view's gradient sums each row on its own, and the real
-    view's gradient, a sum over rows, keeps its running total in row 0
-    of the block buffer, so it adds the rows in the order one
-    ``sum(axis=0)`` over the whole tensor does.
+    and :func:`_isv_grad` sums the rows in the order the whole-tensor
+    sums do.
     """
     b, c = real.shape
     blocks = _row_blocks(b, b * c)
@@ -197,21 +195,44 @@ def _isv_edges(real: Tensor, virtual: Tensor) -> Tensor:
     n_safe = np.empty((b, b, 1))
     live = np.empty((b, b, 1), dtype=bool)
     for rows in blocks:
-        x = real.data.reshape(1, b, c) - virtual.data[rows].reshape(-1, 1, c)
-        _, n_safe[rows], live[rows] = _unit_fibers(x, 2, out=y[rows])
+        _, n_safe[rows], live[rows] = _isv_fibers(real.data, virtual.data[rows], y[rows])
 
     def grad_fn(g):
-        g_virtual = np.empty((b, c))
-        buf = np.empty((1 + blocks[0].stop, b, c))
-        for k, rows in enumerate(blocks):
-            n = rows.stop - rows.start
-            gx = _unit_fibers_grad(g[rows], y[rows], n_safe[rows], live[rows], 2,
-                                   out=buf[1:1 + n])
-            g_virtual[rows] = gx.sum(axis=1)
-            buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
-        return buf[0].copy(), -g_virtual
+        return _isv_grad(lambda rows: g[rows], y, n_safe, live, blocks)
 
     return _result(y, (real, virtual), grad_fn, "isv_edges")
+
+
+def _isv_fibers(real, virtual_rows, out, scratch=None):
+    """The ISV fibers of some virtual-view rows against every real-view
+    row, written to ``out``, plus the state :func:`_isv_grad` needs; the
+    differences go to ``scratch`` when given, a C-ordered buffer of
+    ``out``'s shape."""
+    b, c = real.shape
+    x = np.subtract(real.reshape(1, b, c), virtual_rows.reshape(-1, 1, c), out=scratch)
+    return _unit_fibers(x, 2, out=out)
+
+
+def _isv_grad(g_rows, y, n_safe, live, blocks):
+    """The [B, C] gradients of the real and virtual views from ISV fibers
+    ``y`` saved in row ``blocks``; ``g_rows(rows)`` gives the gradient of
+    the fibers of one block.
+
+    The virtual view's gradient sums each row on its own; the real
+    view's, a sum over rows, keeps its running total in row 0 of the
+    block buffer, so it adds the rows in the order one ``sum(axis=0)``
+    over the whole tensor does.
+    """
+    b, _, c = y.shape
+    g_virtual = np.empty((b, c))
+    buf = np.empty((1 + blocks[0].stop, b, c))
+    for k, rows in enumerate(blocks):
+        n = rows.stop - rows.start
+        gx = _unit_fibers_grad(g_rows(rows), y[rows], n_safe[rows], live[rows], 2,
+                               out=buf[1:1 + n])
+        g_virtual[rows] = gx.sum(axis=1)
+        buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
+    return buf[0].copy(), -g_virtual
 
 
 # -- scalar-loop oracle -------------------------------------------------

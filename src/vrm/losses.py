@@ -15,13 +15,16 @@ from .errors import InputError, ParameterError, UsageError, require_finite
 from .graphs import (
     EdgeTensor,
     LogitBatch,
+    _isv_fibers,
+    _isv_grad,
     build_icv_edges,
     build_isv_edges,
     soften,
 )
-# the fused edge loss applies mask weights itself; apply_mask stays bound
-# here because the benchmark's tracer wraps the step's helpers by name
-from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, mask_weights, uep_mask
+# the objective builds no ISV edges and applies no mask product itself;
+# build_isv_edges and apply_mask stay bound here because the benchmark's
+# tracer wraps the step's helpers by name
+from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, pruned_fibers, uep_mask
 
 
 @dataclass
@@ -78,25 +81,72 @@ def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
         raise UsageError("student and teacher edge kinds differ")
     if e_s.values.shape != e_t.values.shape:
         raise UsageError("student and teacher edge shapes differ")
-
-    if mask is None:
-        kept = e_s.values.shape[0] * e_s.values.shape[1]
-        weights = None
-    else:
-        kept = mask.kept_count
-        if kept == 0:
-            warnings.warn(
-                f"all {e_s.kind} edges pruned; relation loss is zero this step",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return Tensor(0.0), 0
-        weights = mask_weights(e_s, mask)
+    kept, pruned = _kept_fibers(e_s.kind, e_s.values.shape, mask)
+    if kept * e_s.fiber_length == 0:
+        return Tensor(0.0), kept
     scale = 1.0 / (kept * e_s.fiber_length)
-    return _edge_loss(e_s.values, e_t.values.data, weights, delta, scale), kept
+    return _edge_loss(e_s.values, e_t.values.data, pruned, delta, scale), kept
 
 
-def _edge_loss(values_s: Tensor, values_t, weights, delta: float, scale: float) -> Tensor:
+def _kept_fibers(kind: str, shape, mask: EdgeMask | None):
+    """The number of fibers ``mask`` keeps of edges of ``shape`` (all of
+    them without a mask) and the indices of the pruned ones, None when
+    there are none.  Warns when every fiber is pruned."""
+    if mask is None:
+        return shape[0] * shape[1], None
+    pruned = pruned_fibers(mask, kind, shape[:2])
+    kept = mask.kept_count
+    if kept == 0:
+        warnings.warn(f"all {kind} edges pruned; relation loss is zero this step",
+                      RuntimeWarning, stacklevel=4)
+    return kept, pruned if len(pruned[0]) else None
+
+
+def _block_fixups(pruned, blocks):
+    """The pruned fibers of each row block, indexed within the block, or
+    None for a block that has none; ``pruned`` is row-major."""
+    if pruned is None:
+        return [None] * len(blocks)
+    if len(blocks) == 1:
+        return [pruned]
+    rows, cols = pruned
+    cuts = np.searchsorted(rows, [r.start for r in blocks] + [blocks[-1].stop])
+    return [(rows[lo:hi] - r.start, cols[lo:hi]) if hi > lo else None
+            for r, lo, hi in zip(blocks, cuts[:-1], cuts[1:])]
+
+
+def _huber_rows(s, t, pruned, delta: float, elem, slope) -> None:
+    """The Huber penalty of the residual s - t into ``elem`` and its
+    slope into ``slope``, with the arithmetic of the composite of
+    apply_mask, huber and its clipped slope.
+
+    The 0/1 mask product changes no kept residual, and gives the pruned
+    fibers s*0 - t*0, a signed zero; those few fibers are fixed up after
+    one contiguous subtraction.  Likewise every entry gets 0.5 r^2, and
+    the few past ``delta`` (about 1 in 10^4) are then overwritten with
+    delta (|r| - delta/2) and their slope clipped to +-delta, the only
+    entries a clip would change.  ``elem`` and ``slope`` are dense and
+    share one layout, so their memory-order ravels are views that index
+    the same entries.
+    """
+    if pruned is not None:
+        # formed first: ``t`` may be ``slope`` itself
+        zeros = s[pruned] * 0.0 - t[pruned] * 0.0
+    np.subtract(s, t, out=slope)
+    if pruned is not None:
+        slope[pruned] = zeros
+    e, r = elem.ravel("K"), slope.ravel("K")
+    np.abs(r, out=e)
+    linear = np.flatnonzero(e > delta)
+    np.multiply(r, 0.5, out=e)
+    e *= r
+    if len(linear):
+        past = r[linear]
+        e[linear] = (np.abs(past) - 0.5 * delta) * delta
+        r[linear] = np.clip(past, -delta, delta)
+
+
+def _edge_loss(values_s: Tensor, values_t, pruned, delta: float, scale: float) -> Tensor:
     """Masked Huber penalty of the student edges against constant teacher
     edges, summed and scaled, as one tape node.
 
@@ -115,23 +165,8 @@ def _edge_loss(values_s: Tensor, values_t, weights, delta: float, scale: float) 
     slope = np.empty_like(s)
     blocks = (ad._row_blocks(len(s), math.prod(s.shape[1:])) if s.flags.c_contiguous
               else [slice(None)])
-    for rows in blocks:
-        e, r = elem[rows], slope[rows]
-        if weights is None:
-            np.subtract(s[rows], values_t[rows], out=r)
-        else:
-            w = weights[rows]
-            np.multiply(values_t[rows], w, out=e)
-            np.multiply(s[rows], w, out=r)
-            r -= e
-        # delta (|r| - delta / 2), then 0.5 r^2 where |r| <= delta
-        np.abs(r, out=e)
-        quadratic = e <= delta
-        e -= 0.5 * delta
-        e *= delta
-        np.multiply(0.5, r, out=e, where=quadratic)
-        np.multiply(e, r, out=e, where=quadratic)
-        np.clip(r, -delta, delta, out=r)
+    for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
+        _huber_rows(s[rows], values_t[rows], fixups, delta, elem[rows], slope[rows])
     out = np.asarray(elem.sum()) * scale
     # elem is free after the sum; a first backward writes the gradient into
     # it when it has the C layout that gradient needs, saving a fresh buffer
@@ -146,6 +181,60 @@ def _edge_loss(values_s: Tensor, values_t, weights, delta: float, scale: float) 
         return (np.multiply(g, slope, out=spare.pop() if spare else None, order="C"),)
 
     return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
+
+
+def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
+                  delta: float) -> tuple[Tensor, int]:
+    """The ISV term of the objective as one tape node, from both models'
+    softened views to the masked Huber loss.  Returns (scalar, kept_count).
+
+    It is :func:`build_isv_edges` of both batches followed by the masked
+    edge loss, run together through the row blocks of the ISV builder:
+    each block computes the student's fibers into the saved edges, the
+    teacher's into the block's rows of the slope buffer and then the
+    block's penalty while both are in cache, so the teacher's [B, B, C]
+    edges never exist.  The arithmetic and the layouts are those of the
+    separate nodes, so the value and the view gradients are bit-identical
+    to theirs.  Any non-finite fiber, the student's or the teacher's,
+    makes the loss non-finite, so one check of the loss covers them all.
+    """
+    if student.real.shape != teacher.real.shape:
+        raise UsageError("student and teacher shapes differ")
+    b, c = student.real.shape
+    kept, pruned = _kept_fibers("ISV", (b, b), mask)
+    if kept * c == 0:
+        return Tensor(0.0), kept
+    scale = 1.0 / (kept * c)
+    s_real, s_virtual = student.real.data, student.virtual.data
+    t_real, t_virtual = teacher.real.data, teacher.virtual.data
+    blocks = ad._row_blocks(b, b * c)
+    y = np.empty((b, b, c))
+    n_safe = np.empty((b, b, 1))
+    live = np.empty((b, b, 1), dtype=bool)
+    elem = np.empty_like(y)
+    slope = np.empty_like(y)
+    for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
+        # until the penalty overwrites them, a block's rows of elem hold
+        # the views' differences and its rows of slope the teacher's fibers
+        e, r = elem[rows], slope[rows]
+        _, n_safe[rows], live[rows] = _isv_fibers(s_real, s_virtual[rows], y[rows], e)
+        t, _, _ = _isv_fibers(t_real, t_virtual[rows], r, e)
+        _huber_rows(y[rows], t, fixups, delta, e, r)
+    out = np.asarray(elem.sum()) * scale
+    del elem
+
+    def grad_fn(g):
+        g = g * scale
+        g_buf = np.empty((blocks[0].stop, b, c))
+
+        def g_rows(rows):
+            # the separate loss node formed g * slope over the whole tensor
+            # before the builder's backward read it block by block
+            return np.multiply(g, slope[rows], out=g_buf[:rows.stop - rows.start])
+
+        return _isv_grad(g_rows, y, n_safe, live, blocks)
+
+    return ad._result(out, (student.real, student.virtual), grad_fn, "isv_edge_loss"), kept
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
@@ -209,16 +298,11 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
     if masks is None:
         masks = uep_masks_for(s_in, weights)
 
-    # one edge kind at a time: a kind's edges are freed before the next
-    # kind is built, which keeps the step's peak memory down
-    terms = []
-    for build, mask in zip((build_isv_edges, build_icv_edges), masks):
-        e_s = build(s_in)
-        with ad.no_grad():
-            e_t = build(t_in)
-        terms.append(_masked_edge_loss(e_s, e_t, mask, weights.huber_delta))
-        del e_s, e_t
-    (isv, kept_isv), (icv, kept_icv) = terms
+    isv, kept_isv = isv_edge_loss(s_in, t_in, masks[0], weights.huber_delta)
+    e_s = build_icv_edges(s_in)
+    with ad.no_grad():
+        e_t = build_icv_edges(t_in)
+    icv, kept_icv = _masked_edge_loss(e_s, e_t, masks[1], weights.huber_delta)
 
     total = ce_real + ce_virtual + isv * weights.alpha + icv * weights.beta
     return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv)

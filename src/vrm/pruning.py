@@ -134,14 +134,19 @@ def apply_mask(edges: EdgeTensor, mask: EdgeMask) -> Tensor:
     Multiplication by the 0/1 mask makes pruned fibers contribute
     exactly zero to any reduction and pass exactly zero gradient back.
     """
-    return edges.values * Tensor(mask_weights(edges, mask))
+    _check_fit(mask, edges.kind, edges.values.shape[:2])
+    return edges.values * Tensor(mask.keep.astype(float)[:, :, None])
 
 
-def mask_weights(edges: EdgeTensor, mask: EdgeMask) -> np.ndarray:
-    """The 0/1 fiber weights of ``mask``, shaped to broadcast over ``edges``."""
-    if edges.kind != mask.kind:
-        raise UsageError(f"mask kind {mask.kind} does not match edges {edges.kind}")
-    if edges.values.shape[:2] != mask.keep.shape:
+def pruned_fibers(mask: EdgeMask, kind: str, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, in row-major order, of the fibers ``mask``
+    prunes from edges of ``kind`` whose leading axes have ``shape``."""
+    _check_fit(mask, kind, shape)
+    return np.nonzero(~mask.keep)
+
+
+def _check_fit(mask: EdgeMask, kind: str, shape) -> None:
+    if kind != mask.kind:
+        raise UsageError(f"mask kind {mask.kind} does not match edges {kind}")
+    if tuple(shape) != mask.keep.shape:
         raise UsageError("mask shape does not match edge leading axes")
-    return mask.keep.astype(float)[:, :, None]
-

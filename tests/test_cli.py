@@ -265,6 +265,30 @@ def test_config_file_with_flag_override(run_env):
     assert "seed=9" in (run_env / "runs" / "cfg2" / "manifest.txt").read_text()
 
 
+def test_teacher_config_file_widths_apply_and_the_flag_wins(run_env):
+    data = gen_data(run_env)
+    cfg = run_env / "teacher.cfg"
+    cfg.write_text("widths=6,12,3\nepochs=2\nmilestones=1\nbatch_size=16\n")
+    assert main(["train-teacher", "--data", str(data), "--config", str(cfg),
+                 "--name", "t1"]) == 0
+    assert "widths=6,12,3\n" in (run_env / "runs" / "t1" / "manifest.txt").read_text()
+    assert main(["train-teacher", "--data", str(data), "--config", str(cfg),
+                 "--widths", "6,8,3", "--name", "t2"]) == 0
+    assert "widths=6,8,3\n" in (run_env / "runs" / "t2" / "manifest.txt").read_text()
+
+
+def test_teacher_config_file_objective_exits_2_before_the_run_dir(run_env, capsys):
+    data = gen_data(run_env)
+    cfg = run_env / "teacher.cfg"
+    cfg.write_text("epochs=2\nobjective=vrm\n")
+    code = main(["train-teacher", "--data", str(data), "--config", str(cfg),
+                 "--name", "t"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "'objective'" in err and "Traceback" not in err
+    assert not (run_env / "runs" / "t").exists()
+
+
 def test_ablate_sweep_cardinality(run_env):
     data = gen_data(run_env)
     ckpt = train_teacher(run_env, data)
@@ -305,6 +329,8 @@ def test_check_quick_passes_fast(run_env, capsys):
     out = capsys.readouterr().out
     assert elapsed < 30.0
     assert "PASS grad:huber" in out and "PASS oracle:ISV" in out
+    # the ISV term as training runs it
+    assert "PASS grad:isv_edge_loss" in out and "PASS oracle:total_loss_isv" in out
     assert "all" in out and "passed" in out
 
 

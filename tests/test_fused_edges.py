@@ -1,5 +1,6 @@
-"""The fused cross-view edge builders and the fused masked edge loss
-against the composite of public tape ops they replace.
+"""The fused cross-view edge builders, the fused masked edge loss and
+the fused ISV term of the objective against the composite of public tape
+ops they replace.
 
 The composite below is the reference: it builds the edges from reshape,
 subtraction, transpose and l2_normalize, and the loss from apply_mask,
@@ -16,7 +17,7 @@ from vrm import autodiff as ad
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
 from vrm.errors import NumericError
 from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges
-from vrm.losses import loss_icv, loss_isv
+from vrm.losses import isv_edge_loss, loss_icv, loss_isv
 from vrm.pruning import EdgeMask, apply_mask, uep_mask
 
 BUILDERS = {"ISV": build_isv_edges, "ICV": build_icv_edges}
@@ -335,3 +336,172 @@ def test_l2_normalize_gradient_keeps_layout_of_upstream():
     assert_same_bits(y.data, y_ref)
     assert_same_bits(xt.grad, gx_ref)
     assert y.data.strides == y_ref.strides
+
+
+# -- empty batches ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_empty_batch_loss_is_an_untaped_zero(kind):
+    views = LogitBatch(Tensor(np.zeros((0, 3)), requires_grad=True),
+                       Tensor(np.zeros((0, 3)), requires_grad=True))
+    edges = BUILDERS[kind](views)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = LOSSES[kind](edges, edges, None)
+    assert float(loss) == 0.0 and loss.node is None
+
+
+# -- the fused ISV term of the objective ----------------------------------------
+
+
+def run_isv_term(real, virtual, teacher, mask, delta, fused):
+    """The ISV term and the gradients of both views: the fused node, or the
+    reference composite of build_isv_edges on both models, apply_mask and
+    huber."""
+    r = Tensor(real, requires_grad=True)
+    v = Tensor(virtual, requires_grad=True)
+    if fused:
+        loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, delta)
+    else:
+        e_s = build_isv_edges(LogitBatch(r, v))
+        with ad.no_grad():
+            e_t = build_isv_edges(teacher)
+        loss = composite_loss(e_s, e_t, mask, delta)
+    if loss.node is not None:
+        backward(loss)
+    return loss.data, r.grad, v.grad
+
+
+def check_isv_term(rng, b, c, m, delta=1.0, tied_rows=()):
+    real = probs(rng, b, c)
+    virtual = probs(rng, b, c)
+    virtual[list(tied_rows)] = real[list(tied_rows)]
+    virtual[list(tied_rows), 0] += 1e-14
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, "ISV", (b, b), m)
+    fused = run_isv_term(real, virtual, teacher, mask, delta, True)
+    ref = run_isv_term(real, virtual, teacher, mask, delta, False)
+    for x, y in zip(fused, ref):
+        assert_same_bits(x, y)
+    return real, virtual, teacher
+
+
+# 131 x 24 runs in blocks of 10 rows with a one-row last block
+ISV_SHAPES = [(128, 32), PARTIAL, (7, 5)]
+
+
+@pytest.mark.parametrize("shape", ISV_SHAPES, ids=["128x32", "131x24", "7x5"])
+@pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
+def test_isv_term_is_bit_identical_to_composite(shape, m):
+    check_isv_term(np.random.default_rng(30), *shape, m)
+
+
+@pytest.mark.parametrize("shape", [PARTIAL, (7, 5)], ids=["131x24", "7x5"])
+def test_isv_term_both_huber_branches(shape):
+    delta = 0.05
+    real, virtual, teacher = check_isv_term(np.random.default_rng(31), *shape, 95.0, delta)
+    residual = (build_isv_edges(LogitBatch(real, virtual)).values.data
+                - build_isv_edges(teacher).values.data)
+    assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
+
+
+@pytest.mark.parametrize("tied_rows", [(4,), (3, 71, 130), tuple(range(131))],
+                         ids=["one-block-dead", "three-blocks-dead", "every-block-dead"])
+def test_isv_term_with_dead_fibers(tied_rows):
+    rng = np.random.default_rng(32)
+    for m in (95.0, None):
+        check_isv_term(rng, *PARTIAL, m, tied_rows=tied_rows)
+
+
+def test_isv_term_with_whole_rows_and_columns_pruned():
+    # a view row whose fibers are all pruned gets a zero gradient
+    rng = np.random.default_rng(37)
+    b, c = 9, 6
+    keep = rng.random((b, b)) < 0.7
+    keep[2] = keep[5] = False
+    keep[:, 4] = False
+    mask = EdgeMask("ISV", keep, 70.0, 0.0)
+    real, virtual = probs(rng, b, c), probs(rng, b, c)
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    fused = run_isv_term(real, virtual, teacher, mask, 1.0, True)
+    ref = run_isv_term(real, virtual, teacher, mask, 1.0, False)
+    for x, y in zip(fused, ref):
+        assert_same_bits(x, y)
+    assert not ref[2][[2, 5]].any() and not ref[1][4].any()
+
+
+def test_isv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
+    rng = np.random.default_rng(33)
+    b, c = 5, 4
+    mask = EdgeMask("ISV", np.zeros((b, b), dtype=bool), 50.0, 0.0)
+    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
+                       Tensor(probs(rng, b, c), requires_grad=True))
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    with pytest.warns(RuntimeWarning, match="all ISV edges pruned"):
+        loss, kept = isv_edge_loss(views, teacher, mask, 1.0)
+    assert float(loss) == 0.0 and loss.node is None and kept == 0
+
+
+def test_isv_term_of_an_empty_batch_is_an_untaped_zero():
+    views = LogitBatch(Tensor(np.zeros((0, 3)), requires_grad=True),
+                       Tensor(np.zeros((0, 3)), requires_grad=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, kept = isv_edge_loss(views, views, None, 1.0)
+    assert float(loss) == 0.0 and loss.node is None and kept == 0
+
+
+def test_isv_term_second_backward_through_a_kept_alive_loss():
+    rng = np.random.default_rng(34)
+    b, c = PARTIAL
+    real, virtual = probs(rng, b, c), probs(rng, b, c)
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, "ISV", (b, b), 95.0)
+    _, ref_real, ref_virtual = run_isv_term(real, virtual, teacher, mask, 1.0, False)
+    r = Tensor(real, requires_grad=True)
+    v = Tensor(virtual, requires_grad=True)
+    loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, 1.0)
+    for _ in range(2):
+        r.grad = v.grad = None
+        backward(loss * 1.0)
+        assert_same_bits(r.grad, ref_real)
+        assert_same_bits(v.grad, ref_virtual)
+
+
+def test_isv_term_is_one_tape_node_over_the_student_views():
+    rng = np.random.default_rng(35)
+    views = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
+                       Tensor(probs(rng, 6, 4), requires_grad=True))
+    loss, kept = isv_edge_loss(views, LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4)),
+                               None, 1.0)
+    assert loss.node.op == "isv_edge_loss" and kept == 36
+    assert loss.node.inputs == (views.real, views.virtual)
+
+
+def test_isv_term_finite_difference():
+    rng = np.random.default_rng(36)
+    b, c = 4, 3
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, "ISV", (b, b), 75.0)
+
+    def f(x):
+        views = LogitBatch(row_slice(x, 0, b), row_slice(x, b, 2 * b))
+        return isv_edge_loss(views, teacher, mask, 0.2)[0]
+
+    for _ in range(5):
+        assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
+
+
+@pytest.mark.parametrize("side", ["student", "teacher"])
+def test_overflowing_views_name_the_isv_term(side):
+    b, c = PARTIAL
+    huge = np.zeros((b, c)), np.zeros((b, c))
+    huge[1][-1] = 1e308
+    huge[0][0] = -1e308
+    calm = LogitBatch(np.zeros((b, c)), np.zeros((b, c)))
+    views = LogitBatch(*huge) if side == "student" else calm
+    teacher = LogitBatch(*huge) if side == "teacher" else calm
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="isv_edge_loss"):
+            isv_edge_loss(views, teacher, None, 1.0)
