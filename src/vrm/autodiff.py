@@ -507,6 +507,59 @@ def _row_blocks(n_rows, row_elems):
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
 
 
+# numpy sums a contiguous run of at most this many float64 values in one
+# fixed loop, and splits a longer run in two
+_PAIRWISE_LEAF = 128
+
+
+def _blocked_sum(chunks, n):
+    """``np.sum`` of ``n`` >= 1 float64 values that arrive in order as the
+    flat arrays ``chunks``, bit for bit, holding one chunk at a time: a
+    chunk may be overwritten once the next one is drawn.
+
+    numpy adds a run pairwise.  A run longer than a leaf is split at half
+    its length, rounded down to a multiple of 8.  This walks the same tree:
+    a range inside one chunk is the same subtree, so ``np.sum`` gives its
+    value; a leaf that spans chunks is gathered first; and the partial sums
+    are added in the tree's order.  (``np.sum`` starts from +0.0, which
+    changes no value but a zero's sign, for the parts as for the whole.)
+    """
+    chunks = iter(chunks)
+    held = [np.empty(0), 0]  # the chunk in hand and the index of its first value
+
+    def piece(lo, hi, gather):
+        # values lo..hi, drawing chunks as the walk moves forward; values
+        # that span chunks are copied together if ``gather``, else None
+        chunk, start = held
+        while lo >= start + len(chunk):
+            start += len(chunk)
+            chunk = next(chunks)
+        parts = []
+        while gather and hi > start + len(chunk):
+            parts.append(chunk[max(lo - start, 0):].copy())
+            start += len(chunk)
+            chunk = next(chunks)
+        held[:] = chunk, start
+        if hi > start + len(chunk):
+            return None
+        tail = chunk[max(lo - start, 0):hi - start]
+        return np.concatenate([*parts, tail]) if parts else tail
+
+    return _pairwise_sum(piece, 0, n)
+
+
+def _pairwise_sum(piece, lo, hi):
+    """The sum of values lo..hi in numpy's pairwise order, their arrays
+    drawn from ``piece`` of :func:`_blocked_sum`.  A module-level function,
+    so no closure refers to itself and the chunks are freed on return."""
+    values = piece(lo, hi, hi - lo <= _PAIRWISE_LEAF)
+    if values is not None:
+        return values.sum()
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(piece, lo, lo + half) + _pairwise_sum(piece, lo + half, hi)
+
+
 def huber(a, b, delta=1.0) -> Tensor:
     """Elementwise Huber penalty of the residual a - b.
 

@@ -18,13 +18,14 @@ from .graphs import (
     build_isv_edges,
     soften,
 )
-from .losses import VRMWeights, isv_edge_loss, loss_isv, total_loss, uep_masks_for
+from .losses import (VRMWeights, icv_edge_loss, isv_edge_loss, loss_isv, total_loss,
+                     uep_masks_for)
 from .pruning import joint_entropy_matrix, uep_mask
 
 GRAD_TOL = 1e-4
-# the ISV node is checked on raw unit-scale views, whose large differences
-# keep a central difference from straddling the Huber joint
-ISV_GRAD_TOL = 1e-6
+# the fused ISV and ICV nodes are checked on raw unit-scale views, whose
+# large differences keep a central difference from straddling the Huber joint
+TERM_GRAD_TOL = 1e-6
 ORACLE_TOL = 1e-12
 
 
@@ -72,23 +73,25 @@ def gradient_checks(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         "grad:entropy",
         lambda x: ad.entropy(ad.softmax(x, axis=1), axis=1).sum(), (4, 5), n, seed + 5))
 
-    # the ISV term as training runs it: one node from both models' views
-    rng = np.random.default_rng(seed + 7)
-    worst = 0.0
-    for _ in range(n):
-        b, c = 4, 3
-        teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
-        mask = uep_mask(rng.random((b, b)), 75.0, "ISV")
+    # the ISV and ICV terms as training runs them: one node each from both
+    # models' views, under a frozen mask
+    b, c = 4, 3
+    for offset, kind, node in ((7, "ISV", isv_edge_loss), (8, "ICV", icv_edge_loss)):
+        rng = np.random.default_rng(seed + offset)
+        worst = 0.0
+        for _ in range(n):
+            teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+            mask = uep_mask(rng.random((b, b) if kind == "ISV" else (c, c)), 75.0, kind)
 
-        def isv_term(x, teacher=teacher, mask=mask):
-            views = LogitBatch(ad.row_slice(x, 0, b), ad.row_slice(x, b, 2 * b))
-            return isv_edge_loss(views, teacher, mask, 1.0)[0]
+            def term(x, teacher=teacher, mask=mask, node=node):
+                views = LogitBatch(ad.row_slice(x, 0, b), ad.row_slice(x, b, 2 * b))
+                return node(views, teacher, mask, 1.0)[0]
 
-        x = rng.standard_normal((2 * b, c))
-        worst = max(worst, ad.finite_diff_check(isv_term, ad.Tensor(x)))
-    results.append(CheckResult(
-        "grad:isv_edge_loss", worst < ISV_GRAD_TOL,
-        f"max rel err {worst:.3e} (tol {ISV_GRAD_TOL:g})"))
+            x = rng.standard_normal((2 * b, c))
+            worst = max(worst, ad.finite_diff_check(term, ad.Tensor(x)))
+        results.append(CheckResult(
+            f"grad:{kind.lower()}_edge_loss", worst < TERM_GRAD_TOL,
+            f"max rel err {worst:.3e} (tol {TERM_GRAD_TOL:g})"))
 
     # full objective with frozen masks
     rng = np.random.default_rng(seed + 6)
@@ -149,9 +152,9 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
     results.append(CheckResult(
         "oracle:masked_loss", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
 
-    # the ISV term of total_loss, which training runs, against scalar loops
-    # over the scalar-loop edges of both models
-    worst = 0.0
+    # the ISV and ICV terms of total_loss, which training runs, against scalar
+    # loops over the scalar-loop edges of both models
+    worst = {"ISV": 0.0, "ICV": 0.0}
     weights = VRMWeights()
     for _ in range(n):
         b, c = int(rng.integers(2, 9)), int(rng.integers(2, 6))
@@ -159,14 +162,17 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
         teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
         masks = uep_masks_for(student, weights)
         labels = rng.integers(0, c, size=b)
-        fast = total_loss(student, teacher, labels, weights, masks).isv.item()
-        slow = _scalar_masked_loss(
-            brute_force_edges(soften(student, weights.tau), "ISV").values.data,
-            brute_force_edges(soften(teacher, weights.tau), "ISV").values.data,
-            masks[0].keep, weights.huber_delta)
-        worst = max(worst, abs(fast - slow))
-    results.append(CheckResult(
-        "oracle:total_loss_isv", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
+        breakdown = total_loss(student, teacher, labels, weights, masks)
+        for kind, fast, mask in (("ISV", breakdown.isv, masks[0]),
+                                 ("ICV", breakdown.icv, masks[1])):
+            slow = _scalar_masked_loss(
+                brute_force_edges(soften(student, weights.tau), kind).values.data,
+                brute_force_edges(soften(teacher, weights.tau), kind).values.data,
+                mask.keep, weights.huber_delta)
+            worst[kind] = max(worst[kind], abs(fast.item() - slow))
+    for kind, dev in worst.items():
+        results.append(CheckResult(
+            f"oracle:total_loss_{kind.lower()}", dev < ORACLE_TOL, f"max abs dev {dev:.3e}"))
     return results
 
 

@@ -60,11 +60,16 @@ class Run:
     """A command's run directory under VRM_RUN_DIR and its flat key=value
     manifest.  Entering creates both, at status=running; leaving ends the
     run ``complete``, or ``diverged`` (a TrainingError) or ``failed`` with
-    ``error_class`` when an exception escapes, which then propagates."""
+    ``error_class`` when an exception escapes, which then propagates.
+    A ``--name`` must be one directory name, so the run stays under the root."""
 
     def __init__(self, args, config: dict):
-        root = Path(os.environ.get("VRM_RUN_DIR", "./runs"))
-        self.dir = root / (args.name or f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}")
+        name = args.name
+        if name is None:
+            name = f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
+        elif name in ("", ".", "..") or Path(name).name != name:
+            raise ParameterError(f"--name {name!r} must be a single directory name")
+        self.dir = Path(os.environ.get("VRM_RUN_DIR", "./runs")) / name
         self.fields = {"command": args.command, "version": __version__, "status": "running",
                        "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **config}
 

@@ -2,6 +2,7 @@
 dataset file format."""
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -76,8 +77,13 @@ def make_synthetic_dataset(kind: str, n_classes: int, dim: int, n_per_class: int
         raise ParameterError("need >= 2 classes")
     if n_per_class < 10:
         raise ParameterError("need >= 10 points per class")
-    if noise < 0:
-        raise ParameterError("noise must be nonnegative")
+    min_dim = 2 if kind == "spirals" else 1
+    if dim < min_dim:
+        raise ParameterError(f"{kind} need dim >= {min_dim}")
+    if not 0.0 <= noise < math.inf:
+        raise ParameterError("noise must be finite and nonnegative")
+    if seed < 0:
+        raise ParameterError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     n = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes), n_per_class)
@@ -123,6 +129,8 @@ class AugmentSpec:
             raise ParameterError("n_ops must lie in [0, len(op_pool)]")
         if not 0.0 <= self.magnitude <= 1.0:
             raise ParameterError("magnitude must lie in [0, 1]")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 def _seed_words(parts) -> np.ndarray:

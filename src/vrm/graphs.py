@@ -165,17 +165,32 @@ def _icv_edges(real: Tensor, virtual: Tensor) -> Tensor:
     of reshape, subtract, transpose and l2_normalize, so every reduction
     adds in the same order and the gradients are bit-identical to it.
     """
-    b, c = real.shape
-    x = (real.data.reshape(b, 1, c) - virtual.data.reshape(b, c, 1)).transpose(1, 2, 0)
-    y, n_safe, live = _unit_fibers(x, 2)
+    y, n_safe, live = _icv_fibers(real.data, virtual.data)
 
     def grad_fn(g):
-        # each view's gradient sums the broadcast difference over the
-        # axis only the other view varies along
-        g_diff = _unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
-        return g_diff.sum(axis=1), -g_diff.sum(axis=2)
+        return _icv_grad(g, y, n_safe, live)
 
     return _result(y, (real, virtual), grad_fn, "icv_edges")
+
+
+def _icv_fibers(real, virtual, out=None, scratch=None):
+    """The ICV fibers of two [B, C] views, plus the state :func:`_icv_grad`
+    needs.  Their [B, C, C] difference, written to ``scratch`` when given,
+    is normalized through its [C, C, B] view into ``out`` when given, a
+    C-ordered [B, C, C] buffer, so the fibers keep the difference's layout."""
+    b, c = real.shape
+    x = np.subtract(real.reshape(b, 1, c), virtual.reshape(b, c, 1), out=scratch)
+    return _unit_fibers(x.transpose(1, 2, 0), 2,
+                        out=None if out is None else out.transpose(1, 2, 0))
+
+
+def _icv_grad(g, y, n_safe, live):
+    """The [B, C] gradients of the real and virtual views from the
+    gradient ``g`` of the ICV fibers ``y``."""
+    # each view's gradient sums the broadcast difference over the axis
+    # only the other view varies along
+    g_diff = _unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
+    return g_diff.sum(axis=1), -g_diff.sum(axis=2)
 
 
 def _isv_edges(real: Tensor, virtual: Tensor) -> Tensor:

@@ -3,7 +3,6 @@ edges between teacher and student, plus label supervision on both views.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,15 +14,17 @@ from .errors import InputError, ParameterError, UsageError, require_finite
 from .graphs import (
     EdgeTensor,
     LogitBatch,
+    _icv_fibers,
+    _icv_grad,
     _isv_fibers,
     _isv_grad,
     build_icv_edges,
     build_isv_edges,
     soften,
 )
-# the objective builds no ISV edges and applies no mask product itself;
-# build_isv_edges and apply_mask stay bound here because the benchmark's
-# tracer wraps the step's helpers by name
+# the objective builds no edges and applies no mask product itself;
+# build_isv_edges, build_icv_edges and apply_mask stay bound here because
+# the benchmark's tracer wraps the step's helpers by name
 from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, pruned_fibers, uep_mask
 
 
@@ -159,26 +160,18 @@ def _edge_loss(values_s: Tensor, values_t, pruned, delta: float, scale: float) -
     s = values_s.data
     # the outputs keep the layout of the edges (one builder makes both
     # sides), as the composite's temporaries did, so elem.sum() adds in
-    # the same order; a C-ordered tensor is streamed through row blocks
-    # that stay in cache, since every step but that sum is elementwise
+    # the same order
     elem = np.empty_like(s)
     slope = np.empty_like(s)
-    blocks = (ad._row_blocks(len(s), math.prod(s.shape[1:])) if s.flags.c_contiguous
-              else [slice(None)])
-    for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
-        _huber_rows(s[rows], values_t[rows], fixups, delta, elem[rows], slope[rows])
+    _huber_rows(s, values_t, pruned, delta, elem, slope)
     out = np.asarray(elem.sum()) * scale
-    # elem is free after the sum; a first backward writes the gradient into
-    # it when it has the C layout that gradient needs, saving a fresh buffer
-    spare = [elem] if elem.flags.c_contiguous else []
 
     def grad_fn(g):
-        g = g * scale
         # the composite spreads g over a C-ordered buffer before the
         # product; the layout fixes the order of later fiber-axis sums.
         # It then multiplies by the 0/1 weights, which changes no bit: the
         # slope is already a signed zero wherever a weight is 0
-        return (np.multiply(g, slope, out=spare.pop() if spare else None, order="C"),)
+        return (np.multiply(g * scale, slope, order="C"),)
 
     return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
 
@@ -192,11 +185,14 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     edge loss, run together through the row blocks of the ISV builder:
     each block computes the student's fibers into the saved edges, the
     teacher's into the block's rows of the slope buffer and then the
-    block's penalty while both are in cache, so the teacher's [B, B, C]
-    edges never exist.  The arithmetic and the layouts are those of the
-    separate nodes, so the value and the view gradients are bit-identical
-    to theirs.  Any non-finite fiber, the student's or the teacher's,
-    makes the loss non-finite, so one check of the loss covers them all.
+    block's penalty into a block-sized scratch buffer while all are in
+    cache, so neither the teacher's [B, B, C] edges nor a full-size
+    penalty ever exist.  The arithmetic and the layouts are those of the
+    separate nodes, and :func:`autodiff._blocked_sum` adds the penalties
+    as one sum over the whole tensor does, so the value and the view
+    gradients are bit-identical to theirs.  Any non-finite fiber, the
+    student's or the teacher's, makes the loss non-finite, so one check of
+    the loss covers them all.
     """
     if student.real.shape != teacher.real.shape:
         raise UsageError("student and teacher shapes differ")
@@ -211,17 +207,20 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     y = np.empty((b, b, c))
     n_safe = np.empty((b, b, 1))
     live = np.empty((b, b, 1), dtype=bool)
-    elem = np.empty_like(y)
     slope = np.empty_like(y)
-    for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
-        # until the penalty overwrites them, a block's rows of elem hold
-        # the views' differences and its rows of slope the teacher's fibers
-        e, r = elem[rows], slope[rows]
-        _, n_safe[rows], live[rows] = _isv_fibers(s_real, s_virtual[rows], y[rows], e)
-        t, _, _ = _isv_fibers(t_real, t_virtual[rows], r, e)
-        _huber_rows(y[rows], t, fixups, delta, e, r)
-    out = np.asarray(elem.sum()) * scale
-    del elem
+    scratch = np.empty((blocks[0].stop, b, c))
+
+    def penalties():
+        for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
+            # the scratch holds the views' differences until the penalty
+            # overwrites them, and the block's rows of slope the teacher's fibers
+            e, r = scratch[:rows.stop - rows.start], slope[rows]
+            _, n_safe[rows], live[rows] = _isv_fibers(s_real, s_virtual[rows], y[rows], e)
+            t, _, _ = _isv_fibers(t_real, t_virtual[rows], r, e)
+            _huber_rows(y[rows], t, fixups, delta, e, r)
+            yield e.ravel()
+
+    out = np.asarray(ad._blocked_sum(penalties(), b * b * c)) * scale
 
     def grad_fn(g):
         g = g * scale
@@ -235,6 +234,46 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
         return _isv_grad(g_rows, y, n_safe, live, blocks)
 
     return ad._result(out, (student.real, student.virtual), grad_fn, "isv_edge_loss"), kept
+
+
+def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
+                  delta: float) -> tuple[Tensor, int]:
+    """The ICV term of the objective as one tape node, from both models'
+    softened views to the masked Huber loss.  Returns (scalar, kept_count).
+
+    It is :func:`build_icv_edges` of both batches followed by the masked
+    edge loss, on their array layouts: [B, C, C] buffers viewed as
+    [C, C, B] edges.  The student's fibers are saved, the teacher's are
+    written into the slope buffer, and the student's difference buffer
+    takes the penalty, so the teacher's edges never exist on their own.
+    The norm and penalty sums run in the same memory order and the
+    backward forms the same C-ordered ``g * slope``, so the value and the
+    view gradients are bit-identical to the separate nodes'.  As in
+    :func:`isv_edge_loss`, one check of the loss covers every fiber.
+    """
+    if student.real.shape != teacher.real.shape:
+        raise UsageError("student and teacher shapes differ")
+    b, c = student.real.shape
+    if c < 2:
+        raise InputError("inter-class edges need at least 2 classes")
+    kept, pruned = _kept_fibers("ICV", (c, c), mask)
+    if kept * b == 0:
+        return Tensor(0.0), kept
+    scale = 1.0 / (kept * b)
+    diff = np.empty((b, c, c))
+    y, n_safe, live = _icv_fibers(student.real.data, student.virtual.data, scratch=diff)
+    # the teacher's fibers, until the penalty turns them into its slope
+    slope = _icv_fibers(teacher.real.data, teacher.virtual.data, np.empty_like(diff), diff)[0]
+    elem = diff.transpose(1, 2, 0)
+    _huber_rows(y, slope, pruned, delta, elem, slope)
+    out = np.asarray(elem.sum()) * scale
+
+    def grad_fn(g):
+        # the separate loss node spread g over a C-ordered buffer, whose
+        # layout fixes the order of the builder's fiber-axis sums
+        return _icv_grad(np.multiply(g * scale, slope, order="C"), y, n_safe, live)
+
+    return ad._result(out, (student.real, student.virtual), grad_fn, "icv_edge_loss"), kept
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
@@ -299,10 +338,7 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
         masks = uep_masks_for(s_in, weights)
 
     isv, kept_isv = isv_edge_loss(s_in, t_in, masks[0], weights.huber_delta)
-    e_s = build_icv_edges(s_in)
-    with ad.no_grad():
-        e_t = build_icv_edges(t_in)
-    icv, kept_icv = _masked_edge_loss(e_s, e_t, masks[1], weights.huber_delta)
+    icv, kept_icv = icv_edge_loss(s_in, t_in, masks[1], weights.huber_delta)
 
     total = ce_real + ce_virtual + isv * weights.alpha + icv * weights.beta
     return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv)

@@ -43,6 +43,8 @@ class TrainConfig:
         self.milestones = stones
         if self.epochs < 1:
             raise ParameterError("epochs must be positive")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
         if self.lr <= 0:
             raise ParameterError("learning rate must be positive")
 

@@ -242,6 +242,55 @@ def test_directory_as_input_artifact_exits_3(run_env, capsys, flag):
     assert not (run_env / "runs" / "x").exists()
 
 
+BAD_NAMES = ["../escape", "a/b", "<abs>", "", ".", ".."]
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "ablate", "pilot"])
+def test_run_name_outside_the_run_root_exits_2_before_any_directory(run_env, capsys, command):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    train = ["--data", str(data), "--epochs", "2", "--milestones", "1"]
+    argv = {"train-teacher": ["train-teacher", *train],
+            "distill": ["distill", *train, "--teacher", str(ckpt)],
+            "ablate": ["ablate", *train, "--teacher", str(ckpt), "--objectives", "ce_only",
+                       "--seeds", "0"],
+            "pilot": ["pilot", "--batch", "8", "--dim", "4", "--spurious-index", "1",
+                      "--seeds", "1"]}[command]
+    absolute = run_env / "abs"
+    for name in BAD_NAMES:
+        code = main([*argv, "--name", str(absolute) if name == "<abs>" else name])
+        assert_clean_error(capsys, code, 2)
+        assert not (run_env / "runs").exists()
+        assert not (run_env / "escape").exists() and not absolute.exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "ablate"])
+def test_negative_seed_exits_2_before_the_run_dir(run_env, capsys, command):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    common = ["--data", str(data), "--epochs", "2", "--milestones", "1", "--name", "neg"]
+    argv = {"train-teacher": ["train-teacher", *common, "--seed", "-1"],
+            "distill": ["distill", *common, "--teacher", str(ckpt), "--seed", "-1"],
+            "ablate": ["ablate", *common, "--teacher", str(ckpt), "--objectives", "ce_only",
+                       "--seeds", "0,-1"]}[command]
+    assert_clean_error(capsys, main(argv), 2)
+    assert not (run_env / "runs" / "neg").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--kind", "spirals", "--dim", "1"],
+                                   ["--dim", "0"], ["--noise", "nan"], ["--noise", "inf"]],
+                         ids=["negative-seed", "spirals-dim-1", "dim-0", "noise-nan", "noise-inf"])
+def test_gen_data_degenerate_request_exits_2_without_a_file(run_env, capsys, flags):
+    out = run_env / "sub" / "data.vrmdata"
+    args = {"--kind": "blobs", "--classes": "3", "--dim": "4", "--per-class": "20"}
+    args.update(zip(flags[::2], flags[1::2]))
+    code = main(["gen-data", "--out", str(out), *[tok for item in args.items() for tok in item]])
+    assert_clean_error(capsys, code, 2)
+    assert not out.parent.exists()
+
+
 def test_pilot_rejects_zero_seeds(run_env, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["pilot", "--seeds", "0", "--name", "p0"])
@@ -329,8 +378,9 @@ def test_check_quick_passes_fast(run_env, capsys):
     out = capsys.readouterr().out
     assert elapsed < 30.0
     assert "PASS grad:huber" in out and "PASS oracle:ISV" in out
-    # the ISV term as training runs it
-    assert "PASS grad:isv_edge_loss" in out and "PASS oracle:total_loss_isv" in out
+    # the ISV and ICV terms as training runs them
+    for term in ("isv", "icv"):
+        assert f"PASS grad:{term}_edge_loss" in out and f"PASS oracle:total_loss_{term}" in out
     assert "all" in out and "passed" in out
 
 

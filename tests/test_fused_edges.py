@@ -1,6 +1,7 @@
 """The fused cross-view edge builders, the fused masked edge loss and
-the fused ISV term of the objective against the composite of public tape
-ops they replace.
+the fused ISV and ICV terms of the objective against the composite of
+public tape ops they replace; the exact block-wise sum of the ISV term
+against ``np.sum``; and the memory the fused terms take.
 
 The composite below is the reference: it builds the edges from reshape,
 subtraction, transpose and l2_normalize, and the loss from apply_mask,
@@ -8,16 +9,20 @@ huber, sum and the 1/(kept * fiber length) scale.  The fused nodes must
 agree with it bit for bit, in the loss and in the gradients that reach
 the real and virtual views.
 """
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrm import autodiff as ad
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
-from vrm.errors import NumericError
+from vrm.errors import InputError, NumericError
 from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges
-from vrm.losses import isv_edge_loss, loss_icv, loss_isv
+from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
 from vrm.pruning import EdgeMask, apply_mask, uep_mask
 
 BUILDERS = {"ISV": build_isv_edges, "ICV": build_icv_edges}
@@ -201,8 +206,8 @@ def test_empty_batch_builds_reduces_and_backpropagates():
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_second_backward_through_the_loss_node_keeps_the_first(kind):
-    # the first backward writes the loss gradient into the forward's
-    # buffer; a second one through the same node must get its own
+    # a second backward through the same node gets its own gradient
+    # buffer and leaves the first one's intact
     rng = np.random.default_rng(21)
     r = Tensor(probs(rng, 9, 6), requires_grad=True)
     v = Tensor(probs(rng, 9, 6), requires_grad=True)
@@ -352,36 +357,39 @@ def test_empty_batch_loss_is_an_untaped_zero(kind):
     assert float(loss) == 0.0 and loss.node is None
 
 
-# -- the fused ISV term of the objective ----------------------------------------
+# -- the fused ISV and ICV terms of the objective ----------------------------------
 
 
-def run_isv_term(real, virtual, teacher, mask, delta, fused):
-    """The ISV term and the gradients of both views: the fused node, or the
-    reference composite of build_isv_edges on both models, apply_mask and
+TERMS = {"ISV": isv_edge_loss, "ICV": icv_edge_loss}
+
+
+def run_term(kind, real, virtual, teacher, mask, delta, fused):
+    """The ISV or ICV term and the gradients of both views: the fused node,
+    or the reference composite of the edges of both models, apply_mask and
     huber."""
     r = Tensor(real, requires_grad=True)
     v = Tensor(virtual, requires_grad=True)
     if fused:
-        loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, delta)
+        loss, _ = TERMS[kind](LogitBatch(r, v), teacher, mask, delta)
     else:
-        e_s = build_isv_edges(LogitBatch(r, v))
+        e_s = composite_edges(LogitBatch(r, v), kind)
         with ad.no_grad():
-            e_t = build_isv_edges(teacher)
+            e_t = composite_edges(teacher, kind)
         loss = composite_loss(e_s, e_t, mask, delta)
     if loss.node is not None:
         backward(loss)
     return loss.data, r.grad, v.grad
 
 
-def check_isv_term(rng, b, c, m, delta=1.0, tied_rows=()):
+def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
     real = probs(rng, b, c)
-    virtual = probs(rng, b, c)
+    virtual = real.copy() if same_views else probs(rng, b, c)
     virtual[list(tied_rows)] = real[list(tied_rows)]
     virtual[list(tied_rows), 0] += 1e-14
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, "ISV", (b, b), m)
-    fused = run_isv_term(real, virtual, teacher, mask, delta, True)
-    ref = run_isv_term(real, virtual, teacher, mask, delta, False)
+    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), m)
+    fused = run_term(kind, real, virtual, teacher, mask, delta, True)
+    ref = run_term(kind, real, virtual, teacher, mask, delta, False)
     for x, y in zip(fused, ref):
         assert_same_bits(x, y)
     return real, virtual, teacher
@@ -394,13 +402,13 @@ ISV_SHAPES = [(128, 32), PARTIAL, (7, 5)]
 @pytest.mark.parametrize("shape", ISV_SHAPES, ids=["128x32", "131x24", "7x5"])
 @pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
 def test_isv_term_is_bit_identical_to_composite(shape, m):
-    check_isv_term(np.random.default_rng(30), *shape, m)
+    check_term(np.random.default_rng(30), "ISV", *shape, m)
 
 
 @pytest.mark.parametrize("shape", [PARTIAL, (7, 5)], ids=["131x24", "7x5"])
 def test_isv_term_both_huber_branches(shape):
     delta = 0.05
-    real, virtual, teacher = check_isv_term(np.random.default_rng(31), *shape, 95.0, delta)
+    real, virtual, teacher = check_term(np.random.default_rng(31), "ISV", *shape, 95.0, delta)
     residual = (build_isv_edges(LogitBatch(real, virtual)).values.data
                 - build_isv_edges(teacher).values.data)
     assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
@@ -411,7 +419,7 @@ def test_isv_term_both_huber_branches(shape):
 def test_isv_term_with_dead_fibers(tied_rows):
     rng = np.random.default_rng(32)
     for m in (95.0, None):
-        check_isv_term(rng, *PARTIAL, m, tied_rows=tied_rows)
+        check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
 
 
 def test_isv_term_with_whole_rows_and_columns_pruned():
@@ -424,8 +432,8 @@ def test_isv_term_with_whole_rows_and_columns_pruned():
     mask = EdgeMask("ISV", keep, 70.0, 0.0)
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    fused = run_isv_term(real, virtual, teacher, mask, 1.0, True)
-    ref = run_isv_term(real, virtual, teacher, mask, 1.0, False)
+    fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True)
+    ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
     for x, y in zip(fused, ref):
         assert_same_bits(x, y)
     assert not ref[2][[2, 5]].any() and not ref[1][4].any()
@@ -458,7 +466,7 @@ def test_isv_term_second_backward_through_a_kept_alive_loss():
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     mask = random_mask(rng, "ISV", (b, b), 95.0)
-    _, ref_real, ref_virtual = run_isv_term(real, virtual, teacher, mask, 1.0, False)
+    _, ref_real, ref_virtual = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
     r = Tensor(real, requires_grad=True)
     v = Tensor(virtual, requires_grad=True)
     loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, 1.0)
@@ -505,3 +513,183 @@ def test_overflowing_views_name_the_isv_term(side):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="isv_edge_loss"):
             isv_edge_loss(views, teacher, None, 1.0)
+
+
+@pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
+def test_icv_term_is_bit_identical_to_composite(m):
+    rng = np.random.default_rng(40)
+    for _ in range(4):
+        b, c = (int(n) for n in rng.integers(2, 17, size=2))
+        check_term(rng, "ICV", b, c, m)
+    check_term(rng, "ICV", 128, 32, m)
+
+
+def test_icv_term_both_huber_branches():
+    delta = 0.05
+    rng = np.random.default_rng(41)
+    for m in (95.0, None):
+        real, virtual, teacher = check_term(rng, "ICV", 9, 6, m, delta)
+        residual = (build_icv_edges(LogitBatch(real, virtual)).values.data
+                    - build_icv_edges(teacher).values.data)
+        assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
+
+
+def test_icv_term_with_zero_norm_fibers():
+    # identical views: the diagonal fibers (p, p) are exact zeros
+    rng = np.random.default_rng(42)
+    for m in PERCENTILES:
+        b, c = (int(n) for n in rng.integers(2, 17, size=2))
+        check_term(rng, "ICV", b, c, m, same_views=True)
+
+
+def test_icv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
+    rng = np.random.default_rng(43)
+    b, c = 5, 4
+    mask = EdgeMask("ICV", np.zeros((c, c), dtype=bool), 50.0, 0.0)
+    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
+                       Tensor(probs(rng, b, c), requires_grad=True))
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    with pytest.warns(RuntimeWarning, match="all ICV edges pruned"):
+        loss, kept = icv_edge_loss(views, teacher, mask, 1.0)
+    assert float(loss) == 0.0 and loss.node is None and kept == 0
+
+
+def test_icv_term_needs_two_classes():
+    views = LogitBatch(np.full((4, 1), 1.0), np.full((4, 1), 1.0))
+    with pytest.raises(InputError, match="2 classes"):
+        icv_edge_loss(views, views, None, 1.0)
+    with pytest.raises(InputError, match="2 classes"):
+        total_loss(views, views, np.zeros(4, dtype=int), VRMWeights())
+
+
+def test_icv_term_is_one_tape_node_over_the_student_views():
+    rng = np.random.default_rng(44)
+    views = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
+                       Tensor(probs(rng, 6, 4), requires_grad=True))
+    loss, kept = icv_edge_loss(views, LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4)),
+                               None, 1.0)
+    assert loss.node.op == "icv_edge_loss" and kept == 16
+    assert loss.node.inputs == (views.real, views.virtual)
+
+
+def test_icv_term_finite_difference():
+    rng = np.random.default_rng(45)
+    b, c = 4, 3
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, "ICV", (c, c), 75.0)
+
+    def f(x):
+        views = LogitBatch(row_slice(x, 0, b), row_slice(x, b, 2 * b))
+        return icv_edge_loss(views, teacher, mask, 1.0)[0]
+
+    for _ in range(5):
+        assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
+
+
+@pytest.mark.parametrize("side", ["student", "teacher"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_overflowing_views_name_the_icv_term(side, sign):
+    b, c = 9, 6
+    huge = np.zeros((b, c)), np.zeros((b, c))
+    huge[0][:, 1] = sign * 1e308
+    huge[1][:, 2] = -sign * 1e308
+    calm = LogitBatch(np.zeros((b, c)), np.zeros((b, c)))
+    views = LogitBatch(*huge) if side == "student" else calm
+    teacher = LogitBatch(*huge) if side == "teacher" else calm
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="icv_edge_loss"):
+            icv_edge_loss(views, teacher, None, 1.0)
+
+
+# -- the block-wise sum --------------------------------------------------------
+
+
+@st.composite
+def split_values(draw):
+    """Values of varied magnitude and sign (signed zeros among them) and
+    the cut points of their chunks; every cut is drawn from a band around
+    a leaf of 128, so a chunk boundary often falls inside a leaf."""
+    n = draw(st.integers(1, 5000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+    values[rng.random(n) < 0.05] = draw(st.sampled_from([0.0, -0.0]))
+    cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=12))
+    return values, sorted(set(c for c in cuts if c < n))
+
+
+@given(split_values())
+@settings(max_examples=300, deadline=None)
+def test_blocked_sum_is_bit_identical_to_np_sum(case):
+    values, cuts = case
+    bounds = [0, *cuts, len(values)]
+    scratch = np.empty(len(values))
+
+    def chunks():
+        # one reused buffer, spoiled after each chunk is consumed
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            chunk = scratch[:hi - lo]
+            chunk[:] = values[lo:hi]
+            yield chunk
+            chunk[:] = np.nan
+
+    assert_same_bits(ad._blocked_sum(chunks(), len(values)), values.sum())
+
+
+def test_blocked_sum_gathers_a_leaf_split_over_chunks():
+    # numpy sums 300 values as leaves starting at 0, 72, 144 and 216: a cut
+    # at 200 splits the third leaf over two chunks, cuts at 80, 90 and 100
+    # the second one over four
+    rng = np.random.default_rng(46)
+    values = rng.standard_normal(300) * 1e6
+    for cuts in ([200], [80, 90, 100]):
+        chunks = np.split(values, cuts)
+        assert_same_bits(ad._blocked_sum(chunks, 300), values.sum())
+    assert_same_bits(ad._blocked_sum(np.split(-np.zeros(300), [200]), 300), np.float64(0.0))
+
+
+# -- memory ------------------------------------------------------------------------
+
+
+def traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,bound", [("ISV", 9.0), ("ICV", 3.5)])
+def test_fused_term_forward_peak_at_the_wide_shape(kind, bound):
+    # the saved fibers and the slope are [B, B, C] or [C, C, B] each; a
+    # full-size penalty or the teacher's edges on top would pass the bound
+    rng = np.random.default_rng(47)
+    b, c = 128, 32
+    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
+                       Tensor(probs(rng, b, c), requires_grad=True))
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), 95.0)
+    assert traced_peak_mib(lambda: TERMS[kind](views, teacher, mask, 1.0)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_fused_term_frees_its_buffers_without_the_cycle_collector(kind):
+    # a reference cycle would keep each step's [B, B, C] buffers alive
+    # until the cycle collector happens to run
+    rng = np.random.default_rng(48)
+    b, c = PARTIAL
+    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
+                       Tensor(probs(rng, b, c), requires_grad=True))
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), 95.0)
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = TERMS[kind](views, teacher, mask, 1.0)
+        backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

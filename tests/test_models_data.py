@@ -49,6 +49,14 @@ def test_dataset_parameter_validation():
         make_synthetic_dataset("blobs", 3, 4, 5, 0.1, 0)
     with pytest.raises(ParameterError):
         make_synthetic_dataset("blobs", 3, 4, 20, -0.1, 0)
+    # degenerate shapes, non-finite noise and negative seeds
+    for kind, dim, noise, seed in [("blobs", 0, 0.1, 0), ("spirals", 1, 0.1, 0),
+                                   ("blobs", 4, float("nan"), 0), ("blobs", 4, float("inf"), 0),
+                                   ("spirals", 2, 0.1, -1)]:
+        with pytest.raises(ParameterError):
+            make_synthetic_dataset(kind, 3, dim, 20, noise, seed)
+    assert make_synthetic_dataset("blobs", 3, 1, 20, 0.1, 0).dim == 1
+    assert make_synthetic_dataset("spirals", 3, 2, 20, 0.1, 0).dim == 2
 
 
 def test_dataset_type_invariants():
@@ -134,6 +142,8 @@ def test_augment_spec_validation():
         AugmentSpec(n_ops=5)  # pool has 4 ops
     with pytest.raises(ParameterError):
         AugmentSpec(magnitude=1.5)
+    with pytest.raises(ParameterError):
+        AugmentSpec(seed=-1)
     with pytest.raises(ParameterError):
         AugmentSpec(op_pool=("warp",))
 

@@ -41,6 +41,8 @@ def test_train_config_validation():
         TrainConfig(milestones=(10, 5))
     with pytest.raises(ParameterError):
         TrainConfig(epochs=0)
+    with pytest.raises(ParameterError):
+        TrainConfig(seed=-1)
     cfg = TrainConfig(lr=0.2, lr_decay=0.5, milestones=(2, 4))
     assert cfg.lr_at(0) == 0.2 and cfg.lr_at(2) == 0.1 and cfg.lr_at(4) == 0.05
 
