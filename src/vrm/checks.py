@@ -1,7 +1,8 @@
 """Self-verification suites: finite-difference gradient checks for every
-differentiable op and oracle-equivalence checks for the vectorized edge
-builders and masked losses.  These back the ``check`` command and double
-as the release gate."""
+differentiable op, oracle-equivalence checks for the vectorized edge
+builders and masked losses, and bit-exactness checks of the fused
+objective terms against the public composites they replace.  These back
+the ``check`` command and double as the release gate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from .graphs import (
     build_isv_edges,
     soften,
 )
-from .losses import (VRMWeights, icv_edge_loss, isv_edge_loss, loss_isv, total_loss,
-                     uep_masks_for)
+from .losses import (VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv,
+                     total_loss, uep_masks_for)
 from .pruning import joint_entropy_matrix, uep_mask
 
 GRAD_TOL = 1e-4
@@ -221,5 +222,46 @@ def structure_checks(seed: int = 200) -> list[CheckResult]:
     return results
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def exactness_checks(seed: int = 300) -> list[CheckResult]:
+    """The fused ISV and ICV terms against :func:`build_isv_edges` /
+    :func:`build_icv_edges` followed by :func:`loss_isv` / :func:`loss_icv`,
+    and :func:`autodiff._blocked_sum` against ``np.sum``, bit for bit (sign
+    bits included), so drift under another numpy shows here."""
+    rng = np.random.default_rng(seed)
+    # the ISV term runs in blocks of 10 rows, the last of which holds one
+    b, c = 131, 24
+    student, teacher = (soften(LogitBatch(rng.standard_normal((b, c)),
+                                          rng.standard_normal((b, c))), 4.0) for _ in range(2))
+    masks = uep_masks_for(student, VRMWeights(uep_percentile=95.0))
+    results = []
+    for kind, term, build, loss, mask in (
+            ("isv", isv_edge_loss, build_isv_edges, loss_isv, masks[0]),
+            ("icv", icv_edge_loss, build_icv_edges, loss_icv, masks[1])):
+        outputs = []
+        for fused in (True, False):
+            views = LogitBatch(ad.Tensor(student.real.data, requires_grad=True),
+                               ad.Tensor(student.virtual.data, requires_grad=True))
+            value = (term(views, teacher, mask, 1.0)[0] if fused
+                     else loss(build(views), build(teacher), mask, 1.0))
+            ad.backward(value)
+            outputs.append((value.data, views.real.grad, views.virtual.grad))
+        differ = [name for name, x, y in zip(("loss", "real grad", "virtual grad"), *outputs)
+                  if not _same_bits(x, y)]
+        results.append(CheckResult(
+            f"exact:{kind}_edge_loss", not differ,
+            f"fused and composite differ in {', '.join(differ)}" if differ
+            else f"loss and view grads bit-identical (B={b}, C={c}, m=95)"))
+
+    # numpy sums 300 values as leaves starting at 0, 72, 144 and 216; the
+    # cuts split the second leaf over four chunks and the third over two
+    values = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 9, size=300)
+    same = _same_bits(ad._blocked_sum(np.split(values, [80, 90, 100, 200]), 300), values.sum())
+    return results + [CheckResult("exact:blocked_sum", same, f"bit-identical to np.sum: {same}")]
+
+
 def run_all_checks(quick: bool = False) -> list[CheckResult]:
-    return gradient_checks(quick) + oracle_checks(quick) + structure_checks()
+    return gradient_checks(quick) + oracle_checks(quick) + structure_checks() + exactness_checks()

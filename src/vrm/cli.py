@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .data import (AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, read_input,
                    save_dataset)
-from .diagnostics import PILOT_LOSS_KINDS, PilotSpec, gradient_diffusion_pilot, write_pilot_csv
+from .diagnostics import PilotSpec, gradient_diffusion_pilot, write_pilot_csv
 from .errors import InputError, ParameterError, TrainingError
 from .losses import VRMWeights
 from .models import MLP, MLPSpec, load_checkpoint, save_checkpoint
@@ -302,26 +302,24 @@ def cmd_ablate(args, parser) -> int:
 
 
 def cmd_pilot(args, parser) -> int:
-    if not 0 <= args.spurious_index < args.batch:
-        parser.error("spurious index must lie in [0, batch)")
     if args.seeds < 1:
         parser.error("need >= 1 seed")
     kinds = [k.strip().upper() for k in args.loss_kinds.split(",") if k]
-    for kind in kinds:
-        if kind not in PILOT_LOSS_KINDS:
-            parser.error(f"unknown loss kind {kind!r}")
+    if not kinds:
+        raise ParameterError("--loss-kinds names no loss kind")
+    # every study is validated before the run directory exists
+    specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
+                              seed, kind) for seed in range(args.seeds)] for kind in kinds}
     with Run(args, {"batch": args.batch, "dim": args.dim,
                     "spurious_index": args.spurious_index, "noise_scale": args.noise_scale,
                     "n_seeds": args.seeds, "loss_kinds": ",".join(kinds)}) as run:
         medians = {}
         for kind in kinds:
             per_seed = []
-            for seed in range(args.seeds):
-                spec = PilotSpec(args.batch, args.dim, args.spurious_index,
-                                 args.noise_scale, seed, kind)
+            for spec in specs[kind]:
                 dg = gradient_diffusion_pilot(spec)
                 write_pilot_csv(dg, args.spurious_index,
-                                run.dir / f"pilot_{kind.lower()}_seed{seed}.csv")
+                                run.dir / f"pilot_{kind.lower()}_seed{spec.seed}.csv")
                 per_seed.append(float(np.median(np.abs(np.delete(dg, args.spurious_index)))))
             medians[kind] = float(np.median(per_seed))
 

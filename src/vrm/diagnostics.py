@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import gram_inter_sample
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .graphs import build_inter_sample_edges
 from .training import write_csv
 
@@ -31,8 +31,11 @@ class PilotSpec:
     loss_kind: str = "RM"
 
     def __post_init__(self):
+        if self.B < 2 or self.D < 1:
+            raise ParameterError("the pilot needs a batch B >= 2 and a dimension D >= 1")
         if not 0 <= self.t < self.B:
             raise ParameterError("spurious index t must lie in [0, B)")
+        require_finite(self, ("c",))
         if self.c < 0:
             raise ParameterError("noise scale must be nonnegative")
         if self.loss_kind not in PILOT_LOSS_KINDS:

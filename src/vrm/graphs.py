@@ -6,10 +6,9 @@ batch size); across the real and virtual views only the cross-view
 pairs are materialized, which structurally removes the redundant
 symmetric half and the intra-view relations.
 
-Each cross-view kind is built as one tape node whose hand-derived
-backward runs the l2_normalize rule and sums straight down to the
-[B, C] gradients of the two views; the within-view kinds are composites
-of the generic tape ops.
+Every kind is a composite of the generic tape ops (reshape, subtract,
+transpose and l2_normalize).  The objective's two cross-view terms do
+not build edges here: each is one fused node in :mod:`vrm.losses`.
 """
 from __future__ import annotations
 
@@ -18,17 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    DEFAULT_NORM_EPS,
-    Tensor,
-    _coerce,
-    _result,
-    _row_blocks,
-    _unit_fibers,
-    _unit_fibers_grad,
-    l2_normalize,
-    softmax,
-)
+from .autodiff import DEFAULT_NORM_EPS, Tensor, _coerce, l2_normalize, softmax
 from .errors import InputError, UsageError
 
 EDGE_KINDS = ("IS", "IC", "ISV", "ICV")
@@ -139,7 +128,9 @@ def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
     two views of the same sample; real-real and virtual-virtual
     relations are never materialized.
     """
-    return EdgeTensor("ISV", _isv_edges(batch.real, batch.virtual), norm_axis=2)
+    b, c = batch.real.shape
+    diff = batch.real.reshape(1, b, c) - batch.virtual.reshape(b, 1, c)
+    return EdgeTensor("ISV", l2_normalize(diff, axis=2), norm_axis=2)
 
 
 def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -148,106 +139,14 @@ def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
     Fiber (p, q) is the unit-normalized difference between real-view
     class column q and virtual-view class column p, normalized along the
     batch axis, so the relation spans the two views at batch length B
-    rather than concatenating views into 2B-vectors.
+    rather than concatenating views into 2B-vectors.  The difference is
+    formed as [B, C, C] and normalized through its [C, C, B] view.
     """
     if batch.n_classes < 2:
         raise InputError("inter-class edges need at least 2 classes")
-    return EdgeTensor("ICV", _icv_edges(batch.real, batch.virtual), norm_axis=2)
-
-
-def _icv_edges(real: Tensor, virtual: Tensor) -> Tensor:
-    """The ICV node: unit-normalized cross-view class differences.
-
-    It broadcasts to [B, C, C] and normalizes a transposed [C, C, B] view
-    of it, so teacher and student share one canonical layout.  The
-    backward pass applies the l2_normalize rule and then sums straight
-    down to the [B, C] views, on the same array layouts as the composite
-    of reshape, subtract, transpose and l2_normalize, so every reduction
-    adds in the same order and the gradients are bit-identical to it.
-    """
-    y, n_safe, live = _icv_fibers(real.data, virtual.data)
-
-    def grad_fn(g):
-        return _icv_grad(g, y, n_safe, live)
-
-    return _result(y, (real, virtual), grad_fn, "icv_edges")
-
-
-def _icv_fibers(real, virtual, out=None, scratch=None):
-    """The ICV fibers of two [B, C] views, plus the state :func:`_icv_grad`
-    needs.  Their [B, C, C] difference, written to ``scratch`` when given,
-    is normalized through its [C, C, B] view into ``out`` when given, a
-    C-ordered [B, C, C] buffer, so the fibers keep the difference's layout."""
-    b, c = real.shape
-    x = np.subtract(real.reshape(b, 1, c), virtual.reshape(b, c, 1), out=scratch)
-    return _unit_fibers(x.transpose(1, 2, 0), 2,
-                        out=None if out is None else out.transpose(1, 2, 0))
-
-
-def _icv_grad(g, y, n_safe, live):
-    """The [B, C] gradients of the real and virtual views from the
-    gradient ``g`` of the ICV fibers ``y``."""
-    # each view's gradient sums the broadcast difference over the axis
-    # only the other view varies along
-    g_diff = _unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
-    return g_diff.sum(axis=1), -g_diff.sum(axis=2)
-
-
-def _isv_edges(real: Tensor, virtual: Tensor) -> Tensor:
-    """The ISV node: unit-normalized cross-view sample differences,
-    [B, B, C], with the same hand-derived backward as :func:`_icv_edges`.
-
-    Forward and backward stream through row blocks of virtual-view
-    samples: each block runs the whole-tensor expressions on rows ``i``,
-    so its temporaries stay in cache, and writes into full-size outputs.
-    That is exact: fibers run along the last axis and are never split,
-    and :func:`_isv_grad` sums the rows in the order the whole-tensor
-    sums do.
-    """
-    b, c = real.shape
-    blocks = _row_blocks(b, b * c)
-    y = np.empty((b, b, c))
-    n_safe = np.empty((b, b, 1))
-    live = np.empty((b, b, 1), dtype=bool)
-    for rows in blocks:
-        _, n_safe[rows], live[rows] = _isv_fibers(real.data, virtual.data[rows], y[rows])
-
-    def grad_fn(g):
-        return _isv_grad(lambda rows: g[rows], y, n_safe, live, blocks)
-
-    return _result(y, (real, virtual), grad_fn, "isv_edges")
-
-
-def _isv_fibers(real, virtual_rows, out, scratch=None):
-    """The ISV fibers of some virtual-view rows against every real-view
-    row, written to ``out``, plus the state :func:`_isv_grad` needs; the
-    differences go to ``scratch`` when given, a C-ordered buffer of
-    ``out``'s shape."""
-    b, c = real.shape
-    x = np.subtract(real.reshape(1, b, c), virtual_rows.reshape(-1, 1, c), out=scratch)
-    return _unit_fibers(x, 2, out=out)
-
-
-def _isv_grad(g_rows, y, n_safe, live, blocks):
-    """The [B, C] gradients of the real and virtual views from ISV fibers
-    ``y`` saved in row ``blocks``; ``g_rows(rows)`` gives the gradient of
-    the fibers of one block.
-
-    The virtual view's gradient sums each row on its own; the real
-    view's, a sum over rows, keeps its running total in row 0 of the
-    block buffer, so it adds the rows in the order one ``sum(axis=0)``
-    over the whole tensor does.
-    """
-    b, _, c = y.shape
-    g_virtual = np.empty((b, c))
-    buf = np.empty((1 + blocks[0].stop, b, c))
-    for k, rows in enumerate(blocks):
-        n = rows.stop - rows.start
-        gx = _unit_fibers_grad(g_rows(rows), y[rows], n_safe[rows], live[rows], 2,
-                               out=buf[1:1 + n])
-        g_virtual[rows] = gx.sum(axis=1)
-        buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
-    return buf[0].copy(), -g_virtual
+    b, c = batch.real.shape
+    diff = batch.real.reshape(b, 1, c) - batch.virtual.reshape(b, c, 1)
+    return EdgeTensor("ICV", l2_normalize(diff.transpose((1, 2, 0)), axis=2), norm_axis=2)
 
 
 # -- scalar-loop oracle -------------------------------------------------

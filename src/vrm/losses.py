@@ -11,20 +11,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError, ParameterError, UsageError, require_finite
-from .graphs import (
-    EdgeTensor,
-    LogitBatch,
-    _icv_fibers,
-    _icv_grad,
-    _isv_fibers,
-    _isv_grad,
-    build_icv_edges,
-    build_isv_edges,
-    soften,
-)
-# the objective builds no edges and applies no mask product itself;
-# build_isv_edges, build_icv_edges and apply_mask stay bound here because
-# the benchmark's tracer wraps the step's helpers by name
+# the objective builds no edges itself; build_isv_edges and build_icv_edges
+# stay bound here because the benchmark's tracer wraps the step's helpers by name
+from .graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, soften
 from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, pruned_fibers, uep_mask
 
 
@@ -75,18 +64,22 @@ class LossBreakdown:
 
 
 def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
-                      delta: float):
-    """The body of both edge losses: the Huber penalty, averaged over the
-    elements of the kept fibers.  Returns (scalar, kept_count)."""
+                      delta: float) -> Tensor:
+    """The body of both edge losses, a composite of tape ops: the Huber
+    penalty of the masked student edges against the masked, detached
+    teacher edges, averaged over the elements of the kept fibers."""
     if e_s.kind != e_t.kind:
         raise UsageError("student and teacher edge kinds differ")
     if e_s.values.shape != e_t.values.shape:
         raise UsageError("student and teacher edge shapes differ")
-    kept, pruned = _kept_fibers(e_s.kind, e_s.values.shape, mask)
+    kept, _ = _kept_fibers(e_s.kind, e_s.values.shape, mask)
     if kept * e_s.fiber_length == 0:
-        return Tensor(0.0), kept
-    scale = 1.0 / (kept * e_s.fiber_length)
-    return _edge_loss(e_s.values, e_t.values.data, pruned, delta, scale), kept
+        return Tensor(0.0)
+    s, t = e_s.values, e_t.values.detach()
+    if mask is not None:
+        s = apply_mask(e_s, mask)
+        t = apply_mask(EdgeTensor(e_t.kind, t), mask)
+    return ad.huber(s, t, delta).sum() * (1.0 / (kept * e_s.fiber_length))
 
 
 def _kept_fibers(kind: str, shape, mask: EdgeMask | None):
@@ -147,33 +140,37 @@ def _huber_rows(s, t, pruned, delta: float, elem, slope) -> None:
         r[linear] = np.clip(past, -delta, delta)
 
 
-def _edge_loss(values_s: Tensor, values_t, pruned, delta: float, scale: float) -> Tensor:
-    """Masked Huber penalty of the student edges against constant teacher
-    edges, summed and scaled, as one tape node.
+def _isv_fibers(real, virtual_rows, out, scratch=None):
+    """The ISV fibers of some virtual-view rows against every real-view
+    row, written to ``out``, plus the state :func:`_isv_grad` needs; the
+    differences go to ``scratch`` when given, a C-ordered buffer of
+    ``out``'s shape.  The arithmetic is that of :func:`build_isv_edges`
+    on those rows."""
+    b, c = real.shape
+    x = np.subtract(real.reshape(1, b, c), virtual_rows.reshape(-1, 1, c), out=scratch)
+    return ad._unit_fibers(x, 2, out=out)
 
-    It replays the composite of apply_mask, huber, sum and the
-    1/(kept * fiber_len) scale on the same array layouts, so the value and
-    the gradient are bit-identical to it.  The gradient reaches the student
-    edges only, so the products the composite formed for the teacher edges
-    and the mask weights are never computed.
+
+def _isv_grad(g_rows, y, n_safe, live, blocks):
+    """The [B, C] gradients of the real and virtual views from ISV fibers
+    ``y`` saved in row ``blocks``; ``g_rows(rows)`` gives the gradient of
+    the fibers of one block.
+
+    The virtual view's gradient sums each row on its own; the real
+    view's, a sum over rows, keeps its running total in row 0 of the block
+    buffer, so it adds the rows in the order one ``sum(axis=0)`` over the
+    whole tensor does, as the backward of :func:`build_isv_edges` does.
     """
-    s = values_s.data
-    # the outputs keep the layout of the edges (one builder makes both
-    # sides), as the composite's temporaries did, so elem.sum() adds in
-    # the same order
-    elem = np.empty_like(s)
-    slope = np.empty_like(s)
-    _huber_rows(s, values_t, pruned, delta, elem, slope)
-    out = np.asarray(elem.sum()) * scale
-
-    def grad_fn(g):
-        # the composite spreads g over a C-ordered buffer before the
-        # product; the layout fixes the order of later fiber-axis sums.
-        # It then multiplies by the 0/1 weights, which changes no bit: the
-        # slope is already a signed zero wherever a weight is 0
-        return (np.multiply(g * scale, slope, order="C"),)
-
-    return ad._result(out, (values_s,), grad_fn, "masked_edge_loss")
+    b, _, c = y.shape
+    g_virtual = np.empty((b, c))
+    buf = np.empty((1 + blocks[0].stop, b, c))
+    for k, rows in enumerate(blocks):
+        n = rows.stop - rows.start
+        gx = ad._unit_fibers_grad(g_rows(rows), y[rows], n_safe[rows], live[rows], 2,
+                                  out=buf[1:1 + n])
+        g_virtual[rows] = gx.sum(axis=1)
+        buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
+    return buf[0].copy(), -g_virtual
 
 
 def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
@@ -181,16 +178,17 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     """The ISV term of the objective as one tape node, from both models'
     softened views to the masked Huber loss.  Returns (scalar, kept_count).
 
-    It is :func:`build_isv_edges` of both batches followed by the masked
-    edge loss, run together through the row blocks of the ISV builder:
-    each block computes the student's fibers into the saved edges, the
-    teacher's into the block's rows of the slope buffer and then the
-    block's penalty into a block-sized scratch buffer while all are in
-    cache, so neither the teacher's [B, B, C] edges nor a full-size
-    penalty ever exist.  The arithmetic and the layouts are those of the
-    separate nodes, and :func:`autodiff._blocked_sum` adds the penalties
-    as one sum over the whole tensor does, so the value and the view
-    gradients are bit-identical to theirs.  Any non-finite fiber, the
+    It is :func:`build_isv_edges` of both batches followed by
+    :func:`loss_isv`, run together through row blocks of virtual-view
+    samples (:func:`autodiff._row_blocks`): each block computes the
+    student's fibers into the saved edges, the teacher's into the block's
+    rows of the slope buffer and then the block's penalty into a
+    block-sized scratch buffer while all are in cache, so neither the
+    teacher's [B, B, C] edges nor a full-size penalty ever exist.  The
+    arithmetic and the layouts are the composite's, and
+    :func:`autodiff._blocked_sum` adds the penalties as one sum over the
+    whole tensor does, so the value and the view gradients are
+    bit-identical to it.  Any non-finite fiber, the
     student's or the teacher's, makes the loss non-finite, so one check of
     the loss covers them all.
     """
@@ -227,8 +225,8 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
         g_buf = np.empty((blocks[0].stop, b, c))
 
         def g_rows(rows):
-            # the separate loss node formed g * slope over the whole tensor
-            # before the builder's backward read it block by block
+            # the composite forms g * slope over the whole tensor before
+            # the l2_normalize backward reads it block by block
             return np.multiply(g, slope[rows], out=g_buf[:rows.stop - rows.start])
 
         return _isv_grad(g_rows, y, n_safe, live, blocks)
@@ -236,19 +234,40 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     return ad._result(out, (student.real, student.virtual), grad_fn, "isv_edge_loss"), kept
 
 
+def _icv_fibers(real, virtual, out=None, scratch=None):
+    """The ICV fibers of two [B, C] views, plus the state :func:`_icv_grad`
+    needs.  As in :func:`build_icv_edges`, their [B, C, C] difference
+    (written to ``scratch`` when given) is normalized through its [C, C, B]
+    view, into ``out`` when given, a C-ordered [B, C, C] buffer."""
+    b, c = real.shape
+    x = np.subtract(real.reshape(b, 1, c), virtual.reshape(b, c, 1), out=scratch)
+    return ad._unit_fibers(x.transpose(1, 2, 0), 2,
+                           out=None if out is None else out.transpose(1, 2, 0))
+
+
+def _icv_grad(g, y, n_safe, live):
+    """The [B, C] gradients of the real and virtual views from the
+    gradient ``g`` of the ICV fibers ``y``: the l2_normalize rule, on the
+    array layouts of the backward of :func:`build_icv_edges`."""
+    # each view's gradient sums the broadcast difference over the axis
+    # only the other view varies along
+    g_diff = ad._unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
+    return g_diff.sum(axis=1), -g_diff.sum(axis=2)
+
+
 def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
                   delta: float) -> tuple[Tensor, int]:
     """The ICV term of the objective as one tape node, from both models'
     softened views to the masked Huber loss.  Returns (scalar, kept_count).
 
-    It is :func:`build_icv_edges` of both batches followed by the masked
-    edge loss, on their array layouts: [B, C, C] buffers viewed as
+    It is :func:`build_icv_edges` of both batches followed by
+    :func:`loss_icv`, on their array layouts: [B, C, C] buffers viewed as
     [C, C, B] edges.  The student's fibers are saved, the teacher's are
     written into the slope buffer, and the student's difference buffer
     takes the penalty, so the teacher's edges never exist on their own.
     The norm and penalty sums run in the same memory order and the
     backward forms the same C-ordered ``g * slope``, so the value and the
-    view gradients are bit-identical to the separate nodes'.  As in
+    view gradients are bit-identical to the composite's.  As in
     :func:`isv_edge_loss`, one check of the loss covers every fiber.
     """
     if student.real.shape != teacher.real.shape:
@@ -269,8 +288,8 @@ def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     out = np.asarray(elem.sum()) * scale
 
     def grad_fn(g):
-        # the separate loss node spread g over a C-ordered buffer, whose
-        # layout fixes the order of the builder's fiber-axis sums
+        # the composite spreads g over a C-ordered buffer, whose layout
+        # fixes the order of the l2_normalize backward's fiber-axis sums
         return _icv_grad(np.multiply(g * scale, slope, order="C"), y, n_safe, live)
 
     return ad._result(out, (student.real, student.virtual), grad_fn, "icv_edge_loss"), kept
@@ -285,8 +304,7 @@ def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
     """
     if e_s.kind != "ISV":
         raise UsageError("loss_isv expects ISV edges")
-    value, _ = _masked_edge_loss(e_s, e_t, mask, delta)
-    return value
+    return _masked_edge_loss(e_s, e_t, mask, delta)
 
 
 def loss_icv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
@@ -294,8 +312,7 @@ def loss_icv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
     """Huber penalty between student and teacher inter-class cross-view edges."""
     if e_s.kind != "ICV":
         raise UsageError("loss_icv expects ICV edges")
-    value, _ = _masked_edge_loss(e_s, e_t, mask, delta)
-    return value
+    return _masked_edge_loss(e_s, e_t, mask, delta)
 
 
 def uep_masks_for(student: LogitBatch, weights: VRMWeights) -> tuple[EdgeMask, EdgeMask]:

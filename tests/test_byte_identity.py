@@ -13,8 +13,15 @@ A second fixture adds a ``distill`` run that sets no training flag, an
 sha256 of their CSV files and the ``manifest.txt`` of five runs, so the
 defaults, the order of the manifest keys and the CSV writer stay as they
 were recorded.
+
+Last, the stdout of demos 02 and 03 pins what the public edge builders and
+edge losses print.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +29,12 @@ import pytest
 from vrm.cli import main
 
 RECORDED_NUMPY = "2.4.6"
+
+
+def require_recorded_numpy():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"digests were recorded with numpy {RECORDED_NUMPY}, "
+                    f"this is numpy {np.__version__}")
 
 DIGESTS = {
     "vrm": ("48c8efbbd6d5b9a9db4760e80898c4be212e21400abd1e44c5ea927571f04fa2",
@@ -45,9 +58,7 @@ OUTPUTS = ("metrics.csv", "breakdown.csv", "student.ckpt")
 
 @pytest.fixture(scope="module")
 def replay(tmp_path_factory):
-    if np.__version__ != RECORDED_NUMPY:
-        pytest.skip(f"digests were recorded with numpy {RECORDED_NUMPY}, "
-                    f"this is numpy {np.__version__}")
+    require_recorded_numpy()
     root = tmp_path_factory.mktemp("replay")
     mp = pytest.MonkeyPatch()
     mp.setenv("VRM_RUN_DIR", str(root / "runs"))
@@ -253,3 +264,20 @@ def test_manifest_matches_recorded_lines(more_runs, run):
     kept = [line.replace(str(more_runs.parent), "<root>") for line in lines
             if line.split("=", 1)[0] not in ("started_at", "wall_clock_s")]
     assert kept == MANIFESTS[run].splitlines()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_DIGESTS = {
+    "02_relation_edges.py": "b1082b369e30462d445ba3b79fb713fdc67a8f2f15cbc9cdc4268bc7997f70c7",
+    "03_pruning_and_masked_loss.py":
+        "d3711e9e7518a1dcd2b4858c036eb386aedc45a97ea4852cbcd28951e321d707",
+}
+
+
+@pytest.mark.parametrize("demo", list(DEMO_DIGESTS))
+def test_demo_stdout_matches_recorded_digest(demo, tmp_path):
+    require_recorded_numpy()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, check=True, timeout=120)
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[demo]

@@ -291,6 +291,15 @@ def test_gen_data_degenerate_request_exits_2_without_a_file(run_env, capsys, fla
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--batch", "1", "--spurious-index", "0"],
+                                   ["--noise-scale", "nan"], ["--loss-kinds", ","]],
+                         ids=["dim-0", "batch-1", "noise-scale-nan", "no-loss-kind"])
+def test_pilot_degenerate_study_exits_2_before_the_run_dir(run_env, capsys, flags):
+    code = main(["pilot", *flags, "--seeds", "1", "--name", "p"])
+    assert_clean_error(capsys, code, 2)
+    assert not (run_env / "runs").exists()
+
+
 def test_pilot_rejects_zero_seeds(run_env, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["pilot", "--seeds", "0", "--name", "p0"])
@@ -381,7 +390,29 @@ def test_check_quick_passes_fast(run_env, capsys):
     # the ISV and ICV terms as training runs them
     for term in ("isv", "icv"):
         assert f"PASS grad:{term}_edge_loss" in out and f"PASS oracle:total_loss_{term}" in out
+    # and bit for bit against the public composites
+    for name in ("isv_edge_loss", "icv_edge_loss", "blocked_sum"):
+        assert f"PASS exact:{name}:" in out
     assert "all" in out and "passed" in out
+
+
+@pytest.mark.parametrize("term", ["isv_edge_loss", "icv_edge_loss"])
+def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypatch, term):
+    import vrm.checks
+
+    real_term = getattr(vrm.checks, term)
+
+    def drifted(*args):
+        loss, kept = real_term(*args)
+        loss.data = np.nextafter(loss.data, np.inf)
+        return loss, kept
+
+    monkeypatch.setattr(vrm.checks, term, drifted)
+    code = main(["check", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"FAIL exact:{term}: fused and composite differ in loss\n" in captured.out
+    assert f"exact:{term}" in captured.err
 
 
 def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):

@@ -14,6 +14,9 @@ def test_pilot_spec_validation():
         PilotSpec(c=-1.0)
     with pytest.raises(ParameterError):
         PilotSpec(loss_kind="MSE")
+    for bad in (dict(B=1, t=0), dict(D=0), dict(c=float("nan")), dict(c=float("inf"))):
+        with pytest.raises(ParameterError):
+            PilotSpec(**bad)
 
 
 def test_pilot_zero_noise_means_zero_delta():

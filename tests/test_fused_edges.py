@@ -1,13 +1,14 @@
-"""The fused cross-view edge builders, the fused masked edge loss and
-the fused ISV and ICV terms of the objective against the composite of
-public tape ops they replace; the exact block-wise sum of the ISV term
-against ``np.sum``; and the memory the fused terms take.
+"""The fused ISV and ICV terms of the objective against the public
+composites they replace; the public composites on their own (gradients,
+empty batches, overflow); the exact block-wise sum of the ISV term against
+``np.sum``; and the memory the fused terms take.
 
-The composite below is the reference: it builds the edges from reshape,
-subtraction, transpose and l2_normalize, and the loss from apply_mask,
-huber, sum and the 1/(kept * fiber length) scale.  The fused nodes must
-agree with it bit for bit, in the loss and in the gradients that reach
-the real and virtual views.
+The reference is the public API: ``build_isv_edges`` / ``build_icv_edges``
+build the edges from reshape, subtraction, transpose and l2_normalize, and
+``loss_isv`` / ``loss_icv`` the loss from apply_mask, huber, sum and the
+1/(kept * fiber length) scale.  The fused terms must agree with them bit
+for bit, in the loss and in the gradients that reach the real and virtual
+views.
 """
 import gc
 import tracemalloc
@@ -23,36 +24,11 @@ from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
 from vrm.errors import InputError, NumericError
 from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges
 from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
-from vrm.pruning import EdgeMask, apply_mask, uep_mask
+from vrm.pruning import EdgeMask, uep_mask
 
 BUILDERS = {"ISV": build_isv_edges, "ICV": build_icv_edges}
 LOSSES = {"ISV": loss_isv, "ICV": loss_icv}
-
-
-# -- reference composite -----------------------------------------------
-
-
-def composite_edges(batch, kind):
-    b, c = batch.real.shape
-    if kind == "ISV":
-        diff = batch.real.reshape(1, b, c) - batch.virtual.reshape(b, 1, c)
-        return EdgeTensor("ISV", ad.l2_normalize(diff, axis=2))
-    diff = batch.real.reshape(b, 1, c) - batch.virtual.reshape(b, c, 1)
-    return EdgeTensor("ICV", ad.l2_normalize(diff.transpose((1, 2, 0)), axis=2))
-
-
-def composite_loss(e_s, e_t, mask, delta):
-    teacher = e_t.values.detach()
-    if mask is None:
-        kept = e_s.values.shape[0] * e_s.values.shape[1]
-        s, t = e_s.values, teacher
-    else:
-        kept = mask.kept_count
-        if kept == 0:
-            return Tensor(0.0)
-        s = apply_mask(e_s, mask)
-        t = apply_mask(EdgeTensor(e_t.kind, teacher), mask)
-    return ad.huber(s, t, delta).sum() * (1.0 / (kept * e_s.fiber_length))
+TERMS = {"ISV": isv_edge_loss, "ICV": icv_edge_loss}
 
 
 # -- helpers -------------------------------------------------------------
@@ -71,24 +47,6 @@ def random_mask(rng, kind, shape, m):
     return uep_mask(je, m, kind)
 
 
-def run(kind, real, virtual, teacher, mask, delta, fused):
-    r = Tensor(real, requires_grad=True)
-    v = Tensor(virtual, requires_grad=True)
-    if fused:
-        e_s = BUILDERS[kind](LogitBatch(r, v))
-        with ad.no_grad():
-            e_t = BUILDERS[kind](teacher)
-        loss = LOSSES[kind](e_s, e_t, mask, delta)
-    else:
-        e_s = composite_edges(LogitBatch(r, v), kind)
-        with ad.no_grad():
-            e_t = composite_edges(teacher, kind)
-        loss = composite_loss(e_s, e_t, mask, delta)
-    if loss.node is not None:
-        backward(loss)
-    return loss.data, r.grad, v.grad
-
-
 def assert_same_bits(a, b):
     if a is None or b is None:
         assert a is None and b is None
@@ -99,7 +57,23 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def check_case(rng, kind, b, c, m, same_views=False, delta=1.0, tied_rows=()):
+def run_term(kind, real, virtual, teacher, mask, delta, fused):
+    """The ISV or ICV term and the gradients of both views: the fused node,
+    or the reference, the public builder of the edges of both models
+    followed by the public loss."""
+    r = Tensor(real, requires_grad=True)
+    v = Tensor(virtual, requires_grad=True)
+    if fused:
+        loss, _ = TERMS[kind](LogitBatch(r, v), teacher, mask, delta)
+    else:
+        loss = LOSSES[kind](BUILDERS[kind](LogitBatch(r, v)), BUILDERS[kind](teacher),
+                            mask, delta)
+    if loss.node is not None:
+        backward(loss)
+    return loss.data, r.grad, v.grad
+
+
+def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
     real = probs(rng, b, c)
     virtual = real.copy() if same_views else probs(rng, b, c)
     # a virtual row within 1e-14 of its real row makes the ISV fiber (i, i)
@@ -107,15 +81,15 @@ def check_case(rng, kind, b, c, m, same_views=False, delta=1.0, tied_rows=()):
     virtual[list(tied_rows)] = real[list(tied_rows)]
     virtual[list(tied_rows), 0] += 1e-14
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    shape = (b, b) if kind == "ISV" else (c, c)
-    mask = random_mask(rng, kind, shape, m)
-    fused = run(kind, real, virtual, teacher, mask, delta, True)
-    ref = run(kind, real, virtual, teacher, mask, delta, False)
+    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), m)
+    fused = run_term(kind, real, virtual, teacher, mask, delta, True)
+    ref = run_term(kind, real, virtual, teacher, mask, delta, False)
     for x, y in zip(fused, ref):
         assert_same_bits(x, y)
+    return real, virtual, teacher
 
 
-# -- exactness -----------------------------------------------------------
+# -- the fused terms against the public composites ---------------------------
 
 
 # retention percentiles of the masks; None passes no mask
@@ -128,13 +102,13 @@ def test_fused_path_is_bit_identical_to_composite(kind):
     for m in PERCENTILES:
         for _ in range(3):
             b, c = (int(n) for n in rng.integers(2, 17, size=2))
-            check_case(rng, kind, b, c, m)
+            check_term(rng, kind, b, c, m)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_fused_path_is_bit_identical_at_wide_shape(kind):
     rng = np.random.default_rng(11)
-    check_case(rng, kind, 128, 32, 95.0)
+    check_term(rng, kind, 128, 32, 95.0)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -144,11 +118,11 @@ def test_fused_path_is_bit_identical_with_zero_norm_fibers(kind):
     rng = np.random.default_rng(12)
     for m in PERCENTILES:
         b, c = (int(n) for n in rng.integers(2, 17, size=2))
-        check_case(rng, kind, b, c, m, same_views=True)
+        check_term(rng, kind, b, c, m, same_views=True)
 
 
-# B=131, C=24: the ISV node and its loss run in blocks of 10 rows, the
-# last of which holds a single row
+# B=131, C=24: the ISV term runs in blocks of 10 rows, the last of which
+# holds a single row
 PARTIAL = (131, 24)
 
 
@@ -162,7 +136,7 @@ def test_isv_rows_split_into_blocks_with_a_partial_last_block():
 def test_fused_path_is_bit_identical_with_a_partial_last_block():
     rng = np.random.default_rng(19)
     for m in PERCENTILES:
-        check_case(rng, "ISV", *PARTIAL, m)
+        check_term(rng, "ISV", *PARTIAL, m)
 
 
 @pytest.mark.parametrize("tied_rows", [(), (4,), (3, 71, 130), tuple(range(131))],
@@ -173,25 +147,7 @@ def test_blocked_dead_fiber_shortcut_both_branches(tied_rows):
     # zero them, forward and backward; both must match the composite
     rng = np.random.default_rng(20)
     for m in (95.0, None):
-        check_case(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
-    real = probs(rng, *PARTIAL)
-    virtual = probs(rng, *PARTIAL)
-    virtual[list(tied_rows)] = real[list(tied_rows)]
-    virtual[list(tied_rows), 0] += 1e-14
-    values = build_isv_edges(LogitBatch(real, virtual)).values.data
-    dead = np.abs(values).sum(axis=2) == 0.0
-    assert sorted(np.flatnonzero(dead.diagonal())) == sorted(tied_rows)
-
-
-def test_overflow_in_the_last_block_names_the_fused_builder():
-    b, c = PARTIAL
-    real = np.zeros((b, c))
-    virtual = np.zeros((b, c))
-    virtual[-1] = 1e308
-    real[0] = -1e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="isv_edges"):
-            build_isv_edges(LogitBatch(real, virtual))
+        check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
 
 
 def test_empty_batch_builds_reduces_and_backpropagates():
@@ -206,25 +162,21 @@ def test_empty_batch_builds_reduces_and_backpropagates():
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_second_backward_through_the_loss_node_keeps_the_first(kind):
-    # a second backward through the same node gets its own gradient
-    # buffer and leaves the first one's intact
+    # a second backward through the same term node gets its own gradient
+    # buffers and leaves the first one's intact
     rng = np.random.default_rng(21)
     r = Tensor(probs(rng, 9, 6), requires_grad=True)
     v = Tensor(probs(rng, 9, 6), requires_grad=True)
-    e_s = BUILDERS[kind](LogitBatch(r, v))
-    with ad.no_grad():
-        e_t = BUILDERS[kind](LogitBatch(probs(rng, 9, 6), probs(rng, 9, 6)))
-    loss = LOSSES[kind](e_s, e_t, None)
-    first = backward(loss * 1.0)[id(e_s.values)]
-    kept = first.copy()
-    grads = r.grad.copy(), v.grad.copy()
+    teacher = LogitBatch(probs(rng, 9, 6), probs(rng, 9, 6))
+    loss, _ = TERMS[kind](LogitBatch(r, v), teacher, None, 1.0)
+    first = backward(loss * 1.0)
+    kept = {key: g.copy() for key, g in first.items()}
     r.grad = v.grad = None
-    second = backward(loss * 1.0)[id(e_s.values)]
-    assert second is not first
-    assert_same_bits(first, kept)
-    assert_same_bits(second, kept)
-    assert_same_bits(r.grad, grads[0])
-    assert_same_bits(v.grad, grads[1])
+    second = backward(loss * 1.0)
+    for key in (id(r), id(v)):
+        assert second[key] is not first[key]
+        assert_same_bits(first[key], kept[key])
+        assert_same_bits(second[key], kept[key])
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -232,7 +184,7 @@ def test_fused_path_residuals_beyond_delta(kind):
     # a small delta puts residuals on both branches of the Huber penalty
     rng = np.random.default_rng(13)
     for m in (50.0, None):
-        check_case(rng, kind, 9, 6, m, delta=0.05)
+        check_term(rng, kind, 9, 6, m, delta=0.05)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -244,29 +196,8 @@ def test_all_pruned_mask_warns_and_returns_untaped_zero(kind):
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     with pytest.warns(RuntimeWarning, match="pruned"):
-        loss, g_real, g_virtual = run(kind, real, virtual, teacher, mask, 1.0, True)
+        loss, g_real, g_virtual = run_term(kind, real, virtual, teacher, mask, 1.0, False)
     assert float(loss) == 0.0 and g_real is None and g_virtual is None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ref = run(kind, real, virtual, teacher, mask, 1.0, False)
-    assert float(ref[0]) == 0.0
-
-
-# -- one node each ---------------------------------------------------------
-
-
-def test_each_edge_kind_is_one_tape_node():
-    rng = np.random.default_rng(15)
-    batch = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
-                       Tensor(probs(rng, 6, 4), requires_grad=True))
-    teacher = LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4))
-    for kind, builder in BUILDERS.items():
-        e_s = builder(batch)
-        assert e_s.values.node.op == f"{kind.lower()}_edges"
-        assert e_s.values.node.inputs == (batch.real, batch.virtual)
-        loss = LOSSES[kind](e_s, builder(teacher), None)
-        assert loss.node.op == "masked_edge_loss"
-        assert loss.node.inputs == (e_s.values,)
 
 
 # -- gradients and non-finite values ----------------------------------------
@@ -303,23 +234,24 @@ def test_edge_loss_finite_difference(kind):
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_overflowing_logits_name_the_fused_builder(kind):
+def test_overflowing_logits_raise_in_the_public_builders(kind):
+    # the difference of the views overflows in the generic subtraction
     real = np.zeros((3, 4))
     virtual = np.zeros((3, 4))
     real[1] = 1e308
     virtual[1] = -1e308
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=f"{kind.lower()}_edges"):
+        with pytest.raises(NumericError, match="add produced non-finite values"):
             BUILDERS[kind](LogitBatch(real, virtual))
 
 
-def test_overflowing_edges_name_the_fused_loss():
+def test_overflowing_edges_raise_in_the_public_loss():
     values = np.zeros((3, 3, 2))
     values[0, 1] = 1e308
     student = EdgeTensor("ISV", Tensor(values))
     teacher = EdgeTensor("ISV", Tensor(-values))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="masked_edge_loss"):
+        with pytest.raises(NumericError, match="huber produced non-finite values"):
             loss_isv(student, teacher, None)
 
 
@@ -357,44 +289,6 @@ def test_empty_batch_loss_is_an_untaped_zero(kind):
     assert float(loss) == 0.0 and loss.node is None
 
 
-# -- the fused ISV and ICV terms of the objective ----------------------------------
-
-
-TERMS = {"ISV": isv_edge_loss, "ICV": icv_edge_loss}
-
-
-def run_term(kind, real, virtual, teacher, mask, delta, fused):
-    """The ISV or ICV term and the gradients of both views: the fused node,
-    or the reference composite of the edges of both models, apply_mask and
-    huber."""
-    r = Tensor(real, requires_grad=True)
-    v = Tensor(virtual, requires_grad=True)
-    if fused:
-        loss, _ = TERMS[kind](LogitBatch(r, v), teacher, mask, delta)
-    else:
-        e_s = composite_edges(LogitBatch(r, v), kind)
-        with ad.no_grad():
-            e_t = composite_edges(teacher, kind)
-        loss = composite_loss(e_s, e_t, mask, delta)
-    if loss.node is not None:
-        backward(loss)
-    return loss.data, r.grad, v.grad
-
-
-def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
-    real = probs(rng, b, c)
-    virtual = real.copy() if same_views else probs(rng, b, c)
-    virtual[list(tied_rows)] = real[list(tied_rows)]
-    virtual[list(tied_rows), 0] += 1e-14
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), m)
-    fused = run_term(kind, real, virtual, teacher, mask, delta, True)
-    ref = run_term(kind, real, virtual, teacher, mask, delta, False)
-    for x, y in zip(fused, ref):
-        assert_same_bits(x, y)
-    return real, virtual, teacher
-
-
 # 131 x 24 runs in blocks of 10 rows with a one-row last block
 ISV_SHAPES = [(128, 32), PARTIAL, (7, 5)]
 
@@ -419,7 +313,11 @@ def test_isv_term_both_huber_branches(shape):
 def test_isv_term_with_dead_fibers(tied_rows):
     rng = np.random.default_rng(32)
     for m in (95.0, None):
-        check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
+        real, virtual, _ = check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
+        # the tied rows, and only they, give dead diagonal fibers
+        values = build_isv_edges(LogitBatch(real, virtual)).values.data
+        dead = np.abs(values).sum(axis=2) == 0.0
+        assert sorted(np.flatnonzero(dead.diagonal())) == sorted(tied_rows)
 
 
 def test_isv_term_with_whole_rows_and_columns_pruned():
