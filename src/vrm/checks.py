@@ -230,7 +230,10 @@ def exactness_checks(seed: int = 300) -> list[CheckResult]:
     """The fused ISV and ICV terms against :func:`build_isv_edges` /
     :func:`build_icv_edges` followed by :func:`loss_isv` / :func:`loss_icv`,
     and :func:`autodiff._blocked_sum` against ``np.sum``, bit for bit (sign
-    bits included), so drift under another numpy shows here."""
+    bits included), so drift under another numpy shows here.  Each term
+    expects the upstream gradient 128 and is differentiated twice, through
+    ``loss * 128`` (the gradients its forward formed) and ``loss * 2`` (a
+    rerun), as is the composite."""
     rng = np.random.default_rng(seed)
     # the ISV term runs in blocks of 10 rows, the last of which holds one
     b, c = 131, 24
@@ -245,16 +248,20 @@ def exactness_checks(seed: int = 300) -> list[CheckResult]:
         for fused in (True, False):
             views = LogitBatch(ad.Tensor(student.real.data, requires_grad=True),
                                ad.Tensor(student.virtual.data, requires_grad=True))
-            value = (term(views, teacher, mask, 1.0)[0] if fused
+            value = (term(views, teacher, mask, 1.0, upstream=128.0)[0] if fused
                      else loss(build(views), build(teacher), mask, 1.0))
-            ad.backward(value)
-            outputs.append((value.data, views.real.grad, views.virtual.grad))
-        differ = [name for name, x, y in zip(("loss", "real grad", "virtual grad"), *outputs)
-                  if not _same_bits(x, y)]
+            outputs.append([value.data])
+            for k in (128.0, 2.0):
+                views.real.grad = views.virtual.grad = None
+                ad.backward(value * k)
+                outputs[-1] += [views.real.grad, views.virtual.grad]
+        differ = [name for name, x, y in zip(
+                      ("loss", "real grad", "virtual grad", "rerun real grad",
+                       "rerun virtual grad"), *outputs) if not _same_bits(x, y)]
         results.append(CheckResult(
             f"exact:{kind}_edge_loss", not differ,
             f"fused and composite differ in {', '.join(differ)}" if differ
-            else f"loss and view grads bit-identical (B={b}, C={c}, m=95)"))
+            else f"loss and view grads bit-identical (B={b}, C={c}, m=95, g=128 and 2)"))
 
     # numpy sums 300 values as leaves starting at 0, 72, 144 and 216; the
     # cuts split the second leaf over four chunks and the third over two

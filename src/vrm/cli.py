@@ -301,6 +301,11 @@ def cmd_ablate(args, parser) -> int:
     return EXIT_OK
 
 
+# the flag that sets each PilotSpec field, which its errors name first
+_PILOT_FLAGS = {"B": "--batch", "D": "--dim", "t": "--spurious-index", "c": "--noise-scale",
+                "loss_kind": "--loss-kinds"}
+
+
 def cmd_pilot(args, parser) -> int:
     if args.seeds < 1:
         parser.error("need >= 1 seed")
@@ -308,8 +313,12 @@ def cmd_pilot(args, parser) -> int:
     if not kinds:
         raise ParameterError("--loss-kinds names no loss kind")
     # every study is validated before the run directory exists
-    specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
-                              seed, kind) for seed in range(args.seeds)] for kind in kinds}
+    try:
+        specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
+                                  seed, kind) for seed in range(args.seeds)] for kind in kinds}
+    except ParameterError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise ParameterError(f"{_PILOT_FLAGS.get(field, field)} {rule}") from None
     with Run(args, {"batch": args.batch, "dim": args.dim,
                     "spurious_index": args.spurious_index, "noise_scale": args.noise_scale,
                     "n_seeds": args.seeds, "loss_kinds": ",".join(kinds)}) as run:

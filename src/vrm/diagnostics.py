@@ -21,7 +21,8 @@ PILOT_LOSS_KINDS = ("IM", "RM", "RM_GRAM")
 class PilotSpec:
     """Spurious-gradient experiment: perturb row ``t`` of a random
     prediction matrix by ``c``-scaled noise and watch how every row's
-    gradient norm responds."""
+    gradient norm responds.  Each error message starts with the name of
+    the field at fault."""
 
     B: int = 64
     D: int = 16
@@ -31,15 +32,15 @@ class PilotSpec:
     loss_kind: str = "RM"
 
     def __post_init__(self):
-        if self.B < 2 or self.D < 1:
-            raise ParameterError("the pilot needs a batch B >= 2 and a dimension D >= 1")
-        if not 0 <= self.t < self.B:
-            raise ParameterError("spurious index t must lie in [0, B)")
         require_finite(self, ("c",))
-        if self.c < 0:
-            raise ParameterError("noise scale must be nonnegative")
-        if self.loss_kind not in PILOT_LOSS_KINDS:
-            raise ParameterError(f"loss_kind must be one of {PILOT_LOSS_KINDS}")
+        for name, ok, rule in (("B", self.B >= 2, "must be >= 2"),
+                               ("D", self.D >= 1, "must be >= 1"),
+                               ("t", 0 <= self.t < self.B, f"must lie in [0, {self.B})"),
+                               ("c", self.c >= 0, "must be nonnegative"),
+                               ("loss_kind", self.loss_kind in PILOT_LOSS_KINDS,
+                                f"must be one of {PILOT_LOSS_KINDS}")):
+            if not ok:
+                raise ParameterError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 def _pilot_loss(x: Tensor, y: np.ndarray, kind: str) -> Tensor:

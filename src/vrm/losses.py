@@ -140,55 +140,51 @@ def _huber_rows(s, t, pruned, delta: float, elem, slope) -> None:
         r[linear] = np.clip(past, -delta, delta)
 
 
-def _isv_fibers(real, virtual_rows, out, scratch=None):
+def _isv_fibers(real, virtual_rows, out, scratch):
     """The ISV fibers of some virtual-view rows against every real-view
-    row, written to ``out``, plus the state :func:`_isv_grad` needs; the
-    differences go to ``scratch`` when given, a C-ordered buffer of
-    ``out``'s shape.  The arithmetic is that of :func:`build_isv_edges`
-    on those rows."""
+    row as :func:`build_isv_edges` computes them, written to ``out``, with
+    the state their gradient needs; the differences go to ``scratch``."""
     b, c = real.shape
     x = np.subtract(real.reshape(1, b, c), virtual_rows.reshape(-1, 1, c), out=scratch)
     return ad._unit_fibers(x, 2, out=out)
 
 
-def _isv_grad(g_rows, y, n_safe, live, blocks):
-    """The [B, C] gradients of the real and virtual views from ISV fibers
-    ``y`` saved in row ``blocks``; ``g_rows(rows)`` gives the gradient of
-    the fibers of one block.
+def _term_node(run, scale, student: LogitBatch, upstream, op) -> Tensor:
+    """The tape node of a fused edge term, whose ``run(g)`` gives the
+    penalty sum and, unless ``g`` is None, both views' gradients for the
+    upstream gradient ``g``.  The forward runs it for ``upstream`` when
+    the node goes on the tape, so the node keeps only those gradients;
+    the backward hands them out once, if its ``g`` has ``upstream``'s bytes
+    (-0.0 is not +0.0), and reruns ``run`` otherwise."""
+    views = (student.real, student.virtual)
+    taped = ad._grad_enabled and any(v.requires_grad for v in views)
+    total, saved = run(upstream if taped else None)
 
-    The virtual view's gradient sums each row on its own; the real
-    view's, a sum over rows, keeps its running total in row 0 of the block
-    buffer, so it adds the rows in the order one ``sum(axis=0)`` over the
-    whole tensor does, as the backward of :func:`build_isv_edges` does.
-    """
-    b, _, c = y.shape
-    g_virtual = np.empty((b, c))
-    buf = np.empty((1 + blocks[0].stop, b, c))
-    for k, rows in enumerate(blocks):
-        n = rows.stop - rows.start
-        gx = ad._unit_fibers_grad(g_rows(rows), y[rows], n_safe[rows], live[rows], 2,
-                                  out=buf[1:1 + n])
-        g_virtual[rows] = gx.sum(axis=1)
-        buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
-    return buf[0].copy(), -g_virtual
+    def grad_fn(g):
+        nonlocal saved
+        grads, saved = saved, None
+        if grads is None or np.float64(g).tobytes() != np.float64(upstream).tobytes():
+            grads = run(g)[1]
+        return grads
+
+    return ad._result(np.asarray(total) * scale, views, grad_fn, op)
 
 
 def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
-                  delta: float) -> tuple[Tensor, int]:
+                  delta: float, upstream: float = 1.0) -> tuple[Tensor, int]:
     """The ISV term of the objective as one tape node, from both models'
     softened views to the masked Huber loss.  Returns (scalar, kept_count).
 
     It is :func:`build_isv_edges` of both batches followed by
     :func:`loss_isv`, run together through row blocks of virtual-view
-    samples (:func:`autodiff._row_blocks`): each block computes the
-    student's fibers into the saved edges, the teacher's into the block's
-    rows of the slope buffer and then the block's penalty into a
-    block-sized scratch buffer while all are in cache, so neither the
-    teacher's [B, B, C] edges nor a full-size penalty ever exist.  The
-    arithmetic and the layouts are the composite's, and
-    :func:`autodiff._blocked_sum` adds the penalties as one sum over the
-    whole tensor does, so the value and the view gradients are
-    bit-identical to it.  Any non-finite fiber, the
+    samples (:func:`autodiff._row_blocks`).  While a block is in cache it
+    gets both models' fibers, the penalty, its slope and, for the expected
+    upstream gradient ``upstream`` (the term's weight in the objective,
+    see :func:`_term_node`), its share of both view gradients, so no
+    [B, B, C] array ever exists.  The arithmetic and the layouts are the
+    composite's, and :func:`autodiff._blocked_sum` adds the penalties as
+    one sum over the whole tensor does, so the value and the view
+    gradients are bit-identical to it.  Any non-finite fiber, the
     student's or the teacher's, makes the loss non-finite, so one check of
     the loss covers them all.
     """
@@ -202,71 +198,64 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     s_real, s_virtual = student.real.data, student.virtual.data
     t_real, t_virtual = teacher.real.data, teacher.virtual.data
     blocks = ad._row_blocks(b, b * c)
-    y = np.empty((b, b, c))
-    n_safe = np.empty((b, b, 1))
-    live = np.empty((b, b, 1), dtype=bool)
-    slope = np.empty_like(y)
-    scratch = np.empty((blocks[0].stop, b, c))
+    fixups = _block_fixups(pruned, blocks)
 
-    def penalties():
-        for rows, fixups in zip(blocks, _block_fixups(pruned, blocks)):
-            # the scratch holds the views' differences until the penalty
-            # overwrites them, and the block's rows of slope the teacher's fibers
-            e, r = scratch[:rows.stop - rows.start], slope[rows]
-            _, n_safe[rows], live[rows] = _isv_fibers(s_real, s_virtual[rows], y[rows], e)
-            t, _, _ = _isv_fibers(t_real, t_virtual[rows], r, e)
-            _huber_rows(y[rows], t, fixups, delta, e, r)
-            yield e.ravel()
+    def run(g):
+        # a block's student fibers; the teacher's, then the slope, then g
+        # times it; and the views' differences, then the penalty
+        y, r, e = (np.empty((blocks[0].stop, b, c)) for _ in range(3))
+        if g is not None:
+            g = g * scale
+            g_virtual = np.empty((b, c))
+            # the real view's gradient keeps its running total in row 0,
+            # so it adds the rows in the order one sum(axis=0) over them does
+            buf = np.empty((1 + blocks[0].stop, b, c))
 
-    out = np.asarray(ad._blocked_sum(penalties(), b * b * c)) * scale
+        def penalties():
+            for k, (rows, fix) in enumerate(zip(blocks, fixups)):
+                n = rows.stop - rows.start
+                y_k, r_k, e_k = y[:n], r[:n], e[:n]
+                _, n_safe, live = _isv_fibers(s_real, s_virtual[rows], y_k, e_k)
+                t, _, _ = _isv_fibers(t_real, t_virtual[rows], r_k, e_k)
+                _huber_rows(y_k, t, fix, delta, e_k, r_k)
+                if g is not None:
+                    gx = ad._unit_fibers_grad(np.multiply(g, r_k, out=r_k), y_k, n_safe, live,
+                                              2, out=buf[1:1 + n])
+                    g_virtual[rows] = gx.sum(axis=1)
+                    buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
+                # last: the sum may stop drawing once it has the last block
+                yield e_k.ravel()
 
-    def grad_fn(g):
-        g = g * scale
-        g_buf = np.empty((blocks[0].stop, b, c))
+        total = ad._blocked_sum(penalties(), b * b * c)
+        return total, None if g is None else (buf[0].copy(), -g_virtual)
 
-        def g_rows(rows):
-            # the composite forms g * slope over the whole tensor before
-            # the l2_normalize backward reads it block by block
-            return np.multiply(g, slope[rows], out=g_buf[:rows.stop - rows.start])
-
-        return _isv_grad(g_rows, y, n_safe, live, blocks)
-
-    return ad._result(out, (student.real, student.virtual), grad_fn, "isv_edge_loss"), kept
+    return _term_node(run, scale, student, upstream, "isv_edge_loss"), kept
 
 
-def _icv_fibers(real, virtual, out=None, scratch=None):
-    """The ICV fibers of two [B, C] views, plus the state :func:`_icv_grad`
+def _icv_fibers(real, virtual, scratch, out=None):
+    """The ICV fibers of two [B, C] views, with the state their gradient
     needs.  As in :func:`build_icv_edges`, their [B, C, C] difference
-    (written to ``scratch`` when given) is normalized through its [C, C, B]
-    view, into ``out`` when given, a C-ordered [B, C, C] buffer."""
+    (written to ``scratch``) is normalized through its [C, C, B] view,
+    into ``out`` when given, a C-ordered [B, C, C] buffer."""
     b, c = real.shape
     x = np.subtract(real.reshape(b, 1, c), virtual.reshape(b, c, 1), out=scratch)
     return ad._unit_fibers(x.transpose(1, 2, 0), 2,
                            out=None if out is None else out.transpose(1, 2, 0))
 
 
-def _icv_grad(g, y, n_safe, live):
-    """The [B, C] gradients of the real and virtual views from the
-    gradient ``g`` of the ICV fibers ``y``: the l2_normalize rule, on the
-    array layouts of the backward of :func:`build_icv_edges`."""
-    # each view's gradient sums the broadcast difference over the axis
-    # only the other view varies along
-    g_diff = ad._unit_fibers_grad(g, y, n_safe, live, 2).transpose(2, 0, 1)
-    return g_diff.sum(axis=1), -g_diff.sum(axis=2)
-
-
 def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
-                  delta: float) -> tuple[Tensor, int]:
+                  delta: float, upstream: float = 1.0) -> tuple[Tensor, int]:
     """The ICV term of the objective as one tape node, from both models'
     softened views to the masked Huber loss.  Returns (scalar, kept_count).
 
     It is :func:`build_icv_edges` of both batches followed by
     :func:`loss_icv`, on their array layouts: [B, C, C] buffers viewed as
-    [C, C, B] edges.  The student's fibers are saved, the teacher's are
-    written into the slope buffer, and the student's difference buffer
-    takes the penalty, so the teacher's edges never exist on their own.
-    The norm and penalty sums run in the same memory order and the
-    backward forms the same C-ordered ``g * slope``, so the value and the
+    [C, C, B] edges.  The teacher's fibers are written into the slope
+    buffer and the student's difference buffer takes the penalty, so the
+    teacher's edges never exist on their own.  For the expected upstream
+    gradient (see :func:`_term_node`) those dead buffers then take g times
+    the slope and its gradient, C-ordered like the composite's fresh
+    temporaries, so every sum runs in the same order and the value and the
     view gradients are bit-identical to the composite's.  As in
     :func:`isv_edge_loss`, one check of the loss covers every fiber.
     """
@@ -279,20 +268,27 @@ def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
     if kept * b == 0:
         return Tensor(0.0), kept
     scale = 1.0 / (kept * b)
-    diff = np.empty((b, c, c))
-    y, n_safe, live = _icv_fibers(student.real.data, student.virtual.data, scratch=diff)
-    # the teacher's fibers, until the penalty turns them into its slope
-    slope = _icv_fibers(teacher.real.data, teacher.virtual.data, np.empty_like(diff), diff)[0]
-    elem = diff.transpose(1, 2, 0)
-    _huber_rows(y, slope, pruned, delta, elem, slope)
-    out = np.asarray(elem.sum()) * scale
+    s_real, s_virtual = student.real.data, student.virtual.data
+    t_real, t_virtual = teacher.real.data, teacher.virtual.data
 
-    def grad_fn(g):
-        # the composite spreads g over a C-ordered buffer, whose layout
-        # fixes the order of the l2_normalize backward's fiber-axis sums
-        return _icv_grad(np.multiply(g * scale, slope, order="C"), y, n_safe, live)
+    def run(g):
+        diff, t_buf = np.empty((b, c, c)), np.empty((b, c, c))
+        y, n_safe, live = _icv_fibers(s_real, s_virtual, diff)
+        # the teacher's fibers, until the penalty turns them into its slope
+        slope = _icv_fibers(t_real, t_virtual, diff, t_buf)[0]
+        elem = diff.transpose(1, 2, 0)
+        _huber_rows(y, slope, pruned, delta, elem, slope)
+        total = elem.sum()
+        if g is None:
+            return total, None
+        g_slope = np.multiply(g * scale, slope, out=diff.reshape(c, c, b))
+        # each view's gradient sums the broadcast difference over the axis
+        # only the other view varies along
+        g_diff = ad._unit_fibers_grad(g_slope, y, n_safe, live, 2,
+                                      out=t_buf.reshape(c, c, b)).transpose(2, 0, 1)
+        return total, (g_diff.sum(axis=1), -g_diff.sum(axis=2))
 
-    return ad._result(out, (student.real, student.virtual), grad_fn, "icv_edge_loss"), kept
+    return _term_node(run, scale, student, upstream, "icv_edge_loss"), kept
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
@@ -354,8 +350,9 @@ def total_loss(student: LogitBatch, teacher: LogitBatch, labels, weights: VRMWei
     if masks is None:
         masks = uep_masks_for(s_in, weights)
 
-    isv, kept_isv = isv_edge_loss(s_in, t_in, masks[0], weights.huber_delta)
-    icv, kept_icv = icv_edge_loss(s_in, t_in, masks[1], weights.huber_delta)
+    # each term's weight is the gradient the backward passes it
+    isv, kept_isv = isv_edge_loss(s_in, t_in, masks[0], weights.huber_delta, weights.alpha)
+    icv, kept_icv = icv_edge_loss(s_in, t_in, masks[1], weights.huber_delta, weights.beta)
 
     total = ce_real + ce_virtual + isv * weights.alpha + icv * weights.beta
     return LossBreakdown(total, ce_real, ce_virtual, isv, icv, kept_isv, kept_icv)

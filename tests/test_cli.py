@@ -291,12 +291,16 @@ def test_gen_data_degenerate_request_exits_2_without_a_file(run_env, capsys, fla
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("flags", [["--dim", "0"], ["--batch", "1", "--spurious-index", "0"],
-                                   ["--noise-scale", "nan"], ["--loss-kinds", ","]],
-                         ids=["dim-0", "batch-1", "noise-scale-nan", "no-loss-kind"])
-def test_pilot_degenerate_study_exits_2_before_the_run_dir(run_env, capsys, flags):
+@pytest.mark.parametrize("flags,culprit", [
+    (["--dim", "0"], "--dim"), (["--batch", "1", "--spurious-index", "0"], "--batch"),
+    (["--noise-scale", "nan"], "--noise-scale"), (["--loss-kinds", ","], "--loss-kinds"),
+    (["--spurious-index", "64"], "--spurious-index")],
+    ids=["dim-0", "batch-1", "noise-scale-nan", "no-loss-kind", "spurious-index-64"])
+def test_pilot_degenerate_study_exits_2_before_the_run_dir(run_env, capsys, flags, culprit):
+    # the error line names the flag at fault
     code = main(["pilot", *flags, "--seeds", "1", "--name", "p"])
-    assert_clean_error(capsys, code, 2)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {culprit} ") and "Traceback" not in err
     assert not (run_env / "runs").exists()
 
 
@@ -398,21 +402,35 @@ def test_check_quick_passes_fast(run_env, capsys):
 
 @pytest.mark.parametrize("term", ["isv_edge_loss", "icv_edge_loss"])
 def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypatch, term):
+    # the loss drifts; then the real view's gradient of every backward but
+    # the first, which reruns the term
     import vrm.checks
 
     real_term = getattr(vrm.checks, term)
+    for part in ("loss", "rerun real grad"):
 
-    def drifted(*args):
-        loss, kept = real_term(*args)
-        loss.data = np.nextafter(loss.data, np.inf)
-        return loss, kept
+        def drifted(*args, part=part, **kwargs):
+            loss, kept = real_term(*args, **kwargs)
+            if part == "loss":
+                loss.data = np.nextafter(loss.data, np.inf)
+            elif loss.node is not None:
+                grad_fn, calls = loss.node.grad_fn, []
 
-    monkeypatch.setattr(vrm.checks, term, drifted)
-    code = main(["check", "--quick"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert f"FAIL exact:{term}: fused and composite differ in loss\n" in captured.out
-    assert f"exact:{term}" in captured.err
+                def later_calls_drift(g):
+                    calls.append(g)
+                    g_real, g_virtual = grad_fn(g)
+                    drift = len(calls) > 1
+                    return (np.nextafter(g_real, np.inf) if drift else g_real), g_virtual
+
+                loss.node.grad_fn = later_calls_drift
+            return loss, kept
+
+        monkeypatch.setattr(vrm.checks, term, drifted)
+        code = main(["check", "--quick"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"FAIL exact:{term}: fused and composite differ in {part}\n" in captured.out
+        assert f"exact:{term}" in captured.err
 
 
 def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):

@@ -57,20 +57,25 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def run_term(kind, real, virtual, teacher, mask, delta, fused):
-    """The ISV or ICV term and the gradients of both views: the fused node,
-    or the reference, the public builder of the edges of both models
-    followed by the public loss."""
+def run_term(kind, real, virtual, teacher, mask, delta, fused, upstream=1.0, k=1.0):
+    """The ISV or ICV term and the gradients of both views through
+    ``loss * k``: the fused node, told to expect the upstream gradient
+    ``upstream``, or the reference, the public builder of the edges of both
+    models followed by the public loss."""
     r = Tensor(real, requires_grad=True)
     v = Tensor(virtual, requires_grad=True)
     if fused:
-        loss, _ = TERMS[kind](LogitBatch(r, v), teacher, mask, delta)
+        loss, _ = TERMS[kind](LogitBatch(r, v), teacher, mask, delta, upstream=upstream)
     else:
         loss = LOSSES[kind](BUILDERS[kind](LogitBatch(r, v)), BUILDERS[kind](teacher),
                             mask, delta)
     if loss.node is not None:
-        backward(loss)
+        backward(loss * k)
     return loss.data, r.grad, v.grad
+
+
+# the weights total_loss multiplies the terms by, and so passes as upstream
+UPSTREAM = {"ISV": VRMWeights().alpha, "ICV": VRMWeights().beta}
 
 
 def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
@@ -82,10 +87,14 @@ def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
     virtual[list(tied_rows), 0] += 1e-14
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), m)
-    fused = run_term(kind, real, virtual, teacher, mask, delta, True)
-    ref = run_term(kind, real, virtual, teacher, mask, delta, False)
-    for x, y in zip(fused, ref):
-        assert_same_bits(x, y)
+    upstream = UPSTREAM[kind]
+    # k == upstream hands out the gradients the forward formed, another k
+    # runs the term again
+    for k in (upstream, upstream + 1.0):
+        fused = run_term(kind, real, virtual, teacher, mask, delta, True, upstream, k)
+        ref = run_term(kind, real, virtual, teacher, mask, delta, False, upstream, k)
+        for x, y in zip(fused, ref):
+            assert_same_bits(x, y)
     return real, virtual, teacher
 
 
@@ -177,6 +186,66 @@ def test_second_backward_through_the_loss_node_keeps_the_first(kind):
         assert second[key] is not first[key]
         assert_same_bits(first[key], kept[key])
         assert_same_bits(second[key], kept[key])
+
+
+def count_unit_fibers_grad(monkeypatch):
+    """A list that grows by one at each call of autodiff._unit_fibers_grad."""
+    calls = []
+    real = ad._unit_fibers_grad
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_unit_fibers_grad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+@pytest.mark.parametrize("upstream,k,reruns", [(128.0, 128.0, False), (128.0, 2.0, True),
+                                               (0.0, -0.0, True)],
+                         ids=["expected", "other", "negative-zero"])
+def test_term_backward_reruns_only_for_an_unexpected_upstream(monkeypatch, kind, upstream, k,
+                                                              reruns):
+    # the backward hands out the forward's gradients for the upstream
+    # gradient it was told to expect, compared by its bytes
+    rng = np.random.default_rng(22)
+    views = LogitBatch(Tensor(probs(rng, *PARTIAL), requires_grad=True),
+                       Tensor(probs(rng, *PARTIAL), requires_grad=True))
+    teacher = LogitBatch(probs(rng, *PARTIAL), probs(rng, *PARTIAL))
+    loss, _ = TERMS[kind](views, teacher, None, 1.0, upstream=upstream)
+    scaled = loss * k
+    calls = count_unit_fibers_grad(monkeypatch)
+    backward(scaled)
+    assert bool(calls) == reruns
+
+
+def test_total_loss_backward_forms_no_edge_gradient(monkeypatch):
+    # the forward of each term formed its view gradients for the term's
+    # weight, which is what the backward passes it
+    rng = np.random.default_rng(23)
+    b, c = 40, 10
+    student = LogitBatch(Tensor(rng.standard_normal((b, c)), requires_grad=True),
+                         Tensor(rng.standard_normal((b, c)), requires_grad=True))
+    teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+    calls = count_unit_fibers_grad(monkeypatch)
+    breakdown = total_loss(student, teacher, rng.integers(0, c, size=b), VRMWeights())
+    assert calls
+    calls.clear()
+    backward(breakdown.total)
+    assert not calls and student.real.grad is not None
+
+
+def test_forward_under_no_grad_forms_no_edge_gradient(monkeypatch):
+    rng = np.random.default_rng(24)
+    b, c = 40, 10
+    student = LogitBatch(Tensor(rng.standard_normal((b, c)), requires_grad=True),
+                         Tensor(rng.standard_normal((b, c)), requires_grad=True))
+    teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+    calls = count_unit_fibers_grad(monkeypatch)
+    with ad.no_grad():
+        breakdown = total_loss(student, teacher, rng.integers(0, c, size=b), VRMWeights())
+    assert not calls and breakdown.total.node is None
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -330,11 +399,12 @@ def test_isv_term_with_whole_rows_and_columns_pruned():
     mask = EdgeMask("ISV", keep, 70.0, 0.0)
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True)
-    ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
-    for x, y in zip(fused, ref):
-        assert_same_bits(x, y)
-    assert not ref[2][[2, 5]].any() and not ref[1][4].any()
+    for k in (1.0, 3.0):
+        fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True, 1.0, k)
+        ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False, 1.0, k)
+        for x, y in zip(fused, ref):
+            assert_same_bits(x, y)
+        assert not ref[2][[2, 5]].any() and not ref[1][4].any()
 
 
 def test_isv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
@@ -559,17 +629,38 @@ def traced_peak_mib(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind,bound", [("ISV", 9.0), ("ICV", 3.5)])
-def test_fused_term_forward_peak_at_the_wide_shape(kind, bound):
-    # the saved fibers and the slope are [B, B, C] or [C, C, B] each; a
-    # full-size penalty or the teacher's edges on top would pass the bound
+def wide_case(kind):
     rng = np.random.default_rng(47)
     b, c = 128, 32
     views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
                        Tensor(probs(rng, b, c), requires_grad=True))
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), 95.0)
+    return views, teacher, mask
+
+
+@pytest.mark.parametrize("kind,bound", [("ISV", 2.0), ("ICV", 3.5)])
+def test_fused_term_forward_peak_at_the_wide_shape(kind, bound):
+    # ISV works in row blocks of about 256 KiB, so a single [B, B, C] array
+    # (4 MiB) would pass the bound; ICV holds three [C, C, B] buffers (1 MiB
+    # each), so the teacher's edges or a fresh gradient on top would pass it
+    views, teacher, mask = wide_case(kind)
     assert traced_peak_mib(lambda: TERMS[kind](views, teacher, mask, 1.0)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_fused_term_holds_only_the_view_gradients_after_its_forward(kind):
+    # the two [B, C] view gradients are 64 KiB; any edge-shaped buffer kept
+    # for the backward would pass the bound
+    views, teacher, mask = wide_case(kind)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = TERMS[kind](views, teacher, mask, 1.0)
+        held = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert loss.node is not None and held <= 0.25
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
