@@ -1,8 +1,9 @@
 """Self-verification suites: finite-difference gradient checks for every
 differentiable op, oracle-equivalence checks for the vectorized edge
 builders and masked losses, and bit-exactness checks of the fused
-objective terms against the public composites they replace.  These back
-the ``check`` command and double as the release gate."""
+objective terms against the public composites they replace, and of the
+virtual-view kernel against per-row numpy generators.  These back the
+``check`` command and double as the release gate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import _OPS, AugmentSpec, virtual_batch
 from .graphs import (
     LogitBatch,
     brute_force_edges,
@@ -267,7 +269,37 @@ def exactness_checks(seed: int = 300) -> list[CheckResult]:
     # cuts split the second leaf over four chunks and the third over two
     values = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 9, size=300)
     same = _same_bits(ad._blocked_sum(np.split(values, [80, 90, 100, 200]), 300), values.sum())
-    return results + [CheckResult("exact:blocked_sum", same, f"bit-identical to np.sum: {same}")]
+    results.append(CheckResult("exact:blocked_sum", same, f"bit-identical to np.sum: {same}"))
+
+    # virtual views at the vrm_desk and vrm_wide batch shapes, a seed of two words
+    spec = AugmentSpec(n_ops=2, magnitude=0.3, seed=2**32 + 3)
+    differ = []
+    for shape in ((32, 16), (128, 32)):
+        xb = rng.standard_normal(shape)
+        if not _same_bits(virtual_batch(xb, spec, (5, 7)), _reference_views(xb, spec, (5, 7))):
+            differ.append(f"B={shape[0]}, D={shape[1]}")
+    return results + [CheckResult(
+        "exact:virtual_batch", not differ,
+        f"kernel and per-row generators differ at {'; '.join(differ)}" if differ
+        else "bit-identical to per-row default_rng and Generator.choice (B=32 and 128)")]
+
+
+def _reference_views(xb, spec: AugmentSpec, step_key) -> np.ndarray:
+    """Row i of :func:`virtual_batch` from its own ``default_rng((spec.seed,
+    *step_key, i))``, its op picks from ``Generator.choice``, and the ops
+    applied to the row alone.  The kernel replays numpy's seeding and
+    ``choice`` on its own, so a numpy that changes either shows here."""
+    out = np.array(xb, dtype=np.float64)
+    for i, row in enumerate(out):
+        rng = np.random.default_rng([spec.seed, *step_key, i])
+        view = row[None, :].copy()
+        for op_idx in rng.choice(len(spec.op_pool), size=spec.n_ops, replace=False):
+            draw, apply = _OPS[spec.op_pool[op_idx]]
+            drawn = draw(rng, len(row))
+            if drawn is not None:
+                view = apply(view, spec.magnitude, *(np.array([d]) for d in drawn))
+        out[i] = view[0]
+    return out
 
 
 def run_all_checks(quick: bool = False) -> list[CheckResult]:

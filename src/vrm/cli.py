@@ -114,6 +114,9 @@ _TRAIN_KEYS = {
     "im_kd_weight": (TrainConfig, "im_kd_weight"),
 }
 
+# the flag that sets each field of _TRAIN_KEYS, which its errors name first
+_TRAIN_FLAGS = {name: "--" + key.replace("_", "-") for key, (_, name) in _TRAIN_KEYS.items()}
+
 # train-teacher's keys, in the order its manifest lists them
 _TEACHER_KEYS = ("lr", "momentum", "weight_decay", "lr_decay", "milestones", "batch_size",
                  "epochs", "seed", "alpha", "beta", "tau", "delta", "uep", "n_ops",
@@ -186,8 +189,12 @@ def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
     for key, (cls, name) in _TRAIN_KEYS.items():
         kwargs[cls][name] = cfg[key]
     kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "milestones"))
-    config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
-                         augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
+    try:
+        config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
+                             augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
+    except ParameterError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise ParameterError(f"{_TRAIN_FLAGS.get(field, field)} {rule}") from None
     n_train = len(data.train_idx)
     if config.batch_size > n_train:
         raise ParameterError(f"batch size {config.batch_size} exceeds the "

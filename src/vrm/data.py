@@ -2,6 +2,7 @@
 dataset file format."""
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -151,10 +152,115 @@ def _seed_words(parts) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+# numpy's SeedSequence hash constants (4-word pool) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK64, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_consts(init: int, mult: int, n_calls: int) -> np.ndarray:
+    """The [n_calls + 1, 1] uint32 constants of successive SeedSequence
+    hashes from ``init``: call t xors with entry t, multiplies by entry t + 1."""
+    return np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(n_calls + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hash(v, consts, t, calls):
+    """Hash calls t .. t + calls - 1 of ``v``, one per row of the result."""
+    v = (v ^ consts[t:t + calls]) * consts[t + 1:t + calls + 1]
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x, y):
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> np.uint32(16)
+
+
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """``(state, inc)`` of ``np.random.PCG64(row)`` for each row of the
+    [n, k] uint32 ``entropy``, as Python ints: SeedSequence's mixing of its
+    4-word pool, its ``generate_state(4, uint64)`` and PCG64's seeding, all
+    of which NEP 19 keeps fixed.  The 32-bit steps run on [4, n] uint32
+    arrays for all rows at once, wrapping as numpy's C does (one source
+    word's updates of the other three are independent); the 128-bit steps
+    run on Python ints."""
+    n, k = entropy.shape
+    hashes = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, k - 4))
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:k] = entropy[:, :4].T
+    pool = _hash(pool, hashes, 0, 4)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = _mix(pool[others], _hash(pool[src], hashes, 4 + 3 * src, 3))
+    for i in range(4, k):
+        pool = _mix(pool, _hash(entropy[:, i], hashes, 4 * i, 4))
+    # generate_state cycles through the pool for its 8 words, which it
+    # reads as 4 little-endian uint64s: seed's high and low halves, then initseq's
+    words = _hash(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in np.ascontiguousarray(words.T, "<u4").view("<u8").tolist():
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+class _Stream:
+    """numpy's PCG64 on Python ints from a ``(state, inc)``: the LCG step,
+    the XSL-RR output and the buffered upper half of a 64-bit output,
+    which ``next32`` hands out before stepping again."""
+
+    __slots__ = ("state", "inc", "has_uint32", "uinteger")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc = state, inc
+        self.has_uint32 = self.uinteger = 0
+
+    def next32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        self.state = s = (self.state * _PCG_MULT + self.inc) & _MASK128
+        x = ((s >> 64) ^ s) & _MASK64
+        rot = s >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        self.has_uint32, self.uinteger = 1, x >> 32
+        return x & 0xFFFFFFFF
+
+    def bounded(self, high: int) -> int:
+        """A draw from [0, high] by Lemire's rejection, for high < 2**32 - 1,
+        as numpy's ``random_bounded_uint64`` makes it."""
+        if high == 0:
+            return 0
+        span = high + 1
+        m = self.next32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (0xFFFFFFFF - high) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self.next32() * span
+        return m >> 32
+
+    def choice(self, pop: int, size: int) -> list:
+        """``Generator.choice(pop, size, replace=False)`` for pop <= 10000:
+        Floyd's sampling, then a Fisher-Yates shuffle of the picks."""
+        picks = []
+        for j in range(pop - size, pop):
+            v = self.bounded(j)
+            picks.append(j if v in picks else v)
+        for i in range(size - 1, 0, -1):
+            j = self.bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def numpy_state(self) -> dict:
+        return {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # one np.linalg.norm per row: a reduction over axis 1 differs from it
-    # in the last bit on some rows
-    return np.array([float(np.linalg.norm(row)) for row in rows])
+    # sqrt(row . row) per row, which is np.linalg.norm of a 1-D float64
+    # row; a reduction over axis 1 differs from it in the last bit on some rows
+    return np.array([math.sqrt(row.dot(row)) for row in rows])
 
 
 # Each op draws for one row from that row's generator, then is applied to
@@ -165,7 +271,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _noise_draw(rng, dim):
     g = rng.standard_normal(dim)
-    g_norm = np.linalg.norm(g)
+    g_norm = math.sqrt(g.dot(g))
     if g_norm == 0.0:
         return None
     return g, g_norm, rng.uniform()
@@ -208,14 +314,15 @@ _OPS = {
 }
 
 
-def _augment(x: np.ndarray, spec: AugmentSpec, seeds) -> np.ndarray:
-    """Virtual views of the rows of ``x``; row i draws from a generator
-    seeded with the words ``seeds[i]``.
+def _augment(x: np.ndarray, spec: AugmentSpec, entropy: np.ndarray) -> np.ndarray:
+    """Virtual views of the rows of ``x``; row i draws from the generator
+    ``np.random.default_rng(entropy[i])`` would give, for the [n, k] uint32
+    seed words ``entropy``.
 
-    Each row picks ``spec.n_ops`` ops and makes every draw of them, in
-    order, from its own generator.  Then each op slot is applied across
-    the batch, one vectorized update per op, with the arithmetic of a
-    single row done elementwise.
+    Each row picks ``spec.n_ops`` ops from its own stream and makes every
+    draw of them, in order, from that stream.  Then each op slot is applied
+    across the batch, one vectorized update per op, with the arithmetic of
+    a single row done elementwise.
     """
     out = np.array(x, dtype=np.float64)
     if spec.n_ops == 0:
@@ -224,9 +331,14 @@ def _augment(x: np.ndarray, spec: AugmentSpec, seeds) -> np.ndarray:
     pool = [_OPS[name] for name in spec.op_pool]
     # slots[s][op] -> (rows that drew op in slot s, their draws)
     slots = [{} for _ in range(spec.n_ops)]
-    for i in range(n_rows):
-        rng = np.random.default_rng(seeds[i])
-        for slot, op_idx in zip(slots, rng.choice(len(pool), size=spec.n_ops, replace=False)):
+    # the picks come from a Python-int stream; one generator, set to each
+    # row's state after them, makes the op draws
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i, (state, inc) in enumerate(_pcg64_states(entropy)):
+        stream = _Stream(state, inc)
+        picks = stream.choice(len(pool), spec.n_ops)
+        rng.bit_generator.state = stream.numpy_state()
+        for slot, op_idx in zip(slots, picks):
             draw, apply = pool[op_idx]
             drawn = draw(rng, dim)
             if drawn is not None:
@@ -249,15 +361,18 @@ def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     key = per_sample_seed if np.iterable(per_sample_seed) else (per_sample_seed,)
     words = _seed_words((spec.seed, *(int(s) for s in key)))
-    return _augment(x.reshape(1, -1), spec, [words]).reshape(x.shape)
+    return _augment(x.reshape(1, -1), spec, words[None, :]).reshape(x.shape)
 
 
 def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndarray:
     """Virtual views for a whole batch: sample i draws as
     ``virtual_view(xb[i], spec, (*step_key, i))`` does."""
     prefix = _seed_words((spec.seed, *(int(s) for s in step_key)))
-    seeds = [np.concatenate((prefix, _seed_words((i,)))) for i in range(len(xb))]
-    return _augment(xb, spec, seeds)
+    # a row index below 2**32 is the one word i
+    entropy = np.empty((len(xb), prefix.size + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(len(xb))
+    return _augment(xb, spec, entropy)
 
 
 # -- file format ---------------------------------------------------------

@@ -1,9 +1,14 @@
 """The batched virtual-view kernel against the per-sample reference it
-replaced: same generator per sample, same draws, same bits."""
+replaced: same generator per sample, same draws, same bits.  The kernel
+seeds every row's generator at once and makes each row's op picks on a
+Python-int PCG64 stream; both are checked against numpy itself."""
 import numpy as np
 import pytest
 
-from vrm.data import AUGMENT_OPS, AugmentSpec, _seed_words, virtual_batch, virtual_view
+import vrm.data
+from vrm.checks import exactness_checks
+from vrm.data import (AUGMENT_OPS, AugmentSpec, _pcg64_states, _seed_words, _Stream,
+                      virtual_batch, virtual_view)
 from vrm.errors import ParameterError
 
 
@@ -96,13 +101,15 @@ def test_each_op_alone_matches_reference(op, magnitude):
 
 
 def test_full_pool_at_the_desk_shapes_matches_reference():
+    # vrm_desk's batch, then vrm_wide's
     rng = np.random.default_rng(8)
-    xb = rng.standard_normal((32, 16))
-    for n_ops in range(len(AUGMENT_OPS) + 1):
-        spec = AugmentSpec(n_ops=n_ops, magnitude=0.05, seed=0)
-        for step in range(3):
-            key = (step, step + 1)
-            assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
+    for shape in ((32, 16), (128, 32)):
+        xb = rng.standard_normal(shape)
+        for n_ops in range(len(AUGMENT_OPS) + 1):
+            spec = AugmentSpec(n_ops=n_ops, magnitude=0.05, seed=0)
+            for step in range(3):
+                key = (step, step + 1)
+                assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
 
 
 def test_virtual_view_is_the_one_row_case():
@@ -137,3 +144,85 @@ def test_negative_seed_still_raises_value_error():
         virtual_batch(xb, AugmentSpec(seed=1), (0, -2))
     with pytest.raises(ValueError):
         virtual_view(xb[0], AugmentSpec(seed=1), -3)
+
+
+def test_views_never_seed_a_generator_per_row(monkeypatch):
+    def per_row_seeding(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", per_row_seeding)
+    xb = np.arange(40.0).reshape(8, 5)
+    spec = AugmentSpec(n_ops=4, magnitude=0.5, seed=BIG + 3)
+    assert virtual_batch(xb, spec, (2, 3)).shape == (8, 5)
+    assert virtual_view(xb[0], spec, (2, 3, 0)).shape == (5,)
+
+
+# -- the seeding and the op picks against numpy ---------------------------
+
+
+def numpy_pcg64(state, inc, has_uint32=0, uinteger=0):
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": has_uint32, "uinteger": uinteger}
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_pcg64_states_match_numpy_seeding(k):
+    rng = np.random.default_rng(100 + k)
+    entropy = rng.integers(0, 2**32, size=(12, k), dtype=np.uint32)
+    entropy[0] = 0
+    entropy[1] = 0xFFFFFFFF
+    entropy[2, ::2] = 0xFFFFFFFF
+    for row, (state, inc) in zip(entropy, _pcg64_states(entropy)):
+        want = np.random.PCG64(row).state["state"]
+        assert (state, inc) == (want["state"], want["inc"])
+
+
+def test_stream_choice_matches_generator_choice():
+    # every size <= pop <= 40, from fresh states and from states holding
+    # a buffered half-word; the streams must also end in the same state
+    rng = np.random.default_rng(11)
+    for pop in range(41):
+        for size in range(pop + 1):
+            for buffered in (0, 1):
+                state = int(rng.integers(0, 2**63)) << 65 | int(rng.integers(0, 2**63))
+                inc = int(rng.integers(0, 2**63)) << 1 | 1
+                uinteger = int(rng.integers(0, 2**32))
+                stream = _Stream(state, inc)
+                stream.has_uint32, stream.uinteger = buffered, uinteger
+                gen = numpy_pcg64(state, inc, buffered, uinteger)
+                assert stream.choice(pop, size) == gen.choice(pop, size, replace=False).tolist()
+                assert stream.numpy_state() == gen.bit_generator.state
+
+
+def test_stream_bounded_rejection_matches_numpy():
+    # a state whose next 64-bit output is 0: the Lemire draw on [0, 2]
+    # (threshold 2**32 % 3 = 1) rejects both zero halves, then steps again
+    mult = vrm.data._PCG_MULT
+    inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
+    zero_output = (0x9E3779B97F4A7C15 << 64) | 0x9E3779B97F4A7C15   # high half == low half
+    prev = (zero_output - inc) * pow(mult, -1, 2**128) % 2**128
+    stream = _Stream(prev, inc)
+    assert stream.next32() == 0 and stream.next32() == 0
+    stream = _Stream(prev, inc)
+    gen = numpy_pcg64(prev, inc)
+    assert stream.choice(3, 1) == gen.choice(3, 1, replace=False).tolist()
+    assert stream.state == (zero_output * mult + inc) % 2**128   # two steps taken
+    assert stream.numpy_state() == gen.bit_generator.state
+
+
+def test_exactness_check_catches_swapped_picks(monkeypatch):
+    def check():
+        return next(r for r in exactness_checks() if r.name == "exact:virtual_batch")
+
+    assert check().passed
+    real_choice = _Stream.choice
+
+    def swapped(self, pop, size):
+        picks = real_choice(self, pop, size)
+        return picks[1::-1] + picks[2:]
+
+    monkeypatch.setattr(vrm.data._Stream, "choice", swapped)
+    result = check()
+    assert not result.passed and "differ" in result.detail

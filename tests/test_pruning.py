@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import vrm.autodiff
 from vrm.autodiff import Tensor, finite_diff_check
 from vrm.errors import InputError, ParameterError, UsageError
 from vrm.graphs import LogitBatch, build_isv_edges, soften
@@ -94,32 +98,45 @@ def test_uep_mask_hand_example():
     assert mask.kept_count == 2
 
 
-def test_uep_mask_full_percentile_keeps_all():
-    rng = np.random.default_rng(6)
-    je = rng.standard_normal((5, 5))
-    assert uep_mask(je, 100.0).keep.all()
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
-def test_uep_mask_tie_saturation():
-    mask = uep_mask(np.full((4, 4), 2.5), 25.0)
-    assert mask.kept_count == 16
+@st.composite
+def je_matrices(draw):
+    """[n0, n1] joint-entropy stand-ins, n0 and n1 in [1, 8]: distinct
+    normal values, or a few integer levels with heavy ties."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal(shape)
+    return rng.integers(0, draw(st.integers(1, 4)), size=shape).astype(float)
+
+
+@PROPERTY
+@given(je=je_matrices(), m=st.floats(0.0, 100.0, exclude_min=True))
+@example(je=np.full((4, 4), 2.5), m=25.0)   # every entry tied with the cutoff
+@example(je=np.arange(25.0).reshape(5, 5), m=100.0)
+def test_uep_mask_keeps_exactly_the_nearest_rank_cutoff(je, m):
+    # the cutoff is the value at 1-based rank ceil(m/100 * N) of the
+    # ascending sort; every entry at or below it is kept, ties included
+    rank = math.ceil(m / 100.0 * je.size)
+    cutoff = np.sort(je, axis=None)[rank - 1]
+    mask = uep_mask(je, m)
+    assert mask.threshold_value == cutoff
+    assert np.array_equal(mask.keep, je <= cutoff)
+    assert mask.kept_count >= rank
+    if m == 100.0:
+        assert mask.keep.all()
 
 
 @pytest.mark.parametrize("m", [50.0, 75.0, 90.0, 95.0, 100.0])
-def test_uep_retention_counts_nearest_rank(m):
-    rng = np.random.default_rng(int(m))
-    for _ in range(20):
-        n0, n1 = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        je = rng.standard_normal((n0, n1))  # ties have probability zero
-        mask = uep_mask(je, m)
-        n = je.size
-        # nearest-rank scalar re-implementation
-        flat = sorted(float(v) for v in je.ravel())
-        rank = math.ceil(m / 100.0 * n)
-        threshold = flat[rank - 1]
-        expected = sum(1 for v in flat if v <= threshold)
-        assert mask.kept_count == expected == rank
-        assert mask.kept_count == n - math.floor((100.0 - m) / 100.0 * n)
+@PROPERTY
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), seed=st.integers(0, 2**32 - 1))
+def test_uep_retention_counts_nearest_rank(m, shape, seed):
+    je = np.random.default_rng(seed).standard_normal(shape)  # ties have probability zero
+    n = je.size
+    kept = uep_mask(je, m).kept_count
+    assert kept == math.ceil(m / 100.0 * n) == n - math.floor((100.0 - m) / 100.0 * n)
 
 
 def test_uep_mask_validation():
@@ -203,20 +220,35 @@ def test_uep_masks_recomputed_from_student():
     assert np.array_equal(m1.keep, m1_again.keep)
 
 
-def test_uep_cutoff_matches_full_sort_with_ties():
-    # the cutoff is a selection, not a sort: same threshold and mask as the
-    # value at nearest rank of the ascending sort, ties at the cutoff included
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(1, 12))
-        je = rng.integers(0, 4, size=(n, n)).astype(float)  # heavy ties
-        for m in (1.0, 25.0, 50.0, 95.0, 99.9, 100.0):
-            rank = math.ceil(m / 100.0 * je.size)
-            expected = np.sort(je, axis=None)[rank - 1]
-            mask = uep_mask(je, m)
-            assert mask.threshold_value == expected
-            assert np.array_equal(mask.keep, je <= expected)
-    assert uep_mask(je, 100.0).keep.all()
+@PROPERTY
+@given(shape=st.tuples(st.integers(2, 9), st.integers(2, 6)), seed=st.integers(0, 2**32 - 1),
+       m=st.sampled_from([50.0, 95.0, 100.0]))
+def test_uep_masks_for_ignores_the_teacher_and_records_no_tape_node(shape, seed, m):
+    rng = np.random.default_rng(seed)
+    b, c = shape
+    weights = VRMWeights(uep_percentile=m)
+    student = LogitBatch(Tensor(rng.standard_normal(shape), requires_grad=True),
+                         Tensor(rng.standard_normal(shape), requires_grad=True))
+    nodes = []
+
+    class CountingNode(vrm.autodiff._Node):
+        def __init__(self, *args):
+            nodes.append(args[-1])
+            super().__init__(*args)
+
+    with mock.patch.object(vrm.autodiff, "_Node", CountingNode):
+        masks = uep_masks_for(student, weights)
+        assert nodes == []
+        soften(student, weights.tau)   # the count sees the ops that do record
+    assert nodes == ["softmax", "softmax"]
+    # total_loss builds the same masks, whichever teacher it is given
+    labels = rng.integers(0, c, size=b)
+    for _ in range(2):
+        teacher = LogitBatch(rng.standard_normal(shape), rng.standard_normal(shape))
+        own = total_loss(student, teacher, labels, weights)
+        given_masks = total_loss(student, teacher, labels, weights, masks=masks)
+        assert (own.kept_isv, own.kept_icv) == (masks[0].kept_count, masks[1].kept_count)
+        assert np.array_equal(own.total.data, given_masks.total.data)
 
 
 # -- blocked joint-entropy grid ------------------------------------------
