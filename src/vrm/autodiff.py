@@ -97,19 +97,10 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(_coerce(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_coerce(other), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -255,18 +246,6 @@ def mul(a, b) -> Tensor:
     return _result(out, (a, b), grad_fn, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = a.data / b.data
-
-    def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _result(out, (a, b), grad_fn, "div")
-
-
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -323,16 +302,6 @@ def exp(x) -> Tensor:
         return (g * out,)
 
     return _result(out, (x,), grad_fn, "exp")
-
-
-def log(x) -> Tensor:
-    x = _coerce(x)
-    out = np.log(x.data)
-
-    def grad_fn(g):
-        return (g / x.data,)
-
-    return _result(out, (x,), grad_fn, "log")
 
 
 # -- reductions and shape moves ----------------------------------------

@@ -31,6 +31,7 @@ from .training import (
     OBJECTIVES,
     TrainConfig,
     _fmt,
+    check_batch_size,
     distill_student,
     lookup_objective,
     train_teacher,
@@ -114,8 +115,14 @@ _TRAIN_KEYS = {
     "im_kd_weight": (TrainConfig, "im_kd_weight"),
 }
 
-# the flag that sets each field of _TRAIN_KEYS, which its errors name first
+# field -> the flag that sets it, per command: main() puts the flag in place
+# of the field a ParameterError starts with
 _TRAIN_FLAGS = {name: "--" + key.replace("_", "-") for key, (_, name) in _TRAIN_KEYS.items()}
+_TRAIN_FLAGS.update(layer_widths="--widths", objective="--objective")
+_PILOT_FLAGS = {"B": "--batch", "D": "--dim", "t": "--spurious-index", "c": "--noise-scale",
+                "loss_kind": "--loss-kinds"}
+_GEN_DATA_FLAGS = {"n_classes": "--classes", "dim": "--dim", "n_per_class": "--per-class",
+                   "noise": "--noise", "seed": "--seed"}
 
 # train-teacher's keys, in the order its manifest lists them
 _TEACHER_KEYS = ("lr", "momentum", "weight_decay", "lr_decay", "milestones", "batch_size",
@@ -188,18 +195,11 @@ def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
     kwargs = {VRMWeights: {}, AugmentSpec: {"seed": cfg["seed"]}, TrainConfig: {}}
     for key, (cls, name) in _TRAIN_KEYS.items():
         kwargs[cls][name] = cfg[key]
-    kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "milestones"))
-    try:
-        config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
-                             augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
-    except ParameterError as exc:
-        field, _, rule = str(exc).partition(" ")
-        raise ParameterError(f"{_TRAIN_FLAGS.get(field, field)} {rule}") from None
-    n_train = len(data.train_idx)
-    if config.batch_size > n_train:
-        raise ParameterError(f"batch size {config.batch_size} exceeds the "
-                             f"{n_train} training samples")
-    layers = _parse_list(widths, "widths") if widths else [data.dim, *hidden, data.n_classes]
+    kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "--milestones"))
+    config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
+                         augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
+    check_batch_size(config, len(data.train_idx))
+    layers = _parse_list(widths, "--widths") if widths else [data.dim, *hidden, data.n_classes]
     spec = MLPSpec(layers, activation, cfg["seed"])
     _check_fit(spec.layer_widths, data, "--widths", ParameterError)
     return config, spec
@@ -215,10 +215,6 @@ def _load_teacher(path, data: Dataset) -> MLP:
 
 
 def cmd_gen_data(args, parser) -> int:
-    if args.classes < 2:
-        parser.error("need >= 2 classes")
-    if args.per_class < 10:
-        parser.error("need >= 10 points per class")
     data = make_synthetic_dataset(args.kind, args.classes, args.dim,
                                   args.per_class, args.noise, args.seed)
     out = Path(args.out)
@@ -279,6 +275,8 @@ def cmd_ablate(args, parser) -> int:
             parser.error(f"unknown objective {obj!r}")
 
     cfg_base = _effective(args, _DEFAULTS)
+    if args.alphas:
+        args.flags = dict(args.flags, alpha="--alphas")
     alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [cfg_base["alpha"]]
     data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data)
@@ -308,11 +306,6 @@ def cmd_ablate(args, parser) -> int:
     return EXIT_OK
 
 
-# the flag that sets each PilotSpec field, which its errors name first
-_PILOT_FLAGS = {"B": "--batch", "D": "--dim", "t": "--spurious-index", "c": "--noise-scale",
-                "loss_kind": "--loss-kinds"}
-
-
 def cmd_pilot(args, parser) -> int:
     if args.seeds < 1:
         parser.error("need >= 1 seed")
@@ -320,12 +313,8 @@ def cmd_pilot(args, parser) -> int:
     if not kinds:
         raise ParameterError("--loss-kinds names no loss kind")
     # every study is validated before the run directory exists
-    try:
-        specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
-                                  seed, kind) for seed in range(args.seeds)] for kind in kinds}
-    except ParameterError as exc:
-        field, _, rule = str(exc).partition(" ")
-        raise ParameterError(f"{_PILOT_FLAGS.get(field, field)} {rule}") from None
+    specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
+                              seed, kind) for seed in range(args.seeds)] for kind in kinds}
     with Run(args, {"batch": args.batch, "dim": args.dim,
                     "spurious_index": args.spurious_index, "noise_scale": args.noise_scale,
                     "n_seeds": args.seeds, "loss_kinds": ",".join(kinds)}) as run:
@@ -367,15 +356,18 @@ def cmd_check(args, parser) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_train_flags(p: argparse.ArgumentParser, with_objective: bool):
+def _add_train_flags(p: argparse.ArgumentParser, keys, flags=_TRAIN_FLAGS):
+    """--data, --config, --name, and a flag for each key of ``keys``."""
     p.add_argument("--data", required=True)
-    if with_objective:
-        p.add_argument("--objective", choices=list(OBJECTIVES))
-    for key, default in _DEFAULTS.items():
-        if key != "objective":
-            p.add_argument("--" + key.replace("_", "-"), type=type(default), help=_HELP.get(key))
+    for key in keys:
+        if key == "objective":
+            p.add_argument("--objective", choices=list(OBJECTIVES))
+        else:
+            p.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]),
+                           help=_HELP.get(key))
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--name", help="run directory name under VRM_RUN_DIR")
+    p.set_defaults(flags=flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,35 +383,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, flags=_GEN_DATA_FLAGS)
 
     p = sub.add_parser("train-teacher", help="label-only teacher pretraining")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    _add_train_flags(p, with_objective=False)
+    _add_train_flags(p, _TEACHER_KEYS + ("widths",))
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="train a student against a frozen teacher")
     p.add_argument("--teacher")
-    _add_train_flags(p, with_objective=True)
+    _add_train_flags(p, _DEFAULTS)
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("ablate", help="sweep objectives/hyperparameters")
+    # every cell takes its seed from --seeds, which no abbreviated --seed may stand for
+    p = sub.add_parser("ablate", help="sweep objectives/hyperparameters", allow_abbrev=False)
     p.add_argument("--teacher", required=True)
     p.add_argument("--objectives", default="vrm,gram,ce_only")
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--alphas", help="optional alpha grid")
-    _add_train_flags(p, with_objective=False)
+    _add_train_flags(p, [key for key in _DEFAULTS if key not in ("objective", "seed")],
+                     dict(_TRAIN_FLAGS, seed="--seeds"))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("pilot", help="spurious-gradient diffusion study")
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--spurious-index", dest="spurious_index", type=int, default=32)
-    p.add_argument("--noise-scale", dest="noise_scale", type=float, default=1.0)
+    for field in ("B", "D", "t", "c"):
+        default = _field_default(PilotSpec, field)
+        p.add_argument(_PILOT_FLAGS[field], type=type(default), default=default)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--loss-kinds", dest="loss_kinds", default="im,rm")
     p.add_argument("--name")
-    p.set_defaults(func=cmd_pilot)
+    p.set_defaults(func=cmd_pilot, flags=_PILOT_FLAGS)
 
     p = sub.add_parser("check", help="run gradient and oracle verification suites")
     p.add_argument("--quick", action="store_true")
@@ -434,7 +427,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args, parser)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message, flags = str(exc), getattr(args, "flags", {})
+        field = message.split(" ", 1)[0]
+        if isinstance(exc, ParameterError) and field in flags:
+            message = flags[field] + message[len(field):]
+        print(f"error: {message}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, check_fields
 
 DATASET_MAGIC = b"VRMDATA1"
 
@@ -72,19 +72,14 @@ def make_synthetic_dataset(kind: str, n_classes: int, dim: int, n_per_class: int
     spirals: interleaved 2-D arms lifted into ``dim`` dimensions by a
     fixed seeded orthonormal map, with Gaussian jitter applied in 2-D.
     """
-    if kind not in ("blobs", "spirals"):
-        raise ParameterError(f"unknown dataset kind {kind!r}")
-    if n_classes < 2:
-        raise ParameterError("need >= 2 classes")
-    if n_per_class < 10:
-        raise ParameterError("need >= 10 points per class")
     min_dim = 2 if kind == "spirals" else 1
-    if dim < min_dim:
-        raise ParameterError(f"{kind} need dim >= {min_dim}")
-    if not 0.0 <= noise < math.inf:
-        raise ParameterError("noise must be finite and nonnegative")
-    if seed < 0:
-        raise ParameterError("seed must be nonnegative")
+    check_fields(locals(), (
+        ("kind", kind in ("blobs", "spirals"), "must be blobs or spirals"),
+        ("n_classes", n_classes >= 2, "must be >= 2"),
+        ("n_per_class", n_per_class >= 10, "must be >= 10"),
+        ("dim", dim >= min_dim, f"must be >= {min_dim} for {kind}"),
+        ("noise", 0 <= noise < math.inf, "must be finite and nonnegative"),
+        ("seed", seed >= 0, "must be nonnegative")))
     rng = np.random.default_rng(seed)
     n = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes), n_per_class)
@@ -122,16 +117,12 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.op_pool = tuple(self.op_pool)
-        unknown = set(self.op_pool) - set(AUGMENT_OPS)
-        if unknown:
-            raise ParameterError(f"unknown augment ops {sorted(unknown)}")
-        if not 0 <= self.n_ops <= len(self.op_pool):
-            raise ParameterError("n_ops must lie in [0, len(op_pool)]")
-        if not 0.0 <= self.magnitude <= 1.0:
-            raise ParameterError("magnitude must lie in [0, 1]")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
+        self.op_pool = pool = tuple(self.op_pool)
+        check_fields(vars(self), (
+            ("op_pool", set(pool) <= set(AUGMENT_OPS), f"must draw from {AUGMENT_OPS}"),
+            ("n_ops", 0 <= self.n_ops <= len(pool), f"must lie in [0, {len(pool)}]"),
+            ("magnitude", 0 <= self.magnitude <= 1, "must lie in [0, 1]"),
+            ("seed", self.seed >= 0, "must be nonnegative")))
 
 
 def _seed_words(parts) -> np.ndarray:

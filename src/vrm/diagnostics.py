@@ -3,6 +3,7 @@ prediction's gradient spreads through a batch under instance- versus
 relation-matching losses."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import gram_inter_sample
-from .errors import ParameterError, require_finite
+from .errors import check_fields
 from .graphs import build_inter_sample_edges
 from .training import write_csv
 
@@ -32,15 +33,13 @@ class PilotSpec:
     loss_kind: str = "RM"
 
     def __post_init__(self):
-        require_finite(self, ("c",))
-        for name, ok, rule in (("B", self.B >= 2, "must be >= 2"),
-                               ("D", self.D >= 1, "must be >= 1"),
-                               ("t", 0 <= self.t < self.B, f"must lie in [0, {self.B})"),
-                               ("c", self.c >= 0, "must be nonnegative"),
-                               ("loss_kind", self.loss_kind in PILOT_LOSS_KINDS,
-                                f"must be one of {PILOT_LOSS_KINDS}")):
-            if not ok:
-                raise ParameterError(f"{name} {rule}, got {getattr(self, name)!r}")
+        check_fields(vars(self), (
+            ("B", self.B >= 2, "must be >= 2"),
+            ("D", self.D >= 1, "must be >= 1"),
+            ("t", 0 <= self.t < self.B, f"must lie in [0, {self.B})"),
+            ("c", 0 <= self.c < math.inf, "must be finite and nonnegative"),
+            ("loss_kind", self.loss_kind in PILOT_LOSS_KINDS,
+             f"must be one of {PILOT_LOSS_KINDS}")))
 
 
 def _pilot_loss(x: Tensor, y: np.ndarray, kind: str) -> Tensor:

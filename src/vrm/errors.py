@@ -1,7 +1,5 @@
-"""Exception types shared across the library, and the finiteness check
-hyperparameter records run before their range checks."""
-
-import math
+"""Exception types shared across the library, and the rule-table check
+every hyperparameter record runs when it is built."""
 
 
 class ParameterError(ValueError):
@@ -28,11 +26,13 @@ class TrainingError(RuntimeError):
         self.epoch = epoch
 
 
-def require_finite(record, names):
-    """Raise :class:`ParameterError` for the first of the attributes
-    ``names`` of ``record`` that is NaN or infinite.  Range checks such as
-    ``lr <= 0`` let NaN through, since every comparison with it is false."""
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
+def check_fields(values, rules):
+    """Raise :class:`ParameterError` ``"<field> <rule>, got <value>"`` for
+    the first ``(field, ok, rule)`` row of ``rules`` whose ``ok`` is false;
+    ``values`` maps each field to its value.  The message starts with the
+    field, so a caller can name whatever set it instead.  Write a range as
+    a comparison, such as ``0 < tau < math.inf``: NaN fails every
+    comparison, and the bounds shut out both infinities."""
+    for field, ok, rule in rules:
+        if not ok:
+            raise ParameterError(f"{field} {rule}, got {values[field]!r}")

@@ -74,11 +74,10 @@ def soften(batch: LogitBatch, tau: float) -> LogitBatch:
 
 @dataclass
 class EdgeTensor:
-    """A relation edge matrix plus the axis that was unit-normalized."""
+    """A relation edge matrix, unit-normalized along axis 2."""
 
     kind: str
     values: Tensor
-    norm_axis: int = 2
 
     def __post_init__(self):
         if self.kind not in EDGE_KINDS:
@@ -86,7 +85,7 @@ class EdgeTensor:
 
     @property
     def fiber_length(self) -> int:
-        return self.values.shape[self.norm_axis]
+        return self.values.shape[2]
 
 
 def build_inter_sample_edges(Z) -> EdgeTensor:
@@ -101,7 +100,7 @@ def build_inter_sample_edges(Z) -> EdgeTensor:
         raise InputError("inter-sample edges need a [B >= 2, C] matrix")
     b, c = z.shape
     diff = z.reshape(b, 1, c) - z.reshape(1, b, c)
-    return EdgeTensor("IS", l2_normalize(diff, axis=2), norm_axis=2)
+    return EdgeTensor("IS", l2_normalize(diff, axis=2))
 
 
 def build_inter_class_edges(Z) -> EdgeTensor:
@@ -116,7 +115,7 @@ def build_inter_class_edges(Z) -> EdgeTensor:
     b, c = z.shape
     w = z.transpose()  # [C, B]
     diff = w.reshape(c, 1, b) - w.reshape(1, c, b)
-    return EdgeTensor("IC", l2_normalize(diff, axis=2), norm_axis=2)
+    return EdgeTensor("IC", l2_normalize(diff, axis=2))
 
 
 def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -130,7 +129,7 @@ def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
     """
     b, c = batch.real.shape
     diff = batch.real.reshape(1, b, c) - batch.virtual.reshape(b, 1, c)
-    return EdgeTensor("ISV", l2_normalize(diff, axis=2), norm_axis=2)
+    return EdgeTensor("ISV", l2_normalize(diff, axis=2))
 
 
 def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -146,7 +145,7 @@ def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
         raise InputError("inter-class edges need at least 2 classes")
     b, c = batch.real.shape
     diff = batch.real.reshape(b, 1, c) - batch.virtual.reshape(b, c, 1)
-    return EdgeTensor("ICV", l2_normalize(diff.transpose((1, 2, 0)), axis=2), norm_axis=2)
+    return EdgeTensor("ICV", l2_normalize(diff.transpose((1, 2, 0)), axis=2))
 
 
 # -- scalar-loop oracle -------------------------------------------------
@@ -210,4 +209,4 @@ def brute_force_edges(source, kind: str) -> EdgeTensor:
             for q in range(c):
                 diff = [float(real[k, q]) - float(virtual[k, p]) for k in range(b)]
                 out[p, q, :] = _unit_or_zero(diff)
-    return EdgeTensor(kind, Tensor(out), norm_axis=2)
+    return EdgeTensor(kind, Tensor(out))

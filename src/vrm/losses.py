@@ -3,6 +3,7 @@ edges between teacher and student, plus label supervision on both views.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, ParameterError, UsageError, require_finite
+from .errors import InputError, UsageError, check_fields
 # the objective builds no edges itself; build_isv_edges and build_icv_edges
 # stay bound here because the benchmark's tracer wraps the step's helpers by name
 from .graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, soften
@@ -34,15 +35,12 @@ class VRMWeights:
     uep_percentile: float = 95.0
 
     def __post_init__(self):
-        require_finite(self, ("alpha", "beta", "tau", "huber_delta"))
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("edge-loss weights must be nonnegative")
-        if self.tau <= 0:
-            raise ParameterError("temperature must be positive")
-        if self.huber_delta <= 0:
-            raise ParameterError("huber delta must be positive")
-        if not 0.0 < self.uep_percentile <= 100.0:
-            raise ParameterError("percentile must lie in (0, 100]")
+        check_fields(vars(self), (
+            ("alpha", 0 <= self.alpha < math.inf, "must be finite and nonnegative"),
+            ("beta", 0 <= self.beta < math.inf, "must be finite and nonnegative"),
+            ("tau", 0 < self.tau < math.inf, "must be finite and positive"),
+            ("huber_delta", 0 < self.huber_delta < math.inf, "must be finite and positive"),
+            ("uep_percentile", 0 < self.uep_percentile <= 100, "must lie in (0, 100]")))
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ArtifactReader
-from .errors import InputError, ParameterError
+from .errors import InputError, check_fields
 
 CHECKPOINT_MAGIC = b"VRMCKPT1"
 
@@ -27,14 +27,12 @@ class MLPSpec:
     seed: int = 0
 
     def __post_init__(self):
-        widths = list(self.layer_widths)
-        if len(widths) < 3:
-            raise ParameterError("need at least one hidden layer")
-        if any(w < 1 for w in widths):
-            raise ParameterError("layer widths must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
-        self.layer_widths = widths
+        self.layer_widths = widths = list(self.layer_widths)
+        check_fields(vars(self), (
+            ("layer_widths", len(widths) >= 3, "must have at least one hidden layer"),
+            ("layer_widths", all(w >= 1 for w in widths), "must be positive"),
+            ("activation", self.activation in _ACTIVATIONS,
+             f"must be one of {tuple(_ACTIVATIONS)}")))
 
 
 class MLP:

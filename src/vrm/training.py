@@ -4,6 +4,7 @@ objectives."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
 from .data import AugmentSpec, Dataset, virtual_batch
-from .errors import NumericError, ParameterError, TrainingError, require_finite
+from .errors import NumericError, ParameterError, TrainingError, check_fields
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
@@ -34,19 +35,18 @@ class TrainConfig:
     im_kd_weight: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, ("lr", "momentum", "weight_decay", "lr_decay", "im_kd_weight"))
-        if self.batch_size < 2:
-            raise ParameterError("relations need batches of at least 2")
-        stones = tuple(self.milestones)
-        if any(b >= a for a, b in zip(stones[1:], stones)):
-            raise ParameterError("milestones must be strictly increasing")
-        self.milestones = stones
-        if self.epochs < 1:
-            raise ParameterError("epochs must be positive")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
-        if self.lr <= 0:
-            raise ParameterError("learning rate must be positive")
+        self.milestones = stones = tuple(self.milestones)
+        check_fields(vars(self), (
+            ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
+            ("momentum", math.isfinite(self.momentum), "must be finite"),
+            ("weight_decay", math.isfinite(self.weight_decay), "must be finite"),
+            ("lr_decay", math.isfinite(self.lr_decay), "must be finite"),
+            ("im_kd_weight", math.isfinite(self.im_kd_weight), "must be finite"),
+            ("batch_size", self.batch_size >= 2, "must be >= 2 (relations need pairs)"),
+            ("milestones", all(a < b for a, b in zip(stones, stones[1:])),
+             "must be strictly increasing"),
+            ("epochs", self.epochs >= 1, "must be positive"),
+            ("seed", self.seed >= 0, "must be nonnegative")))
 
     def lr_at(self, epoch: int) -> float:
         passed = sum(1 for m in self.milestones if epoch >= m)
@@ -196,9 +196,7 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
            step_loss) -> list[EpochRecord]:
     """SGD on ``step_loss``, an :data:`OBJECTIVES` entry, over full batches."""
     x_train, y_train = data.train_inputs, data.train_labels
-    if config.batch_size > x_train.shape[0]:
-        raise ParameterError(f"batch size {config.batch_size} exceeds the "
-                             f"{x_train.shape[0]} training samples")
+    check_batch_size(config, x_train.shape[0])
     needs_virtual = step_loss is _vrm
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
@@ -245,6 +243,13 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
             kept_icv_frac=kept[1] / n_steps,
         ))
     return records
+
+
+def check_batch_size(config: TrainConfig, n_train: int) -> None:
+    """ParameterError, naming the field, if a batch is larger than the train split."""
+    if config.batch_size > n_train:
+        raise ParameterError(f"batch_size {config.batch_size} exceeds the "
+                             f"{n_train} training samples")
 
 
 def lookup_objective(objective: str, teacher: MLP | None):

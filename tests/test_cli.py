@@ -44,11 +44,11 @@ def test_gen_data_round_trip_and_determinism(run_env):
 
 
 def test_gen_data_rejects_single_class(run_env, capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["gen-data", "--kind", "blobs", "--classes", "1", "--dim", "4",
-              "--per-class", "20", "--out", str(run_env / "x.bin")])
-    assert exc_info.value.code == 2
-    assert "need >= 2 classes" in capsys.readouterr().err
+    code = main(["gen-data", "--kind", "blobs", "--classes", "1", "--dim", "4",
+                 "--per-class", "20", "--out", str(run_env / "x.bin")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --classes ")
+    assert not (run_env / "x.bin").exists()
 
 
 def test_gen_data_unwritable_path_exits_nonzero(run_env, capsys):
@@ -304,6 +304,65 @@ def test_pilot_degenerate_study_exits_2_before_the_run_dir(run_env, capsys, flag
     code = main(["pilot", *flags, "--seeds", "1", "--name", "p"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {culprit} ") and "Traceback" not in err
+    assert not (run_env / "runs").exists()
+
+
+# (command, flag, out-of-range value): every flag that sets a field of a
+# config record, the field's error names it
+FLAG_CASES = [("distill", "--" + key.replace("_", "-"), value) for key, value in (
+    ("alpha", "-1"), ("beta", "-1"), ("tau", "0"), ("delta", "0"), ("uep", "0"),
+    ("n_ops", "5"), ("magnitude", "2"), ("lr", "0"), ("momentum", "nan"),
+    ("weight_decay", "inf"), ("lr_decay", "nan"), ("milestones", "3,2"),
+    ("batch_size", "1"), ("epochs", "0"), ("seed", "-1"), ("im_kd_weight", "nan"),
+    ("widths", "6,0,3"))] + [
+    ("ablate", "--seeds", "0,-1"), ("ablate", "--alphas", "1,-1"),
+    ("pilot", "--batch", "1"), ("pilot", "--dim", "0"), ("pilot", "--spurious-index", "64"),
+    ("pilot", "--noise-scale", "-1"), ("pilot", "--loss-kinds", "xx"),
+    ("gen-data", "--classes", "1"), ("gen-data", "--dim", "0"),
+    ("gen-data", "--per-class", "5"), ("gen-data", "--noise", "-1"),
+    ("gen-data", "--seed", "-1")]
+
+
+@pytest.mark.parametrize("command,flag,value", FLAG_CASES,
+                         ids=[f"{c}{f}" for c, f, _ in FLAG_CASES])
+def test_out_of_range_value_names_its_flag_and_creates_nothing(run_env, capsys,
+                                                               command, flag, value):
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    out = run_env / "sub" / "new.vrmdata"
+    train = ["--data", str(data), "--epochs", "2", "--milestones", "1", "--batch-size", "8",
+             "--name", "bad"]
+    argv = {"distill": ["distill", *train, "--objective", "ce_only"],
+            "ablate": ["ablate", *train, "--teacher", str(ckpt), "--objectives", "ce_only"],
+            "pilot": ["pilot", "--batch", "8", "--dim", "4", "--spurious-index", "1",
+                      "--seeds", "1", "--name", "bad"],
+            "gen-data": ["gen-data", "--kind", "blobs", "--classes", "3", "--dim", "4",
+                         "--per-class", "20", "--out", str(out)]}[command]
+    code = main([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {flag} ") and "Traceback" not in err
+    assert not (run_env / "runs").exists() and not out.parent.exists()
+
+
+def test_config_key_error_names_its_flag(run_env, capsys):
+    data = gen_data(run_env)
+    cfg = run_env / "bad.cfg"
+    cfg.write_text("tau=0\n")
+    code = main(["distill", "--data", str(data), "--objective", "ce_only",
+                 "--config", str(cfg), "--name", "bad"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: --tau must be")
+    assert not (run_env / "runs").exists()
+
+
+def test_ablate_takes_no_seed_flag(run_env, capsys):
+    # every cell's seed comes from --seeds
+    data = gen_data(run_env)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["ablate", "--data", str(data), "--teacher", str(run_env / "t.ckpt"),
+              "--objectives", "ce_only", "--seeds", "0", "--seed", "1", "--name", "a"])
+    assert exc_info.value.code == 2
+    assert "--seed 1" in capsys.readouterr().err
     assert not (run_env / "runs").exists()
 
 

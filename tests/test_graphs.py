@@ -159,7 +159,7 @@ def test_unit_norm_or_zero_property():
         lb = random_batch(rng, 6, 4)
         for e in (build_isv_edges(lb), build_icv_edges(lb),
                   build_inter_sample_edges(lb.real), build_inter_class_edges(lb.real)):
-            norms = np.sqrt((e.values.data**2).sum(axis=e.norm_axis))
+            norms = np.sqrt((e.values.data**2).sum(axis=2))
             ok = (norms == 0.0) | (np.abs(norms - 1.0) < 1e-9)
             assert ok.all()
 

@@ -1,3 +1,6 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,46 @@ from vrm.data import (
     save_dataset,
     virtual_view,
 )
+from vrm.diagnostics import PilotSpec
 from vrm.errors import InputError, ParameterError
+from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec, load_checkpoint, save_checkpoint
+from vrm.training import TrainConfig
+
+NAN, INF = float("nan"), float("inf")
+SYNTHETIC = functools.partial(make_synthetic_dataset, kind="blobs", n_classes=3, dim=4,
+                              n_per_class=20, noise=0.5, seed=0)
+
+# (record, one out-of-range field): every config record's range errors
+RECORD_CASES = [
+    (VRMWeights, {"alpha": -1.0}), (VRMWeights, {"beta": NAN}), (VRMWeights, {"tau": 0.0}),
+    (VRMWeights, {"tau": INF}), (VRMWeights, {"huber_delta": 0.0}),
+    (VRMWeights, {"uep_percentile": 0.0}), (VRMWeights, {"uep_percentile": 101.0}),
+    (TrainConfig, {"lr": 0.0}), (TrainConfig, {"lr": -INF}), (TrainConfig, {"momentum": NAN}),
+    (TrainConfig, {"weight_decay": INF}), (TrainConfig, {"lr_decay": NAN}),
+    (TrainConfig, {"im_kd_weight": -INF}), (TrainConfig, {"batch_size": 1}),
+    (TrainConfig, {"milestones": (3, 3)}), (TrainConfig, {"epochs": 0}),
+    (TrainConfig, {"seed": -1}),
+    (AugmentSpec, {"op_pool": ("warp",)}), (AugmentSpec, {"n_ops": 5}),
+    (AugmentSpec, {"magnitude": NAN}), (AugmentSpec, {"seed": -1}),
+    (MLPSpec, {"layer_widths": [4, 3]}), (MLPSpec, {"layer_widths": [4, 0, 3]}),
+    (MLPSpec, {"activation": "gelu", "layer_widths": [4, 8, 3]}),
+    (PilotSpec, {"B": 1}), (PilotSpec, {"D": 0}), (PilotSpec, {"t": 64}),
+    (PilotSpec, {"c": NAN}), (PilotSpec, {"c": -1.0}), (PilotSpec, {"loss_kind": "X"}),
+    (SYNTHETIC, {"kind": "rings"}), (SYNTHETIC, {"n_classes": 1}), (SYNTHETIC, {"dim": 0}),
+    (SYNTHETIC, {"n_per_class": 5}), (SYNTHETIC, {"noise": INF}), (SYNTHETIC, {"seed": -1}),
+]
+
+
+@pytest.mark.parametrize("make,bad", RECORD_CASES,
+                         ids=[f"{getattr(m, '__name__', 'synthetic')}-{k}={v}"
+                              for m, b in RECORD_CASES for k, v in list(b.items())[:1]])
+def test_record_error_starts_with_the_field_at_fault(make, bad):
+    # so the command line can put the flag that set the field in its place
+    with pytest.raises(ParameterError) as exc_info:
+        make(**bad)
+    field = str(exc_info.value).split(" ", 1)[0]
+    assert field == next(iter(bad)) and field in inspect.signature(make).parameters
 
 
 def test_dataset_determinism():

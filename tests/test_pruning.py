@@ -125,7 +125,7 @@ def test_uep_cutoff_matches_full_sort_with_ties():
     assert uep_mask(je, 100.0).keep.all()
 
 
-PROPERTY =settings(max_examples=80, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
