@@ -430,15 +430,12 @@ def l2_normalize(x, axis=-1, eps=DEFAULT_NORM_EPS) -> Tensor:
     return _result(y, (x,), grad_fn, "l2_normalize")
 
 
-def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS, out=None):
+def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS):
     """The array rule behind :func:`l2_normalize`, for fused ops that
     normalize an intermediate they never put on the tape.  Returns the
-    unit fibers, written to ``out`` when given, and the saved state
-    :func:`_unit_fibers_grad` needs."""
-    # temporaries are reused in place; each keeps the layout the
-    # out-of-place expression would give it, so sums add in the same order.
-    # The squares go to ``out`` (which has x's layout) until y overwrites them
-    sq = np.multiply(x, x, out=out)
+    unit fibers and the saved state :func:`_unit_fibers_grad` needs."""
+    # the squares' buffer (in x's layout) then takes y
+    sq = np.multiply(x, x)
     n = np.sqrt(sq.sum(axis=axis, keepdims=True))
     live = n >= eps
     # guarding and zeroing the dead fibers changes nothing when there are none
@@ -450,10 +447,10 @@ def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS, out=None):
     return y, n_safe, live
 
 
-def _unit_fibers_grad(g, y, n_safe, live, axis, out=None):
+def _unit_fibers_grad(g, y, n_safe, live, axis):
     """Gradient of :func:`_unit_fibers` with respect to its input ``x``:
     (g - y <g, y>) / |x| on live fibers, zero on the rest."""
-    gx = np.multiply(g, y, out=out)
+    gx = np.multiply(g, y)
     inner = gx.sum(axis=axis, keepdims=True)
     np.multiply(y, inner, out=gx)
     np.subtract(g, gx, out=gx)
@@ -474,59 +471,6 @@ def _row_blocks(n_rows, row_elems):
     slice when the whole array fits in one block, an empty one too."""
     step = max(1, _BLOCK_BYTES // (8 * row_elems) if row_elems else n_rows)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
-
-
-# numpy sums a contiguous run of at most this many float64 values in one
-# fixed loop, and splits a longer run in two
-_PAIRWISE_LEAF = 128
-
-
-def _blocked_sum(chunks, n):
-    """``np.sum`` of ``n`` >= 1 float64 values that arrive in order as the
-    flat arrays ``chunks``, bit for bit, holding one chunk at a time: a
-    chunk may be overwritten once the next one is drawn.
-
-    numpy adds a run pairwise.  A run longer than a leaf is split at half
-    its length, rounded down to a multiple of 8.  This walks the same tree:
-    a range inside one chunk is the same subtree, so ``np.sum`` gives its
-    value; a leaf that spans chunks is gathered first; and the partial sums
-    are added in the tree's order.  (``np.sum`` starts from +0.0, which
-    changes no value but a zero's sign, for the parts as for the whole.)
-    """
-    chunks = iter(chunks)
-    held = [np.empty(0), 0]  # the chunk in hand and the index of its first value
-
-    def piece(lo, hi, gather):
-        # values lo..hi, drawing chunks as the walk moves forward; values
-        # that span chunks are copied together if ``gather``, else None
-        chunk, start = held
-        while lo >= start + len(chunk):
-            start += len(chunk)
-            chunk = next(chunks)
-        parts = []
-        while gather and hi > start + len(chunk):
-            parts.append(chunk[max(lo - start, 0):].copy())
-            start += len(chunk)
-            chunk = next(chunks)
-        held[:] = chunk, start
-        if hi > start + len(chunk):
-            return None
-        tail = chunk[max(lo - start, 0):hi - start]
-        return np.concatenate([*parts, tail]) if parts else tail
-
-    return _pairwise_sum(piece, 0, n)
-
-
-def _pairwise_sum(piece, lo, hi):
-    """The sum of values lo..hi in numpy's pairwise order, their arrays
-    drawn from ``piece`` of :func:`_blocked_sum`.  A module-level function,
-    so no closure refers to itself and the chunks are freed on return."""
-    values = piece(lo, hi, hi - lo <= _PAIRWISE_LEAF)
-    if values is not None:
-        return values.sum()
-    half = (hi - lo) // 2
-    half -= half % 8
-    return _pairwise_sum(piece, lo, lo + half) + _pairwise_sum(piece, lo + half, hi)
 
 
 def huber(a, b, delta=1.0) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .data import (AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, read_input,
-                   save_dataset)
+                   save_dataset, write_whole)
 from .diagnostics import PilotSpec, gradient_diffusion_pilot, write_pilot_csv
 from .errors import InputError, ParameterError, TrainingError
 from .losses import VRMWeights
@@ -92,7 +92,7 @@ class Run:
 
     def _write(self):
         lines = [f"{k}={_fmt(v)}" for k, v in self.fields.items()]
-        (self.dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+        write_whole(self.dir / "manifest.txt", ("\n".join(lines) + "\n").encode())
 
 
 # CLI key -> (dataclass, field): the key's default and type are the field's
@@ -280,6 +280,12 @@ def cmd_ablate(args, parser) -> int:
     alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [cfg_base["alpha"]]
     data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data)
+    # the manifest lists the config file's objective and seed, checked as distill checks them
+    try:
+        lookup_objective(cfg_base["objective"], teacher)
+        TrainConfig(seed=cfg_base["seed"])
+    except ParameterError as exc:
+        raise ParameterError(f"config key {exc}") from None
     # every cell is validated before the run directory exists
     cells = []
     for obj, alpha, seed in itertools.product(objectives, alphas, seeds):

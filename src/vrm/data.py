@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass
 
@@ -370,15 +371,27 @@ def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndar
 
 
 def save_dataset(data: Dataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        n, d = data.inputs.shape
-        fh.write(struct.pack("<5I", n, d, data.n_classes,
-                             data.train_idx.size, data.val_idx.size))
-        fh.write(data.train_idx.astype("<u4").tobytes())
-        fh.write(data.val_idx.astype("<u4").tobytes())
-        fh.write(data.inputs.astype("<f8").tobytes())
-        fh.write(data.labels.astype("<i4").tobytes())
+    n, d = data.inputs.shape
+    write_whole(path, b"".join((
+        DATASET_MAGIC,
+        struct.pack("<5I", n, d, data.n_classes, data.train_idx.size, data.val_idx.size),
+        data.train_idx.astype("<u4").tobytes(),
+        data.val_idx.astype("<u4").tobytes(),
+        data.inputs.astype("<f8").tobytes(),
+        data.labels.astype("<i4").tobytes())))
+
+
+def write_whole(path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` through a temporary file beside it and ``os.replace``,
+    so a write that fails leaves no partial file and any earlier one intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_input(path, what: str) -> bytes:

@@ -15,7 +15,7 @@ from .errors import InputError, UsageError, check_fields
 # the objective builds no edges itself; build_isv_edges and build_icv_edges
 # stay bound here because the benchmark's tracer wraps the step's helpers by name
 from .graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, soften
-from .pruning import EdgeMask, apply_mask, joint_entropy_matrix, pruned_fibers, uep_mask
+from .pruning import EdgeMask, apply_mask, check_fit, joint_entropy_matrix, uep_mask
 
 
 @dataclass
@@ -82,69 +82,129 @@ def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
 
 def _kept_fibers(kind: str, shape, mask: EdgeMask | None):
     """The number of fibers ``mask`` keeps of edges of ``shape`` (all of
-    them without a mask) and the indices of the pruned ones, None when
-    there are none.  Warns when every fiber is pruned."""
+    them without a mask) and its [n, n] keep matrix, None without a mask.
+    Warns when every fiber is pruned."""
     if mask is None:
         return shape[0] * shape[1], None
-    pruned = pruned_fibers(mask, kind, shape[:2])
-    kept = mask.kept_count
-    if kept == 0:
+    check_fit(mask, kind, shape[:2])
+    if mask.kept_count == 0:
         warnings.warn(f"all {kind} edges pruned; relation loss is zero this step",
                       RuntimeWarning, stacklevel=4)
-    return kept, pruned if len(pruned[0]) else None
+    return mask.kept_count, mask.keep
 
 
-def _block_fixups(pruned, blocks):
-    """The pruned fibers of each row block, indexed within the block, or
-    None for a block that has none; ``pruned`` is row-major."""
-    if pruned is None:
-        return [None] * len(blocks)
-    if len(blocks) == 1:
-        return [pruned]
-    rows, cols = pruned
-    cuts = np.searchsorted(rows, [r.start for r in blocks] + [blocks[-1].stop])
-    return [(rows[lo:hi] - r.start, cols[lo:hi]) if hi > lo else None
-            for r, lo, hi in zip(blocks, cuts[:-1], cuts[1:])]
+# c, the floor and the ceiling of a quadratic fiber, and the float32
+# screen's slack on delta, 2 u32 (4 sqrt(2/c) + 7) (see _relation_term)
+_CANCEL, _FLOOR, _CEIL = 2.0 ** -10, 2.0 ** -76, 2.0 ** 128
+_SLACK = 2.0 ** -23 * (4.0 * math.sqrt(2.0 / _CANCEL) + 7.0)
 
 
-def _huber_rows(s, t, pruned, delta: float, elem, slope) -> None:
-    """The Huber penalty of the residual s - t into ``elem`` and its
-    slope into ``slope``, with the arithmetic of the composite of
-    apply_mask, huber and its clipped slope.
+def _screen(s, t, inv, limit):
+    """The [n, n] boolean of the fibers that have a component of y - u
+    past ``limit``.  Fiber [i, j] of model b is (t[b, j] - s[b, i]) times
+    inv[b, i, j] (0 for fibers not screened), formed in float32 a row
+    block of i at a time."""
+    _, n, length = s.shape
+    blocks = ad._row_blocks(n, n * length)
+    grid = np.empty((2, blocks[0].stop, n, length), dtype=np.float32)
+    flagged = np.zeros((n, n), dtype=bool)
+    # rows past float32's range give inf * 0 on fibers the screen skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, t, inv = (x.astype(np.float32) for x in (s, t, inv))
+        for rows in blocks:
+            d = grid[:, :rows.stop - rows.start]
+            np.subtract(t[:, None], s[:, rows, None], out=d)
+            d *= inv[:, rows, :, None]
+            y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
+            flagged[rows].reshape(-1)[np.flatnonzero(y > limit) // length] = True
+    return flagged
 
-    The 0/1 mask product changes no kept residual, and gives the pruned
-    fibers s*0 - t*0, a signed zero; those few fibers are fixed up after
-    one contiguous subtraction.  Likewise every entry gets 0.5 r^2, and
-    the few past ``delta`` (about 1 in 10^4) are then overwritten with
-    delta (|r| - delta/2) and their slope clipped to +-delta, the only
-    entries a clip would change.  ``elem`` and ``slope`` are dense and
-    share one layout, so their memory-order ravels are views that index
-    the same entries.
+
+def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
+    """The penalty sum of one relation term and, unless ``g`` is None, the
+    gradients for upstream gradient ``g`` of the student's rows R, V.
+    Fiber [i, j] pairs D_s = R[j] - V[i] with the teacher's D_t = P[j] -
+    N[i]; the sum runs over the fibers ``keep`` keeps (all for None) of
+    the Huber penalty of y - u, y and u the unit fibers of D_s and D_t.
+
+    **Quadratic fibers.**  With no component of y - u past ``delta`` the
+    penalty is 1 - cos, cos = y . u.  For r = R[j], v = V[i], rho = P[j],
+    nu = N[i]: ns^2 = |r|^2 + |v|^2 - 2 r.v (nt^2 alike) and D_s . D_t =
+    r.rho + v.nu - r.nu - v.rho, from row dots and [n, L] x [L, n]
+    products.  With W = g scale K / (ns nt) and Z = W cos nt / ns (K the
+    quadratic fibers), dR = -P colsum(W) + W^T N + R colsum(Z) - Z^T V and
+    dV = W P - N rowsum(W) - Z R + V rowsum(Z).
+
+    **Error.**  With u = 2^-53, gamma_k = k u / (1 - k u), a = |r|^2 +
+    |v|^2 and kappa_s = a / ns^2 (A, kappa_t alike): a dot is within
+    gamma_L of the sum of its terms' moduli, so ns^2 is within eps_s =
+    2 gamma_(L+2) kappa_s of itself, relatively; the cross dot is within
+    gamma_(L+3) (|r| + |v|)(|rho| + |nu|) <= 2 gamma_(L+3) sqrt(a A); so
+    cos and 1 - cos are within e_f = 2 gamma_(L+3) (kappa_s + kappa_t) + 6u,
+    to first order.  **c:** a fiber is quadratic only while ns^2 > c a and
+    nt^2 > c A, so e_f < 4 gamma_(L+3) / c + 6u; c = 2^-10 keeps that under
+    2^12 gamma_(L+3) and sent 0.7-2.5% of the fibers (near-duplicate rows)
+    to the exact path at captured bench steps.  The test also catches
+    norms lost to cancellation.  A quadratic fiber also needs ns^2 > 2^-76
+    (ns > 3 eps, live in the composite) and a < 2^128 (rows fit float32).
+
+    **The screen.**  Huber's linear branch needs |y_k - u_k| > delta.  In
+    float32 (u32 = 2^-24) a component of D_s rounds within 2 u32 (|r_k| +
+    |v_k|) <= 2 u32 sqrt(2 kappa_s) ns, so the computed |y_k - u_k| is
+    within u32 (4 sqrt(2/c) + 7) of the truth.  Flagging components past
+    delta (1 - margin), delta * margin = 2 u32 (4 sqrt(2/c) + 7) = 2.2e-5
+    (the 2 covers second-order terms and the limit's rounding), flags
+    every fiber with one past delta.  Flagged fibers and kept fibers that
+    are not quadratic get the composite's elementwise Huber on gathered
+    [k, L] fibers, gradients scattered back with ``np.add.at``.  A
+    non-finite kept fiber is not quadratic, so it (or a squared row norm
+    that overflows) makes the sum non-finite: one check of the loss
+    covers every fiber.
     """
-    if pruned is not None:
-        # formed first: ``t`` may be ``slope`` itself
-        zeros = s[pruned] * 0.0 - t[pruned] * 0.0
-    np.subtract(s, t, out=slope)
-    if pruned is not None:
-        slope[pruned] = zeros
-    e, r = elem.ravel("K"), slope.ravel("K")
-    np.abs(r, out=e)
-    linear = np.flatnonzero(e > delta)
-    np.multiply(r, 0.5, out=e)
-    e *= r
-    if len(linear):
-        past = r[linear]
-        e[linear] = (np.abs(past) - 0.5 * delta) * delta
-        r[linear] = np.clip(past, -delta, delta)
+    n, length = R.shape
+    # each model's i side and j side: fiber [b, i, j] is t[b, j] - s[b, i]
+    s, t = np.stack((V, N)), np.stack((R, P))
+    sq = np.einsum("bij,bij->bi", s, s)[:, :, None] + np.einsum("bij,bij->bi", t, t)[:, None]
+    n2 = sq - 2.0 * (s @ t.transpose(0, 2, 1))
+    quad = ((n2 > _CANCEL * sq) & (n2 > _FLOOR) & (sq < _CEIL)).all(axis=0)
+    if keep is not None:
+        quad &= keep
+    # 1/ns and 1/nt on quadratic fibers, else 0
+    inv = quad / np.sqrt(np.where(quad, n2, 1.0))
+    del sq, n2
+    quad &= ~_screen(s, t, inv, np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK))
+    inv *= quad
+    # D_s . D_t = r.rho + v.nu - r.nu - v.rho, then cos, and 1 - cos summed
+    cos = np.einsum("ij,ij->i", V, N)[:, None] + np.einsum("ij,ij->i", R, P)
+    cos -= (s @ t[::-1].transpose(0, 2, 1)).sum(axis=0)
+    cos *= inv[0]
+    cos *= inv[1]
+    total = np.subtract(quad, cos).sum()
 
+    if g is not None:
+        gs = g * scale
+        # [-Z, W]: fiber [b, i, j] adds -c[b, i, j] (t[b, j] - s[b, i]) to its rows
+        c = np.stack((cos * inv[0] * inv[0] * -gs, inv[0] * inv[1] * gs))
+        d_real = (c.transpose(0, 2, 1) @ s - t * c.sum(axis=1)[:, :, None]).sum(axis=0)
+        d_virtual = (c @ t - s * c.sum(axis=2)[:, :, None]).sum(axis=0)
+        del c
+    del cos, inv
 
-def _isv_fibers(real, virtual_rows, out, scratch):
-    """The ISV fibers of some virtual-view rows against every real-view
-    row as :func:`build_isv_edges` computes them, written to ``out``, with
-    the state their gradient needs; the differences go to ``scratch``."""
-    b, c = real.shape
-    x = np.subtract(real.reshape(1, b, c), virtual_rows.reshape(-1, 1, c), out=scratch)
-    return ad._unit_fibers(x, 2, out=out)
+    # the exact path, in parts of about ad._BLOCK_BYTES
+    i, j = np.nonzero(~quad if keep is None else keep & ~quad)
+    step = max(1, ad._BLOCK_BYTES // (16 * length))
+    for lo in range(0, len(i), step):
+        rows, cols = i[lo:lo + step], j[lo:lo + step]
+        y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
+        res = y[0] - y[1]
+        slope = np.clip(res, -delta, delta)
+        # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
+        total += (slope * (res - 0.5 * slope)).sum()
+        if g is not None:
+            gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
+            np.add.at(d_real, cols, gx)
+            np.add.at(d_virtual, rows, -gx)
+    return total, None if g is None else (d_real, d_virtual)
 
 
 def _term_node(run, scale, student: LogitBatch, upstream, op) -> Tensor:
@@ -172,121 +232,41 @@ def isv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
                   delta: float, upstream: float = 1.0) -> tuple[Tensor, int]:
     """The ISV term of the objective as one tape node, from both models'
     softened views to the masked Huber loss.  Returns (scalar, kept_count).
-
-    It is :func:`build_isv_edges` of both batches followed by
-    :func:`loss_isv`, run together through row blocks of virtual-view
-    samples (:func:`autodiff._row_blocks`).  While a block is in cache it
-    gets both models' fibers, the penalty, its slope and, for the expected
-    upstream gradient ``upstream`` (the term's weight in the objective,
-    see :func:`_term_node`), its share of both view gradients, so no
-    [B, B, C] array ever exists.  The arithmetic and the layouts are the
-    composite's, and :func:`autodiff._blocked_sum` adds the penalties as
-    one sum over the whole tensor does, so the value and the view
-    gradients are bit-identical to it.  Any non-finite fiber, the
-    student's or the teacher's, makes the loss non-finite, so one check of
-    the loss covers them all.
-    """
-    if student.real.shape != teacher.real.shape:
-        raise UsageError("student and teacher shapes differ")
-    b, c = student.real.shape
-    kept, pruned = _kept_fibers("ISV", (b, b), mask)
-    if kept * c == 0:
-        return Tensor(0.0), kept
-    scale = 1.0 / (kept * c)
-    s_real, s_virtual = student.real.data, student.virtual.data
-    t_real, t_virtual = teacher.real.data, teacher.virtual.data
-    blocks = ad._row_blocks(b, b * c)
-    fixups = _block_fixups(pruned, blocks)
-
-    def run(g):
-        # a block's student fibers; the teacher's, then the slope, then g
-        # times it; and the views' differences, then the penalty
-        y, r, e = (np.empty((blocks[0].stop, b, c)) for _ in range(3))
-        if g is not None:
-            g = g * scale
-            g_virtual = np.empty((b, c))
-            # the real view's gradient keeps its running total in row 0,
-            # so it adds the rows in the order one sum(axis=0) over them does
-            buf = np.empty((1 + blocks[0].stop, b, c))
-
-        def penalties():
-            for k, (rows, fix) in enumerate(zip(blocks, fixups)):
-                n = rows.stop - rows.start
-                y_k, r_k, e_k = y[:n], r[:n], e[:n]
-                _, n_safe, live = _isv_fibers(s_real, s_virtual[rows], y_k, e_k)
-                t, _, _ = _isv_fibers(t_real, t_virtual[rows], r_k, e_k)
-                _huber_rows(y_k, t, fix, delta, e_k, r_k)
-                if g is not None:
-                    gx = ad._unit_fibers_grad(np.multiply(g, r_k, out=r_k), y_k, n_safe, live,
-                                              2, out=buf[1:1 + n])
-                    g_virtual[rows] = gx.sum(axis=1)
-                    buf[0] = buf[1 if k == 0 else 0:1 + n].sum(axis=0)
-                # last: the sum may stop drawing once it has the last block
-                yield e_k.ravel()
-
-        total = ad._blocked_sum(penalties(), b * b * c)
-        return total, None if g is None else (buf[0].copy(), -g_virtual)
-
-    return _term_node(run, scale, student, upstream, "isv_edge_loss"), kept
-
-
-def _icv_fibers(real, virtual, scratch, out=None):
-    """The ICV fibers of two [B, C] views, with the state their gradient
-    needs.  As in :func:`build_icv_edges`, their [B, C, C] difference
-    (written to ``scratch``) is normalized through its [C, C, B] view,
-    into ``out`` when given, a C-ordered [B, C, C] buffer."""
-    b, c = real.shape
-    x = np.subtract(real.reshape(b, 1, c), virtual.reshape(b, c, 1), out=scratch)
-    return ad._unit_fibers(x.transpose(1, 2, 0), 2,
-                           out=None if out is None else out.transpose(1, 2, 0))
+    It is :func:`build_isv_edges` of both batches then :func:`loss_isv`:
+    :func:`_relation_term` on the views' rows, fiber [i, j] = real[j] -
+    virtual[i], with its view gradients formed in the forward for the
+    expected ``upstream`` (the term's weight, see :func:`_term_node`)."""
+    return _edge_term("ISV", student, teacher, mask, delta, upstream)
 
 
 def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | None,
                   delta: float, upstream: float = 1.0) -> tuple[Tensor, int]:
-    """The ICV term of the objective as one tape node, from both models'
-    softened views to the masked Huber loss.  Returns (scalar, kept_count).
+    """The ICV term, as :func:`isv_edge_loss` is the ISV one, from
+    :func:`build_icv_edges` then :func:`loss_icv`: :func:`_relation_term`
+    on the views' class columns, fiber [p, q] = real[:, q] - virtual[:, p],
+    its two gradients transposed back."""
+    return _edge_term("ICV", student, teacher, mask, delta, upstream)
 
-    It is :func:`build_icv_edges` of both batches followed by
-    :func:`loss_icv`, on their array layouts: [B, C, C] buffers viewed as
-    [C, C, B] edges.  The teacher's fibers are written into the slope
-    buffer and the student's difference buffer takes the penalty, so the
-    teacher's edges never exist on their own.  For the expected upstream
-    gradient (see :func:`_term_node`) those dead buffers then take g times
-    the slope and its gradient, C-ordered like the composite's fresh
-    temporaries, so every sum runs in the same order and the value and the
-    view gradients are bit-identical to the composite's.  As in
-    :func:`isv_edge_loss`, one check of the loss covers every fiber.
-    """
+
+def _edge_term(kind, student: LogitBatch, teacher: LogitBatch, mask, delta, upstream):
     if student.real.shape != teacher.real.shape:
         raise UsageError("student and teacher shapes differ")
     b, c = student.real.shape
-    if c < 2:
+    if kind == "ICV" and c < 2:
         raise InputError("inter-class edges need at least 2 classes")
-    kept, pruned = _kept_fibers("ICV", (c, c), mask)
-    if kept * b == 0:
+    n, length = (b, c) if kind == "ISV" else (c, b)
+    kept, keep = _kept_fibers(kind, (n, n), mask)
+    if kept * length == 0:
         return Tensor(0.0), kept
-    scale = 1.0 / (kept * b)
-    s_real, s_virtual = student.real.data, student.virtual.data
-    t_real, t_virtual = teacher.real.data, teacher.virtual.data
+    scale = 1.0 / (kept * length)
+    rows = [x.data if kind == "ISV" else x.data.T
+            for x in (student.real, student.virtual, teacher.real, teacher.virtual)]
 
     def run(g):
-        diff, t_buf = np.empty((b, c, c)), np.empty((b, c, c))
-        y, n_safe, live = _icv_fibers(s_real, s_virtual, diff)
-        # the teacher's fibers, until the penalty turns them into its slope
-        slope = _icv_fibers(t_real, t_virtual, diff, t_buf)[0]
-        elem = diff.transpose(1, 2, 0)
-        _huber_rows(y, slope, pruned, delta, elem, slope)
-        total = elem.sum()
-        if g is None:
-            return total, None
-        g_slope = np.multiply(g * scale, slope, out=diff.reshape(c, c, b))
-        # each view's gradient sums the broadcast difference over the axis
-        # only the other view varies along
-        g_diff = ad._unit_fibers_grad(g_slope, y, n_safe, live, 2,
-                                      out=t_buf.reshape(c, c, b)).transpose(2, 0, 1)
-        return total, (g_diff.sum(axis=1), -g_diff.sum(axis=2))
+        total, grads = _relation_term(*rows, keep, delta, scale, g)
+        return total, grads if grads is None or kind == "ISV" else (grads[0].T, grads[1].T)
 
-    return _term_node(run, scale, student, upstream, "icv_edge_loss"), kept
+    return _term_node(run, scale, student, upstream, f"{kind.lower()}_edge_loss"), kept
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ArtifactReader
+from .data import ArtifactReader, write_whole
 from .errors import InputError, check_fields
 
 CHECKPOINT_MAGIC = b"VRMCKPT1"
@@ -97,13 +97,10 @@ def save_checkpoint(model: MLP, path, epoch: int = 0) -> None:
         "epoch": epoch,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(w.data.astype("<f8").tobytes())
-            fh.write(b.data.astype("<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
+    for w, b in zip(model.weights, model.biases):
+        parts += [w.data.astype("<f8").tobytes(), b.data.astype("<f8").tobytes()]
+    write_whole(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> tuple[MLP, dict]:

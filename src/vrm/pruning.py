@@ -134,18 +134,12 @@ def apply_mask(edges: EdgeTensor, mask: EdgeMask) -> Tensor:
     Multiplication by the 0/1 mask makes pruned fibers contribute
     exactly zero to any reduction and pass exactly zero gradient back.
     """
-    _check_fit(mask, edges.kind, edges.values.shape[:2])
+    check_fit(mask, edges.kind, edges.values.shape[:2])
     return edges.values * Tensor(mask.keep.astype(float)[:, :, None])
 
 
-def pruned_fibers(mask: EdgeMask, kind: str, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices, in row-major order, of the fibers ``mask``
-    prunes from edges of ``kind`` whose leading axes have ``shape``."""
-    _check_fit(mask, kind, shape)
-    return np.nonzero(~mask.keep)
-
-
-def _check_fit(mask: EdgeMask, kind: str, shape) -> None:
+def check_fit(mask: EdgeMask, kind: str, shape) -> None:
+    """Raise UsageError unless ``mask`` fits ``kind`` edges of leading shape ``shape``."""
     if kind != mask.kind:
         raise UsageError(f"mask kind {mask.kind} does not match edges {kind}")
     if tuple(shape) != mask.keep.shape:

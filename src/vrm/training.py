@@ -4,6 +4,7 @@ objectives."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
-from .data import AugmentSpec, Dataset, virtual_batch
+from .data import AugmentSpec, Dataset, virtual_batch, write_whole
 from .errors import NumericError, ParameterError, TrainingError, check_fields
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
@@ -299,10 +300,11 @@ def _fmt(value) -> str:
 
 def write_csv(path, header, rows) -> None:
     """A header line, then one line per row with each value through :func:`_fmt`."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    write_whole(path, text.getvalue().encode())
 
 
 def write_metrics_csv(records: list[EpochRecord], path) -> None:

@@ -38,8 +38,8 @@ def require_recorded_numpy():
 
 DIGESTS = {
     "vrm": ("48c8efbbd6d5b9a9db4760e80898c4be212e21400abd1e44c5ea927571f04fa2",
-            "fad888e2cdf42f59a54e42534585871dad952643fbac615c850d4bee8f296e05",
-            "eb8e6d93356d16c37a027e6e885e52870e966d89d990bcf6561d30ce6fccfb08"),
+            "ec4d42d8fbba5126015196ab3e412b598f7f628b6a14aa38360884dc6ac7fbcf",
+            "661f0f841d9046a910357f5b673da38a8a5781a489c46585a14bf9747738217d"),
     "im_kd": ("a077da857325628cbaad69261fb0c8dba437a90199a2cbed134ee48789b8fc4b",
               "0f2db240020c33bb5dd04d5dda1cb1886c50356129beaefbfa8b39e321548e08",
               "97793174b60649801856867eb61e71ef901cf51d7b6d87b7add3596fb9d0a460"),
@@ -90,9 +90,9 @@ def test_distill_outputs_match_recorded_digests(replay, objective):
 
 
 MORE_DIGESTS = {
-    "defaults/metrics.csv": "3ed231c4245b96d1e6ff976e86c2f65a5388eaeda8cfc4f6fb74b458147ab09e",
-    "defaults/breakdown.csv": "4f98c5ab20c26b4175b4ce283c21fdac7fb7a4a846c0cb8ce0ea007d37a78794",
-    "defaults/student.ckpt": "d9ab3abfd9e81e4f2c855289be7b98aa89b9bede6a8bbf9cb05bd20473002c37",
+    "defaults/metrics.csv": "422e493f663ad9984cd97064ca8fc9c4735dec5701a3dd2261186b7cb90bccc8",
+    "defaults/breakdown.csv": "570e599d1e06759fd5dafe5401b586b9d17c70e8c4f15314fdc706187f5c89ac",
+    "defaults/student.ckpt": "46ffde5231a758dcd0ef4eb0161bdc883b69eabc5b779347ebc99a53b26780ec",
     "ablate/summary.csv": "efe250f14493cbe0e97fa2a2690eaca13f2f4f2c990c4e297f3d39d4acea1b79",
     "pilot/summary.csv": "5ce019e4bde815f7b9d4e383ff9a766b31d602ed9c540a866b070a7b9a08c46b",
     "pilot/pilot_rm_seed1.csv": "29844430fdad516c389d44f7f692d50da01798ccf5f3a5e000e74e3ca6510ac6",
@@ -181,7 +181,7 @@ epochs=60
 seed=0
 im_kd_weight=1
 widths=
-final_val_acc=0.83333333333333337
+final_val_acc=0.91666666666666663
 metrics=<root>/runs/defaults/metrics.csv
 breakdown=<root>/runs/defaults/breakdown.csv
 checkpoint=<root>/runs/defaults/student.ckpt

@@ -355,6 +355,23 @@ def test_config_key_error_names_its_flag(run_env, capsys):
     assert not (run_env / "runs").exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("objective=nonsense", "error: config key objective must be one of"),
+    ("seed=-7", "error: config key seed must be nonnegative, got -7")], ids=["objective", "seed"])
+def test_ablate_checks_the_config_objective_and_seed(run_env, capsys, line, message):
+    # the manifest lists both keys, so they are checked before the run directory exists
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    cfg = run_env / "a.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["ablate", "--data", str(data), "--teacher", str(ckpt), "--objectives",
+                 "ce_only", "--seeds", "0", "--config", str(cfg), "--name", "a"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(message) and "Traceback" not in err
+    assert not (run_env / "runs").exists()
+
+
 def test_ablate_takes_no_seed_flag(run_env, capsys):
     # every cell's seed comes from --seeds
     data = gen_data(run_env)
@@ -456,16 +473,19 @@ def test_check_quick_passes_fast(run_env, capsys):
     # the ISV and ICV terms as training runs them
     for term in ("isv", "icv"):
         assert f"PASS grad:{term}_edge_loss" in out and f"PASS oracle:total_loss_{term}" in out
-    # and bit for bit against the public composites
-    for name in ("isv_edge_loss", "icv_edge_loss", "blocked_sum", "virtual_batch"):
-        assert f"PASS exact:{name}:" in out
+    # and against the public composites, within the derived bound
+    for name in ("isv_edge_loss", "icv_edge_loss"):
+        assert f"PASS match:{name}:" in out
+    assert "PASS exact:virtual_batch:" in out
     assert "all" in out and "passed" in out
 
 
 @pytest.mark.parametrize("term", ["isv_edge_loss", "icv_edge_loss"])
-def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypatch, term):
-    # the loss drifts; then the real view's gradient of every backward but
-    # the first, which reruns the term
+def test_check_detects_a_drift_past_the_bound_of_a_fused_term(run_env, capsys, monkeypatch,
+                                                               term):
+    # the loss drifts by one part in 10^6, far past the bound (about 10^-9
+    # of the loss); then the real view's gradient of every backward but the
+    # first, which reruns the term
     import vrm.checks
 
     real_term = getattr(vrm.checks, term)
@@ -474,7 +494,7 @@ def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypa
         def drifted(*args, part=part, **kwargs):
             loss, kept = real_term(*args, **kwargs)
             if part == "loss":
-                loss.data = np.nextafter(loss.data, np.inf)
+                loss.data = loss.data * (1.0 + 1e-6)
             elif loss.node is not None:
                 grad_fn, calls = loss.node.grad_fn, []
 
@@ -482,7 +502,7 @@ def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypa
                     calls.append(g)
                     g_real, g_virtual = grad_fn(g)
                     drift = len(calls) > 1
-                    return (np.nextafter(g_real, np.inf) if drift else g_real), g_virtual
+                    return (g_real * (1.0 + 1e-6) if drift else g_real), g_virtual
 
                 loss.node.grad_fn = later_calls_drift
             return loss, kept
@@ -491,8 +511,9 @@ def test_check_detects_a_one_ulp_drift_of_a_fused_term(run_env, capsys, monkeypa
         code = main(["check", "--quick"])
         captured = capsys.readouterr()
         assert code == 1
-        assert f"FAIL exact:{term}: fused and composite differ in {part}\n" in captured.out
-        assert f"exact:{term}" in captured.err
+        assert (f"FAIL match:{term}: fused and composite differ past the bound in {part}\n"
+                in captured.out)
+        assert f"match:{term}" in captured.err
 
 
 def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):

@@ -1,14 +1,14 @@
 """The fused ISV and ICV terms of the objective against the public
 composites they replace; the public composites on their own (gradients,
-empty batches, overflow); the exact block-wise sum of the ISV term against
-``np.sum``; and the memory the fused terms take.
+empty batches, overflow); and the memory the fused terms take.
 
 The reference is the public API: ``build_isv_edges`` / ``build_icv_edges``
 build the edges from reshape, subtraction, transpose and l2_normalize, and
 ``loss_isv`` / ``loss_icv`` the loss from apply_mask, huber, sum and the
-1/(kept * fiber length) scale.  The fused terms must agree with them bit
-for bit, in the loss and in the gradients that reach the real and virtual
-views.
+1/(kept * fiber length) scale.  The fused terms form the same quantities
+from matrix products, so they must agree with the composite within the
+rounding bound :func:`vrm.checks.term_bound` derives, in the loss and in
+the gradients that reach the real and virtual views.
 """
 import gc
 import tracemalloc
@@ -20,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrm import autodiff as ad
+from vrm import losses
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
+from vrm.checks import term_bound
 from vrm.errors import InputError, NumericError
 from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges
 from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
@@ -55,6 +57,19 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_within_bound(kind, real, virtual, teacher, mask, fused, ref, k):
+    """The loss and view gradients ``fused`` and ``ref`` of :func:`run_term`,
+    differentiated through ``loss * k``, within the derived bound."""
+    if mask is not None and mask.kept_count == 0:
+        assert float(fused[0]) == float(ref[0]) == 0.0
+        assert fused[1] is fused[2] is ref[1] is ref[2] is None
+        return
+    value_bound, g_real, g_virtual = term_bound(kind, LogitBatch(real, virtual), teacher, mask)
+    assert abs(float(fused[0]) - float(ref[0])) <= value_bound(abs(float(ref[0])))
+    assert (np.abs(fused[1] - ref[1]) <= abs(k) * g_real).all()
+    assert (np.abs(fused[2] - ref[2]) <= abs(k) * g_virtual).all()
 
 
 def run_term(kind, real, virtual, teacher, mask, delta, fused, upstream=1.0, k=1.0):
@@ -93,12 +108,56 @@ def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
     for k in (upstream, upstream + 1.0):
         fused = run_term(kind, real, virtual, teacher, mask, delta, True, upstream, k)
         ref = run_term(kind, real, virtual, teacher, mask, delta, False, upstream, k)
-        for x, y in zip(fused, ref):
-            assert_same_bits(x, y)
+        assert_within_bound(kind, real, virtual, teacher, mask, fused, ref, k)
     return real, virtual, teacher
 
 
 # -- the fused terms against the public composites ---------------------------
+
+# Test IDs below that say "bit_identical" keep the names they had when the
+# fused terms replayed the composite's arithmetic bit for bit; they now
+# compare within the derived bound, like the property that follows them.
+
+
+@st.composite
+def term_cases(draw):
+    """A term, a shape, a mask percentile (0 prunes every fiber, None passes
+    no mask), a delta, and views with exact or near-duplicate rows: dead
+    fibers and norms lost to cancellation."""
+    kind = draw(st.sampled_from(["ISV", "ICV"]))
+    b, c = draw(st.one_of(st.tuples(st.integers(2, 16), st.integers(2, 16)),
+                          st.sampled_from([(128, 32), (131, 24)])))
+    m = draw(st.sampled_from([50.0, 95.0, 100.0, None, 0.0]))
+    delta = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real, virtual = probs(rng, b, c), probs(rng, b, c)
+    teacher = [probs(rng, b, c), probs(rng, b, c)]
+    # some rows of both views agree, exactly or to 1e-9; all of them make
+    # the ICV fibers (p, p) dead or cancelled too
+    tied = rng.random(b) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    virtual[tied] = real[tied]
+    teacher[1][tied[::-1]] = teacher[0][tied[::-1]]
+    if draw(st.booleans()):
+        virtual[tied] += rng.standard_normal((tied.sum(), c)) * 1e-9
+    shape = (b, b) if kind == "ISV" else (c, c)
+    if m == 0.0:
+        mask = EdgeMask(kind, np.zeros(shape, dtype=bool), 50.0, 0.0)
+    else:
+        mask = random_mask(rng, kind, shape, m)
+    return kind, real, virtual, LogitBatch(*teacher), mask, delta
+
+
+@given(term_cases())
+@settings(max_examples=80, deadline=None)
+def test_term_matches_composite_within_the_bound(case):
+    kind, real, virtual, teacher, mask, delta = case
+    upstream = UPSTREAM[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for k in (upstream, 2.0):
+            fused = run_term(kind, real, virtual, teacher, mask, delta, True, upstream, k)
+            ref = run_term(kind, real, virtual, teacher, mask, delta, False, upstream, k)
+            assert_within_bound(kind, real, virtual, teacher, mask, fused, ref, k)
 
 
 # retention percentiles of the masks; None passes no mask
@@ -130,8 +189,8 @@ def test_fused_path_is_bit_identical_with_zero_norm_fibers(kind):
         check_term(rng, kind, b, c, m, same_views=True)
 
 
-# B=131, C=24: the ISV term runs in blocks of 10 rows, the last of which
-# holds a single row
+# B=131, C=24: the ISV term's screen runs in blocks of 10 rows, the last of
+# which holds a single row
 PARTIAL = (131, 24)
 
 
@@ -188,16 +247,18 @@ def test_second_backward_through_the_loss_node_keeps_the_first(kind):
         assert_same_bits(second[key], kept[key])
 
 
-def count_unit_fibers_grad(monkeypatch):
-    """A list that grows by one at each call of autodiff._unit_fibers_grad."""
+def count_gradient_runs(monkeypatch):
+    """A list that grows by one at each run of a fused term that forms
+    view gradients."""
     calls = []
-    real = ad._unit_fibers_grad
+    real = losses._relation_term
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        if args[-1] is not None:
+            calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "_unit_fibers_grad", counted)
+    monkeypatch.setattr(losses, "_relation_term", counted)
     return calls
 
 
@@ -215,7 +276,7 @@ def test_term_backward_reruns_only_for_an_unexpected_upstream(monkeypatch, kind,
     teacher = LogitBatch(probs(rng, *PARTIAL), probs(rng, *PARTIAL))
     loss, _ = TERMS[kind](views, teacher, None, 1.0, upstream=upstream)
     scaled = loss * k
-    calls = count_unit_fibers_grad(monkeypatch)
+    calls = count_gradient_runs(monkeypatch)
     backward(scaled)
     assert bool(calls) == reruns
 
@@ -228,7 +289,7 @@ def test_total_loss_backward_forms_no_edge_gradient(monkeypatch):
     student = LogitBatch(Tensor(rng.standard_normal((b, c)), requires_grad=True),
                          Tensor(rng.standard_normal((b, c)), requires_grad=True))
     teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
-    calls = count_unit_fibers_grad(monkeypatch)
+    calls = count_gradient_runs(monkeypatch)
     breakdown = total_loss(student, teacher, rng.integers(0, c, size=b), VRMWeights())
     assert calls
     calls.clear()
@@ -242,7 +303,7 @@ def test_forward_under_no_grad_forms_no_edge_gradient(monkeypatch):
     student = LogitBatch(Tensor(rng.standard_normal((b, c)), requires_grad=True),
                          Tensor(rng.standard_normal((b, c)), requires_grad=True))
     teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
-    calls = count_unit_fibers_grad(monkeypatch)
+    calls = count_gradient_runs(monkeypatch)
     with ad.no_grad():
         breakdown = total_loss(student, teacher, rng.integers(0, c, size=b), VRMWeights())
     assert not calls and breakdown.total.node is None
@@ -402,9 +463,8 @@ def test_isv_term_with_whole_rows_and_columns_pruned():
     for k in (1.0, 3.0):
         fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True, 1.0, k)
         ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False, 1.0, k)
-        for x, y in zip(fused, ref):
-            assert_same_bits(x, y)
-        assert not ref[2][[2, 5]].any() and not ref[1][4].any()
+        assert_within_bound("ISV", real, virtual, teacher, mask, fused, ref, k)
+        assert not fused[2][[2, 5]].any() and not fused[1][4].any()
 
 
 def test_isv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
@@ -434,15 +494,19 @@ def test_isv_term_second_backward_through_a_kept_alive_loss():
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
     mask = random_mask(rng, "ISV", (b, b), 95.0)
-    _, ref_real, ref_virtual = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
+    ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
     r = Tensor(real, requires_grad=True)
     v = Tensor(virtual, requires_grad=True)
     loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, 1.0)
+    grads = []
     for _ in range(2):
         r.grad = v.grad = None
         backward(loss * 1.0)
-        assert_same_bits(r.grad, ref_real)
-        assert_same_bits(v.grad, ref_virtual)
+        assert_within_bound("ISV", real, virtual, teacher, mask, (loss.data, r.grad, v.grad),
+                            ref, 1.0)
+        grads.append((r.grad, v.grad))
+    for x, y in zip(*grads):
+        assert_same_bits(x, y)
 
 
 def test_isv_term_is_one_tape_node_over_the_student_views():
@@ -567,53 +631,6 @@ def test_overflowing_views_name_the_icv_term(side, sign):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="icv_edge_loss"):
             icv_edge_loss(views, teacher, None, 1.0)
-
-
-# -- the block-wise sum --------------------------------------------------------
-
-
-@st.composite
-def split_values(draw):
-    """Values of varied magnitude and sign (signed zeros among them) and
-    the cut points of their chunks; every cut is drawn from a band around
-    a leaf of 128, so a chunk boundary often falls inside a leaf."""
-    n = draw(st.integers(1, 5000))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
-    values[rng.random(n) < 0.05] = draw(st.sampled_from([0.0, -0.0]))
-    cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=12))
-    return values, sorted(set(c for c in cuts if c < n))
-
-
-@given(split_values())
-@settings(max_examples=300, deadline=None)
-def test_blocked_sum_is_bit_identical_to_np_sum(case):
-    values, cuts = case
-    bounds = [0, *cuts, len(values)]
-    scratch = np.empty(len(values))
-
-    def chunks():
-        # one reused buffer, spoiled after each chunk is consumed
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            chunk = scratch[:hi - lo]
-            chunk[:] = values[lo:hi]
-            yield chunk
-            chunk[:] = np.nan
-
-    assert_same_bits(ad._blocked_sum(chunks(), len(values)), values.sum())
-
-
-def test_blocked_sum_gathers_a_leaf_split_over_chunks():
-    # numpy sums 300 values as leaves starting at 0, 72, 144 and 216: a cut
-    # at 200 splits the third leaf over two chunks, cuts at 80, 90 and 100
-    # the second one over four
-    rng = np.random.default_rng(46)
-    values = rng.standard_normal(300) * 1e6
-    for cuts in ([200], [80, 90, 100]):
-        chunks = np.split(values, cuts)
-        assert_same_bits(ad._blocked_sum(chunks, 300), values.sum())
-    assert_same_bits(ad._blocked_sum(np.split(-np.zeros(300), [200]), 300), np.float64(0.0))
 
 
 # -- memory ------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+import vrm.data
 from vrm.data import (
     AUGMENT_OPS,
     AugmentSpec,
@@ -17,7 +18,7 @@ from vrm.diagnostics import PilotSpec
 from vrm.errors import InputError, ParameterError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec, load_checkpoint, save_checkpoint
-from vrm.training import TrainConfig
+from vrm.training import TrainConfig, write_csv
 
 NAN, INF = float("nan"), float("inf")
 SYNTHETIC = functools.partial(make_synthetic_dataset, kind="blobs", n_classes=3, dim=4,
@@ -282,3 +283,48 @@ def test_checkpoint_every_strict_prefix_raises_input_error(tmp_path):
     cut.write_bytes(blob + b"\0")
     with pytest.raises(InputError):
         load_checkpoint(cut)
+
+
+def fail_halfway(monkeypatch):
+    """Make every file the whole-file writer opens take half of what it is
+    given and then fail, as a full disk would."""
+    real_open = open
+
+    class HalfWritten:
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, blob):
+            self.fh.write(blob[:len(blob) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(vrm.data, "open", HalfWritten, raising=False)
+
+
+WRITERS = {
+    "checkpoint": lambda path, k: save_checkpoint(MLP(MLPSpec([4, 5, 3], "relu", k)), path),
+    "dataset": lambda path, k: save_dataset(SYNTHETIC(seed=k), path),
+    "csv": lambda path, k: write_csv(path, ["a", "b"], [[k, 0.5], [2, 3]]),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_write_failing_halfway_leaves_no_file_and_the_earlier_one_intact(tmp_path, monkeypatch,
+                                                                            writer):
+    write = WRITERS[writer]
+    earlier = tmp_path / "earlier"
+    write(earlier, 1)
+    before = earlier.read_bytes()
+    fail_halfway(monkeypatch)
+    for path in (earlier, tmp_path / "fresh"):
+        with pytest.raises(OSError, match="No space"):
+            write(path, 2)
+    assert earlier.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["earlier"]
