@@ -4,9 +4,9 @@ self-check gate.
 
 Exit codes: 0 ok, 1 property failure, 2 a bad flag or an unwritable
 output, 3 a missing, unreadable, corrupt or mismatched input artifact,
-4 numeric divergence.  The output root comes from VRM_RUN_DIR (default
-./runs); every run directory carries a manifest that makes it
-self-describing.
+4 numeric divergence, 130 SIGINT, 143 SIGTERM.  The output root comes
+from VRM_RUN_DIR (default ./runs); every run directory carries a
+manifest that makes it self-describing.
 """
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ import argparse
 import dataclasses
 import itertools
 import os
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -57,11 +59,22 @@ _EXIT_CODES = (
 )
 
 
+class Terminated(BaseException):
+    """SIGTERM arrived while a run was open.  Like KeyboardInterrupt for
+    SIGINT, it unwinds through the run's exit, past ``except Exception``."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated
+
+
 class Run:
     """A command's run directory under VRM_RUN_DIR and its flat key=value
     manifest.  Entering creates both, at status=running; leaving ends the
     run ``complete``, or ``diverged`` (a TrainingError) or ``failed`` with
     ``error_class`` when an exception escapes, which then propagates.
+    While the run is open SIGTERM raises Terminated, so a killed run ends
+    ``failed`` too; the earlier handler comes back on leaving.
     A ``--name`` must be one directory name, so the run stays under the root."""
 
     def __init__(self, args, config: dict):
@@ -78,9 +91,14 @@ class Run:
         self.dir.mkdir(parents=True, exist_ok=True)
         self._t0 = time.monotonic()
         self._write()
+        # only the main thread may set a handler; a run on another thread keeps the process's
+        self._sigterm = (signal.signal(signal.SIGTERM, _raise_terminated)
+                         if threading.current_thread() is threading.main_thread() else None)
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if self._sigterm is not None:
+            signal.signal(signal.SIGTERM, self._sigterm)
         if exc_type is None:
             self.fields["status"] = "complete"
         elif isinstance(exc, TrainingError):
@@ -432,6 +450,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except (KeyboardInterrupt, Terminated) as exc:
+        name = "SIGTERM" if isinstance(exc, Terminated) else "SIGINT"
+        print(f"error: interrupted by {name}", file=sys.stderr)
+        return 128 + getattr(signal, name)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         message, flags = str(exc), getattr(args, "flags", {})
         field = message.split(" ", 1)[0]

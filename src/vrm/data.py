@@ -1,19 +1,20 @@
 """Synthetic classification datasets, virtual-view generation, and the
-dataset file format."""
+checksummed artifact format that dataset and checkpoint files share."""
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
 import operator
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, check_fields
 
-DATASET_MAGIC = b"VRMDATA1"
+DATASET_MAGIC = b"VRMDATA2"
 
 AUGMENT_OPS = ("gaussian_noise", "feature_dropout", "random_scale", "random_shift")
 
@@ -31,14 +32,17 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
         self.val_idx = np.asarray(self.val_idx, dtype=np.int64)
+        self.n_classes = operator.index(self.n_classes)
         n = self.inputs.shape[0]
         if self.inputs.ndim != 2 or self.labels.shape != (n,):
             raise InputError("need [n, dim] inputs and one label per row")
+        if not np.isfinite(self.inputs).all():
+            raise InputError("dataset inputs must be finite")
         if n == 0:
             raise InputError("dataset is empty")
         for name, idx in (("train", self.train_idx), ("val", self.val_idx)):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise InputError(f"{name} split indices must lie in [0, {n})")
+            if idx.ndim != 1 or idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise InputError(f"{name} split indices must be a vector in [0, {n})")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise InputError("labels out of range")
         if np.intersect1d(self.train_idx, self.val_idx).size:
@@ -371,14 +375,9 @@ def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndar
 
 
 def save_dataset(data: Dataset, path) -> None:
-    n, d = data.inputs.shape
-    write_whole(path, b"".join((
-        DATASET_MAGIC,
-        struct.pack("<5I", n, d, data.n_classes, data.train_idx.size, data.val_idx.size),
-        data.train_idx.astype("<u4").tobytes(),
-        data.val_idx.astype("<u4").tobytes(),
-        data.inputs.astype("<f8").tobytes(),
-        data.labels.astype("<i4").tobytes())))
+    write_artifact(path, DATASET_MAGIC, {"n_classes": data.n_classes},
+                   {"inputs": data.inputs, "labels": data.labels,
+                    "train_idx": data.train_idx, "val_idx": data.val_idx})
 
 
 def write_whole(path, blob: bytes) -> None:
@@ -404,44 +403,55 @@ def read_input(path, what: str) -> bytes:
         raise InputError(f"{what} not found or unreadable: {path} ({exc.strerror})") from None
 
 
-class ArtifactReader:
-    """Reads a binary artifact front to back, after its magic bytes.  An
-    unreadable file, a wrong magic, asking for more bytes than are left, or
-    leaving bytes unread raises InputError."""
+def write_artifact(path, magic: bytes, header: dict, arrays: dict) -> None:
+    """Write ``magic``, the 4-byte little-endian length of a JSON header that
+    holds ``header`` and each array's name, dtype and shape, the arrays in
+    order (floats as <f8, the rest as <i8), then the sha256 of all before it."""
+    listing, blobs = [], []
+    for name, arr in arrays.items():
+        dtype = "<f8" if arr.dtype.kind == "f" else "<i8"
+        listing.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
+        blobs.append(arr.astype(dtype).tobytes())
+    head = json.dumps({"arrays": listing, "header": header}, sort_keys=True).encode()
+    body = b"".join((magic, len(head).to_bytes(4, "little"), head, *blobs))
+    write_whole(path, body + hashlib.sha256(body).digest())
 
-    def __init__(self, path, magic: bytes, what: str):
-        self._blob = read_input(path, what)
-        head = self._blob[:len(magic)]
-        if head != magic:
-            raise InputError(f"not a {what}: bad magic {head!r}")
-        self._pos = len(magic)
-        self.what = what
 
-    @property
-    def remaining(self) -> int:
-        return len(self._blob) - self._pos
-
-    def take(self, n_bytes: int) -> bytes:
-        if n_bytes > self.remaining:
-            raise InputError(f"truncated {self.what}: needs {n_bytes} more bytes, "
-                             f"{self.remaining} left")
-        self._pos += n_bytes
-        return self._blob[self._pos - n_bytes:self._pos]
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype=dtype)
-
-    def finish(self) -> None:
-        if self.remaining:
-            raise InputError(f"{self.what} has trailing bytes")
+def read_artifact(path, magic: bytes, what: str) -> tuple[dict, dict]:
+    """The header and name -> array dict ``write_artifact`` wrote to ``path``.
+    A wrong magic or trailer, a header that does not describe the remaining
+    bytes exactly, or a non-finite float raises InputError naming ``what``."""
+    blob = read_input(path, what)
+    if blob[:len(magic)] != magic:
+        raise InputError(f"not a {what}: bad magic {blob[:len(magic)]!r}")
+    body, start = blob[:-32], len(magic) + 4
+    if hashlib.sha256(body).digest() != blob[-32:]:
+        raise InputError(f"corrupt {what}: checksum mismatch")
+    offset = start + int.from_bytes(body[len(magic):start], "little")
+    arrays = {}
+    try:
+        head = json.loads(body[start:offset])
+        for entry in head["arrays"]:
+            name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+            if not (isinstance(name, str) and name not in arrays and dtype in ("<f8", "<i8")
+                    and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"bad array entry {entry!r}")
+            # both dtypes take 8 bytes; one that runs past the end is short to reshape
+            end = offset + 8 * math.prod(shape)
+            arrays[name], offset = np.frombuffer(body[offset:end], dtype).reshape(shape).copy(), end
+        header = head["header"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"corrupt {what} header: {exc!r}") from None
+    if offset != len(body):
+        raise InputError(f"corrupt {what}: its header does not describe its {len(body)} bytes")
+    if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in arrays.values()):
+        raise InputError(f"{what} holds non-finite values")
+    return header, arrays
 
 
 def load_dataset(path) -> Dataset:
-    reader = ArtifactReader(path, DATASET_MAGIC, "dataset file")
-    n, d, c, n_train, n_val = struct.unpack("<5I", reader.take(20))
-    train_idx = reader.array("<u4", n_train).astype(np.int64)
-    val_idx = reader.array("<u4", n_val).astype(np.int64)
-    inputs = reader.array("<f8", n * d).reshape(n, d).copy()
-    labels = reader.array("<i4", n).astype(np.int64)
-    reader.finish()
-    return Dataset(inputs, labels, train_idx, val_idx, c)
+    header, arrays = read_artifact(path, DATASET_MAGIC, "dataset file")
+    try:
+        return Dataset(n_classes=header["n_classes"], **arrays)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"corrupt dataset file: {exc!r}") from None

@@ -2,18 +2,17 @@
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ArtifactReader, write_whole
+from .data import read_artifact, write_artifact
 from .errors import InputError, check_fields
 
-CHECKPOINT_MAGIC = b"VRMCKPT1"
+CHECKPOINT_MAGIC = b"VRMCKPT2"
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
 
@@ -27,12 +26,13 @@ class MLPSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.layer_widths = widths = list(self.layer_widths)
+        self.layer_widths = widths = [operator.index(w) for w in self.layer_widths]
         check_fields(vars(self), (
             ("layer_widths", len(widths) >= 3, "must have at least one hidden layer"),
             ("layer_widths", all(w >= 1 for w in widths), "must be positive"),
             ("activation", self.activation in _ACTIVATIONS,
-             f"must be one of {tuple(_ACTIVATIONS)}")))
+             f"must be one of {tuple(_ACTIVATIONS)}"),
+            ("seed", operator.index(self.seed) >= 0, "must be nonnegative")))
 
 
 class MLP:
@@ -87,38 +87,34 @@ class MLP:
         return h.hexdigest()
 
 
+def _param_shapes(widths) -> dict:
+    """Each parameter array's name and shape, in ``MLP.parameters`` order."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"w{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+    return shapes
+
+
 def save_checkpoint(model: MLP, path, epoch: int = 0) -> None:
-    """Write magic, a length-prefixed JSON metadata block, then every
-    layer's weight and bias arrays as little-endian float64."""
-    meta = {
-        "layer_widths": model.spec.layer_widths,
-        "activation": model.spec.activation,
-        "seed": model.spec.seed,
-        "epoch": epoch,
-    }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
-    for w, b in zip(model.weights, model.biases):
-        parts += [w.data.astype("<f8").tobytes(), b.data.astype("<f8").tobytes()]
-    write_whole(path, b"".join(parts))
+    """An artifact whose header holds the spec and ``epoch``, and whose
+    arrays are every layer's weight and bias."""
+    meta = dict(vars(model.spec), epoch=epoch)
+    names = _param_shapes(model.spec.layer_widths)
+    write_artifact(path, CHECKPOINT_MAGIC, meta,
+                   {name: p.data for name, p in zip(names, model.parameters())})
 
 
 def load_checkpoint(path) -> tuple[MLP, dict]:
-    reader = ArtifactReader(path, CHECKPOINT_MAGIC, "checkpoint file")
-    (meta_len,) = struct.unpack("<I", reader.take(4))
+    meta, arrays = read_artifact(path, CHECKPOINT_MAGIC, "checkpoint file")
     try:
-        meta = json.loads(reader.take(meta_len).decode("utf-8"))
         spec = MLPSpec(meta["layer_widths"], meta["activation"], meta["seed"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"corrupt checkpoint metadata: {exc}") from exc
-    # sized before the model is built, so a corrupt width cannot allocate
-    widths = spec.layer_widths
-    n_values = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
-    if reader.remaining != 8 * n_values:
-        raise InputError(f"checkpoint holds {reader.remaining} weight bytes, "
-                         f"its layer widths need {8 * n_values}")
+        raise InputError(f"corrupt checkpoint metadata: {exc!r}") from None
+    # checked before the model is built, so a corrupt width cannot allocate
+    shapes = _param_shapes(spec.layer_widths)
+    if {name: arr.shape for name, arr in arrays.items()} != shapes:
+        raise InputError(f"checkpoint arrays do not fit its layer widths {spec.layer_widths}")
     model = MLP(spec)
-    for w, b in zip(model.weights, model.biases):
-        w.data = reader.array("<f8", w.data.size).reshape(w.shape).copy()
-        b.data = reader.array("<f8", b.data.size).copy()
+    for name, p in zip(shapes, model.parameters()):
+        p.data = arrays[name]
     return model, meta

@@ -39,19 +39,19 @@ def require_recorded_numpy():
 DIGESTS = {
     "vrm": ("48c8efbbd6d5b9a9db4760e80898c4be212e21400abd1e44c5ea927571f04fa2",
             "ec4d42d8fbba5126015196ab3e412b598f7f628b6a14aa38360884dc6ac7fbcf",
-            "661f0f841d9046a910357f5b673da38a8a5781a489c46585a14bf9747738217d"),
+            "eb4900c7c1ee3b396caf04f6aad75066bac06d37200ac2ade851ba7e0573f434"),
     "im_kd": ("a077da857325628cbaad69261fb0c8dba437a90199a2cbed134ee48789b8fc4b",
               "0f2db240020c33bb5dd04d5dda1cb1886c50356129beaefbfa8b39e321548e08",
-              "97793174b60649801856867eb61e71ef901cf51d7b6d87b7add3596fb9d0a460"),
+              "6562cc40a158c92f7a330763b0a308183d43a0b602d4bfb41001c9281a43b69c"),
     "ce_only": ("55d588c5cbe7a9bc91716fcbf542759be0c5d80365bbf3eff654cdab341484c4",
                 "d70017d79fee86ea2ad4a4c252f558706b45d0121952bb7ff7d1fd30dbc4e91e",
-                "df3e3b4c57f4956a2a74636239ee58c629d8fa70ba0705cbd0a09c6c45648fad"),
+                "2edeb9e144df3b8b965a6efeec6137dbb97eadc93b5028b8e048db5932e9e96f"),
     "gram": ("5c113131a1f9171d6d226bdd5fa0ea18710b0b92dac055b6d5641113dc289747",
              "d4429faa35222d81e21e65ff21bd72418d1c27022009168e9e0ab7a81dd60ffc",
-             "0da16f49ea65853b298f8f65e043a470bfc377626ccd3e64197dd1d6cce55372"),
+             "3d6fb9f817d55bdc8696351dcfaf19fada4e12b262d43a75dccc54efd01dfe48"),
     "angular": ("a05c58f333723aa4f7586a8c6278c16e0135e459f9db808167c8ee6f379a3f0b",
                 "e4d48863a352410569f62f8d5fffdcae03df4200d8a62f8beff5a30500e098c5",
-                "16d6d3ca918d910793e5ec1c9a815ea77cc9fd0b3d6117f7c040ed4f531eb817"),
+                "994cece6f46a14d87fd5027225d41061246ad02d7aa6af2bfe7a66ff3bb34aab"),
 }
 OUTPUTS = ("metrics.csv", "breakdown.csv", "student.ckpt")
 
@@ -92,7 +92,7 @@ def test_distill_outputs_match_recorded_digests(replay, objective):
 MORE_DIGESTS = {
     "defaults/metrics.csv": "422e493f663ad9984cd97064ca8fc9c4735dec5701a3dd2261186b7cb90bccc8",
     "defaults/breakdown.csv": "570e599d1e06759fd5dafe5401b586b9d17c70e8c4f15314fdc706187f5c89ac",
-    "defaults/student.ckpt": "46ffde5231a758dcd0ef4eb0161bdc883b69eabc5b779347ebc99a53b26780ec",
+    "defaults/student.ckpt": "30b00d19c4385b5262c511eef238bae7845b5d22f68cb7b94e64cd74ccd64475",
     "ablate/summary.csv": "efe250f14493cbe0e97fa2a2690eaca13f2f4f2c990c4e297f3d39d4acea1b79",
     "pilot/summary.csv": "5ce019e4bde815f7b9d4e383ff9a766b31d602ed9c540a866b070a7b9a08c46b",
     "pilot/pilot_rm_seed1.csv": "29844430fdad516c389d44f7f692d50da01798ccf5f3a5e000e74e3ca6510ac6",

@@ -1,11 +1,17 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vrm.autodiff
 from vrm.cli import main
-from vrm.data import load_dataset
+from vrm.data import DATASET_MAGIC, load_dataset, read_artifact, write_artifact
 from vrm.models import MLP, MLPSpec, save_checkpoint
 
 
@@ -555,12 +561,12 @@ def test_unparsable_numbers_exit_2_before_the_run_dir(run_env, capsys, case):
     assert not (run_env / "runs" / "bad").exists()
 
 
-def patched_dataset(path, offset, value):
-    """The dataset file at ``path`` with the <u4 at byte ``offset`` set."""
-    blob = bytearray(path.read_bytes())
-    blob[offset:offset + 4] = int(value).to_bytes(4, "little")
-    out = path.with_name(f"patched-{offset}.vrmdata")
-    out.write_bytes(bytes(blob))
+def crafted_dataset(path, name, **arrays):
+    """A copy of the dataset file ``path`` with ``arrays`` in place of its
+    own, under a valid checksum, so only the content checks can reject it."""
+    header, stored = read_artifact(path, DATASET_MAGIC, "dataset file")
+    out = path.with_name(name)
+    write_artifact(out, DATASET_MAGIC, header, {**stored, **arrays})
     return out
 
 
@@ -572,12 +578,80 @@ def test_distill_rejects_bad_split_indices_and_empty_data(run_env, capsys, monke
 
     monkeypatch.setattr(vrm.training, "_train", never)
     data = gen_data(run_env)
-    # header: 8 magic bytes, then n, dim, classes, n_train, n_val; then the indices
-    bad_index = patched_dataset(data, 28, 1_000_000)
-    empty = run_env / "empty.vrmdata"
-    empty.write_bytes(data.read_bytes()[:8] + np.array([0, 6, 3, 0, 0], "<u4").tobytes())
+    train_idx = load_dataset(data).train_idx.copy()
+    train_idx[0] = 1_000_000
+    bad_index = crafted_dataset(data, "bad_index.vrmdata", train_idx=train_idx)
+    empty = crafted_dataset(data, "empty.vrmdata", inputs=np.zeros((0, 6)),
+                            labels=np.zeros(0, int), train_idx=np.zeros(0, int),
+                            val_idx=np.zeros(0, int))
     for path in (bad_index, empty):
         code = main(["distill", "--data", str(path), "--objective", "ce_only",
                      "--epochs", "2", "--milestones", "1", "--name", "x"])
         assert_clean_error(capsys, code, 3)
     assert not (run_env / "runs" / "x").exists()
+
+
+def test_distill_on_a_non_finite_input_exits_3_before_the_run_dir(run_env, capsys):
+    data = gen_data(run_env)
+    inputs = load_dataset(data).inputs.copy()
+    inputs[5, 2] = np.nan
+    nan_data = crafted_dataset(data, "nan.vrmdata", inputs=inputs)
+    code = main(["distill", "--data", str(nan_data), "--objective", "ce_only",
+                 "--epochs", "2", "--milestones", "1", "--name", "x"])
+    assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
+
+
+@pytest.mark.parametrize("signum, code, error_class", [
+    (signal.SIGTERM, 143, "Terminated"), (signal.SIGINT, 130, "KeyboardInterrupt")],
+    ids=["SIGTERM", "SIGINT"])
+def test_a_signal_ends_the_run_failed_with_one_error_line(run_env, signum, code, error_class):
+    data = gen_data(run_env)
+    run_dir = run_env / "runs" / "long"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    # a parent that ignores SIGINT (a background shell job) passes that on
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vrm.cli", "distill", "--data", str(data), "--objective",
+         "ce_only", "--epochs", "100000", "--milestones", "1", "--name", "long"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while not (run_dir / "manifest.txt").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.3)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == code
+    assert err.splitlines() == [f"error: interrupted by {signal.Signals(signum).name}"]
+    manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    assert "status=failed" in manifest and f"error_class={error_class}" in manifest
+
+
+def test_a_run_puts_the_earlier_sigterm_handler_back(run_env):
+    def earlier(signum, frame):
+        pass
+
+    data = gen_data(run_env)
+    previous = signal.signal(signal.SIGTERM, earlier)
+    try:
+        assert main(["distill", "--data", str(data), "--objective", "ce_only",
+                     "--epochs", "1", "--milestones", "1", "--name", "x"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is earlier
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_a_run_on_another_thread_leaves_the_sigterm_handler_alone(run_env):
+    data = gen_data(run_env)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(
+        ["distill", "--data", str(data), "--objective", "ce_only", "--epochs", "1",
+         "--milestones", "1", "--name", "x"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert "status=complete" in (run_env / "runs" / "x" / "manifest.txt").read_text()

@@ -201,7 +201,7 @@ def test_isv_rows_split_into_blocks_with_a_partial_last_block():
     assert blocks[-1] == slice(130, 131)
 
 
-def test_fused_path_is_bit_identical_with_a_partial_last_block():
+def test_fused_path_matches_composite_with_a_partial_last_block():
     rng = np.random.default_rng(19)
     for m in PERCENTILES:
         check_term(rng, "ISV", *PARTIAL, m)
@@ -210,9 +210,9 @@ def test_fused_path_is_bit_identical_with_a_partial_last_block():
 @pytest.mark.parametrize("tied_rows", [(), (4,), (3, 71, 130), tuple(range(131))],
                          ids=["all-live", "one-block-dead", "three-blocks-dead",
                               "every-block-dead"])
-def test_blocked_dead_fiber_shortcut_both_branches(tied_rows):
-    # blocks without a zero-norm fiber skip zeroing dead fibers, the others
-    # zero them, forward and backward; both must match the composite
+def test_fused_path_matches_composite_with_dead_fibers(tied_rows):
+    # dead diagonal fibers in no, one, three or every screen block of rows;
+    # forward and backward must match the composite within the bound
     rng = np.random.default_rng(20)
     for m in (95.0, None):
         check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ RECORD_CASES = [
     (AugmentSpec, {"magnitude": NAN}), (AugmentSpec, {"seed": -1}),
     (MLPSpec, {"layer_widths": [4, 3]}), (MLPSpec, {"layer_widths": [4, 0, 3]}),
     (MLPSpec, {"activation": "gelu", "layer_widths": [4, 8, 3]}),
+    (MLPSpec, {"seed": -1, "layer_widths": [4, 8, 3]}),
     (PilotSpec, {"B": 1}), (PilotSpec, {"D": 0}), (PilotSpec, {"t": 64}),
     (PilotSpec, {"c": NAN}), (PilotSpec, {"c": -1.0}), (PilotSpec, {"loss_kind": "X"}),
     (SYNTHETIC, {"kind": "rings"}), (SYNTHETIC, {"n_classes": 1}), (SYNTHETIC, {"dim": 0}),
@@ -116,10 +119,18 @@ def test_dataset_rejects_bad_shapes_and_split_indices():
         Dataset(x, y[:3], np.array([0, 1]), np.array([2]), 2)
     with pytest.raises(InputError, match="one label per row"):
         Dataset(np.zeros(4), y, np.array([0, 1]), np.array([2, 3]), 2)
-    for train, val in (([0, 4], [1]), ([0, 1], [-1]), ([-2], [3])):
+    for train, val in (([0, 4], [1]), ([0, 1], [-1]), ([-2], [3]), ([[0, 1]], [2])):
         with pytest.raises(InputError, match="split indices"):
             Dataset(x, y, np.array(train), np.array(val), 2)
     Dataset(x, y, np.array([0, 3]), np.array([], dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_dataset_rejects_non_finite_inputs(bad):
+    x = np.zeros((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        Dataset(x, np.array([0, 1, 0, 1]), np.array([0, 1]), np.array([2, 3]), 2)
 
 
 def test_virtual_view_identity_cases():
@@ -201,7 +212,7 @@ def test_dataset_file_round_trip(tmp_path):
     p2 = tmp_path / "b.vrmdata"
     save_dataset(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes()[:8] == b"VRMDATA1"
+    assert p1.read_bytes()[:8] == b"VRMDATA2"
 
 
 def test_dataset_file_bad_magic(tmp_path):
@@ -261,7 +272,7 @@ def test_checkpoint_round_trip(tmp_path):
     p2 = tmp_path / "m2.ckpt"
     save_checkpoint(loaded, p2, epoch=17)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_bytes()[:8] == b"VRMCKPT1"
+    assert p1.read_bytes()[:8] == b"VRMCKPT2"
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -283,6 +294,156 @@ def test_checkpoint_every_strict_prefix_raises_input_error(tmp_path):
     cut.write_bytes(blob + b"\0")
     with pytest.raises(InputError):
         load_checkpoint(cut)
+
+
+# -- the artifact codec both formats share ----------------------------------
+
+ARTIFACTS = {
+    "checkpoint": (lambda path: save_checkpoint(MLP(MLPSpec([2, 3, 2], "relu", 1)), path,
+                                                epoch=4), load_checkpoint),
+    "dataset": (lambda path: save_dataset(make_synthetic_dataset("blobs", 2, 2, 10, 0.3, seed=2),
+                                          path), load_dataset),
+}
+
+
+def small_artifact(tmp_path, kind):
+    save, load = ARTIFACTS[kind]
+    path = tmp_path / f"small.{kind}"
+    save(path)
+    return path, load
+
+
+def test_old_format_files_fail_on_their_magic(tmp_path):
+    for kind, old_magic in (("checkpoint", b"VRMCKPT1"), ("dataset", b"VRMDATA1")):
+        path, load = small_artifact(tmp_path, kind)
+        path.write_bytes(old_magic + path.read_bytes()[8:])
+        with pytest.raises(InputError, match=f"bad magic {old_magic!r}"):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
+def test_every_byte_flip_raises_input_error(tmp_path, kind):
+    path, load = small_artifact(tmp_path, kind)
+    blob = path.read_bytes()
+    flipped = tmp_path / "flipped"
+    for i in range(len(blob)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])
+            with pytest.raises(InputError):
+                load(flipped)
+
+
+def resealed(path, edit):
+    """``path``'s artifact with its JSON header (as a dict) and array bytes
+    passed through ``edit``, under a valid sha256 trailer."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    head, data = edit(json.loads(blob[12:12 + n]), blob[12 + n:-32])
+    if not isinstance(head, bytes):
+        head = json.dumps(head).encode()
+    body = blob[:8] + len(head).to_bytes(4, "little") + head + data
+    return body + hashlib.sha256(body).digest()
+
+
+def edit_entry(i, key, value):
+    def edit(head, data):
+        head["arrays"][i][key] = value
+        return head, data
+    return edit
+
+
+def drop_key(*keys):
+    def edit(head, data):
+        owner = head
+        for key in keys[:-1]:
+            owner = owner[key]
+        del owner[keys[-1]]
+        return head, data
+    return edit
+
+
+def drop_last_array(head, data):
+    last = head["arrays"].pop()
+    return head, data[:len(data) - 8 * int(np.prod(last["shape"]))]
+
+
+def duplicate_first_name(head, data):
+    head["arrays"][1]["name"] = head["arrays"][0]["name"]
+    return head, data
+
+
+def add_array(head, data):
+    head["arrays"].append({"name": "extra", "dtype": "<f8", "shape": [2]})
+    return head, data + bytes(16)
+
+
+def header_with(**fields):
+    def edit(head, data):
+        head["header"].update(fields)
+        return head, data
+    return edit
+
+
+def first_value_nan(head, data):
+    return head, np.array([NAN]).tobytes() + data[8:]
+
+
+# header or array edits that a valid trailer does not vouch for
+CRAFTED = {
+    "bad-json": lambda head, data: (b'{"arrays": [', data),
+    "not-utf8": lambda head, data: (b"\xff\xfe", data),
+    "not-an-object": lambda head, data: (b"[1, 2]", data),
+    "nested-too-deep": lambda head, data: (b"[" * 100_000 + b"]" * 100_000, data),
+    "no-array-list": drop_key("arrays"),
+    "no-header": drop_key("header"),
+    "entry-without-a-shape": drop_key("arrays", 0, "shape"),
+    "unknown-dtype": edit_entry(0, "dtype", "<f4"),
+    "unhashable-dtype": edit_entry(0, "dtype", ["<f8"]),
+    "negative-shape": edit_entry(0, "shape", [-1, 2]),
+    "float-shape": edit_entry(0, "shape", [2.0, 2]),
+    "oversized-shape": edit_entry(0, "shape", [2**40, 2**40]),
+    "duplicate-name": duplicate_first_name,
+    "unhashable-name": edit_entry(1, "name", ["w0"]),
+    "array-missing": drop_last_array,
+    "array-left-over": add_array,
+    "bytes-left-over": lambda head, data: (head, data + bytes(8)),
+    "bytes-missing": lambda head, data: (head, data[:-8]),
+    "non-finite-float": first_value_nan,
+    "header-a-list": lambda head, data: (dict(head, header=[2, 3, 2]), data),
+}
+CHECKPOINT_CRAFTED = {
+    "widths-disagree": header_with(layer_widths=[2, 4, 2]),
+    "widths-not-numbers": header_with(layer_widths=["2", "3", "2"]),
+    "widths-floats": header_with(layer_widths=[2.0, 3, 2]),
+    "negative-seed": header_with(seed=-1),
+    "no-activation": drop_key("header", "activation"),
+}
+DATASET_CRAFTED = {
+    "no-n-classes": drop_key("header", "n_classes"),
+    "n-classes-a-string": header_with(n_classes="2"),
+    "n-classes-a-float": header_with(n_classes=2.5),
+    "array-renamed": edit_entry(1, "name", "label"),
+}
+CRAFTED_CASES = ([(kind, *case) for kind in ARTIFACTS for case in CRAFTED.items()]
+                 + [("checkpoint", *case) for case in CHECKPOINT_CRAFTED.items()]
+                 + [("dataset", *case) for case in DATASET_CRAFTED.items()])
+
+
+@pytest.mark.parametrize("kind, edit", [(kind, edit) for kind, _, edit in CRAFTED_CASES],
+                         ids=[f"{kind}-{case}" for kind, case, _ in CRAFTED_CASES])
+def test_a_crafted_artifact_with_a_valid_trailer_raises_input_error(tmp_path, kind, edit):
+    path, load = small_artifact(tmp_path, kind)
+    path.write_bytes(resealed(path, edit))
+    with pytest.raises(InputError):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
+def test_resealing_an_unedited_artifact_loads(tmp_path, kind):
+    # so each crafted case fails on its edit, not on how it was resealed
+    path, load = small_artifact(tmp_path, kind)
+    path.write_bytes(resealed(path, lambda head, data: (head, data)))
+    load(path)
 
 
 def fail_halfway(monkeypatch):
