@@ -10,7 +10,6 @@ from .autodiff import (
     Tape,
     backward,
     cross_entropy,
-    entropy,
     finite_diff_check,
     huber,
     kld,

@@ -2,7 +2,7 @@
 
 The op set is intentionally small: elementwise arithmetic, matmul,
 reductions, shape moves, and the fused numeric ops the distillation
-losses are built from (softmax, normalized differences, Huber, entropy).
+losses are built from (softmax, normalized differences, Huber).
 Storage and vectorized arithmetic are numpy; the tape is our own.
 """
 from __future__ import annotations
@@ -412,17 +412,15 @@ def log_softmax(z, axis=-1, tau=1.0) -> Tensor:
 DEFAULT_NORM_EPS = 1e-12
 
 
-def l2_normalize(x, axis=-1, eps=DEFAULT_NORM_EPS) -> Tensor:
+def l2_normalize(x, axis=-1) -> Tensor:
     """Unit-normalize each slice along ``axis``.
 
-    Slices whose Euclidean norm is below ``eps`` map to the all-zero
-    vector and receive zero gradient: a degenerate difference carries
-    no relation, and the true derivative blows up there anyway.
+    Slices whose Euclidean norm is below ``DEFAULT_NORM_EPS`` map to the
+    all-zero vector and receive zero gradient: a degenerate difference
+    carries no relation, and the true derivative blows up there anyway.
     """
-    if eps <= 0:
-        raise ParameterError("l2_normalize eps must be positive")
     x = _coerce(x)
-    y, n_safe, live = _unit_fibers(x.data, axis, eps)
+    y, n_safe, live = _unit_fibers(x.data, axis)
 
     def grad_fn(g):
         return (_unit_fibers_grad(g, y, n_safe, live, axis),)
@@ -430,14 +428,14 @@ def l2_normalize(x, axis=-1, eps=DEFAULT_NORM_EPS) -> Tensor:
     return _result(y, (x,), grad_fn, "l2_normalize")
 
 
-def _unit_fibers(x, axis, eps=DEFAULT_NORM_EPS):
+def _unit_fibers(x, axis):
     """The array rule behind :func:`l2_normalize`, for fused ops that
     normalize an intermediate they never put on the tape.  Returns the
     unit fibers and the saved state :func:`_unit_fibers_grad` needs."""
     # the squares' buffer (in x's layout) then takes y
     sq = np.multiply(x, x)
     n = np.sqrt(sq.sum(axis=axis, keepdims=True))
-    live = n >= eps
+    live = n >= DEFAULT_NORM_EPS
     # guarding and zeroing the dead fibers changes nothing when there are none
     all_live = live.all()
     n_safe = n if all_live else np.where(live, n, 1.0)
@@ -528,22 +526,6 @@ def kld(teacher_logits, student_logits, tau=1.0) -> Tensor:
     pt = exp(lt)
     per_elem = mul(pt, add(lt, mul(ls, -1.0)))
     return mul(tsum(per_elem), tau * tau / t.shape[0])
-
-
-def entropy(p, axis=-1) -> Tensor:
-    """Shannon entropy (natural log) along ``axis``; 0 * log 0 counts as 0."""
-    p = _coerce(p)
-    if p.data.min() < -1e-9:
-        raise InputError("entropy input has negative probabilities")
-    pos = p.data > 0.0
-    safe = np.where(pos, p.data, 1.0)
-    out = -np.where(pos, p.data * np.log(safe), 0.0).sum(axis=axis)
-
-    def grad_fn(g):
-        d = np.where(pos, -(np.log(safe) + 1.0), 0.0)
-        return (_expand_reduced(g, p.shape, axis, False) * d,)
-
-    return _result(np.asarray(out), (p,), grad_fn, "entropy")
 
 
 def finite_diff_check(f, x, h=1e-5) -> float:

@@ -142,11 +142,6 @@ _PILOT_FLAGS = {"B": "--batch", "D": "--dim", "t": "--spurious-index", "c": "--n
 _GEN_DATA_FLAGS = {"n_classes": "--classes", "dim": "--dim", "n_per_class": "--per-class",
                    "noise": "--noise", "seed": "--seed"}
 
-# train-teacher's keys, in the order its manifest lists them
-_TEACHER_KEYS = ("lr", "momentum", "weight_decay", "lr_decay", "milestones", "batch_size",
-                 "epochs", "seed", "alpha", "beta", "tau", "delta", "uep", "n_ops",
-                 "magnitude", "im_kd_weight")
-
 _HELP = {"uep": "retention percentile, 100 disables pruning",
          "widths": "comma-separated layer widths"}
 
@@ -157,15 +152,26 @@ def _field_default(cls, name):
     return ",".join(map(str, default)) if isinstance(default, tuple) else default
 
 
-# distill's keys in manifest order, each a config-file key and a flag (n_ops
-# is --n-ops); empty widths are the data's ends around the default hidden layers
+# every training key's default, in distill's manifest order; empty widths are
+# the data's ends around the default hidden layers
 _DEFAULTS = {"objective": "vrm",
              **{key: _field_default(*row) for key, row in _TRAIN_KEYS.items()},
              "widths": ""}
 
+# the keys each training command's run reads, in manifest order, each a flag
+# (n_ops is --n-ops) and a config key.  A teacher trains on labels alone;
+# ablate sweeps objective, alpha and seed with --objectives, --alphas, --seeds
+_COMMAND_KEYS = {
+    "train-teacher": (*(key for key, (cls, _) in _TRAIN_KEYS.items()
+                        if cls is TrainConfig and key != "im_kd_weight"), "widths"),
+    "distill": tuple(_DEFAULTS),
+    "ablate": tuple(key for key in _DEFAULTS if key not in ("objective", "alpha", "seed")),
+}
 
-def _effective(args, keys) -> dict:
+
+def _effective(args) -> dict:
     """Merge defaults < config file (flat key=value lines) < explicit flags."""
+    keys = _COMMAND_KEYS[args.command]
     merged = {k: _DEFAULTS[k] for k in keys}
     # bytes that are not UTF-8 end in a bad line or value (exit 2), not a traceback
     text = read_input(args.config, "config file").decode(errors="replace") if args.config else ""
@@ -209,10 +215,11 @@ def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
          activation: str = "relu") -> tuple[TrainConfig, MLPSpec]:
     """The TrainConfig of ``cfg`` and the MLPSpec of ``widths`` (by default
     the data's ends around ``hidden``), checked against ``data`` before any
-    run directory exists."""
+    run directory exists.  A field whose key ``cfg`` lacks keeps its default."""
     kwargs = {VRMWeights: {}, AugmentSpec: {"seed": cfg["seed"]}, TrainConfig: {}}
     for key, (cls, name) in _TRAIN_KEYS.items():
-        kwargs[cls][name] = cfg[key]
+        if key in cfg:
+            kwargs[cls][name] = cfg[key]
     kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "--milestones"))
     config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
                          augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
@@ -244,7 +251,7 @@ def cmd_gen_data(args, parser) -> int:
 
 
 def cmd_train_teacher(args, parser) -> int:
-    cfg = _effective(args, _TEACHER_KEYS + ("widths",))
+    cfg = _effective(args)
     widths = cfg.pop("widths")  # the manifest lists the spec's widths
     data = load_dataset(args.data)
     config, spec = _fit(cfg, data, widths, (64, 64), args.activation)
@@ -263,7 +270,7 @@ def cmd_train_teacher(args, parser) -> int:
 
 
 def cmd_distill(args, parser) -> int:
-    cfg = _effective(args, _DEFAULTS)
+    cfg = _effective(args)
     objective = cfg["objective"]
     data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data) if args.teacher else None
@@ -286,24 +293,16 @@ def cmd_distill(args, parser) -> int:
 def cmd_ablate(args, parser) -> int:
     objectives = [tok for tok in args.objectives.split(",") if tok]
     seeds = _parse_list(args.seeds, "--seeds")
-    if not objectives or not seeds:
+    alphas = _parse_list(args.alphas, "--alphas", float)
+    if not objectives or not seeds or not alphas:
         parser.error("empty sweep grid")
     for obj in objectives:
         if obj not in OBJECTIVES:
             parser.error(f"unknown objective {obj!r}")
 
-    cfg_base = _effective(args, _DEFAULTS)
-    if args.alphas:
-        args.flags = dict(args.flags, alpha="--alphas")
-    alphas = _parse_list(args.alphas, "--alphas", float) if args.alphas else [cfg_base["alpha"]]
+    cfg_base = _effective(args)
     data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data)
-    # the manifest lists the config file's objective and seed, checked as distill checks them
-    try:
-        lookup_objective(cfg_base["objective"], teacher)
-        TrainConfig(seed=cfg_base["seed"])
-    except ParameterError as exc:
-        raise ParameterError(f"config key {exc}") from None
     # every cell is validated before the run directory exists
     cells = []
     for obj, alpha, seed in itertools.product(objectives, alphas, seeds):
@@ -312,7 +311,7 @@ def cmd_ablate(args, parser) -> int:
 
     with Run(args, {"data": str(Path(args.data)), "teacher": args.teacher,
                     "objectives": args.objectives, "sweep_seeds": args.seeds,
-                    "alphas": args.alphas or "", **cfg_base}) as run:
+                    "alphas": args.alphas, **cfg_base}) as run:
         rows = []
         for obj, cfg, config, spec in cells:
             _, records = distill_student(spec, teacher, data, config, obj)
@@ -380,10 +379,10 @@ def cmd_check(args, parser) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_train_flags(p: argparse.ArgumentParser, keys, flags=_TRAIN_FLAGS):
-    """--data, --config, --name, and a flag for each key of ``keys``."""
+def _add_train_flags(p: argparse.ArgumentParser, command, flags=_TRAIN_FLAGS):
+    """--data, --config, --name, and a flag for each of ``command``'s keys."""
     p.add_argument("--data", required=True)
-    for key in keys:
+    for key in _COMMAND_KEYS[command]:
         if key == "objective":
             p.add_argument("--objective", choices=list(OBJECTIVES))
         else:
@@ -411,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-teacher", help="label-only teacher pretraining")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    _add_train_flags(p, _TEACHER_KEYS + ("widths",))
+    _add_train_flags(p, "train-teacher")
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="train a student against a frozen teacher")
     p.add_argument("--teacher")
-    _add_train_flags(p, _DEFAULTS)
+    _add_train_flags(p, "distill")
     p.set_defaults(func=cmd_distill)
 
     # every cell takes its seed from --seeds, which no abbreviated --seed may stand for
@@ -424,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--objectives", default="vrm,gram,ce_only")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--alphas", help="optional alpha grid")
-    _add_train_flags(p, [key for key in _DEFAULTS if key not in ("objective", "seed")],
-                     dict(_TRAIN_FLAGS, seed="--seeds"))
+    p.add_argument("--alphas", default=_fmt(_field_default(VRMWeights, "alpha")),
+                   help="comma-separated alpha grid")
+    _add_train_flags(p, "ablate", dict(_TRAIN_FLAGS, seed="--seeds", alpha="--alphas"))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("pilot", help="spurious-gradient diffusion study")

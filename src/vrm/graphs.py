@@ -151,12 +151,12 @@ def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
 # -- scalar-loop oracle -------------------------------------------------
 
 
-def _unit_or_zero(diff, eps=DEFAULT_NORM_EPS):
+def _unit_or_zero(diff):
     norm_sq = 0.0
     for d in diff:
         norm_sq += d * d
     norm = math.sqrt(norm_sq)
-    if norm < eps:
+    if norm < DEFAULT_NORM_EPS:
         return [0.0] * len(diff)
     return [d / norm for d in diff]
 

@@ -66,9 +66,7 @@ def test_l2_normalize_zero_branch_has_zero_gradient():
     assert np.array_equal(x.grad, np.zeros(3))
 
 
-def test_l2_normalize_rejects_bad_eps():
-    with pytest.raises(ParameterError):
-        ad.l2_normalize(Tensor([1.0, 2.0]), axis=0, eps=0.0)
+def test_huber_rejects_bad_delta():
     with pytest.raises(ParameterError):
         ad.huber(Tensor([1.0]), Tensor([0.0]), delta=-1.0)
 
@@ -145,26 +143,6 @@ def test_kld_shift_invariance_and_nonnegativity():
     shifted = ad.kld(Tensor(zt + shifts), Tensor(zs), tau=3.0).item()
     assert shifted == pytest.approx(base, abs=1e-12)
     assert base >= 0.0
-
-
-def test_entropy_examples():
-    assert ad.entropy(Tensor([0.5, 0.5]), axis=0).item() == pytest.approx(math.log(2), abs=1e-12)
-    assert ad.entropy(Tensor([1.0, 0.0]), axis=0).item() == pytest.approx(0.0, abs=1e-15)
-    assert ad.entropy(Tensor([0.75, 0.25]), axis=0).item() == pytest.approx(0.5623351446188083, abs=1e-12)
-
-
-def test_entropy_range_property():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        k = int(rng.integers(2, 9))
-        p = rng.dirichlet(np.ones(k))
-        h = ad.entropy(Tensor(p), axis=0).item()
-        assert -1e-12 <= h <= math.log(k) + 1e-12
-
-
-def test_entropy_rejects_negative_probabilities():
-    with pytest.raises(InputError):
-        ad.entropy(Tensor([1.1, -0.1]), axis=0)
 
 
 def test_backward_sum_gradient():
@@ -245,7 +223,6 @@ def test_finite_diff_each_op_20_instances():
         lambda t: (ad.l2_normalize(t, axis=1) * Tensor(proj)).sum(),
         lambda t: ad.huber(t, Tensor(np.zeros((4, 5))), 0.8).sum(),
         lambda t: ad.kld(Tensor(kld_teacher), t, tau=3.0),
-        lambda t: ad.entropy(ad.softmax(t, axis=1), axis=1).sum(),
         lambda t: ad.tanh(t).sum(),
         lambda t: ad.relu(t + 0.123).sum(),
         lambda t: ((t @ Tensor(mat)) * (t @ Tensor(mat))).mean(),

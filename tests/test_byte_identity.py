@@ -116,14 +116,6 @@ milestones=5,7
 batch_size=16
 epochs=8
 seed=1
-alpha=128
-beta=32
-tau=4
-delta=1
-uep=95
-n_ops=2
-magnitude=0.29999999999999999
-im_kd_weight=1
 checkpoint=<root>/runs/teacher/teacher.ckpt
 metrics=<root>/runs/teacher/metrics.csv
 final_val_acc=0.875
@@ -195,8 +187,6 @@ teacher=<root>/runs/teacher/teacher.ckpt
 objectives=vrm,ce_only
 sweep_seeds=0,1
 alphas=4,8
-objective=vrm
-alpha=128
 beta=32
 tau=4
 delta=1
@@ -210,7 +200,6 @@ lr_decay=0.10000000000000001
 milestones=1
 batch_size=16
 epochs=2
-seed=0
 im_kd_weight=1
 widths=8,16,4
 summary=<root>/runs/ablate/summary.csv

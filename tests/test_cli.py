@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import vrm.autodiff
+from vrm import cli
 from vrm.cli import main
 from vrm.data import DATASET_MAGIC, load_dataset, read_artifact, write_artifact
+from vrm.errors import ParameterError
 from vrm.models import MLP, MLPSpec, save_checkpoint
 
 
@@ -361,32 +363,57 @@ def test_config_key_error_names_its_flag(run_env, capsys):
     assert not (run_env / "runs").exists()
 
 
-@pytest.mark.parametrize("line,message", [
-    ("objective=nonsense", "error: config key objective must be one of"),
-    ("seed=-7", "error: config key seed must be nonnegative, got -7")], ids=["objective", "seed"])
-def test_ablate_checks_the_config_objective_and_seed(run_env, capsys, line, message):
-    # the manifest lists both keys, so they are checked before the run directory exists
+# keys distill reads and a teacher, trained on labels alone, does not
+TEACHER_UNREAD = ("objective", "alpha", "beta", "tau", "delta", "uep", "n_ops", "magnitude",
+                  "im_kd_weight")
+
+
+@pytest.mark.parametrize("command,key", [("train-teacher", key) for key in TEACHER_UNREAD]
+                         + [("ablate", key) for key in ("objective", "seed", "alpha")])
+def test_key_the_run_never_reads_exits_2_before_the_run_dir(run_env, capsys, command, key):
+    # neither as a flag nor as a config key; ablate takes its objective,
+    # seed and alpha from --objectives, --seeds and --alphas
     data = gen_data(run_env)
     ckpt = run_env / "teacher.ckpt"
     save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
-    cfg = run_env / "a.cfg"
-    cfg.write_text(line + "\n")
-    code = main(["ablate", "--data", str(data), "--teacher", str(ckpt), "--objectives",
-                 "ce_only", "--seeds", "0", "--config", str(cfg), "--name", "a"])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith(message) and "Traceback" not in err
-    assert not (run_env / "runs").exists()
-
-
-def test_ablate_takes_no_seed_flag(run_env, capsys):
-    # every cell's seed comes from --seeds
-    data = gen_data(run_env)
+    argv = [command, "--data", str(data), "--epochs", "2", "--milestones", "1", "--name", "a"]
+    if command == "ablate":
+        argv += ["--teacher", str(ckpt), "--objectives", "ce_only", "--seeds", "0"]
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc_info:
-        main(["ablate", "--data", str(data), "--teacher", str(run_env / "t.ckpt"),
-              "--objectives", "ce_only", "--seeds", "0", "--seed", "1", "--name", "a"])
+        main([*argv, flag, str(cli._DEFAULTS[key])])
     assert exc_info.value.code == 2
-    assert "--seed 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    cfg = run_env / "a.cfg"
+    cfg.write_text(f"{key}={cli._DEFAULTS[key]}\n")
+    code = main([*argv, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: config key {key!r} does not apply to {command}\n"
     assert not (run_env / "runs").exists()
+
+
+@pytest.mark.parametrize("command,count", [("train-teacher", 9), ("distill", 18),
+                                           ("ablate", 15)])
+def test_training_flags_are_the_config_keys(run_env, capsys, command, count):
+    # a key is a flag of the command's parser exactly when its config file takes it
+    parser, cfg = cli.build_parser(), run_env / "one.cfg"
+    base = [command, "--data", "d"] + (["--teacher", "t"] if command == "ablate" else [])
+    flags, config_keys = set(), set()
+    for key, default in cli._DEFAULTS.items():
+        try:
+            parser.parse_args(base + ["--" + key.replace("_", "-"), str(default)])
+            flags.add(key)
+        except SystemExit:
+            pass
+        cfg.write_text(f"{key}={default}\n")
+        try:
+            cli._effective(parser.parse_args(base + ["--config", str(cfg)]))
+            config_keys.add(key)
+        except ParameterError as exc:
+            assert str(exc) == f"config key {key!r} does not apply to {command}"
+    capsys.readouterr()
+    assert flags == config_keys and len(flags) == count
 
 
 def test_pilot_rejects_zero_seeds(run_env, capsys):
@@ -424,38 +451,32 @@ def test_teacher_config_file_widths_apply_and_the_flag_wins(run_env):
     assert "widths=6,8,3\n" in (run_env / "runs" / "t2" / "manifest.txt").read_text()
 
 
-def test_teacher_config_file_objective_exits_2_before_the_run_dir(run_env, capsys):
-    data = gen_data(run_env)
-    cfg = run_env / "teacher.cfg"
-    cfg.write_text("epochs=2\nobjective=vrm\n")
-    code = main(["train-teacher", "--data", str(data), "--config", str(cfg),
-                 "--name", "t"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "'objective'" in err and "Traceback" not in err
-    assert not (run_env / "runs" / "t").exists()
-
-
 def test_ablate_sweep_cardinality(run_env):
     data = gen_data(run_env)
     ckpt = train_teacher(run_env, data)
     assert main(["ablate", "--data", str(data), "--teacher", str(ckpt),
                  "--objectives", "ce_only,gram", "--seeds", "0,1,2",
                  "--epochs", "2", "--milestones", "1", "--batch-size", "16",
-                 "--widths", "6,12,3", "--alpha", "4", "--beta", "1",
+                 "--widths", "6,12,3", "--alphas", "4", "--beta", "1",
                  "--name", "sweep"]) == 0
     rows = (run_env / "runs" / "sweep" / "summary.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 3
     assert rows[0].split(",")[:2] == ["objective", "seed"]
 
 
-def test_ablate_rejects_empty_grid(run_env, capsys):
+@pytest.mark.parametrize("flag", ["--objectives", "--seeds", "--alphas"])
+def test_ablate_rejects_empty_grid(run_env, capsys, flag):
     data = gen_data(run_env)
-    ckpt = train_teacher(run_env, data)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    axes = {"--objectives": "ce_only", "--seeds": "0", "--alphas": "4", flag: ","}
     with pytest.raises(SystemExit) as exc_info:
-        main(["ablate", "--data", str(data), "--teacher", str(ckpt),
-              "--objectives", "", "--seeds", "0"])
+        main(["ablate", "--data", str(data), "--teacher", str(ckpt), "--epochs", "2",
+              "--milestones", "1", *[tok for item in axes.items() for tok in item],
+              "--name", "empty"])
     assert exc_info.value.code == 2
+    assert "empty sweep grid" in capsys.readouterr().err
+    assert not (run_env / "runs").exists()
 
 
 def test_pilot_command_outputs(run_env):

@@ -165,7 +165,7 @@ PERCENTILES = (50.0, 95.0, 100.0, None)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_is_bit_identical_to_composite(kind):
+def test_fused_path_matches_composite(kind):
     rng = np.random.default_rng(7 if kind == "ISV" else 8)
     for m in PERCENTILES:
         for _ in range(3):
@@ -174,13 +174,13 @@ def test_fused_path_is_bit_identical_to_composite(kind):
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_is_bit_identical_at_wide_shape(kind):
+def test_fused_path_matches_composite_at_wide_shape(kind):
     rng = np.random.default_rng(11)
     check_term(rng, kind, 128, 32, 95.0)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_is_bit_identical_with_zero_norm_fibers(kind):
+def test_fused_path_matches_composite_with_zero_norm_fibers(kind):
     # identical views (augmentation with n_ops=0): diagonal fibers are exact
     # zeros, so the l2_normalize zero branch applies in both paths
     rng = np.random.default_rng(12)
@@ -548,7 +548,7 @@ def test_overflowing_views_name_the_isv_term(side):
 
 
 @pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
-def test_icv_term_is_bit_identical_to_composite(m):
+def test_icv_term_matches_composite(m):
     rng = np.random.default_rng(40)
     for _ in range(4):
         b, c = (int(n) for n in rng.integers(2, 17, size=2))
