@@ -1,10 +1,10 @@
 """Self-verification suites: finite-difference gradient checks for every
 differentiable op, oracle-equivalence checks for the vectorized edge
 builders and masked losses, checks of the fused objective terms against
-the public composites they replace within a derived rounding bound, and a
-bit-exactness check of the virtual-view kernel against per-row numpy
-generators.  These back the ``check`` command and double as the release
-gate."""
+the public composites they replace within a derived rounding bound, and
+bit-exactness checks of the virtual-view kernel against per-row numpy
+generators and of the screened ISV UEP mask against the float64 grid's.
+These back the ``check`` command and double as the release gate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,7 +24,9 @@ from .graphs import (
 )
 from .losses import (_CANCEL, VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv,
                      total_loss, uep_masks_for)
-from .pruning import joint_entropy_matrix, uep_mask
+from .pruning import (_LOG_ULPS, _band_select, _entropy_grid32, _grid_inputs,
+                      _mixture_entropy_grid, _nearest_rank, _screen_error, _screened_mask,
+                      joint_entropy_matrix, uep_mask)
 
 GRAD_TOL = 1e-4
 # the fused ISV and ICV nodes are checked on raw unit-scale views, whose
@@ -214,7 +216,7 @@ def structure_checks(seed: int = 200) -> list[CheckResult]:
     for m in (50.0, 75.0, 90.0, 95.0, 100.0):
         je = rng.standard_normal((8, 8))  # distinct values, no threshold ties
         mask = uep_mask(je, m)
-        expected = int(np.ceil(m / 100.0 * je.size))
+        expected = _nearest_rank(m, je.size)
         if mask.kept_count != expected:
             counts_ok = False
     results.append(CheckResult("structure:uep_retention", counts_ok,
@@ -328,7 +330,8 @@ def match_checks(seed: int = 300) -> list[CheckResult]:
 
 def exactness_checks(seed: int = 300) -> list[CheckResult]:
     """The virtual-view kernel against per-row numpy generators, bit for
-    bit (sign bits included), so drift under another numpy shows here."""
+    bit (sign bits included), so drift under another numpy shows here;
+    then the screened ISV mask (:func:`_uep_mask_check`)."""
     rng = np.random.default_rng(seed)
     # virtual views at the vrm_desk and vrm_wide batch shapes, a seed of two words
     spec = AugmentSpec(n_ops=2, magnitude=0.3, seed=2**32 + 3)
@@ -340,7 +343,66 @@ def exactness_checks(seed: int = 300) -> list[CheckResult]:
     return [CheckResult(
         "exact:virtual_batch", not differ,
         f"kernel and per-row generators differ at {'; '.join(differ)}" if differ
-        else "bit-identical to per-row default_rng and Generator.choice (B=32 and 128)")]
+        else "bit-identical to per-row default_rng and Generator.choice (B=32 and 128)"),
+        _uep_mask_check(rng)]
+
+
+def _uep_mask_check(rng) -> CheckResult:
+    """The ISV mask from the float32 screen against ``uep_mask`` of
+    ``joint_entropy_matrix``: keep and threshold_value bit for bit (sign
+    bits included), at B=128, C=32 and B=131, C=24, for m = 50, 95 and
+    100, on plain rows, exactly duplicated rows and near-tied rows.
+
+    Two more parts test the screen's bound e itself.  The float32 grid
+    must lie within :func:`_entropy_error`, each entry's bound under the
+    error model of :func:`pruning._screen_error`, which e must cover.  And
+    the band selection must give the float64 mask from a stand-in grid
+    with every entry pushed nearly e toward the far side of the cutoff."""
+    faults, worst = [], 0.0
+    for b, c in ((128, 32), (131, 24)):
+        e = _screen_error(c)
+        for rows, jitter in (("plain", None), ("duplicated", 0.0), ("near-tied", 1e-12)):
+            # logits of unit scale after tau = 4, like a trained student's
+            logits = [4.0 * rng.standard_normal((b, c)) for _ in range(2)]
+            if jitter is not None:
+                for view in logits:
+                    view[1::9] = view[0] + jitter * rng.standard_normal(view[1::9].shape)
+            P, Q = _grid_inputs(soften(LogitBatch(*logits), 4.0), "ISV")
+            je = _mixture_entropy_grid(P, Q)
+            bound = _entropy_error(je, P, Q)
+            approx = _entropy_grid32(P.astype(np.float32), Q.astype(np.float32))
+            worst = max(worst, float((np.abs(approx - je) / bound).max()))
+            if not bound.max() <= e:
+                faults.append(f"e below an entry's bound at {b}x{c} {rows}")
+            for m in (50.0, 95.0, 100.0):
+                rank = _nearest_rank(m, je.size)
+                want = uep_mask(je, m, "ISV")
+                pushed = je + np.where(je <= want.threshold_value, e, -e) * (1.0 - 2.0 ** -10)
+                for how, got in (("screen", _screened_mask(P, Q, rank)),
+                                 ("band", _band_select(pushed, e, rank,
+                                                       lambda r, k: je[np.ix_(r, k)]))):
+                    if got is None or not (np.array_equal(got[0], want.keep) and _same_bits(
+                            np.float64(got[1]), np.float64(want.threshold_value))):
+                        faults.append(f"{how} mask differs at {b}x{c} {rows} m={m:g}")
+    if faults:
+        detail = "; ".join(faults[:3]) + (f" (and {len(faults) - 3} more)" if faults[3:] else "")
+    elif worst > 1.0:
+        detail = f"float32 grid {worst:.3g} times its error bound from the float64 one"
+    else:
+        detail = (f"bit-identical at B=128 and 131, m=50, 95 and 100, on tied and near-tied "
+                  f"rows; float32 grid within {worst:.2g} of its bound")
+    return CheckResult("exact:uep_mask", not faults and worst <= 1.0, detail)
+
+
+def _entropy_error(je, P, Q):
+    """Each entry's bound on |JE32 - JE64| under the error model of
+    :func:`pruning._screen_error`, 2 sum_u ((k u + gamma_C) A + k u S), k =
+    2 * 16 ulp + 2, at the entry's own A (its entropy, as no mixture
+    entry exceeds 1 by more than rounding) and S (its mixture's sum)."""
+    c, k = P.shape[1], 2 * _LOG_ULPS + 2
+    s = (P.sum(axis=1)[None, :] + Q.sum(axis=1)[:, None]) / 2.0
+    return 2.0 * sum((k * u + c * u / (1.0 - c * u)) * np.abs(je) + k * u * s
+                     for u in (2.0 ** -24, 2.0 ** -53))
 
 
 def _reference_views(xb, spec: AugmentSpec, step_key) -> np.ndarray:

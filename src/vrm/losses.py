@@ -295,7 +295,8 @@ def uep_masks_for(student: LogitBatch, weights: VRMWeights) -> tuple[EdgeMask, E
     Detached by construction: mask building never joins the tape."""
     with ad.no_grad():
         probs = student if student.softened else soften(student.detach(), weights.tau)
-        m_isv = uep_mask(joint_entropy_matrix(probs, "ISV"), weights.uep_percentile, "ISV")
+        # the batch itself lets uep_mask screen the ISV grid in float32
+        m_isv = uep_mask(probs, weights.uep_percentile, "ISV")
         m_icv = uep_mask(joint_entropy_matrix(probs, "ICV"), weights.uep_percentile, "ICV")
     return m_isv, m_icv
 

@@ -503,7 +503,7 @@ def test_check_quick_passes_fast(run_env, capsys):
     # and against the public composites, within the derived bound
     for name in ("isv_edge_loss", "icv_edge_loss"):
         assert f"PASS match:{name}:" in out
-    assert "PASS exact:virtual_batch:" in out
+    assert "PASS exact:virtual_batch:" in out and "PASS exact:uep_mask:" in out
     assert "all" in out and "passed" in out
 
 

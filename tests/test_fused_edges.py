@@ -114,10 +114,6 @@ def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
 
 # -- the fused terms against the public composites ---------------------------
 
-# Test IDs below that say "bit_identical" keep the names they had when the
-# fused terms replayed the composite's arithmetic bit for bit; they now
-# compare within the derived bound, like the property that follows them.
-
 
 @st.composite
 def term_cases(draw):
@@ -425,7 +421,7 @@ ISV_SHAPES = [(128, 32), PARTIAL, (7, 5)]
 
 @pytest.mark.parametrize("shape", ISV_SHAPES, ids=["128x32", "131x24", "7x5"])
 @pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
-def test_isv_term_is_bit_identical_to_composite(shape, m):
+def test_isv_term_matches_composite(shape, m):
     check_term(np.random.default_rng(30), "ISV", *shape, m)
 
 

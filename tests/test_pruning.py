@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,12 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vrm.autodiff
+import vrm.checks
+import vrm.pruning
 from vrm.autodiff import Tensor, finite_diff_check
 from vrm.errors import InputError, ParameterError, UsageError
 from vrm.graphs import LogitBatch, build_isv_edges, soften
 from vrm.losses import VRMWeights, total_loss, uep_masks_for
 from vrm.pruning import (
     _batch_softmax,
+    _exact_entries,
+    _grid_inputs,
+    _mixture_entropy_grid,
+    _nearest_rank,
+    _screened_mask,
     EdgeMask,
     apply_mask,
     joint_entropy_matrix,
@@ -117,7 +125,7 @@ def test_uep_cutoff_matches_full_sort_with_ties():
         n = int(rng.integers(1, 12))
         je = rng.integers(0, 4, size=(n, n)).astype(float)  # heavy ties
         for m in (1.0, 25.0, 50.0, 95.0, 99.9, 100.0):
-            rank = math.ceil(m / 100.0 * je.size)
+            rank = math.ceil(Fraction(m) * je.size / 100)
             expected = np.sort(je, axis=None)[rank - 1]
             mask = uep_mask(je, m)
             assert mask.threshold_value == expected
@@ -143,10 +151,14 @@ def je_matrices(draw):
 @given(je=je_matrices(), m=st.floats(0.0, 100.0, exclude_min=True))
 @example(je=np.full((4, 4), 2.5), m=25.0)   # every entry tied with the cutoff
 @example(je=np.arange(25.0).reshape(5, 5), m=100.0)
+# m/100 * N in floating point lands just above 55 and 7 here
+@example(je=np.arange(100.0).reshape(10, 10), m=55.0)
+@example(je=np.arange(100.0).reshape(10, 10), m=7.0)
 def test_uep_mask_keeps_exactly_the_nearest_rank_cutoff(je, m):
     # the cutoff is the value at 1-based rank ceil(m/100 * N) of the
-    # ascending sort; every entry at or below it is kept, ties included
-    rank = math.ceil(m / 100.0 * je.size)
+    # ascending sort, in exact arithmetic; every entry at or below it is
+    # kept, ties included
+    rank = math.ceil(Fraction(m) * je.size / 100)
     cutoff = np.sort(je, axis=None)[rank - 1]
     mask = uep_mask(je, m)
     assert mask.threshold_value == cutoff
@@ -163,7 +175,8 @@ def test_uep_retention_counts_nearest_rank(m, shape, seed):
     je = np.random.default_rng(seed).standard_normal(shape)  # ties have probability zero
     n = je.size
     kept = uep_mask(je, m).kept_count
-    assert kept == math.ceil(m / 100.0 * n) == n - math.floor((100.0 - m) / 100.0 * n)
+    exact = Fraction(m) * n / 100
+    assert kept == math.ceil(exact) == n - math.floor(n - exact)
 
 
 def test_uep_mask_validation():
@@ -334,3 +347,113 @@ def test_blocked_joint_entropy_is_bit_identical(kind, shape, zero):
     want = reference_joint_entropy(batch, kind)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- the float32 screen of the ISV mask ------------------------------------
+
+# 128 x 32 and 131 x 24 span several row blocks, so their ISV masks are
+# screened; 32 x 10 and 7 x 5 fit one block and take the float64 grid
+SCREEN_SHAPES = [(128, 32), (131, 24), (32, 10), (7, 5)]
+
+
+def screen_batch(rng, b, c, rows):
+    """Softened views of unit-scale logits at tau 4 ("plain"), with every
+    ninth row a copy of row 0 ("duplicated") or within 1e-12 of it
+    ("near-tied"), or at tau 0.01, which underflows all but one class of
+    most rows to zero ("one-hot")."""
+    logits = [4.0 * rng.standard_normal((b, c)) for _ in range(2)]
+    if rows in ("duplicated", "near-tied"):
+        jitter = 0.0 if rows == "duplicated" else 1e-12
+        for view in logits:
+            view[1::9] = view[0] + jitter * rng.standard_normal(view[1::9].shape)
+    return soften(LogitBatch(*logits), 0.01 if rows == "one-hot" else 4.0)
+
+
+def assert_same_mask(got, want):
+    assert np.array_equal(got.keep, want.keep)
+    assert np.float64(got.threshold_value).tobytes() == np.float64(want.threshold_value).tobytes()
+    assert (got.kind, got.percentile_m) == (want.kind, want.percentile_m)
+
+
+@PROPERTY
+@given(shape=st.sampled_from(SCREEN_SHAPES), seed=st.integers(0, 2**32 - 1),
+       rows=st.sampled_from(["plain", "duplicated", "near-tied", "one-hot"]),
+       m=st.sampled_from([50.0, 95.0, 100.0]))
+@example(shape=(128, 32), seed=0, rows="near-tied", m=50.0)
+@example(shape=(131, 24), seed=1, rows="duplicated", m=95.0)
+@example(shape=(128, 32), seed=2, rows="one-hot", m=95.0)
+@example(shape=(32, 10), seed=3, rows="near-tied", m=100.0)
+def test_batch_masks_equal_the_float64_grid_masks(shape, seed, rows, m):
+    batch = screen_batch(np.random.default_rng(seed), *shape, rows)
+    for kind in ("ISV", "ICV"):
+        assert_same_mask(uep_mask(batch, m, kind),
+                         uep_mask(joint_entropy_matrix(batch, kind), m, kind))
+    if shape in SCREEN_SHAPES[:2] and rows != "one-hot":
+        # the screen answered, rather than falling back
+        P, Q = _grid_inputs(batch, "ISV")
+        assert _screened_mask(P, Q, _nearest_rank(m, P.shape[0] * Q.shape[0])) is not None
+
+
+# 300 x 10 puts fibers of one row at offsets that are not multiples of 8
+@pytest.mark.parametrize("shape", [(128, 32), (131, 24), (300, 10), (7, 5)])
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_exact_entries_reproduce_the_grid_bit_for_bit(kind, shape):
+    # the ICV P is a transposed view; gathered into a C-contiguous copy it
+    # would add each fiber in another order and move the last bits (a
+    # lone ICV fiber is added pairwise anyway, so no 1 x 1 case for ICV)
+    rng = np.random.default_rng(sum(shape))
+    P, Q = _grid_inputs(softened_batch(rng, *shape), kind)
+    grid = _mixture_entropy_grid(P, Q)
+    n = len(Q)
+
+    def some(k):
+        return np.sort(rng.choice(n, size=k, replace=False))
+
+    everything = np.arange(n)
+    cases = [(everything, everything), (some(n // 2), everything), (some(1), everything),
+             (some(3), some(n // 3)), (some(n // 2), some(1)), (some(1), some(2))]
+    if kind == "ISV":
+        cases.append((np.array([n - 1]), np.array([0])))
+    for rows, cols in cases:
+        got = _exact_entries(P, Q, rows, cols)
+        assert got.tobytes() == grid[np.ix_(rows, cols)].tobytes()
+
+
+@pytest.mark.parametrize("m", [50.0, 95.0, 100.0])
+def test_screen_falls_back_on_a_zero_mixture_entry(m):
+    batch = with_zero_mixture_entry(np.random.default_rng(12), 128, 32, "ISV")
+    P, Q = _grid_inputs(batch, "ISV")
+    assert _screened_mask(P, Q, _nearest_rank(m, len(P) * len(Q))) is None
+    assert_same_mask(uep_mask(batch, m, "ISV"), uep_mask(joint_entropy_matrix(batch, "ISV"), m))
+
+
+@pytest.mark.parametrize("m", [50.0, 95.0, 100.0])
+def test_screen_falls_back_on_a_wide_band(monkeypatch, m):
+    batch = screen_batch(np.random.default_rng(13), 128, 32, "plain")
+    P, Q = _grid_inputs(batch, "ISV")
+    rank = _nearest_rank(m, len(P) * len(Q))
+    assert _screened_mask(P, Q, rank) is not None
+    # a bound this wide puts every row in the band
+    monkeypatch.setattr(vrm.pruning, "_screen_error", lambda c: 1.0)
+    assert _screened_mask(P, Q, rank) is None
+    assert_same_mask(uep_mask(batch, m, "ISV"), uep_mask(joint_entropy_matrix(batch, "ISV"), m))
+
+
+def uep_mask_check():
+    return next(r for r in vrm.checks.exactness_checks() if r.name == "exact:uep_mask")
+
+
+def test_uep_mask_check_catches_a_screen_fault(monkeypatch):
+    assert uep_mask_check().passed
+    # band values taken a hair off the float64 grid's
+    exact_entries = vrm.pruning._exact_entries
+    monkeypatch.setattr(vrm.pruning, "_exact_entries",
+                        lambda *args: exact_entries(*args) + 2.0 ** -40)
+    result = uep_mask_check()
+    assert not result.passed and "screen mask differs" in result.detail
+    monkeypatch.undo()
+    # a bound that no longer covers the error model
+    screen_error = vrm.pruning._screen_error
+    monkeypatch.setattr(vrm.checks, "_screen_error", lambda c: screen_error(c) / 2)
+    result = uep_mask_check()
+    assert not result.passed and "e below an entry's bound" in result.detail
