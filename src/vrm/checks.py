@@ -20,6 +20,7 @@ from .graphs import (
     build_inter_class_edges,
     build_inter_sample_edges,
     build_isv_edges,
+    relation_items,
     soften,
 )
 from .losses import (_CANCEL, VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv,
@@ -121,20 +122,16 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     n = 5 if quick else 50
     results = []
-    builders = {
-        "IS": lambda lb: build_inter_sample_edges(lb.real),
-        "IC": lambda lb: build_inter_class_edges(lb.real),
-        "ISV": build_isv_edges,
-        "ICV": build_icv_edges,
-    }
+    builders = {"IS": build_inter_sample_edges, "IC": build_inter_class_edges,
+                "ISV": build_isv_edges, "ICV": build_icv_edges}
     for kind, builder in builders.items():
         worst = 0.0
         for _ in range(n):
             b = int(rng.integers(2, 9))
             c = int(rng.integers(2, 6))
             lb = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
-            fast = builder(lb).values.data
             source = lb if kind in ("ISV", "ICV") else lb.real
+            fast = builder(source).values.data
             slow = brute_force_edges(source, kind).values.data
             worst = max(worst, float(np.abs(fast - slow).max()))
         results.append(CheckResult(
@@ -254,9 +251,8 @@ def term_bound(kind: str, views, teacher, mask):
       and adds it within gamma_(n+1) 4 scale / ns; the penalty sums are
       within gamma_(n^2 + kept L) of the loss.
     """
-    rows = [getattr(x, "data", x)
-            for x in (views.real, views.virtual, teacher.real, teacher.virtual)]
-    R, V, P, N = rows if kind == "ISV" else [x.T for x in rows]
+    R, V, P, N = relation_items(kind, *(getattr(x, "data", x) for x in (
+        views.real, views.virtual, teacher.real, teacher.virtual)))
     n, length = R.shape
     keep = np.ones((n, n), dtype=bool) if mask is None else mask.keep
     scale, u = 1.0 / (keep.sum() * length), 2.0 ** -53
@@ -275,7 +271,7 @@ def term_bound(kind: str, views, teacher, mask):
     g_real, g_virtual = 2.0 * per_entry.sum(axis=0)[:, None], 2.0 * per_entry.sum(axis=1)[:, None]
     value = keep.sum() * 10.0 * _gamma(length + 4) + e_f.sum()
     return (lambda loss: 2.0 * (scale * value + _gamma(n * n + keep.sum() * length) * loss),
-            *((g_real, g_virtual) if kind == "ISV" else (g_real.T, g_virtual.T)))
+            *relation_items(kind, g_real, g_virtual))
 
 
 def match_checks(seed: int = 300) -> list[CheckResult]:

@@ -33,9 +33,8 @@ from .training import (
     OBJECTIVES,
     TrainConfig,
     _fmt,
-    check_batch_size,
+    check_objective,
     distill_student,
-    lookup_objective,
     train_teacher,
     write_breakdown_csv,
     write_csv,
@@ -75,20 +74,29 @@ class Run:
     ``error_class`` when an exception escapes, which then propagates.
     While the run is open SIGTERM raises Terminated, so a killed run ends
     ``failed`` too; the earlier handler comes back on leaving.
-    A ``--name`` must be one directory name, so the run stays under the root."""
+    A ``--name`` must be one directory name, so the run stays under the root.
+    Without one the run creates ``<command>-<time>``, suffixed ``-2``, ``-3``,
+    ... while a run of the same second holds the name."""
 
     def __init__(self, args, config: dict):
-        name = args.name
-        if name is None:
-            name = f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}"
-        elif name in ("", ".", "..") or Path(name).name != name:
+        self._fresh = args.name is None
+        name = f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}" if self._fresh else args.name
+        if name in ("", ".", "..") or Path(name).name != name:
             raise ParameterError(f"--name {name!r} must be a single directory name")
         self.dir = Path(os.environ.get("VRM_RUN_DIR", "./runs")) / name
         self.fields = {"command": args.command, "version": __version__, "status": "running",
                        "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"), **config}
 
     def __enter__(self):
-        self.dir.mkdir(parents=True, exist_ok=True)
+        base = self.dir
+        for n in itertools.count(2):
+            try:
+                self.dir.mkdir(parents=True, exist_ok=not self._fresh)
+                break
+            except FileExistsError:
+                if not self._fresh:
+                    raise
+                self.dir = base.with_name(f"{base.name}-{n}")
         self._t0 = time.monotonic()
         self._write()
         # only the main thread may set a handler; a run on another thread keeps the process's
@@ -211,11 +219,12 @@ def _check_fit(widths, data: Dataset, what: str, error) -> None:
                     f"({data.dim} features, {data.n_classes} classes)")
 
 
-def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
-         activation: str = "relu") -> tuple[TrainConfig, MLPSpec]:
-    """The TrainConfig of ``cfg`` and the MLPSpec of ``widths`` (by default
-    the data's ends around ``hidden``), checked against ``data`` before any
-    run directory exists.  A field whose key ``cfg`` lacks keeps its default."""
+def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple, objective: str,
+         teacher: MLP | None, activation: str = "relu") -> tuple[TrainConfig, MLPSpec]:
+    """The TrainConfig of ``cfg`` and the MLPSpec of ``widths`` (by default the
+    data's ends around ``hidden``), checked with ``objective`` and ``teacher``
+    against ``data`` before any run directory exists.  A field whose key
+    ``cfg`` lacks keeps its default."""
     kwargs = {VRMWeights: {}, AugmentSpec: {"seed": cfg["seed"]}, TrainConfig: {}}
     for key, (cls, name) in _TRAIN_KEYS.items():
         if key in cfg:
@@ -223,7 +232,7 @@ def _fit(cfg: dict, data: Dataset, widths: str, hidden: tuple,
     kwargs[TrainConfig]["milestones"] = tuple(_parse_list(cfg["milestones"], "--milestones"))
     config = TrainConfig(weights=VRMWeights(**kwargs[VRMWeights]),
                          augment=AugmentSpec(**kwargs[AugmentSpec]), **kwargs[TrainConfig])
-    check_batch_size(config, len(data.train_idx))
+    check_objective(objective, teacher, config, data)
     layers = _parse_list(widths, "--widths") if widths else [data.dim, *hidden, data.n_classes]
     spec = MLPSpec(layers, activation, cfg["seed"])
     _check_fit(spec.layer_widths, data, "--widths", ParameterError)
@@ -254,7 +263,7 @@ def cmd_train_teacher(args, parser) -> int:
     cfg = _effective(args)
     widths = cfg.pop("widths")  # the manifest lists the spec's widths
     data = load_dataset(args.data)
-    config, spec = _fit(cfg, data, widths, (64, 64), args.activation)
+    config, spec = _fit(cfg, data, widths, (64, 64), "ce_only", None, args.activation)
 
     with Run(args, {"data": str(Path(args.data)),
                     "widths": ",".join(map(str, spec.layer_widths)),
@@ -274,8 +283,7 @@ def cmd_distill(args, parser) -> int:
     objective = cfg["objective"]
     data = load_dataset(args.data)
     teacher = _load_teacher(args.teacher, data) if args.teacher else None
-    lookup_objective(objective, teacher)
-    config, spec = _fit(cfg, data, cfg["widths"], (32,))
+    config, spec = _fit(cfg, data, cfg["widths"], (32,), objective, teacher)
 
     with Run(args, {"data": str(Path(args.data)), "teacher": str(args.teacher), **cfg}) as run:
         student, records = distill_student(spec, teacher, data, config, objective)
@@ -296,9 +304,6 @@ def cmd_ablate(args, parser) -> int:
     alphas = _parse_list(args.alphas, "--alphas", float)
     if not objectives or not seeds or not alphas:
         parser.error("empty sweep grid")
-    for obj in objectives:
-        if obj not in OBJECTIVES:
-            parser.error(f"unknown objective {obj!r}")
 
     cfg_base = _effective(args)
     data = load_dataset(args.data)
@@ -307,7 +312,7 @@ def cmd_ablate(args, parser) -> int:
     cells = []
     for obj, alpha, seed in itertools.product(objectives, alphas, seeds):
         cfg = dict(cfg_base, alpha=alpha, seed=seed)
-        cells.append((obj, cfg, *_fit(cfg, data, cfg["widths"], (32,))))
+        cells.append((obj, cfg, *_fit(cfg, data, cfg["widths"], (32,), obj, teacher)))
 
     with Run(args, {"data": str(Path(args.data)), "teacher": args.teacher,
                     "objectives": args.objectives, "sweep_seeds": args.seeds,
@@ -333,8 +338,8 @@ def cmd_pilot(args, parser) -> int:
     if args.seeds < 1:
         parser.error("need >= 1 seed")
     kinds = [k.strip().upper() for k in args.loss_kinds.split(",") if k]
-    if not kinds:
-        raise ParameterError("--loss-kinds names no loss kind")
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ParameterError(f"--loss-kinds must list distinct loss kinds, got {args.loss_kinds!r}")
     # every study is validated before the run directory exists
     specs = {kind: [PilotSpec(args.batch, args.dim, args.spurious_index, args.noise_scale,
                               seed, kind) for seed in range(args.seeds)] for kind in kinds}
@@ -425,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--alphas", default=_fmt(_field_default(VRMWeights, "alpha")),
                    help="comma-separated alpha grid")
-    _add_train_flags(p, "ablate", dict(_TRAIN_FLAGS, seed="--seeds", alpha="--alphas"))
+    _add_train_flags(p, "ablate", dict(_TRAIN_FLAGS, objective="--objectives", seed="--seeds",
+                                       alpha="--alphas"))
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("pilot", help="spurious-gradient diffusion study")

@@ -6,9 +6,11 @@ batch size); across the real and virtual views only the cross-view
 pairs are materialized, which structurally removes the redundant
 symmetric half and the intra-view relations.
 
-Every kind is a composite of the generic tape ops (reshape, subtract,
-transpose and l2_normalize).  The objective's two cross-view terms do
-not build edges here: each is one fused node in :mod:`vrm.losses`.
+An inter-class relation is the inter-sample relation of the class
+columns (:func:`relation_items`).  Every kind is a composite of the
+generic tape ops (reshape, subtract, transpose and l2_normalize).  The
+objective's two cross-view terms do not build edges here: each is one
+fused node in :mod:`vrm.losses`.
 """
 from __future__ import annotations
 
@@ -88,6 +90,39 @@ class EdgeTensor:
         return self.values.shape[2]
 
 
+def relation_items(kind: str, *matrices):
+    """Each [B, C] matrix as the rows ``kind`` relates: itself (its samples)
+    for IS and ISV, its ``.T`` (its class columns) for IC and ICV.  ``.T``
+    serves Tensors and arrays and undoes itself, so gradients go back alike."""
+    if kind not in EDGE_KINDS:
+        raise UsageError(f"unknown edge kind {kind!r}")
+    return tuple(m.T for m in matrices) if kind in ("IC", "ICV") else matrices
+
+
+# what each kind relates; every kind but ISV needs a pair of them
+_PAIRED = {"IS": "samples", "IC": "classes", "ICV": "classes"}
+
+
+def check_items(kind: str, items) -> None:
+    """InputError unless ``items``, of :func:`relation_items`, is a matrix
+    of the 2 or more items ``kind`` needs."""
+    if kind in _PAIRED and (items.ndim != 2 or items.shape[0] < 2):
+        raise InputError(f"{kind} edges need a [B, C] matrix of at least 2 {_PAIRED[kind]}")
+
+
+def _edges(kind: str, *views) -> EdgeTensor:
+    """The ``kind`` edges among the items of one view, fiber (i, j) = item i
+    - item j, or across two, fiber (i, j) = real item j - virtual item i."""
+    items = relation_items(kind, *views)
+    check_items(kind, items[0])
+    n, length = items[0].shape
+    if len(items) == 1:
+        diff = items[0].reshape(n, 1, length) - items[0].reshape(1, n, length)
+    else:
+        diff = items[0].reshape(1, n, length) - items[1].reshape(n, 1, length)
+    return EdgeTensor(kind, l2_normalize(diff, axis=2))
+
+
 def build_inter_sample_edges(Z) -> EdgeTensor:
     """Edges between sample predictions within one view.
 
@@ -95,27 +130,14 @@ def build_inter_sample_edges(Z) -> EdgeTensor:
     result is antisymmetric over its leading axes and keeps the full
     class-wise profile of each relation.
     """
-    z = _coerce(Z)
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise InputError("inter-sample edges need a [B >= 2, C] matrix")
-    b, c = z.shape
-    diff = z.reshape(b, 1, c) - z.reshape(1, b, c)
-    return EdgeTensor("IS", l2_normalize(diff, axis=2))
+    return _edges("IS", _coerce(Z))
 
 
 def build_inter_class_edges(Z) -> EdgeTensor:
-    """Edges between per-class score vectors (columns) within one view.
-
-    Mirrors the inter-sample construction with the roles of samples and
-    classes swapped; fibers run along the batch axis.
-    """
-    z = _coerce(Z)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise InputError("inter-class edges need a [B, C >= 2] matrix")
-    b, c = z.shape
-    w = z.transpose()  # [C, B]
-    diff = w.reshape(c, 1, b) - w.reshape(1, c, b)
-    return EdgeTensor("IC", l2_normalize(diff, axis=2))
+    """Edges between per-class score vectors (columns) within one view:
+    the inter-sample edges of the class columns, fibers along the batch
+    axis, shape [C, C, B]."""
+    return _edges("IC", _coerce(Z))
 
 
 def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
@@ -127,25 +149,16 @@ def build_isv_edges(batch: LogitBatch) -> EdgeTensor:
     two views of the same sample; real-real and virtual-virtual
     relations are never materialized.
     """
-    b, c = batch.real.shape
-    diff = batch.real.reshape(1, b, c) - batch.virtual.reshape(b, 1, c)
-    return EdgeTensor("ISV", l2_normalize(diff, axis=2))
+    return _edges("ISV", batch.real, batch.virtual)
 
 
 def build_icv_edges(batch: LogitBatch) -> EdgeTensor:
-    """Cross-view inter-class edges, canonical shape [C, C, B].
-
-    Fiber (p, q) is the unit-normalized difference between real-view
-    class column q and virtual-view class column p, normalized along the
-    batch axis, so the relation spans the two views at batch length B
-    rather than concatenating views into 2B-vectors.  The difference is
-    formed as [B, C, C] and normalized through its [C, C, B] view.
-    """
-    if batch.n_classes < 2:
-        raise InputError("inter-class edges need at least 2 classes")
-    b, c = batch.real.shape
-    diff = batch.real.reshape(b, 1, c) - batch.virtual.reshape(b, c, 1)
-    return EdgeTensor("ICV", l2_normalize(diff.transpose((1, 2, 0)), axis=2))
+    """Cross-view inter-class edges, shape [C, C, B]: the ISV edges of the
+    class columns.  Fiber (p, q) is the unit-normalized difference between
+    real-view class column q and virtual-view class column p, so the
+    relation spans the two views at batch length B rather than
+    concatenating views into 2B-vectors."""
+    return _edges("ICV", batch.real, batch.virtual)
 
 
 # -- scalar-loop oracle -------------------------------------------------
@@ -168,45 +181,23 @@ def brute_force_edges(source, kind: str) -> EdgeTensor:
     kinds ISV/ICV.  No vectorization, no intermediates shared with the
     production builders.
     """
-    if kind in ("IS", "IC"):
-        if isinstance(source, LogitBatch):
-            raise UsageError(f"kind {kind} takes a single matrix, not a LogitBatch")
-        z = np.asarray(source.data if isinstance(source, Tensor) else source, dtype=float)
-        b, c = z.shape
-        real = virtual = z
-    elif kind in ("ISV", "ICV"):
-        if not isinstance(source, LogitBatch):
-            raise UsageError(f"kind {kind} takes a LogitBatch")
-        real = source.real.data
-        virtual = source.virtual.data
-        b, c = real.shape
-    else:
+    if kind not in EDGE_KINDS:
         raise UsageError(f"unknown edge kind {kind!r}")
-    if b > ORACLE_MAX_DIM or c > ORACLE_MAX_DIM:
+    cross = kind in ("ISV", "ICV")
+    if isinstance(source, LogitBatch) != cross:
+        raise UsageError(f"kind {kind} takes {'a LogitBatch' if cross else 'a single matrix'}")
+    views = (source.real, source.virtual) if cross else (source, source)
+    real, virtual = (np.asarray(getattr(v, "data", v), dtype=float) for v in views)
+    if max(real.shape) > ORACLE_MAX_DIM:
         raise UsageError("oracle accepts at most 16 samples and 16 classes")
-
-    if kind == "IS":
-        out = np.zeros((b, b, c))
-        for i in range(b):
-            for j in range(b):
-                diff = [float(z[i, k]) - float(z[j, k]) for k in range(c)]
-                out[i, j, :] = _unit_or_zero(diff)
-    elif kind == "IC":
-        out = np.zeros((c, c, b))
-        for i in range(c):
-            for j in range(c):
-                diff = [float(z[k, i]) - float(z[k, j]) for k in range(b)]
-                out[i, j, :] = _unit_or_zero(diff)
-    elif kind == "ISV":
-        out = np.zeros((b, b, c))
-        for i in range(b):
-            for j in range(b):
-                diff = [float(real[j, k]) - float(virtual[i, k]) for k in range(c)]
-                out[i, j, :] = _unit_or_zero(diff)
-    else:  # ICV
-        out = np.zeros((c, c, b))
-        for p in range(c):
-            for q in range(c):
-                diff = [float(real[k, q]) - float(virtual[k, p]) for k in range(b)]
-                out[p, q, :] = _unit_or_zero(diff)
+    if kind in ("IC", "ICV"):
+        real, virtual = real.T, virtual.T
+    n, length = real.shape
+    out = np.zeros((n, n, length))
+    for i in range(n):
+        for j in range(n):
+            # within a view fiber (i, j) is item i - item j; across the
+            # views, real item j - virtual item i
+            a, b = (real[j], virtual[i]) if cross else (real[i], real[j])
+            out[i, j, :] = _unit_or_zero([float(a[k]) - float(b[k]) for k in range(length)])
     return EdgeTensor(kind, Tensor(out))

@@ -14,7 +14,8 @@ from .autodiff import Tensor
 from .errors import InputError, UsageError, check_fields
 # the objective builds no edges itself; build_isv_edges and build_icv_edges
 # stay bound here because the benchmark's tracer wraps the step's helpers by name
-from .graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, soften
+from .graphs import (EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, check_items,
+                     relation_items, soften)
 from .pruning import EdgeMask, apply_mask, check_fit, joint_entropy_matrix, uep_mask
 
 
@@ -61,22 +62,22 @@ class LossBreakdown:
     kept_icv: int
 
 
-def _masked_edge_loss(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
+def _masked_edge_loss(kind: str, e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None,
                       delta: float) -> Tensor:
     """The body of both edge losses, a composite of tape ops: the Huber
     penalty of the masked student edges against the masked, detached
     teacher edges, averaged over the elements of the kept fibers."""
-    if e_s.kind != e_t.kind:
-        raise UsageError("student and teacher edge kinds differ")
+    if not e_s.kind == e_t.kind == kind:
+        raise UsageError(f"loss_{kind.lower()} expects {kind} edges of both models")
     if e_s.values.shape != e_t.values.shape:
         raise UsageError("student and teacher edge shapes differ")
-    kept, _ = _kept_fibers(e_s.kind, e_s.values.shape, mask)
+    kept, _ = _kept_fibers(kind, e_s.values.shape, mask)
     if kept * e_s.fiber_length == 0:
         return Tensor(0.0)
     s, t = e_s.values, e_t.values.detach()
     if mask is not None:
         s = apply_mask(e_s, mask)
-        t = apply_mask(EdgeTensor(e_t.kind, t), mask)
+        t = apply_mask(EdgeTensor(kind, t), mask)
     return ad.huber(s, t, delta).sum() * (1.0 / (kept * e_s.fiber_length))
 
 
@@ -243,28 +244,27 @@ def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
                   delta: float, upstream: float = 1.0) -> tuple[Tensor, int]:
     """The ICV term, as :func:`isv_edge_loss` is the ISV one, from
     :func:`build_icv_edges` then :func:`loss_icv`: :func:`_relation_term`
-    on the views' class columns, fiber [p, q] = real[:, q] - virtual[:, p],
-    its two gradients transposed back."""
+    on the views' class columns (:func:`graphs.relation_items`), fiber
+    [p, q] = real[:, q] - virtual[:, p], its two gradients handed back
+    through the same call."""
     return _edge_term("ICV", student, teacher, mask, delta, upstream)
 
 
 def _edge_term(kind, student: LogitBatch, teacher: LogitBatch, mask, delta, upstream):
     if student.real.shape != teacher.real.shape:
         raise UsageError("student and teacher shapes differ")
-    b, c = student.real.shape
-    if kind == "ICV" and c < 2:
-        raise InputError("inter-class edges need at least 2 classes")
-    n, length = (b, c) if kind == "ISV" else (c, b)
+    rows = relation_items(kind, *(x.data for x in (student.real, student.virtual,
+                                                   teacher.real, teacher.virtual)))
+    check_items(kind, rows[0])
+    n, length = rows[0].shape
     kept, keep = _kept_fibers(kind, (n, n), mask)
     if kept * length == 0:
         return Tensor(0.0), kept
     scale = 1.0 / (kept * length)
-    rows = [x.data if kind == "ISV" else x.data.T
-            for x in (student.real, student.virtual, teacher.real, teacher.virtual)]
 
     def run(g):
         total, grads = _relation_term(*rows, keep, delta, scale, g)
-        return total, grads if grads is None or kind == "ISV" else (grads[0].T, grads[1].T)
+        return total, None if grads is None else relation_items(kind, *grads)
 
     return _term_node(run, scale, student, upstream, f"{kind.lower()}_edge_loss"), kept
 
@@ -276,17 +276,13 @@ def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
     Gradients flow into the student edges only; teacher values are
     detached here even if the caller forgot to.
     """
-    if e_s.kind != "ISV":
-        raise UsageError("loss_isv expects ISV edges")
-    return _masked_edge_loss(e_s, e_t, mask, delta)
+    return _masked_edge_loss("ISV", e_s, e_t, mask, delta)
 
 
 def loss_icv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,
              delta: float = 1.0) -> Tensor:
     """Huber penalty between student and teacher inter-class cross-view edges."""
-    if e_s.kind != "ICV":
-        raise UsageError("loss_icv expects ICV edges")
-    return _masked_edge_loss(e_s, e_t, mask, delta)
+    return _masked_edge_loss("ICV", e_s, e_t, mask, delta)
 
 
 def uep_masks_for(student: LogitBatch, weights: VRMWeights) -> tuple[EdgeMask, EdgeMask]:

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
 from .data import AugmentSpec, Dataset, virtual_batch, write_whole
-from .errors import NumericError, ParameterError, TrainingError, check_fields
+from .errors import InputError, NumericError, ParameterError, TrainingError, check_fields
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
@@ -194,10 +194,11 @@ OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
 
 
 def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
-           step_loss) -> list[EpochRecord]:
-    """SGD on ``step_loss``, an :data:`OBJECTIVES` entry, over full batches."""
+           objective: str) -> list[EpochRecord]:
+    """SGD on the :data:`OBJECTIVES` entry ``objective``, over full batches."""
+    check_objective(objective, teacher, config, data)
+    step_loss = OBJECTIVES[objective]
     x_train, y_train = data.train_inputs, data.train_labels
-    check_batch_size(config, x_train.shape[0])
     needs_virtual = step_loss is _vrm
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
@@ -246,29 +247,39 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     return records
 
 
-def check_batch_size(config: TrainConfig, n_train: int) -> None:
-    """ParameterError, naming the field, if a batch is larger than the train split."""
+# the fewest (samples in a batch, classes in the data) an objective's relations
+# take, where (2, 1) is not enough: RKD angles join three samples
+_RELATION_SHAPES = {"vrm": (2, 2), "gram": (2, 2), "angular": (3, 1)}
+
+
+def check_objective(objective: str, teacher: MLP | None, config: TrainConfig,
+                    data: Dataset) -> None:
+    """Reject a run before any work.  ParameterError, naming the field, for
+    an unknown :data:`OBJECTIVES` name, an objective that needs a teacher
+    when ``teacher`` is None, or a batch larger than the train split or
+    smaller than the objective's relations take; InputError for data with
+    fewer classes than they relate."""
+    if objective not in OBJECTIVES:
+        raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}")
+    if objective != "ce_only" and teacher is None:
+        raise ParameterError(f"objective {objective!r} needs a teacher")
+    n_train = len(data.train_idx)
     if config.batch_size > n_train:
         raise ParameterError(f"batch_size {config.batch_size} exceeds the "
                              f"{n_train} training samples")
-
-
-def lookup_objective(objective: str, teacher: MLP | None):
-    """The :data:`OBJECTIVES` entry for ``objective``.  Raises
-    ParameterError for an unknown name, or for an objective that needs a
-    teacher when ``teacher`` is None."""
-    step_loss = OBJECTIVES.get(objective)
-    if step_loss is None:
-        raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}")
-    if step_loss is not _ce_only and teacher is None:
-        raise ParameterError(f"objective {objective!r} needs a teacher")
-    return step_loss
+    samples, classes = _RELATION_SHAPES.get(objective, (2, 1))
+    if config.batch_size < samples:
+        raise ParameterError(f"batch_size {config.batch_size} is below the {samples} "
+                             f"samples {objective} relations take")
+    if data.n_classes < classes:
+        raise InputError(f"{objective} relations take at least {classes} classes, "
+                         f"the data has {data.n_classes}")
 
 
 def train_teacher(spec: MLPSpec, data: Dataset, config: TrainConfig):
     """Label-only SGD training; returns (model, per-epoch records)."""
     model = MLP(spec)
-    records = _train(model, None, data, config, _ce_only)
+    records = _train(model, None, data, config, "ce_only")
     return model, records
 
 
@@ -282,9 +293,8 @@ def distill_student(student_spec: MLPSpec, teacher: MLP | None, data: Dataset,
     real view only.  ``ce_only`` ignores the teacher, which makes it
     identical to :func:`train_teacher` on the student architecture.
     """
-    step_loss = lookup_objective(objective, teacher)
     student = MLP(student_spec)
-    records = _train(student, teacher, data, config, step_loss)
+    records = _train(student, teacher, data, config, objective)
     return student, records
 
 

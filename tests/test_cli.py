@@ -12,7 +12,8 @@ import pytest
 import vrm.autodiff
 from vrm import cli
 from vrm.cli import main
-from vrm.data import DATASET_MAGIC, load_dataset, read_artifact, write_artifact
+from vrm.data import (DATASET_MAGIC, Dataset, load_dataset, read_artifact, save_dataset,
+                      write_artifact)
 from vrm.errors import ParameterError
 from vrm.models import MLP, MLPSpec, save_checkpoint
 
@@ -276,6 +277,57 @@ def test_run_name_outside_the_run_root_exits_2_before_any_directory(run_env, cap
         assert not (run_env / "escape").exists() and not absolute.exists()
 
 
+def test_default_named_runs_of_one_second_get_their_own_directories(run_env, monkeypatch):
+    data = gen_data(run_env)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt, *args: "20260101-000000")
+    for _ in range(2):
+        assert main(["distill", "--data", str(data), "--objective", "ce_only", "--epochs", "1",
+                     "--milestones", "1", "--batch-size", "8", "--widths", "6,12,3"]) == 0
+    runs = sorted((run_env / "runs").iterdir())
+    assert [run.name for run in runs] == ["distill-20260101-000000", "distill-20260101-000000-2"]
+    for run in runs:
+        assert "status=complete" in (run / "manifest.txt").read_text()
+        assert (run / "student.ckpt").exists()
+
+
+def one_objective(command, objective, ckpt):
+    """The flags that run ``objective`` against the teacher ``ckpt``."""
+    if command == "distill":
+        return ["--teacher", str(ckpt), "--objective", objective]
+    return ["--teacher", str(ckpt), "--objectives", objective, "--seeds", "0"]
+
+
+@pytest.mark.parametrize("command", ["distill", "ablate"])
+def test_angular_batch_of_two_exits_2_before_the_run_dir(run_env, capsys, command):
+    # RKD angles join three samples
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    code = main([command, "--data", str(data), *one_objective(command, "angular", ckpt),
+                 "--epochs", "1", "--milestones", "1", "--batch-size", "2", "--name", "x"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: --batch-size 2 ") and "Traceback" not in err
+    assert not (run_env / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["distill", "ablate"])
+@pytest.mark.parametrize("objective", ["vrm", "gram"])
+def test_class_relations_on_one_class_data_exit_3_before_the_run_dir(run_env, capsys, command,
+                                                                     objective):
+    rng = np.random.default_rng(0)
+    data = run_env / "one_class.vrmdata"
+    save_dataset(Dataset(rng.standard_normal((40, 6)), np.zeros(40, dtype=int), np.arange(32),
+                         np.arange(32, 40), n_classes=1), data)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 1], "relu", 0)), ckpt)
+    code = main([command, "--data", str(data), *one_objective(command, objective, ckpt),
+                 "--epochs", "1", "--milestones", "1", "--batch-size", "8", "--name", "x"])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err.startswith(f"error: {objective} relations take at least 2 classes")
+    assert not (run_env / "runs").exists()
+
+
 @pytest.mark.parametrize("command", ["train-teacher", "distill", "ablate"])
 def test_negative_seed_exits_2_before_the_run_dir(run_env, capsys, command):
     data = gen_data(run_env)
@@ -305,8 +357,9 @@ def test_gen_data_degenerate_request_exits_2_without_a_file(run_env, capsys, fla
 @pytest.mark.parametrize("flags,culprit", [
     (["--dim", "0"], "--dim"), (["--batch", "1", "--spurious-index", "0"], "--batch"),
     (["--noise-scale", "nan"], "--noise-scale"), (["--loss-kinds", ","], "--loss-kinds"),
-    (["--spurious-index", "64"], "--spurious-index")],
-    ids=["dim-0", "batch-1", "noise-scale-nan", "no-loss-kind", "spurious-index-64"])
+    (["--spurious-index", "64"], "--spurious-index"), (["--loss-kinds", "im,IM"], "--loss-kinds")],
+    ids=["dim-0", "batch-1", "noise-scale-nan", "no-loss-kind", "spurious-index-64",
+         "loss-kind-twice"])
 def test_pilot_degenerate_study_exits_2_before_the_run_dir(run_env, capsys, flags, culprit):
     # the error line names the flag at fault
     code = main(["pilot", *flags, "--seeds", "1", "--name", "p"])
@@ -324,6 +377,7 @@ FLAG_CASES = [("distill", "--" + key.replace("_", "-"), value) for key, value in
     ("batch_size", "1"), ("epochs", "0"), ("seed", "-1"), ("im_kd_weight", "nan"),
     ("widths", "6,0,3"))] + [
     ("ablate", "--seeds", "0,-1"), ("ablate", "--alphas", "1,-1"),
+    ("ablate", "--objectives", "ce_only,nonsense"),
     ("pilot", "--batch", "1"), ("pilot", "--dim", "0"), ("pilot", "--spurious-index", "64"),
     ("pilot", "--noise-scale", "-1"), ("pilot", "--loss-kinds", "xx"),
     ("gen-data", "--classes", "1"), ("gen-data", "--dim", "0"),

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrm import autodiff as ad
@@ -24,7 +24,7 @@ from vrm import losses
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
 from vrm.checks import term_bound
 from vrm.errors import InputError, NumericError
-from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges
+from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, relation_items
 from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
 from vrm.pruning import EdgeMask, uep_mask
 
@@ -40,6 +40,12 @@ def probs(rng, b, c):
     z = rng.standard_normal((b, c)) * 2.0
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def fiber_grid(kind, b, c):
+    """The [n, n] grid of ``kind``'s fibers on [b, c] views."""
+    n = len(relation_items(kind, np.empty((b, c)))[0])
+    return n, n
 
 
 def random_mask(rng, kind, shape, m):
@@ -93,15 +99,15 @@ def run_term(kind, real, virtual, teacher, mask, delta, fused, upstream=1.0, k=1
 UPSTREAM = {"ISV": VRMWeights().alpha, "ICV": VRMWeights().beta}
 
 
-def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
+def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=()):
     real = probs(rng, b, c)
-    virtual = real.copy() if same_views else probs(rng, b, c)
+    virtual = probs(rng, b, c)
     # a virtual row within 1e-14 of its real row makes the ISV fiber (i, i)
     # dead: below the norm floor, yet not zero until it is zeroed
     virtual[list(tied_rows)] = real[list(tied_rows)]
     virtual[list(tied_rows), 0] += 1e-14
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), m)
+    mask = random_mask(rng, kind, fiber_grid(kind, b, c), m)
     upstream = UPSTREAM[kind]
     # k == upstream hands out the gradients the forward formed, another k
     # runs the term again
@@ -115,79 +121,83 @@ def check_term(rng, kind, b, c, m, delta=1.0, tied_rows=(), same_views=False):
 # -- the fused terms against the public composites ---------------------------
 
 
-@st.composite
-def term_cases(draw):
+# retention percentiles of the masks; None passes no mask
+PERCENTILES = (50.0, 95.0, 100.0, None)
+# B=131, C=24: the ISV term's screen runs in blocks of 10 rows, the last of
+# which holds a single row
+PARTIAL = (131, 24)
+WIDE = (128, 32)
+
+# pinned cases of the property below: kind, shape, m, delta, tie share,
+# jitter, seed
+TERM_ARGS = ("kind", "shape", "m", "delta", "ties", "jitter", "seed")
+TERM_ROWS = [
+    # the bench shape, a partial last block of the screen and small shapes,
+    # under each mask
+    *(("ISV", shape, m, 1.0, 0.0, 0.0, 30) for shape in (WIDE, PARTIAL, (7, 5))
+      for m in PERCENTILES),
+    *(("ICV", WIDE, m, 1.0, 0.0, 0.0, 40) for m in PERCENTILES),
+    *(("ICV", shape, m, 1.0, 0.0, 0.0, 8)
+      for shape, m in zip([(2, 16), (16, 2), (7, 5), (13, 11)], PERCENTILES)),
+    ("ISV", (2, 16), 95.0, 1.0, 0.0, 0.0, 7),
+    ("ISV", (16, 2), None, 1.0, 0.0, 0.0, 7),
+    # identical views (augmentation with n_ops=0): the diagonal fibers are
+    # exact zeros, so the l2_normalize zero branch applies in both paths
+    *((kind, (11, 7), m, 1.0, 1.0, 0.0, 12) for kind in ("ISV", "ICV") for m in PERCENTILES),
+    # a small delta puts residuals on both branches of the Huber penalty
+    *((kind, (9, 6), m, 0.05, 0.0, 0.0, 13) for kind in ("ISV", "ICV") for m in (50.0, None)),
+    # views within 1e-14: dead fibers that are not zero
+    ("ISV", PARTIAL, 95.0, 1.0, 0.3, 1e-14, 19),
+    ("ICV", (16, 10), None, 1.0, 1.0, 1e-14, 19),
+]
+
+
+def pinned(rows):
+    """Each of ``rows`` as an ``@example`` of the property."""
+    def wrap(test):
+        for row in rows:
+            test = example(**dict(zip(TERM_ARGS, row)))(test)
+        return test
+    return wrap
+
+
+@given(kind=st.sampled_from(["ISV", "ICV"]),
+       shape=st.one_of(st.tuples(st.integers(2, 16), st.integers(2, 16)),
+                       st.sampled_from([WIDE, PARTIAL])),
+       m=st.sampled_from([*PERCENTILES, 0.0]),
+       delta=st.sampled_from([0.05, 0.3, 1.0]),
+       ties=st.sampled_from([0.0, 0.3, 1.0]),
+       jitter=st.sampled_from([0.0, 1e-14, 1e-9]),
+       seed=st.integers(0, 2**32 - 1))
+@pinned(TERM_ROWS)
+@settings(max_examples=80, deadline=None)
+def test_term_matches_composite_within_the_bound(kind, shape, m, delta, ties, jitter, seed):
     """A term, a shape, a mask percentile (0 prunes every fiber, None passes
-    no mask), a delta, and views with exact or near-duplicate rows: dead
-    fibers and norms lost to cancellation."""
-    kind = draw(st.sampled_from(["ISV", "ICV"]))
-    b, c = draw(st.one_of(st.tuples(st.integers(2, 16), st.integers(2, 16)),
-                          st.sampled_from([(128, 32), (131, 24)])))
-    m = draw(st.sampled_from([50.0, 95.0, 100.0, None, 0.0]))
-    delta = draw(st.sampled_from([0.05, 0.3, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    no mask) and a delta, on views of which a share ``ties`` of rows agree,
+    exactly or to ``jitter``: dead fibers and norms lost to cancellation."""
+    b, c = shape
+    rng = np.random.default_rng(seed)
     real, virtual = probs(rng, b, c), probs(rng, b, c)
     teacher = [probs(rng, b, c), probs(rng, b, c)]
-    # some rows of both views agree, exactly or to 1e-9; all of them make
-    # the ICV fibers (p, p) dead or cancelled too
-    tied = rng.random(b) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    # tying every row makes the ICV fibers (p, p) dead or cancelled too
+    tied = rng.random(b) < ties
     virtual[tied] = real[tied]
     teacher[1][tied[::-1]] = teacher[0][tied[::-1]]
-    if draw(st.booleans()):
-        virtual[tied] += rng.standard_normal((tied.sum(), c)) * 1e-9
-    shape = (b, b) if kind == "ISV" else (c, c)
-    if m == 0.0:
-        mask = EdgeMask(kind, np.zeros(shape, dtype=bool), 50.0, 0.0)
-    else:
-        mask = random_mask(rng, kind, shape, m)
-    return kind, real, virtual, LogitBatch(*teacher), mask, delta
-
-
-@given(term_cases())
-@settings(max_examples=80, deadline=None)
-def test_term_matches_composite_within_the_bound(case):
-    kind, real, virtual, teacher, mask, delta = case
+    if jitter:
+        virtual[tied] += rng.standard_normal((tied.sum(), c)) * jitter
+    teacher = LogitBatch(*teacher)
+    grid = fiber_grid(kind, b, c)
+    mask = (EdgeMask(kind, np.zeros(grid, dtype=bool), 50.0, 0.0) if m == 0.0
+            else random_mask(rng, kind, grid, m))
     upstream = UPSTREAM[kind]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        # k == upstream hands out the gradients the forward formed, 2 runs
+        # the term again
         for k in (upstream, 2.0):
             fused = run_term(kind, real, virtual, teacher, mask, delta, True, upstream, k)
             ref = run_term(kind, real, virtual, teacher, mask, delta, False, upstream, k)
             assert_within_bound(kind, real, virtual, teacher, mask, fused, ref, k)
-
-
-# retention percentiles of the masks; None passes no mask
-PERCENTILES = (50.0, 95.0, 100.0, None)
-
-
-@pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_matches_composite(kind):
-    rng = np.random.default_rng(7 if kind == "ISV" else 8)
-    for m in PERCENTILES:
-        for _ in range(3):
-            b, c = (int(n) for n in rng.integers(2, 17, size=2))
-            check_term(rng, kind, b, c, m)
-
-
-@pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_matches_composite_at_wide_shape(kind):
-    rng = np.random.default_rng(11)
-    check_term(rng, kind, 128, 32, 95.0)
-
-
-@pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_matches_composite_with_zero_norm_fibers(kind):
-    # identical views (augmentation with n_ops=0): diagonal fibers are exact
-    # zeros, so the l2_normalize zero branch applies in both paths
-    rng = np.random.default_rng(12)
-    for m in PERCENTILES:
-        b, c = (int(n) for n in rng.integers(2, 17, size=2))
-        check_term(rng, kind, b, c, m, same_views=True)
-
-
-# B=131, C=24: the ISV term's screen runs in blocks of 10 rows, the last of
-# which holds a single row
-PARTIAL = (131, 24)
 
 
 def test_isv_rows_split_into_blocks_with_a_partial_last_block():
@@ -197,31 +207,65 @@ def test_isv_rows_split_into_blocks_with_a_partial_last_block():
     assert blocks[-1] == slice(130, 131)
 
 
-def test_fused_path_matches_composite_with_a_partial_last_block():
-    rng = np.random.default_rng(19)
-    for m in PERCENTILES:
-        check_term(rng, "ISV", *PARTIAL, m)
-
-
 @pytest.mark.parametrize("tied_rows", [(), (4,), (3, 71, 130), tuple(range(131))],
                          ids=["all-live", "one-block-dead", "three-blocks-dead",
                               "every-block-dead"])
-def test_fused_path_matches_composite_with_dead_fibers(tied_rows):
+def test_isv_term_with_dead_fibers(tied_rows):
     # dead diagonal fibers in no, one, three or every screen block of rows;
     # forward and backward must match the composite within the bound
-    rng = np.random.default_rng(20)
+    rng = np.random.default_rng(32)
     for m in (95.0, None):
-        check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
+        real, virtual, _ = check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
+        # the tied rows, and only they, give dead diagonal fibers
+        values = build_isv_edges(LogitBatch(real, virtual)).values.data
+        dead = np.abs(values).sum(axis=2) == 0.0
+        assert sorted(np.flatnonzero(dead.diagonal())) == sorted(tied_rows)
 
 
-def test_empty_batch_builds_reduces_and_backpropagates():
-    r = Tensor(np.zeros((0, 3)), requires_grad=True)
-    v = Tensor(np.zeros((0, 3)), requires_grad=True)
-    edges = build_isv_edges(LogitBatch(r, v))
-    loss = edges.values.sum()
-    assert edges.values.shape == (0, 0, 3) and float(loss) == 0.0
-    backward(loss)
-    assert r.grad.shape == v.grad.shape == (0, 3)
+@pytest.mark.parametrize("kind,shape", [("ISV", PARTIAL), ("ISV", (7, 5)), ("ICV", (9, 6))],
+                         ids=["ISV-131x24", "ISV-7x5", "ICV-9x6"])
+def test_term_both_huber_branches(kind, shape):
+    delta = 0.05
+    rng = np.random.default_rng(31)
+    for m in (95.0, None):
+        real, virtual, teacher = check_term(rng, kind, *shape, m, delta)
+        residual = (BUILDERS[kind](LogitBatch(real, virtual)).values.data
+                    - BUILDERS[kind](teacher).values.data)
+        assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
+
+
+def test_isv_term_with_whole_rows_and_columns_pruned():
+    # a view row whose fibers are all pruned gets a zero gradient
+    rng = np.random.default_rng(37)
+    b, c = 9, 6
+    keep = rng.random((b, b)) < 0.7
+    keep[2] = keep[5] = False
+    keep[:, 4] = False
+    mask = EdgeMask("ISV", keep, 70.0, 0.0)
+    real, virtual = probs(rng, b, c), probs(rng, b, c)
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    for k in (1.0, 3.0):
+        fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True, 1.0, k)
+        ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False, 1.0, k)
+        assert_within_bound("ISV", real, virtual, teacher, mask, fused, ref, k)
+        assert not fused[2][[2, 5]].any() and not fused[1][4].any()
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_all_pruned_mask_warns_and_returns_untaped_zero(kind):
+    # the fused term and the composite alike
+    rng = np.random.default_rng(14)
+    b, c = 5, 4
+    mask = EdgeMask(kind, np.zeros(fiber_grid(kind, b, c), dtype=bool), 50.0, 0.0)
+    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
+                       Tensor(probs(rng, b, c), requires_grad=True))
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    with pytest.warns(RuntimeWarning, match=f"all {kind} edges pruned"):
+        loss, kept = TERMS[kind](views, teacher, mask, 1.0)
+    assert float(loss) == 0.0 and loss.node is None and kept == 0
+    with pytest.warns(RuntimeWarning, match=f"all {kind} edges pruned"):
+        loss = LOSSES[kind](BUILDERS[kind](views), BUILDERS[kind](teacher), mask, 1.0)
+    assert float(loss) == 0.0 and loss.node is None
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
@@ -241,6 +285,38 @@ def test_second_backward_through_the_loss_node_keeps_the_first(kind):
         assert second[key] is not first[key]
         assert_same_bits(first[key], kept[key])
         assert_same_bits(second[key], kept[key])
+
+
+def test_isv_term_second_backward_through_a_kept_alive_loss():
+    rng = np.random.default_rng(34)
+    b, c = PARTIAL
+    real, virtual = probs(rng, b, c), probs(rng, b, c)
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, "ISV", (b, b), 95.0)
+    ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
+    r = Tensor(real, requires_grad=True)
+    v = Tensor(virtual, requires_grad=True)
+    loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, 1.0)
+    grads = []
+    for _ in range(2):
+        r.grad = v.grad = None
+        backward(loss * 1.0)
+        assert_within_bound("ISV", real, virtual, teacher, mask, (loss.data, r.grad, v.grad),
+                            ref, 1.0)
+        grads.append((r.grad, v.grad))
+    for x, y in zip(*grads):
+        assert_same_bits(x, y)
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_term_is_one_tape_node_over_the_student_views(kind):
+    rng = np.random.default_rng(35)
+    views = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
+                       Tensor(probs(rng, 6, 4), requires_grad=True))
+    loss, kept = TERMS[kind](views, LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4)), None, 1.0)
+    assert loss.node.op == f"{kind.lower()}_edge_loss"
+    assert kept == {"ISV": 36, "ICV": 16}[kind]
+    assert loss.node.inputs == (views.real, views.virtual)
 
 
 def count_gradient_runs(monkeypatch):
@@ -305,25 +381,12 @@ def test_forward_under_no_grad_forms_no_edge_gradient(monkeypatch):
     assert not calls and breakdown.total.node is None
 
 
-@pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_fused_path_residuals_beyond_delta(kind):
-    # a small delta puts residuals on both branches of the Huber penalty
-    rng = np.random.default_rng(13)
-    for m in (50.0, None):
-        check_term(rng, kind, 9, 6, m, delta=0.05)
-
-
-@pytest.mark.parametrize("kind", ["ISV", "ICV"])
-def test_all_pruned_mask_warns_and_returns_untaped_zero(kind):
-    rng = np.random.default_rng(14)
-    b, c = 5, 4
-    shape = (b, b) if kind == "ISV" else (c, c)
-    mask = EdgeMask(kind, np.zeros(shape, dtype=bool), 50.0, 0.0)
-    real, virtual = probs(rng, b, c), probs(rng, b, c)
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    with pytest.warns(RuntimeWarning, match="pruned"):
-        loss, g_real, g_virtual = run_term(kind, real, virtual, teacher, mask, 1.0, False)
-    assert float(loss) == 0.0 and g_real is None and g_virtual is None
+def test_icv_term_needs_two_classes():
+    views = LogitBatch(np.full((4, 1), 1.0), np.full((4, 1), 1.0))
+    with pytest.raises(InputError, match="2 classes"):
+        icv_edge_loss(views, views, None, 1.0)
+    with pytest.raises(InputError, match="2 classes"):
+        total_loss(views, views, np.zeros(4, dtype=int), VRMWeights())
 
 
 # -- gradients and non-finite values ----------------------------------------
@@ -359,6 +422,22 @@ def test_edge_loss_finite_difference(kind):
         assert finite_diff_check(f, rng.standard_normal(shape) * 0.3) < 1e-6
 
 
+@pytest.mark.parametrize("kind,seed,delta", [("ISV", 36, 0.2), ("ICV", 45, 1.0)],
+                         ids=["ISV", "ICV"])
+def test_term_finite_difference(kind, seed, delta):
+    rng = np.random.default_rng(seed)
+    b, c = 4, 3
+    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
+    mask = random_mask(rng, kind, fiber_grid(kind, b, c), 75.0)
+
+    def f(x):
+        views = LogitBatch(row_slice(x, 0, b), row_slice(x, b, 2 * b))
+        return TERMS[kind](views, teacher, mask, delta)[0]
+
+    for _ in range(5):
+        assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
+
+
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_overflowing_logits_raise_in_the_public_builders(kind):
     # the difference of the views overflows in the generic subtraction
@@ -379,6 +458,24 @@ def test_overflowing_edges_raise_in_the_public_loss():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="huber produced non-finite values"):
             loss_isv(student, teacher, None)
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+@pytest.mark.parametrize("side", ["student", "teacher"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_overflowing_views_name_the_term(kind, side, sign):
+    huge = np.zeros(PARTIAL), np.zeros(PARTIAL)
+    # an item of each view (a row, or a class column) at opposite 1e308s,
+    # whose difference overflows
+    real_items, virtual_items = relation_items(kind, *huge)
+    real_items[1] = sign * 1e308
+    virtual_items[2] = -sign * 1e308
+    calm = LogitBatch(np.zeros(PARTIAL), np.zeros(PARTIAL))
+    views = LogitBatch(*huge) if side == "student" else calm
+    teacher = LogitBatch(*huge) if side == "teacher" else calm
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"{kind.lower()}_edge_loss"):
+            TERMS[kind](views, teacher, None, 1.0)
 
 
 def test_l2_normalize_gradient_keeps_layout_of_upstream():
@@ -404,229 +501,29 @@ def test_l2_normalize_gradient_keeps_layout_of_upstream():
 # -- empty batches ------------------------------------------------------------
 
 
+def test_empty_batch_builds_reduces_and_backpropagates():
+    r = Tensor(np.zeros((0, 3)), requires_grad=True)
+    v = Tensor(np.zeros((0, 3)), requires_grad=True)
+    edges = build_isv_edges(LogitBatch(r, v))
+    loss = edges.values.sum()
+    assert edges.values.shape == (0, 0, 3) and float(loss) == 0.0
+    backward(loss)
+    assert r.grad.shape == v.grad.shape == (0, 3)
+
+
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 def test_empty_batch_loss_is_an_untaped_zero(kind):
+    # the fused term and the composite alike: no ISV fibers, and ICV fibers
+    # of length 0
     views = LogitBatch(Tensor(np.zeros((0, 3)), requires_grad=True),
                        Tensor(np.zeros((0, 3)), requires_grad=True))
     edges = BUILDERS[kind](views)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loss = LOSSES[kind](edges, edges, None)
+        term, kept = TERMS[kind](views, views, None, 1.0)
     assert float(loss) == 0.0 and loss.node is None
-
-
-# 131 x 24 runs in blocks of 10 rows with a one-row last block
-ISV_SHAPES = [(128, 32), PARTIAL, (7, 5)]
-
-
-@pytest.mark.parametrize("shape", ISV_SHAPES, ids=["128x32", "131x24", "7x5"])
-@pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
-def test_isv_term_matches_composite(shape, m):
-    check_term(np.random.default_rng(30), "ISV", *shape, m)
-
-
-@pytest.mark.parametrize("shape", [PARTIAL, (7, 5)], ids=["131x24", "7x5"])
-def test_isv_term_both_huber_branches(shape):
-    delta = 0.05
-    real, virtual, teacher = check_term(np.random.default_rng(31), "ISV", *shape, 95.0, delta)
-    residual = (build_isv_edges(LogitBatch(real, virtual)).values.data
-                - build_isv_edges(teacher).values.data)
-    assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
-
-
-@pytest.mark.parametrize("tied_rows", [(4,), (3, 71, 130), tuple(range(131))],
-                         ids=["one-block-dead", "three-blocks-dead", "every-block-dead"])
-def test_isv_term_with_dead_fibers(tied_rows):
-    rng = np.random.default_rng(32)
-    for m in (95.0, None):
-        real, virtual, _ = check_term(rng, "ISV", *PARTIAL, m, tied_rows=tied_rows)
-        # the tied rows, and only they, give dead diagonal fibers
-        values = build_isv_edges(LogitBatch(real, virtual)).values.data
-        dead = np.abs(values).sum(axis=2) == 0.0
-        assert sorted(np.flatnonzero(dead.diagonal())) == sorted(tied_rows)
-
-
-def test_isv_term_with_whole_rows_and_columns_pruned():
-    # a view row whose fibers are all pruned gets a zero gradient
-    rng = np.random.default_rng(37)
-    b, c = 9, 6
-    keep = rng.random((b, b)) < 0.7
-    keep[2] = keep[5] = False
-    keep[:, 4] = False
-    mask = EdgeMask("ISV", keep, 70.0, 0.0)
-    real, virtual = probs(rng, b, c), probs(rng, b, c)
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    for k in (1.0, 3.0):
-        fused = run_term("ISV", real, virtual, teacher, mask, 1.0, True, 1.0, k)
-        ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False, 1.0, k)
-        assert_within_bound("ISV", real, virtual, teacher, mask, fused, ref, k)
-        assert not fused[2][[2, 5]].any() and not fused[1][4].any()
-
-
-def test_isv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
-    rng = np.random.default_rng(33)
-    b, c = 5, 4
-    mask = EdgeMask("ISV", np.zeros((b, b), dtype=bool), 50.0, 0.0)
-    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
-                       Tensor(probs(rng, b, c), requires_grad=True))
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    with pytest.warns(RuntimeWarning, match="all ISV edges pruned"):
-        loss, kept = isv_edge_loss(views, teacher, mask, 1.0)
-    assert float(loss) == 0.0 and loss.node is None and kept == 0
-
-
-def test_isv_term_of_an_empty_batch_is_an_untaped_zero():
-    views = LogitBatch(Tensor(np.zeros((0, 3)), requires_grad=True),
-                       Tensor(np.zeros((0, 3)), requires_grad=True))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        loss, kept = isv_edge_loss(views, views, None, 1.0)
-    assert float(loss) == 0.0 and loss.node is None and kept == 0
-
-
-def test_isv_term_second_backward_through_a_kept_alive_loss():
-    rng = np.random.default_rng(34)
-    b, c = PARTIAL
-    real, virtual = probs(rng, b, c), probs(rng, b, c)
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, "ISV", (b, b), 95.0)
-    ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False)
-    r = Tensor(real, requires_grad=True)
-    v = Tensor(virtual, requires_grad=True)
-    loss, _ = isv_edge_loss(LogitBatch(r, v), teacher, mask, 1.0)
-    grads = []
-    for _ in range(2):
-        r.grad = v.grad = None
-        backward(loss * 1.0)
-        assert_within_bound("ISV", real, virtual, teacher, mask, (loss.data, r.grad, v.grad),
-                            ref, 1.0)
-        grads.append((r.grad, v.grad))
-    for x, y in zip(*grads):
-        assert_same_bits(x, y)
-
-
-def test_isv_term_is_one_tape_node_over_the_student_views():
-    rng = np.random.default_rng(35)
-    views = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
-                       Tensor(probs(rng, 6, 4), requires_grad=True))
-    loss, kept = isv_edge_loss(views, LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4)),
-                               None, 1.0)
-    assert loss.node.op == "isv_edge_loss" and kept == 36
-    assert loss.node.inputs == (views.real, views.virtual)
-
-
-def test_isv_term_finite_difference():
-    rng = np.random.default_rng(36)
-    b, c = 4, 3
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, "ISV", (b, b), 75.0)
-
-    def f(x):
-        views = LogitBatch(row_slice(x, 0, b), row_slice(x, b, 2 * b))
-        return isv_edge_loss(views, teacher, mask, 0.2)[0]
-
-    for _ in range(5):
-        assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
-
-
-@pytest.mark.parametrize("side", ["student", "teacher"])
-def test_overflowing_views_name_the_isv_term(side):
-    b, c = PARTIAL
-    huge = np.zeros((b, c)), np.zeros((b, c))
-    huge[1][-1] = 1e308
-    huge[0][0] = -1e308
-    calm = LogitBatch(np.zeros((b, c)), np.zeros((b, c)))
-    views = LogitBatch(*huge) if side == "student" else calm
-    teacher = LogitBatch(*huge) if side == "teacher" else calm
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="isv_edge_loss"):
-            isv_edge_loss(views, teacher, None, 1.0)
-
-
-@pytest.mark.parametrize("m", [50.0, 95.0, 100.0, None], ids=["m50", "m95", "m100", "no-mask"])
-def test_icv_term_matches_composite(m):
-    rng = np.random.default_rng(40)
-    for _ in range(4):
-        b, c = (int(n) for n in rng.integers(2, 17, size=2))
-        check_term(rng, "ICV", b, c, m)
-    check_term(rng, "ICV", 128, 32, m)
-
-
-def test_icv_term_both_huber_branches():
-    delta = 0.05
-    rng = np.random.default_rng(41)
-    for m in (95.0, None):
-        real, virtual, teacher = check_term(rng, "ICV", 9, 6, m, delta)
-        residual = (build_icv_edges(LogitBatch(real, virtual)).values.data
-                    - build_icv_edges(teacher).values.data)
-        assert (np.abs(residual) > delta).any() and (np.abs(residual) <= delta).any()
-
-
-def test_icv_term_with_zero_norm_fibers():
-    # identical views: the diagonal fibers (p, p) are exact zeros
-    rng = np.random.default_rng(42)
-    for m in PERCENTILES:
-        b, c = (int(n) for n in rng.integers(2, 17, size=2))
-        check_term(rng, "ICV", b, c, m, same_views=True)
-
-
-def test_icv_term_with_every_fiber_pruned_warns_and_is_an_untaped_zero():
-    rng = np.random.default_rng(43)
-    b, c = 5, 4
-    mask = EdgeMask("ICV", np.zeros((c, c), dtype=bool), 50.0, 0.0)
-    views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
-                       Tensor(probs(rng, b, c), requires_grad=True))
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    with pytest.warns(RuntimeWarning, match="all ICV edges pruned"):
-        loss, kept = icv_edge_loss(views, teacher, mask, 1.0)
-    assert float(loss) == 0.0 and loss.node is None and kept == 0
-
-
-def test_icv_term_needs_two_classes():
-    views = LogitBatch(np.full((4, 1), 1.0), np.full((4, 1), 1.0))
-    with pytest.raises(InputError, match="2 classes"):
-        icv_edge_loss(views, views, None, 1.0)
-    with pytest.raises(InputError, match="2 classes"):
-        total_loss(views, views, np.zeros(4, dtype=int), VRMWeights())
-
-
-def test_icv_term_is_one_tape_node_over_the_student_views():
-    rng = np.random.default_rng(44)
-    views = LogitBatch(Tensor(probs(rng, 6, 4), requires_grad=True),
-                       Tensor(probs(rng, 6, 4), requires_grad=True))
-    loss, kept = icv_edge_loss(views, LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4)),
-                               None, 1.0)
-    assert loss.node.op == "icv_edge_loss" and kept == 16
-    assert loss.node.inputs == (views.real, views.virtual)
-
-
-def test_icv_term_finite_difference():
-    rng = np.random.default_rng(45)
-    b, c = 4, 3
-    teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, "ICV", (c, c), 75.0)
-
-    def f(x):
-        views = LogitBatch(row_slice(x, 0, b), row_slice(x, b, 2 * b))
-        return icv_edge_loss(views, teacher, mask, 1.0)[0]
-
-    for _ in range(5):
-        assert finite_diff_check(f, rng.standard_normal((2 * b, c))) < 1e-6
-
-
-@pytest.mark.parametrize("side", ["student", "teacher"])
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
-def test_overflowing_views_name_the_icv_term(side, sign):
-    b, c = 9, 6
-    huge = np.zeros((b, c)), np.zeros((b, c))
-    huge[0][:, 1] = sign * 1e308
-    huge[1][:, 2] = -sign * 1e308
-    calm = LogitBatch(np.zeros((b, c)), np.zeros((b, c)))
-    views = LogitBatch(*huge) if side == "student" else calm
-    teacher = LogitBatch(*huge) if side == "teacher" else calm
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="icv_edge_loss"):
-            icv_edge_loss(views, teacher, None, 1.0)
+    assert float(term) == 0.0 and term.node is None and kept == {"ISV": 0, "ICV": 9}[kind]
 
 
 # -- memory ------------------------------------------------------------------------
@@ -648,7 +545,7 @@ def wide_case(kind):
     views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
                        Tensor(probs(rng, b, c), requires_grad=True))
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), 95.0)
+    mask = random_mask(rng, kind, fiber_grid(kind, b, c), 95.0)
     return views, teacher, mask
 
 
@@ -685,7 +582,7 @@ def test_fused_term_frees_its_buffers_without_the_cycle_collector(kind):
     views = LogitBatch(Tensor(probs(rng, b, c), requires_grad=True),
                        Tensor(probs(rng, b, c), requires_grad=True))
     teacher = LogitBatch(probs(rng, b, c), probs(rng, b, c))
-    mask = random_mask(rng, kind, (b, b) if kind == "ISV" else (c, c), 95.0)
+    mask = random_mask(rng, kind, fiber_grid(kind, b, c), 95.0)
     gc.collect()
     gc.disable()
     try:

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrm.autodiff import Tensor, backward, finite_diff_check
+from vrm.autodiff import Tensor, backward, finite_diff_check, l2_normalize
 from vrm.errors import InputError, UsageError
 from vrm.graphs import (
     ORACLE_MAX_DIM,
@@ -130,6 +132,44 @@ def test_icv_hand_instance_pinned_by_oracle():
     assert np.abs(fast - slow).max() < 1e-12
     d = lb.real.data[:, 1] - lb.virtual.data[:, 0]
     assert np.abs(fast[0, 1] - d / np.linalg.norm(d)).max() < 1e-12
+
+
+def class_edges_reference(kind, real, virtual):
+    """IC or ICV edges as the [B, C, C] difference of class columns,
+    transposed to [C, C, B] and normalized along the batch axis."""
+    b, c = real.shape
+    if kind == "IC":
+        diff = real.reshape(b, c, 1) - real.reshape(b, 1, c)
+    else:
+        diff = real.reshape(b, 1, c) - virtual.reshape(b, c, 1)
+    return l2_normalize(diff.transpose((1, 2, 0)), axis=2)
+
+
+@pytest.mark.parametrize("kind", ["IC", "ICV"])
+@pytest.mark.parametrize("shape", [(5, 3), (16, 10), (32, 10), (128, 32), (131, 24)],
+                         ids=["5x3", "16x10", "32x10", "128x32", "131x24"])
+def test_class_edges_equal_the_transposed_difference_bit_for_bit(kind, shape):
+    # the builders form class edges as the inter-sample edges of the class
+    # columns; values and view gradients must keep every bit, sign bits too
+    rng = np.random.default_rng(shape[0])
+    real, virtual = rng.standard_normal(shape), rng.standard_normal(shape)
+    # zero fibers: IC (1, 2) and ICV (0, 1) and (0, 2)
+    real[:, 2] = real[:, 1] = virtual[:, 0]
+    probe = Tensor(rng.standard_normal((shape[1], shape[1], shape[0])))
+    build = {"IC": lambda r, v: build_inter_class_edges(r).values,
+             "ICV": lambda r, v: build_icv_edges(LogitBatch(r, v)).values}[kind]
+    results = []
+    for edges in (build, partial(class_edges_reference, kind)):
+        r, v = Tensor(real, requires_grad=True), Tensor(virtual, requires_grad=True)
+        values = edges(r, v)
+        backward((values * probe).sum())
+        results.append((values.data, r.grad, v.grad))
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+            continue
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_batch_permutation_moves_trailing_icv_axis():
