@@ -132,11 +132,8 @@ WIDE = (128, 32)
 # jitter, seed
 TERM_ARGS = ("kind", "shape", "m", "delta", "ties", "jitter", "seed")
 TERM_ROWS = [
-    # the bench shape, a partial last block of the screen and small shapes,
-    # under each mask
-    *(("ISV", shape, m, 1.0, 0.0, 0.0, 30) for shape in (WIDE, PARTIAL, (7, 5))
-      for m in PERCENTILES),
-    *(("ICV", WIDE, m, 1.0, 0.0, 0.0, 40) for m in PERCENTILES),
+    # small shapes, one per mask (the bench shape and the partial last block
+    # of the screen are the examples after the property)
     *(("ICV", shape, m, 1.0, 0.0, 0.0, 8)
       for shape, m in zip([(2, 16), (16, 2), (7, 5), (13, 11)], PERCENTILES)),
     ("ISV", (2, 16), 95.0, 1.0, 0.0, 0.0, 7),
@@ -198,6 +195,21 @@ def test_term_matches_composite_within_the_bound(kind, shape, m, delta, ties, ji
             fused = run_term(kind, real, virtual, teacher, mask, delta, True, upstream, k)
             ref = run_term(kind, real, virtual, teacher, mask, delta, False, upstream, k)
             assert_within_bound(kind, real, virtual, teacher, mask, fused, ref, k)
+
+
+@pytest.mark.parametrize("shape", [WIDE, PARTIAL, (7, 5)], ids=["128x32", "131x24", "7x5"])
+@pytest.mark.parametrize("m", PERCENTILES, ids=["m50", "m95", "m100", "no-mask"])
+def test_isv_term_matches_composite(shape, m):
+    check_term(np.random.default_rng(30), "ISV", *shape, m)
+
+
+@pytest.mark.parametrize("m", PERCENTILES, ids=["m50", "m95", "m100", "no-mask"])
+def test_icv_term_matches_composite(m):
+    rng = np.random.default_rng(40)
+    for _ in range(4):
+        b, c = (int(n) for n in rng.integers(2, 17, size=2))
+        check_term(rng, "ICV", b, c, m)
+    check_term(rng, "ICV", *WIDE, m)
 
 
 def test_isv_rows_split_into_blocks_with_a_partial_last_block():
