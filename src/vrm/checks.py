@@ -23,8 +23,9 @@ from .graphs import (
     relation_items,
     soften,
 )
-from .losses import (_CANCEL, VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv,
-                     total_loss, uep_masks_for)
+from .losses import (_CANCEL, _SLACK, VRMWeights, _blocked_screen, _cleared, _cos_error,
+                     _gathered_screen, _quadratic, _screen_limit, icv_edge_loss, isv_edge_loss,
+                     loss_icv, loss_isv, total_loss, uep_masks_for)
 from .pruning import (_LOG_ULPS, _band_select, _entropy_grid32, _grid_inputs,
                       _mixture_entropy_grid, _nearest_rank, _screen_error, _screened_mask,
                       joint_entropy_matrix, uep_mask)
@@ -230,6 +231,23 @@ def _gamma(k):
     return k * u / (1.0 - k * u)
 
 
+def _kappas(R, V, P, N):
+    """Each fiber's squared norms ns^2 and nt^2, summed from its
+    differences, and kappa_s and kappa_t (see
+    :func:`losses._relation_term`), inf or NaN where a norm is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ns2, nt2 = (((hi[None] - lo[:, None]) ** 2).sum(axis=2) for hi, lo in ((R, V), (P, N)))
+        k_s = ((R * R).sum(axis=1) + (V * V).sum(axis=1)[:, None]) / ns2
+        k_t = ((P * P).sum(axis=1) + (N * N).sum(axis=1)[:, None]) / nt2
+    return ns2, nt2, k_s, k_t
+
+
+def _cos_bound(k_s, k_t, length):
+    """e_f, a quadratic fiber's bound on the rounding error of its cos,
+    2 gamma_(L+3) (kappa_s + kappa_t) + 6u."""
+    return 2.0 * _gamma(length + 3) * (k_s + k_t) + 6.0 * 2.0 ** -53
+
+
 def term_bound(kind: str, views, teacher, mask):
     """Bounds on how far the fused ISV or ICV term and the public composite
     can part, for ``views`` against ``teacher``: a function of the loss
@@ -256,15 +274,13 @@ def term_bound(kind: str, views, teacher, mask):
     n, length = R.shape
     keep = np.ones((n, n), dtype=bool) if mask is None else mask.keep
     scale, u = 1.0 / (keep.sum() * length), 2.0 ** -53
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ns2, nt2 = (((hi[None] - lo[:, None]) ** 2).sum(axis=2) for hi, lo in ((R, V), (P, N)))
-        k_s = ((R * R).sum(axis=1) + (V * V).sum(axis=1)[:, None]) / ns2
-        k_t = ((P * P).sum(axis=1) + (N * N).sum(axis=1)[:, None]) / nt2
+    ns2, nt2, k_s, k_t = _kappas(R, V, P, N)
+    with np.errstate(divide="ignore"):
         inv_s = np.where(keep & (ns2 >= ad.DEFAULT_NORM_EPS ** 2), scale / np.sqrt(ns2), 0.0)
     quad = (inv_s > 0.0) & (nt2 > 0.0) & (np.maximum(k_s, k_t) < 2.0 / _CANCEL)
     k_s, k_t = np.where(quad, k_s, 0.0), np.where(quad, k_t, 0.0)
     eps = 2.0 * _gamma(length + 2) * (k_s + k_t)
-    e_f = quad * (2.0 * _gamma(length + 3) * (k_s + k_t) + 6.0 * u)
+    e_f = quad * _cos_bound(k_s, k_t, length)
     per_entry = inv_s * ((_gamma(n + 5) + eps / 2.0 + 5.0 * u) * np.sqrt(2.0 * k_t)
                          + (_gamma(n + 5) + e_f + eps + 10.0 * u) * np.sqrt(2.0 * k_s)
                          + 32.0 * _gamma(2 * length + 10) + 8.0 * _gamma(n + 1))
@@ -327,7 +343,8 @@ def match_checks(seed: int = 300) -> list[CheckResult]:
 def exactness_checks(seed: int = 300) -> list[CheckResult]:
     """The virtual-view kernel against per-row numpy generators, bit for
     bit (sign bits included), so drift under another numpy shows here;
-    then the screened ISV mask (:func:`_uep_mask_check`)."""
+    then the screened ISV mask (:func:`_uep_mask_check`) and the relation
+    term's screen (:func:`_relation_screen_check`)."""
     rng = np.random.default_rng(seed)
     # virtual views at the vrm_desk and vrm_wide batch shapes, a seed of two words
     spec = AugmentSpec(n_ops=2, magnitude=0.3, seed=2**32 + 3)
@@ -340,7 +357,7 @@ def exactness_checks(seed: int = 300) -> list[CheckResult]:
         "exact:virtual_batch", not differ,
         f"kernel and per-row generators differ at {'; '.join(differ)}" if differ
         else "bit-identical to per-row default_rng and Generator.choice (B=32 and 128)"),
-        _uep_mask_check(rng)]
+        _uep_mask_check(rng), _relation_screen_check(rng)]
 
 
 def _uep_mask_check(rng) -> CheckResult:
@@ -388,6 +405,103 @@ def _uep_mask_check(rng) -> CheckResult:
         detail = (f"bit-identical at B=128 and 131, m=50, 95 and 100, on tied and near-tied "
                   f"rows; float32 grid within {worst:.2g} of its bound")
     return CheckResult("exact:uep_mask", not faults and worst <= 1.0, detail)
+
+
+def _relation_screen_check(rng) -> CheckResult:
+    """The relation term's screen of the fibers the L2 bound leaves,
+    gathered, against :func:`losses._blocked_screen` of every fiber: the
+    flags bit for bit, on the ISV and ICV rows of B=131, C=24 and B=128,
+    C=32 views of a student near its teacher, at delta 1, 0.3 and 0.05.
+    Each view's diagonal fibers are set on the edges: within a few ulps of
+    the clearing threshold T = limit - _SLACK, T + _SLACK / 4, within a
+    few float32 ulps of the screen's limit, and near cancellation at T +
+    0.3 e / T (:func:`_screen_fibers`).
+
+    A second part tests the clearing rule against its error model on
+    those fibers.  Take each quadratic fiber's true cos to be nearly its
+    e_f (:func:`_cos_bound`, from its kappas) below the computed one, and
+    its float32 screen value nearly _SLACK past sqrt(2 - 2 cos) of that
+    cos: no fiber :func:`losses._cleared` clears may then reach the limit."""
+    faults, counts, near = [], np.zeros(3, dtype=int), [0, 0]
+    for b, c in ((131, 24), (128, 32)):
+        for kind in ("ISV", "ICV"):
+            for delta in (1.0, 0.3, 0.05):
+                where = f"{kind} {b}x{c} delta={delta:g}"
+                rows, threshold = _screen_fibers(rng, kind, b, c, delta)
+                length = rows[0].shape[1]
+                s, t, quad, inv, cos = _quadratic(*rows, None)
+                limit = _screen_limit(delta)
+                cleared = quad & _cleared(cos, limit, length)
+                flagged = _blocked_screen(s, t, inv, limit)
+                gathered = _gathered_screen(s, t, inv, np.flatnonzero(quad & ~cleared), limit)
+                if not np.array_equal(gathered, flagged):
+                    faults.append(f"gathered flags differ at {where}")
+                counts += cleared.sum(), (quad & ~cleared).sum(), flagged.sum()
+                # the diagonal's distance from T, in ulps of T
+                bound = np.sqrt(np.maximum(2.0 - 2.0 * cos.diagonal() + 2.0 * _cos_error(length),
+                                           0.0))
+                ulps = (bound - threshold) / np.spacing(threshold)
+                near[0] += int(((ulps >= -4) & (ulps <= 0)).sum())
+                near[1] += int(((ulps > 0) & (ulps <= 4)).sum())
+                # the stand-in: true cos e_f (1 - 2^-10) lower, screen _SLACK (1 - 2^-26) higher
+                _, _, k_s, k_t = _kappas(*rows)
+                true_cos = cos - _cos_bound(k_s, k_t, length) * (1.0 - 2.0 ** -10)
+                reach = (np.sqrt(np.maximum(2.0 - 2.0 * true_cos, 0.0))
+                         + _SLACK * (1.0 - 2.0 ** -26))
+                if (cleared & (reach > limit)).any():
+                    faults.append(f"a cleared fiber's stand-in reaches the limit at {where}")
+    if not min(near):
+        faults.append(f"{near[0]} and {near[1]} fibers within 4 ulps below and above T")
+    if faults:
+        detail = "; ".join(faults[:3]) + (f" (and {len(faults) - 3} more)" if faults[3:] else "")
+    else:
+        detail = (f"bit-identical at B=131 and 128, ISV and ICV, delta=1, 0.3 and 0.05 "
+                  f"({counts[0]} fibers cleared, {counts[1]} gathered, {counts[2]} flagged; "
+                  f"{near[0]} and {near[1]} within 4 ulps below and above T); "
+                  f"no stand-in of a cleared fiber reaches the limit")
+    return CheckResult("exact:relation_screen", not faults, detail)
+
+
+def _screen_fibers(rng, kind, b, c, delta):
+    """The rows R, V, P, N of ``kind`` for softened [b, c] views of a
+    student near its teacher, with their diagonal fibers set in turn:
+    three of every eight within 4 ulps of the clearing threshold T, one at
+    T + _SLACK / 4, one near cancellation (kappa near 0.87 / c) at T + 0.3
+    e / T, two within 4 float32 ulps of the screen's limit with y - u on a
+    single axis, and one as drawn.  Returns the rows and T."""
+    teacher = [4.0 * rng.standard_normal((b, c)) for _ in range(2)]
+    student = [x + 0.3 * rng.standard_normal((b, c)) for x in teacher]
+    views = [soften(LogitBatch(*x), 4.0) for x in (student, teacher)]
+    R, V, P, N = (np.array(x) for x in relation_items(kind, *(
+        y.data for v in views for y in (v.real, v.virtual))))
+    length = R.shape[1]
+    limit, e = float(_screen_limit(delta)), _cos_error(length)
+    threshold = limit - _SLACK
+    for i in range(len(R)):
+        part, k = i % 8, (i // 8) % 9 - 4
+        # the target |y - u|_2 and each difference's norm
+        scale_s, scale_t = np.linalg.norm(R[i]), np.linalg.norm(P[i])
+        if part < 3:
+            norm = np.sqrt((threshold * (1.0 + k * 2.0 ** -52)) ** 2 - 2.0 * e)
+        elif part == 3:
+            norm = np.sqrt((threshold + _SLACK / 4.0) ** 2 - 2.0 * e)
+        elif part == 4:
+            norm = np.sqrt((threshold + 0.3 * e / threshold) ** 2 - 2.0 * e)
+            scale_s, scale_t = np.sqrt(2.3 * _CANCEL) * scale_s, np.sqrt(2.3 * _CANCEL) * scale_t
+        elif part < 7:
+            norm = limit * (1.0 + k * 2.0 ** -23)
+        else:
+            continue
+        # unit y and u with y - u = norm on axis a: (m + x e_a) and (m - x e_a), m _|_ e_a
+        a, x = i % length, norm / 2.0
+        m = rng.standard_normal(length)
+        m[a] = 0.0
+        m *= np.sqrt(1.0 - x * x) / np.linalg.norm(m)
+        y, u = m.copy(), m.copy()
+        y[a] += x
+        u[a] -= x
+        V[i], N[i] = R[i] - scale_s * y, P[i] - scale_t * u
+    return (R, V, P, N), threshold
 
 
 def _entropy_error(je, P, Q):

@@ -67,6 +67,15 @@ def _raise_terminated(signum, frame):
     raise Terminated
 
 
+# the files each command's run writes beside its manifest, as glob patterns
+_RUN_OUTPUTS = {
+    "train-teacher": ("metrics.csv", "teacher.ckpt"),
+    "distill": ("metrics.csv", "breakdown.csv", "student.ckpt"),
+    "ablate": ("summary.csv",),
+    "pilot": ("summary.csv", "pilot_*_seed*.csv"),
+}
+
+
 class Run:
     """A command's run directory under VRM_RUN_DIR and its flat key=value
     manifest.  Entering creates both, at status=running; leaving ends the
@@ -75,10 +84,14 @@ class Run:
     While the run is open SIGTERM raises Terminated, so a killed run ends
     ``failed`` too; the earlier handler comes back on leaving.
     A ``--name`` must be one directory name, so the run stays under the root.
-    Without one the run creates ``<command>-<time>``, suffixed ``-2``, ``-3``,
-    ... while a run of the same second holds the name."""
+    A run given a ``--name`` used before removes the files its command
+    writes there (``_RUN_OUTPUTS``) before its manifest says running, so
+    none of them outlives the run that wrote it.  Without a name the run
+    creates ``<command>-<time>``, suffixed ``-2``, ``-3``, ... while a run
+    of the same second holds the name."""
 
     def __init__(self, args, config: dict):
+        self._outputs = _RUN_OUTPUTS[args.command]
         self._fresh = args.name is None
         name = f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}" if self._fresh else args.name
         if name in ("", ".", "..") or Path(name).name != name:
@@ -97,6 +110,11 @@ class Run:
                 if not self._fresh:
                     raise
                 self.dir = base.with_name(f"{base.name}-{n}")
+        for pattern in self._outputs:
+            for path in self.dir.glob(pattern):
+                # a directory is none of the run's files; writing there fails the run
+                if not path.is_dir():
+                    path.unlink()
         self._t0 = time.monotonic()
         self._write()
         # only the main thread may set a handler; a run on another thread keeps the process's

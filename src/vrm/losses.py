@@ -98,27 +98,124 @@ def _kept_fibers(kind: str, shape, mask: EdgeMask | None):
 # screen's slack on delta, 2 u32 (4 sqrt(2/c) + 7) (see _relation_term)
 _CANCEL, _FLOOR, _CEIL = 2.0 ** -10, 2.0 ** -76, 2.0 ** 128
 _SLACK = 2.0 ** -23 * (4.0 * math.sqrt(2.0 / _CANCEL) + 7.0)
+# the share of the grid's fibers left after the L2 bound past which the
+# screen walks the whole grid in row blocks instead of gathering those left
+# (see _relation_term)
+_GATHER_SHARE = 0.75
 
 
-def _screen(s, t, inv, limit):
+def _cos_error(length):
+    """e: the bound 4 gamma_(L+3) / c + 6u on the rounding error of cos of
+    a quadratic fiber of length L (see _relation_term)."""
+    u = 2.0 ** -53
+    return 4.0 * (length + 3) * u / (1.0 - (length + 3) * u) / _CANCEL + 6.0 * u
+
+
+def _cleared(cos, limit, length):
+    """The fibers of cos that the L2 bound shows the screen cannot flag,
+    sqrt(max(0, 2 - 2 cos + 2e)) <= T = limit - _SLACK, tested squared:
+    cos >= 1 + e - T^2 / 2 while T >= 0, and none for T < 0; never a NaN
+    cos.  Rounding that scalar moves the test by a few float64 ulps of 1 +
+    T^2 / 2, far inside the _SLACK / 2 the bound leaves."""
+    # in float64: a float32 limit would round limit - _SLACK
+    threshold = float(limit) - _SLACK
+    if threshold < 0.0:
+        return np.zeros(cos.shape, dtype=bool)
+    return cos >= 1.0 + _cos_error(length) - 0.5 * threshold * threshold
+
+
+def _past(t, s, inv, limit, out):
+    """The screen's arithmetic, in place in the float32 [2, ..., L] buffer
+    ``out``: each model's fiber t - s times inv, then |y - u| of the two;
+    returns the flat indices, over out's fibers, of those with a component
+    past ``limit``."""
+    d = np.subtract(t, s, out=out)
+    d *= inv
+    y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
+    return np.flatnonzero(y > limit) // out.shape[-1]
+
+
+def _as_float32(*arrays):
+    # rows past float32's range become inf; only fibers not screened hold them
+    with np.errstate(over="ignore"):
+        return [x.astype(np.float32) for x in arrays]
+
+
+def _blocked_screen(s, t, inv, limit):
     """The [n, n] boolean of the fibers that have a component of y - u
     past ``limit``.  Fiber [i, j] of model b is (t[b, j] - s[b, i]) times
     inv[b, i, j] (0 for fibers not screened), formed in float32 a row
     block of i at a time."""
     _, n, length = s.shape
+    s, t, inv = _as_float32(s, t, inv)
     blocks = ad._row_blocks(n, n * length)
     grid = np.empty((2, blocks[0].stop, n, length), dtype=np.float32)
     flagged = np.zeros((n, n), dtype=bool)
-    # rows past float32's range give inf * 0 on fibers the screen skips
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, t, inv = (x.astype(np.float32) for x in (s, t, inv))
+    # inf * 0 on the fibers not screened
+    with np.errstate(invalid="ignore"):
         for rows in blocks:
-            d = grid[:, :rows.stop - rows.start]
-            np.subtract(t[:, None], s[:, rows, None], out=d)
-            d *= inv[:, rows, :, None]
-            y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
-            flagged[rows].reshape(-1)[np.flatnonzero(y > limit) // length] = True
+            hits = _past(t[:, None], s[:, rows, None], inv[:, rows, :, None], limit,
+                         grid[:, :rows.stop - rows.start])
+            flagged[rows].reshape(-1)[hits] = True
     return flagged
+
+
+def _gathered_screen(s, t, inv, fibers, limit):
+    """:func:`_blocked_screen`'s flags from the screened ``fibers`` alone
+    (flat indices into the [n, n] grid), gathered in parts of about
+    ``ad._BLOCK_BYTES``: the same float32 casts and elementwise ops, so
+    each of them gets the same bits, and no other fiber is flagged."""
+    n, length = s.shape[1:]
+    s, t = _as_float32(s, t)
+    inv = np.take(inv.reshape(2, -1), fibers, axis=1).astype(np.float32)[..., None]
+    step = max(1, ad._BLOCK_BYTES // (8 * length))
+    grid = np.empty((2, 2, min(step, len(fibers)), length), dtype=np.float32)
+    flagged = np.zeros(n * n, dtype=bool)
+    for lo in range(0, len(fibers), step):
+        part = fibers[lo:lo + step]
+        rows, cols = np.divmod(part, n)
+        t_part, s_part = grid[:, :, :len(part)]
+        # the indices are in range; mode="raise" would buffer the output
+        np.take(t, cols, axis=1, out=t_part, mode="clip")
+        np.take(s, rows, axis=1, out=s_part, mode="clip")
+        flagged[part[_past(t_part, s_part, inv[:, lo:lo + step], limit, t_part)]] = True
+    return flagged.reshape(n, n)
+
+
+def _screen(s, t, inv, left, limit):
+    """The screen's flags: :func:`_gathered_screen` of the fibers ``left``
+    keeps, or :func:`_blocked_screen` when they are more than
+    ``_GATHER_SHARE`` of the grid."""
+    fibers = np.flatnonzero(left)
+    if len(fibers) > _GATHER_SHARE * left.size:
+        return _blocked_screen(s, t, inv, limit)
+    return _gathered_screen(s, t, inv, fibers, limit)
+
+
+def _quadratic(R, V, P, N, keep):
+    """The fibers of rows R, V, P, N (see :func:`_relation_term`): each
+    model's i side s and j side t, fiber [b, i, j] = t[b, j] - s[b, i];
+    the [n, n] quadratic fibers ``keep`` keeps (all for None); inv, 1/ns
+    and 1/nt on them, else 0; and cos, the cross dot times both."""
+    s, t = np.stack((V, N)), np.stack((R, P))
+    sq = np.einsum("bij,bij->bi", s, s)[:, :, None] + np.einsum("bij,bij->bi", t, t)[:, None]
+    n2 = sq - 2.0 * (s @ t.transpose(0, 2, 1))
+    quad = ((n2 > _CANCEL * sq) & (n2 > _FLOOR) & (sq < _CEIL)).all(axis=0)
+    if keep is not None:
+        quad &= keep
+    inv = quad / np.sqrt(np.where(quad, n2, 1.0))
+    del sq, n2
+    # D_s . D_t = r.rho + v.nu - r.nu - v.rho
+    cos = np.einsum("ij,ij->i", V, N)[:, None] + np.einsum("ij,ij->i", R, P)
+    cos -= (s @ t[::-1].transpose(0, 2, 1)).sum(axis=0)
+    cos *= inv[0]
+    cos *= inv[1]
+    return s, t, quad, inv, cos
+
+
+def _screen_limit(delta):
+    """The float32 screen's limit, delta (1 - 2^-22) - _SLACK."""
+    return np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK)
 
 
 def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
@@ -155,31 +252,39 @@ def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
     within u32 (4 sqrt(2/c) + 7) of the truth.  Flagging components past
     delta (1 - margin), delta * margin = 2 u32 (4 sqrt(2/c) + 7) = 2.2e-5
     (the 2 covers second-order terms and the limit's rounding), flags
-    every fiber with one past delta.  Flagged fibers and kept fibers that
-    are not quadratic get the composite's elementwise Huber on gathered
-    [k, L] fibers, gradients scattered back with ``np.add.at``.  A
-    non-finite kept fiber is not quadratic, so it (or a squared row norm
-    that overflows) makes the sum non-finite: one check of the loss
-    covers every fiber.
+    every fiber with one past delta.
+
+    **The L2 bound.**  No component of y - u exceeds |y - u|_2 = sqrt(2 -
+    2 cos), and the computed cos is within e_f < e = 4 gamma_(L+3) / c + 6u
+    of the true one (:func:`_cos_error`).  So a quadratic fiber with
+    sqrt(max(0, 2 - 2 cos + 2e)) <= limit - _SLACK (:func:`_cleared`) has
+    every float32 |y_k - u_k| within limit - _SLACK + _SLACK / 2 < limit,
+    and the float64 rounding of the test is far inside the _SLACK / 2
+    left (as are e_f's second-order terms): the screen cannot flag it.
+    The screen then forms only the quadratic fibers left, gathered
+    (:func:`_gathered_screen`), with the same float32 casts and elementwise
+    ops as the whole grid in row blocks (:func:`_blocked_screen`), so each
+    of them gets the same bits.  At a first step the bound clears nothing,
+    and gathering every fiber cost 1.1-1.3 times the blocked screen at
+    B=128, C=32, where the two broke even near 75% of the grid; above
+    _GATHER_SHARE of the grid left the blocked screen runs.  A flagged
+    fiber's cos becomes dot * 0 * 0, sign kept, as when the screen ran
+    before cos.
+
+    Flagged fibers and kept fibers that are not quadratic get the
+    composite's elementwise Huber on gathered [k, L] fibers, gradients
+    scattered back with ``np.add.at``.  A non-finite kept fiber is not
+    quadratic, so it (or a squared row norm that overflows) makes the sum
+    non-finite: one check of the loss covers every fiber.
     """
-    n, length = R.shape
-    # each model's i side and j side: fiber [b, i, j] is t[b, j] - s[b, i]
-    s, t = np.stack((V, N)), np.stack((R, P))
-    sq = np.einsum("bij,bij->bi", s, s)[:, :, None] + np.einsum("bij,bij->bi", t, t)[:, None]
-    n2 = sq - 2.0 * (s @ t.transpose(0, 2, 1))
-    quad = ((n2 > _CANCEL * sq) & (n2 > _FLOOR) & (sq < _CEIL)).all(axis=0)
-    if keep is not None:
-        quad &= keep
-    # 1/ns and 1/nt on quadratic fibers, else 0
-    inv = quad / np.sqrt(np.where(quad, n2, 1.0))
-    del sq, n2
-    quad &= ~_screen(s, t, inv, np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK))
-    inv *= quad
-    # D_s . D_t = r.rho + v.nu - r.nu - v.rho, then cos, and 1 - cos summed
-    cos = np.einsum("ij,ij->i", V, N)[:, None] + np.einsum("ij,ij->i", R, P)
-    cos -= (s @ t[::-1].transpose(0, 2, 1)).sum(axis=0)
-    cos *= inv[0]
-    cos *= inv[1]
+    length = R.shape[1]
+    s, t, quad, inv, cos = _quadratic(R, V, P, N, keep)
+    limit = _screen_limit(delta)
+    # a flagged fiber leaves the quadratic path: cos = dot * 0 * 0, sign kept
+    i, j = np.nonzero(_screen(s, t, inv, quad & ~_cleared(cos, limit, length), limit))
+    quad[i, j] = False
+    inv[:, i, j] = 0.0
+    cos[i, j] *= 0.0
     total = np.subtract(quad, cos).sum()
 
     if g is not None:

@@ -143,6 +143,23 @@ def test_distill_divergence_exits_4(run_env, capsys):
     assert "status=diverged" in manifest and "error_class=TrainingError" in manifest
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reused_name_keeps_no_output_of_the_earlier_run(run_env, capsys):
+    data = gen_data(run_env)
+    ckpt = train_teacher(run_env, data)
+    argv = ["distill", "--data", str(data), "--teacher", str(ckpt), "--objective", "vrm",
+            "--epochs", "3", "--milestones", "2", "--batch-size", "16",
+            "--widths", "6,12,3", "--name", "x"]
+    run_dir = run_env / "runs" / "x"
+    outputs = ("metrics.csv", "breakdown.csv", "student.ckpt")
+    assert main(argv) == 0
+    assert all((run_dir / name).exists() for name in outputs)
+    assert main(argv + ["--lr", "1e200"]) == 4
+    assert "diverged at epoch" in capsys.readouterr().err
+    assert "status=diverged" in (run_dir / "manifest.txt").read_text()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.txt"]
+
+
 def assert_clean_error(capsys, code, want_code):
     err = capsys.readouterr().err
     assert code == want_code
@@ -558,6 +575,7 @@ def test_check_quick_passes_fast(run_env, capsys):
     for name in ("isv_edge_loss", "icv_edge_loss"):
         assert f"PASS match:{name}:" in out
     assert "PASS exact:virtual_batch:" in out and "PASS exact:uep_mask:" in out
+    assert "PASS exact:relation_screen:" in out
     assert "all" in out and "passed" in out
 
 

@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrm import autodiff as ad
-from vrm import losses
+from vrm import checks, losses
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
 from vrm.checks import term_bound
 from vrm.errors import InputError, NumericError
-from vrm.graphs import EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, relation_items
+from vrm.graphs import (EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, relation_items,
+                        soften)
 from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
 from vrm.pruning import EdgeMask, uep_mask
 
@@ -261,6 +262,87 @@ def test_isv_term_with_whole_rows_and_columns_pruned():
         ref = run_term("ISV", real, virtual, teacher, mask, 1.0, False, 1.0, k)
         assert_within_bound("ISV", real, virtual, teacher, mask, fused, ref, k)
         assert not fused[2][[2, 5]].any() and not fused[1][4].any()
+
+
+# -- the screen of the fused terms: gathered or in row blocks ---------------
+
+
+SCREENS = ("_blocked_screen", "_gathered_screen")
+
+
+def screened_term(monkeypatch, kind, views, teacher, mask, share):
+    """The term's loss and view gradients with ``_GATHER_SHARE`` at
+    ``share``, the flags of its screen, and the screens that ran."""
+    monkeypatch.setattr(losses, "_GATHER_SHARE", share)
+    flags, ran = [], []
+    for name in SCREENS:
+        def spy(*args, screen=getattr(losses, name), name=name):
+            ran.append(name)
+            flags.append(screen(*args))
+            return flags[-1]
+        monkeypatch.setattr(losses, name, spy)
+    upstream = UPSTREAM[kind]
+    out = run_term(kind, views.real.data, views.virtual.data, teacher, mask, 1.0, True,
+                   upstream, upstream)
+    monkeypatch.undo()
+    return out, flags, ran
+
+
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+@pytest.mark.parametrize("batch", ["near-converged", "first-step"])
+def test_screen_paths_give_the_same_bits(monkeypatch, kind, batch):
+    # a student near its teacher, where the L2 bound clears most fibers, and
+    # a random one, as at a first step, where it clears almost none; each
+    # screen forced in turn
+    rng = np.random.default_rng(49)
+    b, c = PARTIAL
+    logits = [4.0 * rng.standard_normal((b, c)) for _ in range(2)]
+    student = [(x if batch == "near-converged" else 0.0) + 4.0 * rng.standard_normal((b, c))
+               for x in logits]
+    views, teacher = (soften(LogitBatch(*x), 4.0) for x in (student, logits))
+    teacher = teacher.detach()
+    mask = random_mask(rng, kind, fiber_grid(kind, b, c), 95.0)
+    rows = relation_items(kind, *(x.data for x in (views.real, views.virtual, teacher.real,
+                                                   teacher.virtual)))
+    _, _, quad, _, cos = losses._quadratic(*rows, mask.keep)
+    cleared = quad & losses._cleared(cos, losses._screen_limit(1.0), rows[0].shape[1])
+    if batch == "near-converged":
+        assert cleared.mean() > 0.6 and (quad & ~cleared).any()
+    else:
+        assert cleared.mean() < 0.01
+    (blocked, blocked_flags, blocked_ran), (gathered, gathered_flags, gathered_ran) = (
+        screened_term(monkeypatch, kind, views, teacher, mask, share) for share in (0.0, 1.0))
+    assert blocked_ran == ["_blocked_screen"] and gathered_ran == ["_gathered_screen"]
+    assert_same_bits(blocked_flags[0], gathered_flags[0])
+    for x, y in zip(blocked, gathered):
+        assert_same_bits(x, y)
+    # left alone, the near-converged batch is gathered and the random one is not
+    _, _, ran = screened_term(monkeypatch, kind, views, teacher, mask, losses._GATHER_SHARE)
+    assert ran == [SCREENS[batch == "near-converged"]]
+
+
+def relation_screen_check():
+    return next(r for r in checks.exactness_checks() if r.name == "exact:relation_screen")
+
+
+@pytest.mark.parametrize("fault", ["half-cos-error", "half-slack", "gathered-limit"])
+def test_relation_screen_check_catches_a_fault(monkeypatch, fault):
+    assert relation_screen_check().passed
+    if fault == "half-cos-error":
+        # the clearing rule with half its e
+        cos_error = losses._cos_error
+        monkeypatch.setattr(losses, "_cos_error", lambda length: cos_error(length) / 2)
+    elif fault == "half-slack":
+        # half the slack: the clearing threshold sits _SLACK / 2 below the limit
+        monkeypatch.setattr(losses, "_SLACK", losses._SLACK / 2)
+    else:
+        # a gathered screen that compares with a limit 8 float32 ulps lower
+        gathered = losses._gathered_screen
+        monkeypatch.setattr(checks, "_gathered_screen", lambda s, t, inv, fibers, limit: gathered(
+            s, t, inv, fibers, limit * np.float32(1.0 - 2.0 ** -20)))
+    result = relation_screen_check()
+    want = "gathered flags differ" if fault == "gathered-limit" else "stand-in reaches the limit"
+    assert not result.passed and want in result.detail
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
