@@ -418,9 +418,13 @@ def l2_normalize(x, axis=-1) -> Tensor:
     Slices whose Euclidean norm is below ``DEFAULT_NORM_EPS`` map to the
     all-zero vector and receive zero gradient: a degenerate difference
     carries no relation, and the true derivative blows up there anyway.
+    A slice whose squared norm overflows, which would map to zero too,
+    raises NumericError instead.
     """
     x = _coerce(x)
     y, n_safe, live = _unit_fibers(x.data, axis)
+    if not np.isfinite(n_safe).all():
+        raise NumericError("l2_normalize overflowed a squared norm")
 
     def grad_fn(g):
         return (_unit_fibers_grad(g, y, n_safe, live, axis),)

@@ -124,7 +124,8 @@ class AugmentSpec:
     def __post_init__(self):
         self.op_pool = pool = tuple(self.op_pool)
         check_fields(vars(self), (
-            ("op_pool", set(pool) <= set(AUGMENT_OPS), f"must draw from {AUGMENT_OPS}"),
+            ("op_pool", set(pool) <= set(AUGMENT_OPS) and len(set(pool)) == len(pool),
+             f"must name distinct ops of {AUGMENT_OPS}"),
             ("n_ops", 0 <= self.n_ops <= len(pool), f"must lie in [0, {len(pool)}]"),
             ("magnitude", 0 <= self.magnitude <= 1, "must lie in [0, 1]"),
             ("seed", self.seed >= 0, "must be nonnegative")))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vrm.data
-from vrm.checks import exactness_checks
+from vrm.cli import EXIT_PROPERTY, main
 from vrm.data import (AUGMENT_OPS, AugmentSpec, _pcg64_states, _seed_words, _Stream,
                       virtual_batch, virtual_view)
 from vrm.errors import ParameterError
@@ -212,17 +212,17 @@ def test_stream_bounded_rejection_matches_numpy():
     assert stream.numpy_state() == gen.bit_generator.state
 
 
-def test_exactness_check_catches_swapped_picks(monkeypatch):
-    def check():
-        return next(r for r in exactness_checks() if r.name == "exact:virtual_batch")
-
-    assert check().passed
+def test_exactness_check_catches_swapped_picks(monkeypatch, capsys):
     real_choice = _Stream.choice
 
     def swapped(self, pop, size):
+        # the batch kernel applies each row's first two ops in the other's slot
         picks = real_choice(self, pop, size)
         return picks[1::-1] + picks[2:]
 
     monkeypatch.setattr(vrm.data._Stream, "choice", swapped)
-    result = check()
-    assert not result.passed and "differ" in result.detail
+    assert main(["check", "--quick"]) == EXIT_PROPERTY
+    out = capsys.readouterr().out
+    assert "FAIL exact:virtual_batch:" in out and "differ" in out
+    # the fault reaches no other property
+    assert out.count("FAIL ") == 1

@@ -6,6 +6,7 @@ import pytest
 from vrm import autodiff as ad
 from vrm.autodiff import Tensor, backward, finite_diff_check
 from vrm.errors import InputError, NumericError, ParameterError, UsageError
+from vrm.graphs import build_inter_sample_edges
 
 
 def test_tensor_rejects_non_finite():
@@ -304,6 +305,31 @@ def test_affine_overflow_names_the_op():
         ad.affine(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(UsageError):
         ad.affine(Tensor(np.ones(3)), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)))
+
+
+# finite inputs each op turns non-finite; affine and the fused edge terms
+# have their own tests (above, and test_overflowing_views_name_the_term)
+OVERFLOWS = [
+    ("add", lambda: ad.add(Tensor([1e308]), Tensor([1e308]))),
+    ("mul", lambda: ad.mul(Tensor([1e200]), Tensor([1e200]))),
+    ("matmul", lambda: ad.matmul(Tensor([[1e308, 1e308]]), Tensor([[1.0], [1.0]]))),
+    ("exp", lambda: ad.exp(Tensor([710.0]))),
+    ("sum", lambda: ad.tsum(Tensor([1e308, 1e308]))),
+    ("mean", lambda: ad.tmean(Tensor([1e308, 1e308]))),
+    ("softmax", lambda: ad.softmax(Tensor([[1.0, 2.0]]), tau=1e-308)),
+    ("log_softmax", lambda: ad.log_softmax(Tensor([[1.0, 2.0]]), tau=1e-308)),
+    # a squared norm that overflows would map its fiber to all zeros
+    ("l2_normalize", lambda: ad.l2_normalize(Tensor([[1e200, 1e200]]))),
+    ("l2_normalize", lambda: build_inter_sample_edges(np.array([[1e200, 1e200], [-1e200, -1e200]]))),
+]
+
+
+@pytest.mark.parametrize("op, overflow", OVERFLOWS,
+                         ids=[op for op, _ in OVERFLOWS[:-1]] + ["l2_normalize-in-edges"])
+def test_overflow_names_the_op(op, overflow):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc_info:
+        overflow()
+    assert str(exc_info.value).split(" ", 1)[0] == op
 
 
 @pytest.mark.parametrize("n_rows, row_elems", [(1, 1), (5, 3), (128, 4096), (131, 3144),

@@ -37,6 +37,8 @@ RECORD_CASES = [
     (TrainConfig, {"milestones": (3, 3)}), (TrainConfig, {"epochs": 0}),
     (TrainConfig, {"seed": -1}),
     (AugmentSpec, {"op_pool": ("warp",)}), (AugmentSpec, {"n_ops": 5}),
+    # an op named twice would be applied twice, not drawn without replacement
+    (AugmentSpec, {"op_pool": ("random_scale", "random_scale")}),
     (AugmentSpec, {"magnitude": NAN}), (AugmentSpec, {"seed": -1}),
     (MLPSpec, {"layer_widths": [4, 3]}), (MLPSpec, {"layer_widths": [4, 0, 3]}),
     (MLPSpec, {"activation": "gelu", "layer_widths": [4, 8, 3]}),
