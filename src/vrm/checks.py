@@ -23,9 +23,9 @@ from .graphs import (
     relation_items,
     soften,
 )
-from .losses import (_CANCEL, _SLACK, VRMWeights, _blocked_screen, _cleared, _cos_error,
-                     _gathered_screen, _quadratic, _screen_limit, icv_edge_loss, isv_edge_loss,
-                     loss_icv, loss_isv, total_loss, uep_masks_for)
+from .losses import (_CANCEL, _SLACK, VRMWeights, _cleared, _cos_error, _gathered_screen,
+                     _quadratic, _screen_limit, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv,
+                     total_loss, uep_masks_for)
 from .pruning import (_LOG_ULPS, _band_select, _entropy_grid32, _grid_inputs,
                       _mixture_entropy_grid, _nearest_rank, _screen_error, _screened_mask,
                       joint_entropy_matrix, uep_mask)
@@ -408,10 +408,10 @@ def _uep_mask_check(rng) -> CheckResult:
 
 
 def _relation_screen_check(rng) -> CheckResult:
-    """The relation term's screen of the fibers the L2 bound leaves,
-    gathered, against :func:`losses._blocked_screen` of every fiber: the
-    flags bit for bit, on the ISV and ICV rows of B=131, C=24 and B=128,
-    C=32 views of a student near its teacher, at delta 1, 0.3 and 0.05.
+    """The relation term's screen of the fibers the L2 bound leaves
+    against the same screen of every quadratic fiber: the flags bit for
+    bit, on the ISV and ICV rows of B=131, C=24 and B=128, C=32 views of
+    a student near its teacher, at delta 1, 0.3 and 0.05.
     Each view's diagonal fibers are set on the edges: within a few ulps of
     the clearing threshold T = limit - _SLACK, T + _SLACK / 4, within a
     few float32 ulps of the screen's limit, and near cancellation at T +
@@ -432,10 +432,10 @@ def _relation_screen_check(rng) -> CheckResult:
                 s, t, quad, inv, cos = _quadratic(*rows, None)
                 limit = _screen_limit(delta)
                 cleared = quad & _cleared(cos, limit, length)
-                flagged = _blocked_screen(s, t, inv, limit)
-                gathered = _gathered_screen(s, t, inv, np.flatnonzero(quad & ~cleared), limit)
-                if not np.array_equal(gathered, flagged):
-                    faults.append(f"gathered flags differ at {where}")
+                flagged = _gathered_screen(s, t, inv, np.flatnonzero(quad), limit)
+                left = _gathered_screen(s, t, inv, np.flatnonzero(quad & ~cleared), limit)
+                if not np.array_equal(left, flagged):
+                    faults.append(f"flags of the fibers left differ at {where}")
                 counts += cleared.sum(), (quad & ~cleared).sum(), flagged.sum()
                 # the diagonal's distance from T, in ulps of T
                 bound = np.sqrt(np.maximum(2.0 - 2.0 * cos.diagonal() + 2.0 * _cos_error(length),
@@ -456,7 +456,7 @@ def _relation_screen_check(rng) -> CheckResult:
         detail = "; ".join(faults[:3]) + (f" (and {len(faults) - 3} more)" if faults[3:] else "")
     else:
         detail = (f"bit-identical at B=131 and 128, ISV and ICV, delta=1, 0.3 and 0.05 "
-                  f"({counts[0]} fibers cleared, {counts[1]} gathered, {counts[2]} flagged; "
+                  f"({counts[0]} fibers cleared, {counts[1]} left, {counts[2]} flagged; "
                   f"{near[0]} and {near[1]} within 4 ulps below and above T); "
                   f"no stand-in of a cleared fiber reaches the limit")
     return CheckResult("exact:relation_screen", not faults, detail)

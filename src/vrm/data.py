@@ -123,6 +123,7 @@ class AugmentSpec:
 
     def __post_init__(self):
         self.op_pool = pool = tuple(self.op_pool)
+        self.n_ops, self.seed = operator.index(self.n_ops), operator.index(self.seed)
         check_fields(vars(self), (
             ("op_pool", set(pool) <= set(AUGMENT_OPS) and len(set(pool)) == len(pool),
              f"must name distinct ops of {AUGMENT_OPS}"),
@@ -352,19 +353,21 @@ def _augment(x: np.ndarray, spec: AugmentSpec, entropy: np.ndarray) -> np.ndarra
 def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarray:
     """One stochastic semantic-preserving transform of a sample.
 
-    Deterministic in (spec.seed, per_sample_seed).  With n_ops = 0 the
-    sample passes through unchanged.
+    Deterministic in (spec.seed, per_sample_seed), an int or a sequence
+    of them: each part of the key, like ``spec.seed``, must be a
+    nonnegative integer (TypeError for a non-integer, ValueError for a
+    negative one).  With n_ops = 0 the sample passes through unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     key = per_sample_seed if np.iterable(per_sample_seed) else (per_sample_seed,)
-    words = _seed_words((spec.seed, *(int(s) for s in key)))
+    words = _seed_words((spec.seed, *key))
     return _augment(x.reshape(1, -1), spec, words[None, :]).reshape(x.shape)
 
 
 def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndarray:
     """Virtual views for a whole batch: sample i draws as
     ``virtual_view(xb[i], spec, (*step_key, i))`` does."""
-    prefix = _seed_words((spec.seed, *(int(s) for s in step_key)))
+    prefix = _seed_words((spec.seed, *step_key))
     # a row index below 2**32 is the one word i
     entropy = np.empty((len(xb), prefix.size + 1), dtype=np.uint32)
     entropy[:, :-1] = prefix

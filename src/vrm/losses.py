@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, UsageError, check_fields
+from .errors import InputError, NumericError, UsageError, check_fields
 # the objective builds no edges itself; build_isv_edges and build_icv_edges
 # stay bound here because the benchmark's tracer wraps the step's helpers by name
 from .graphs import (EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, check_items,
@@ -98,10 +98,6 @@ def _kept_fibers(kind: str, shape, mask: EdgeMask | None):
 # screen's slack on delta, 2 u32 (4 sqrt(2/c) + 7) (see _relation_term)
 _CANCEL, _FLOOR, _CEIL = 2.0 ** -10, 2.0 ** -76, 2.0 ** 128
 _SLACK = 2.0 ** -23 * (4.0 * math.sqrt(2.0 / _CANCEL) + 7.0)
-# the share of the grid's fibers left after the L2 bound past which the
-# screen walks the whole grid in row blocks instead of gathering those left
-# (see _relation_term)
-_GATHER_SHARE = 0.75
 
 
 def _cos_error(length):
@@ -124,49 +120,16 @@ def _cleared(cos, limit, length):
     return cos >= 1.0 + _cos_error(length) - 0.5 * threshold * threshold
 
 
-def _past(t, s, inv, limit, out):
-    """The screen's arithmetic, in place in the float32 [2, ..., L] buffer
-    ``out``: each model's fiber t - s times inv, then |y - u| of the two;
-    returns the flat indices, over out's fibers, of those with a component
-    past ``limit``."""
-    d = np.subtract(t, s, out=out)
-    d *= inv
-    y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
-    return np.flatnonzero(y > limit) // out.shape[-1]
-
-
-def _as_float32(*arrays):
+def _gathered_screen(s, t, inv, fibers, limit):
+    """The [n, n] boolean of the screened ``fibers`` (flat indices into
+    the [n, n] grid) that have a component of y - u past ``limit``; no
+    other fiber is flagged.  Fiber [i, j] of model b is (t[b, j] - s[b,
+    i]) times inv[b, i, j], formed in float32 and gathered in parts of
+    about ``ad._BLOCK_BYTES``."""
+    n, length = s.shape[1:]
     # rows past float32's range become inf; only fibers not screened hold them
     with np.errstate(over="ignore"):
-        return [x.astype(np.float32) for x in arrays]
-
-
-def _blocked_screen(s, t, inv, limit):
-    """The [n, n] boolean of the fibers that have a component of y - u
-    past ``limit``.  Fiber [i, j] of model b is (t[b, j] - s[b, i]) times
-    inv[b, i, j] (0 for fibers not screened), formed in float32 a row
-    block of i at a time."""
-    _, n, length = s.shape
-    s, t, inv = _as_float32(s, t, inv)
-    blocks = ad._row_blocks(n, n * length)
-    grid = np.empty((2, blocks[0].stop, n, length), dtype=np.float32)
-    flagged = np.zeros((n, n), dtype=bool)
-    # inf * 0 on the fibers not screened
-    with np.errstate(invalid="ignore"):
-        for rows in blocks:
-            hits = _past(t[:, None], s[:, rows, None], inv[:, rows, :, None], limit,
-                         grid[:, :rows.stop - rows.start])
-            flagged[rows].reshape(-1)[hits] = True
-    return flagged
-
-
-def _gathered_screen(s, t, inv, fibers, limit):
-    """:func:`_blocked_screen`'s flags from the screened ``fibers`` alone
-    (flat indices into the [n, n] grid), gathered in parts of about
-    ``ad._BLOCK_BYTES``: the same float32 casts and elementwise ops, so
-    each of them gets the same bits, and no other fiber is flagged."""
-    n, length = s.shape[1:]
-    s, t = _as_float32(s, t)
+        s, t = s.astype(np.float32), t.astype(np.float32)
     inv = np.take(inv.reshape(2, -1), fibers, axis=1).astype(np.float32)[..., None]
     step = max(1, ad._BLOCK_BYTES // (8 * length))
     grid = np.empty((2, 2, min(step, len(fibers)), length), dtype=np.float32)
@@ -174,22 +137,16 @@ def _gathered_screen(s, t, inv, fibers, limit):
     for lo in range(0, len(fibers), step):
         part = fibers[lo:lo + step]
         rows, cols = np.divmod(part, n)
-        t_part, s_part = grid[:, :, :len(part)]
+        d, s_part = grid[:, :, :len(part)]
         # the indices are in range; mode="raise" would buffer the output
-        np.take(t, cols, axis=1, out=t_part, mode="clip")
+        np.take(t, cols, axis=1, out=d, mode="clip")
         np.take(s, rows, axis=1, out=s_part, mode="clip")
-        flagged[part[_past(t_part, s_part, inv[:, lo:lo + step], limit, t_part)]] = True
+        # each model's fiber t - s times inv, then |y - u| of the two
+        d -= s_part
+        d *= inv[:, lo:lo + step]
+        y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
+        flagged[part[np.flatnonzero(y > limit) // length]] = True
     return flagged.reshape(n, n)
-
-
-def _screen(s, t, inv, left, limit):
-    """The screen's flags: :func:`_gathered_screen` of the fibers ``left``
-    keeps, or :func:`_blocked_screen` when they are more than
-    ``_GATHER_SHARE`` of the grid."""
-    fibers = np.flatnonzero(left)
-    if len(fibers) > _GATHER_SHARE * left.size:
-        return _blocked_screen(s, t, inv, limit)
-    return _gathered_screen(s, t, inv, fibers, limit)
 
 
 def _quadratic(R, V, P, N, keep):
@@ -218,12 +175,13 @@ def _screen_limit(delta):
     return np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK)
 
 
-def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
-    """The penalty sum of one relation term and, unless ``g`` is None, the
-    gradients for upstream gradient ``g`` of the student's rows R, V.
-    Fiber [i, j] pairs D_s = R[j] - V[i] with the teacher's D_t = P[j] -
-    N[i]; the sum runs over the fibers ``keep`` keeps (all for None) of
-    the Huber penalty of y - u, y and u the unit fibers of D_s and D_t.
+def _relation_term(op, R, V, P, N, keep, delta: float, scale: float, g):
+    """The penalty sum of the relation term ``op`` and, unless ``g`` is
+    None, the gradients for upstream gradient ``g`` of the student's rows
+    R, V.  Fiber [i, j] pairs D_s = R[j] - V[i] with the teacher's D_t =
+    P[j] - N[i]; the sum runs over the fibers ``keep`` keeps (all for
+    None) of the Huber penalty of y - u, y and u the unit fibers of D_s
+    and D_t.
 
     **Quadratic fibers.**  With no component of y - u past ``delta`` the
     penalty is 1 - cos, cos = y . u.  For r = R[j], v = V[i], rho = P[j],
@@ -262,26 +220,23 @@ def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
     and the float64 rounding of the test is far inside the _SLACK / 2
     left (as are e_f's second-order terms): the screen cannot flag it.
     The screen then forms only the quadratic fibers left, gathered
-    (:func:`_gathered_screen`), with the same float32 casts and elementwise
-    ops as the whole grid in row blocks (:func:`_blocked_screen`), so each
-    of them gets the same bits.  At a first step the bound clears nothing,
-    and gathering every fiber cost 1.1-1.3 times the blocked screen at
-    B=128, C=32, where the two broke even near 75% of the grid; above
-    _GATHER_SHARE of the grid left the blocked screen runs.  A flagged
-    fiber's cos becomes dot * 0 * 0, sign kept, as when the screen ran
-    before cos.
+    (:func:`_gathered_screen`), each with the bits it would get in a
+    screen of every quadratic fiber.  A flagged fiber's cos becomes dot *
+    0 * 0, sign kept, as when the screen ran before cos.
 
     Flagged fibers and kept fibers that are not quadratic get the
     composite's elementwise Huber on gathered [k, L] fibers, gradients
-    scattered back with ``np.add.at``.  A non-finite kept fiber is not
-    quadratic, so it (or a squared row norm that overflows) makes the sum
-    non-finite: one check of the loss covers every fiber.
+    scattered back with ``np.add.at``.  A kept fiber whose squared norm
+    overflows (a non-finite one included) is not quadratic, and there
+    raises NumericError naming ``op``, as ``l2_normalize`` does; every
+    other fiber's penalty is finite.
     """
     length = R.shape[1]
     s, t, quad, inv, cos = _quadratic(R, V, P, N, keep)
     limit = _screen_limit(delta)
     # a flagged fiber leaves the quadratic path: cos = dot * 0 * 0, sign kept
-    i, j = np.nonzero(_screen(s, t, inv, quad & ~_cleared(cos, limit, length), limit))
+    left = np.flatnonzero(quad & ~_cleared(cos, limit, length))
+    i, j = np.nonzero(_gathered_screen(s, t, inv, left, limit))
     quad[i, j] = False
     inv[:, i, j] = 0.0
     cos[i, j] *= 0.0
@@ -302,6 +257,8 @@ def _relation_term(R, V, P, N, keep, delta: float, scale: float, g):
     for lo in range(0, len(i), step):
         rows, cols = i[lo:lo + step], j[lo:lo + step]
         y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
+        if not np.isfinite(n_safe).all():
+            raise NumericError(f"{op} overflowed a squared norm")
         res = y[0] - y[1]
         slope = np.clip(res, -delta, delta)
         # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
@@ -366,12 +323,13 @@ def _edge_term(kind, student: LogitBatch, teacher: LogitBatch, mask, delta, upst
     if kept * length == 0:
         return Tensor(0.0), kept
     scale = 1.0 / (kept * length)
+    op = f"{kind.lower()}_edge_loss"
 
     def run(g):
-        total, grads = _relation_term(*rows, keep, delta, scale, g)
+        total, grads = _relation_term(op, *rows, keep, delta, scale, g)
         return total, None if grads is None else relation_items(kind, *grads)
 
-    return _term_node(run, scale, student, upstream, f"{kind.lower()}_edge_loss"), kept
+    return _term_node(run, scale, student, upstream, op), kept
 
 
 def loss_isv(e_s: EdgeTensor, e_t: EdgeTensor, mask: EdgeMask | None = None,

@@ -162,9 +162,6 @@ def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:
 # np.log is taken to lie within this many ulp, in float32 and float64
 # (numpy documents at most 3.83 for its SIMD float32 log)
 _LOG_ULPS = 16
-# the screen gives way to the float64 grid when the rows and columns that
-# hold the band span more than this share of it: it would then save little
-_BAND_SHARE = 0.5
 
 
 def _screen_error(c: int) -> float:
@@ -243,8 +240,7 @@ def _exact_entries(P, Q, rows, cols):
 def _screened_mask(P, Q, rank):
     """The keep matrix and threshold of the float64 grid of P, Q at
     nearest rank ``rank``, from the float32 grid; None when a float32
-    input falls below 2^-126 (see :func:`_screen_error`) or the band is
-    too wide (see :func:`_band_select`)."""
+    input falls below 2^-126 (see :func:`_screen_error`)."""
     P32, Q32 = P.astype(np.float32), Q.astype(np.float32)
     if not min(P32.min(), Q32.min()) >= np.finfo(np.float32).tiny:
         return None
@@ -255,8 +251,7 @@ def _screened_mask(P, Q, rank):
 def _band_select(approx, err, rank, exact):
     """The keep matrix and the rank-th smallest value of a grid X, given
     ``approx`` within ``err`` of X entrywise and ``exact(rows, cols)``,
-    which returns X[np.ix_(rows, cols)]; None when the rows and columns
-    that hold the band span more than ``_BAND_SHARE`` of the grid.
+    which returns X[np.ix_(rows, cols)].
 
     The rank-th smallest c of ``approx`` is within ``err`` of X's, x*.
     An entry with approx < c - 2 err has X < x*, so it is kept; one with
@@ -269,8 +264,6 @@ def _band_select(approx, err, rank, exact):
     keep = approx < c - 2.0 * err
     band = ~keep & (approx <= c + 2.0 * err)
     rows, cols = np.flatnonzero(band.any(axis=1)), np.flatnonzero(band.any(axis=0))
-    if len(rows) * len(cols) > _BAND_SHARE * approx.size:
-        return None
     sub = np.ix_(rows, cols)
     x = exact(rows, cols)
     k = rank - int(keep.sum())

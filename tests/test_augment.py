@@ -146,6 +146,36 @@ def test_negative_seed_still_raises_value_error():
         virtual_view(xb[0], AugmentSpec(seed=1), -3)
 
 
+@pytest.mark.parametrize("key", [1.5, (0.9, 2.7), (2, 3.0), np.float64(1.0)],
+                         ids=["float", "floats", "one-float", "numpy-float"])
+def test_a_non_integer_key_part_raises_type_error(key):
+    # no key part is truncated to an int: 1.5 is not the key 1
+    xb = np.arange(10.0).reshape(2, 5)
+    parts = key if np.iterable(key) else (key,)
+    with pytest.raises(TypeError):
+        virtual_view(xb[0], AugmentSpec(), key)
+    with pytest.raises(TypeError):
+        virtual_batch(xb, AugmentSpec(), parts)
+
+
+@pytest.mark.parametrize("field", ["n_ops", "seed"])
+def test_spec_integers_are_checked_when_the_spec_is_built(field):
+    with pytest.raises(TypeError):
+        AugmentSpec(**{field: 1.5})
+    spec = AugmentSpec(**{field: np.int64(1)})
+    assert type(getattr(spec, field)) is int and getattr(spec, field) == 1
+
+
+def test_numpy_integer_key_parts_give_the_int_key_bits():
+    x = np.random.default_rng(12).standard_normal((6, 9))
+    spec = AugmentSpec(n_ops=3, magnitude=0.4, seed=BIG + 2)
+    by_numpy = AugmentSpec(n_ops=np.int8(3), magnitude=0.4, seed=np.uint64(BIG + 2))
+    assert_same_bits(virtual_view(x[0], by_numpy, (np.int64(2), np.uint32(3))),
+                     virtual_view(x[0], spec, (2, 3)))
+    assert_same_bits(virtual_batch(x, by_numpy, np.array([BIG, 7])),
+                     virtual_batch(x, spec, (BIG, 7)))
+
+
 def test_views_never_seed_a_generator_per_row(monkeypatch):
     def per_row_seeding(*args, **kwargs):
         raise AssertionError("np.random.default_rng called")

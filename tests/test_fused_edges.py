@@ -264,36 +264,33 @@ def test_isv_term_with_whole_rows_and_columns_pruned():
         assert not fused[2][[2, 5]].any() and not fused[1][4].any()
 
 
-# -- the screen of the fused terms: gathered or in row blocks ---------------
+# -- the screen of the fused terms and the L2 bound before it ----------------
 
 
-SCREENS = ("_blocked_screen", "_gathered_screen")
+def screened_term(monkeypatch, kind, views, teacher, mask):
+    """The term's loss and view gradients, and the number of fibers its
+    screen formed and the flags it returned."""
+    screen, screened = losses._gathered_screen, []
 
+    def spy(s, t, inv, fibers, limit):
+        screened.append((len(fibers), screen(s, t, inv, fibers, limit)))
+        return screened[-1][1]
 
-def screened_term(monkeypatch, kind, views, teacher, mask, share):
-    """The term's loss and view gradients with ``_GATHER_SHARE`` at
-    ``share``, the flags of its screen, and the screens that ran."""
-    monkeypatch.setattr(losses, "_GATHER_SHARE", share)
-    flags, ran = [], []
-    for name in SCREENS:
-        def spy(*args, screen=getattr(losses, name), name=name):
-            ran.append(name)
-            flags.append(screen(*args))
-            return flags[-1]
-        monkeypatch.setattr(losses, name, spy)
+    monkeypatch.setattr(losses, "_gathered_screen", spy)
     upstream = UPSTREAM[kind]
     out = run_term(kind, views.real.data, views.virtual.data, teacher, mask, 1.0, True,
                    upstream, upstream)
-    monkeypatch.undo()
-    return out, flags, ran
+    monkeypatch.setattr(losses, "_gathered_screen", screen)
+    (count, flags), = screened
+    return out, count, flags
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 @pytest.mark.parametrize("batch", ["near-converged", "first-step"])
 def test_screen_paths_give_the_same_bits(monkeypatch, kind, batch):
     # a student near its teacher, where the L2 bound clears most fibers, and
-    # a random one, as at a first step, where it clears almost none; each
-    # screen forced in turn
+    # a random one, as at a first step, where it clears almost none; the
+    # term as it runs, then with the bound made to clear nothing
     rng = np.random.default_rng(49)
     b, c = PARTIAL
     logits = [4.0 * rng.standard_normal((b, c)) for _ in range(2)]
@@ -310,22 +307,20 @@ def test_screen_paths_give_the_same_bits(monkeypatch, kind, batch):
         assert cleared.mean() > 0.6 and (quad & ~cleared).any()
     else:
         assert cleared.mean() < 0.01
-    (blocked, blocked_flags, blocked_ran), (gathered, gathered_flags, gathered_ran) = (
-        screened_term(monkeypatch, kind, views, teacher, mask, share) for share in (0.0, 1.0))
-    assert blocked_ran == ["_blocked_screen"] and gathered_ran == ["_gathered_screen"]
-    assert_same_bits(blocked_flags[0], gathered_flags[0])
-    for x, y in zip(blocked, gathered):
+    out, count, flags = screened_term(monkeypatch, kind, views, teacher, mask)
+    monkeypatch.setattr(losses, "_cleared", lambda cos, limit, length: np.zeros(cos.shape, bool))
+    every_out, every_count, every_flags = screened_term(monkeypatch, kind, views, teacher, mask)
+    assert (count, every_count) == ((quad & ~cleared).sum(), quad.sum())
+    assert_same_bits(flags, every_flags)
+    for x, y in zip(out, every_out):
         assert_same_bits(x, y)
-    # left alone, the near-converged batch is gathered and the random one is not
-    _, _, ran = screened_term(monkeypatch, kind, views, teacher, mask, losses._GATHER_SHARE)
-    assert ran == [SCREENS[batch == "near-converged"]]
 
 
 def relation_screen_check():
     return next(r for r in checks.exactness_checks() if r.name == "exact:relation_screen")
 
 
-@pytest.mark.parametrize("fault", ["half-cos-error", "half-slack", "gathered-limit"])
+@pytest.mark.parametrize("fault", ["half-cos-error", "half-slack", "over-clearing"])
 def test_relation_screen_check_catches_a_fault(monkeypatch, fault):
     assert relation_screen_check().passed
     if fault == "half-cos-error":
@@ -336,12 +331,13 @@ def test_relation_screen_check_catches_a_fault(monkeypatch, fault):
         # half the slack: the clearing threshold sits _SLACK / 2 below the limit
         monkeypatch.setattr(losses, "_SLACK", losses._SLACK / 2)
     else:
-        # a gathered screen that compares with a limit 8 float32 ulps lower
-        gathered = losses._gathered_screen
-        monkeypatch.setattr(checks, "_gathered_screen", lambda s, t, inv, fibers, limit: gathered(
-            s, t, inv, fibers, limit * np.float32(1.0 - 2.0 ** -20)))
+        # a clearing threshold 8 float32 ulps past the limit, not _SLACK below it
+        cleared = losses._cleared
+        monkeypatch.setattr(checks, "_cleared", lambda cos, limit, length: cleared(
+            cos, float(limit) * (1.0 + 2.0 ** -20) + losses._SLACK, length))
     result = relation_screen_check()
-    want = "gathered flags differ" if fault == "gathered-limit" else "stand-in reaches the limit"
+    want = ("flags of the fibers left differ" if fault == "over-clearing"
+            else "stand-in reaches the limit")
     assert not result.passed and want in result.detail
 
 
@@ -556,14 +552,15 @@ def test_overflowing_edges_raise_in_the_public_loss():
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])
 @pytest.mark.parametrize("side", ["student", "teacher"])
-@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
-def test_overflowing_views_name_the_term(kind, side, sign):
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e200], ids=["plus", "minus", "square"])
+def test_overflowing_views_name_the_term(kind, side, value):
     huge = np.zeros(PARTIAL), np.zeros(PARTIAL)
-    # an item of each view (a row, or a class column) at opposite 1e308s,
-    # whose difference overflows
+    # an item of each view (a row, or a class column) at value and at
+    # -value: at 1e308 their difference overflows, at 1e200 only its
+    # squared norm does, which the fused term once mapped to a zero penalty
     real_items, virtual_items = relation_items(kind, *huge)
-    real_items[1] = sign * 1e308
-    virtual_items[2] = -sign * 1e308
+    real_items[1] = value
+    virtual_items[2] = -value
     calm = LogitBatch(np.zeros(PARTIAL), np.zeros(PARTIAL))
     views = LogitBatch(*huge) if side == "student" else calm
     teacher = LogitBatch(*huge) if side == "teacher" else calm

@@ -428,15 +428,24 @@ def test_screen_falls_back_on_a_zero_mixture_entry(m):
 
 
 @pytest.mark.parametrize("m", [50.0, 95.0, 100.0])
-def test_screen_falls_back_on_a_wide_band(monkeypatch, m):
+def test_screen_is_exact_on_a_wide_band(monkeypatch, m):
     batch = screen_batch(np.random.default_rng(13), 128, 32, "plain")
     P, Q = _grid_inputs(batch, "ISV")
-    rank = _nearest_rank(m, len(P) * len(Q))
-    assert _screened_mask(P, Q, rank) is not None
-    # a bound this wide puts every row in the band
+    # a bound this wide puts most of the grid in the band's rows and columns,
+    # all of which are recomputed in float64
     monkeypatch.setattr(vrm.pruning, "_screen_error", lambda c: 1.0)
-    assert _screened_mask(P, Q, rank) is None
-    assert_same_mask(uep_mask(batch, m, "ISV"), uep_mask(joint_entropy_matrix(batch, "ISV"), m))
+    exact_entries, spans = vrm.pruning._exact_entries, []
+
+    def spy(P, Q, rows, cols):
+        spans.append(len(rows) * len(cols) / (len(P) * len(Q)))
+        return exact_entries(P, Q, rows, cols)
+
+    monkeypatch.setattr(vrm.pruning, "_exact_entries", spy)
+    keep, threshold = _screened_mask(P, Q, _nearest_rank(m, len(P) * len(Q)))
+    assert spans[0] > 0.5
+    want = uep_mask(joint_entropy_matrix(batch, "ISV"), m)
+    assert_same_mask(EdgeMask("ISV", keep, m, threshold), want)
+    assert_same_mask(uep_mask(batch, m, "ISV"), want)
 
 
 def uep_mask_check():
