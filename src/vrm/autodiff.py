@@ -537,7 +537,8 @@ def finite_diff_check(f, x, h=1e-5) -> float:
     ``f`` at ``x`` and a central-difference estimate with step ``h``.
 
     The finite-difference side is computed with no tape at all, so it is
-    independent of the machinery it checks.
+    independent of the machinery it checks.  A non-finite entry on either
+    side gives inf, so a NaN gradient fails any tolerance.
     """
     base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     xt = Tensor(base.copy(), requires_grad=True)
@@ -556,5 +557,7 @@ def finite_diff_check(f, x, h=1e-5) -> float:
             xm = base.copy()
             xm.flat[i] = flat[i] - h
             fd[i] = (f(Tensor(xp)).item() - f(Tensor(xm)).item()) / (2.0 * h)
+    if not (np.isfinite(fd).all() and np.isfinite(ad).all()):
+        return np.inf
     rel = np.abs(fd - ad.ravel()) / np.maximum(1.0, np.abs(fd))
     return float(rel.max())

@@ -44,45 +44,40 @@ class CheckResult:
     detail: str
 
 
-def _grad_case(name, fn, shapes, n_instances, seed, tol=GRAD_TOL) -> CheckResult:
+def _grad_case(name, fn, shapes, n_instances, seed) -> CheckResult:
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         x = rng.standard_normal(shapes)
-        err = ad.finite_diff_check(fn, ad.Tensor(x))
-        worst = max(worst, err)
-        if not np.isfinite(err):
-            worst = np.inf
-            break
-    passed = worst < tol
-    return CheckResult(name, passed, f"max rel err {worst:.3e} (tol {tol:g})")
+        worst = max(worst, ad.finite_diff_check(fn, ad.Tensor(x)))
+    return CheckResult(name, worst < GRAD_TOL, f"max rel err {worst:.3e} (tol {GRAD_TOL:g})")
 
 
-def gradient_checks(quick: bool = False, seed: int = 0) -> list[CheckResult]:
+def gradient_checks(quick: bool = False) -> list[CheckResult]:
     n = 3 if quick else 20
     results = []
     results.append(_grad_case(
         "grad:softmax", lambda x: (ad.softmax(x, axis=1, tau=3.0) * ad.Tensor(
-            np.random.default_rng(1).standard_normal((4, 5)))).sum(), (4, 5), n, seed))
+            np.random.default_rng(1).standard_normal((4, 5)))).sum(), (4, 5), n, 0))
     results.append(_grad_case(
         "grad:l2_normalize", lambda x: (ad.l2_normalize(x, axis=1) * ad.Tensor(
-            np.random.default_rng(2).standard_normal((4, 5)))).sum(), (4, 5), n, seed + 1))
+            np.random.default_rng(2).standard_normal((4, 5)))).sum(), (4, 5), n, 1))
     results.append(_grad_case(
         "grad:huber", lambda x: ad.huber(x, ad.Tensor(np.zeros((3, 4))), 0.7).sum(),
-        (3, 4), n, seed + 2))
+        (3, 4), n, 2))
     results.append(_grad_case(
         "grad:cross_entropy",
-        lambda x: ad.cross_entropy(x, np.arange(4) % 3), (4, 3), n, seed + 3))
+        lambda x: ad.cross_entropy(x, np.arange(4) % 3), (4, 3), n, 3))
     results.append(_grad_case(
         "grad:kld", lambda x: ad.kld(ad.Tensor(
             np.random.default_rng(3).standard_normal((4, 5))), x, tau=2.0),
-        (4, 5), n, seed + 4))
+        (4, 5), n, 4))
 
     # the ISV and ICV terms as training runs them: one node each from both
     # models' views, under a frozen mask
     b, c = 4, 3
     for offset, kind, node in ((7, "ISV", isv_edge_loss), (8, "ICV", icv_edge_loss)):
-        rng = np.random.default_rng(seed + offset)
+        rng = np.random.default_rng(offset)
         worst = 0.0
         for _ in range(n):
             teacher = LogitBatch(rng.standard_normal((b, c)), rng.standard_normal((b, c)))
@@ -99,7 +94,7 @@ def gradient_checks(quick: bool = False, seed: int = 0) -> list[CheckResult]:
             f"max rel err {worst:.3e} (tol {TERM_GRAD_TOL:g})"))
 
     # full objective with frozen masks
-    rng = np.random.default_rng(seed + 6)
+    rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(2 if quick else 5):
         b, c = 4, 3
@@ -119,8 +114,8 @@ def gradient_checks(quick: bool = False, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def oracle_checks(quick: bool = False) -> list[CheckResult]:
+    rng = np.random.default_rng(100)
     n = 5 if quick else 50
     results = []
     builders = {"IS": build_inter_sample_edges, "IC": build_inter_class_edges,
@@ -134,7 +129,7 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
             source = lb if kind in ("ISV", "ICV") else lb.real
             fast = builder(source).values.data
             slow = brute_force_edges(source, kind).values.data
-            worst = max(worst, float(np.abs(fast - slow).max()))
+            worst = np.maximum(worst, np.abs(fast - slow).max())
         results.append(CheckResult(
             f"oracle:{kind}", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
 
@@ -149,7 +144,7 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
         edges_t = build_isv_edges(lb2)
         fast = loss_isv(edges_s, edges_t, mask).item()
         slow = _scalar_masked_loss(edges_s.values.data, edges_t.values.data, mask.keep)
-        worst = max(worst, abs(fast - slow))
+        worst = np.maximum(worst, abs(fast - slow))
     results.append(CheckResult(
         "oracle:masked_loss", worst < ORACLE_TOL, f"max abs dev {worst:.3e}"))
 
@@ -170,7 +165,7 @@ def oracle_checks(quick: bool = False, seed: int = 100) -> list[CheckResult]:
                 brute_force_edges(soften(student, weights.tau), kind).values.data,
                 brute_force_edges(soften(teacher, weights.tau), kind).values.data,
                 mask.keep, weights.huber_delta)
-            worst[kind] = max(worst[kind], abs(fast.item() - slow))
+            worst[kind] = np.maximum(worst[kind], abs(fast.item() - slow))
     for kind, dev in worst.items():
         results.append(CheckResult(
             f"oracle:total_loss_{kind.lower()}", dev < ORACLE_TOL, f"max abs dev {dev:.3e}"))
@@ -195,8 +190,8 @@ def _scalar_masked_loss(e_s, e_t, keep, delta=1.0):
     return total / (kept * fl) if kept else 0.0
 
 
-def structure_checks(seed: int = 200) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def structure_checks() -> list[CheckResult]:
+    rng = np.random.default_rng(200)
     results = []
 
     z = rng.standard_normal((6, 4))
@@ -290,7 +285,7 @@ def term_bound(kind: str, views, teacher, mask):
             *relation_items(kind, g_real, g_virtual))
 
 
-def match_checks(seed: int = 300) -> list[CheckResult]:
+def match_checks() -> list[CheckResult]:
     """The fused ISV and ICV terms against :func:`build_isv_edges` /
     :func:`build_icv_edges` followed by :func:`loss_isv` / :func:`loss_icv`:
     the loss and both view gradients must agree within :func:`term_bound`.
@@ -299,7 +294,7 @@ def match_checks(seed: int = 300) -> list[CheckResult]:
     ``loss * 2`` (a rerun), as is the composite.  Two views of one sample
     agree, so a dead fiber takes the exact path, and a second delta of 0.1
     puts some residuals past it."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(300)
     b, c = 131, 24
     logits = [rng.standard_normal((b, c)) for _ in range(4)]
     logits[1][5] = logits[0][5]
@@ -328,7 +323,7 @@ def match_checks(seed: int = 300) -> list[CheckResult]:
             for name, x, y, bound in zip(("loss", "real grad", "virtual grad", "rerun real grad",
                                           "rerun virtual grad"), *outputs, bounds):
                 gap = np.abs(x - y)
-                ratio = float(np.max(np.divide(gap, bound, out=np.zeros_like(gap), where=gap > 0)))
+                ratio = float(np.max(np.divide(gap, bound, out=np.zeros_like(gap), where=gap != 0)))
                 worst = max(worst, ratio)
                 if not ratio <= 1.0 and name not in differ:
                     differ.append(name)
@@ -340,12 +335,12 @@ def match_checks(seed: int = 300) -> list[CheckResult]:
     return results
 
 
-def exactness_checks(seed: int = 300) -> list[CheckResult]:
+def exactness_checks() -> list[CheckResult]:
     """The virtual-view kernel against per-row numpy generators, bit for
     bit (sign bits included), so drift under another numpy shows here;
     then the screened ISV mask (:func:`_uep_mask_check`) and the relation
     term's screen (:func:`_relation_screen_check`)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(300)
     # virtual views at the vrm_desk and vrm_wide batch shapes, a seed of two words
     spec = AugmentSpec(n_ops=2, magnitude=0.3, seed=2**32 + 3)
     differ = []
@@ -384,7 +379,7 @@ def _uep_mask_check(rng) -> CheckResult:
             je = _mixture_entropy_grid(P, Q)
             bound = _entropy_error(je, P, Q)
             approx = _entropy_grid32(P.astype(np.float32), Q.astype(np.float32))
-            worst = max(worst, float((np.abs(approx - je) / bound).max()))
+            worst = np.maximum(worst, (np.abs(approx - je) / bound).max())
             if not bound.max() <= e:
                 faults.append(f"e below an entry's bound at {b}x{c} {rows}")
             for m in (50.0, 95.0, 100.0):
@@ -399,7 +394,7 @@ def _uep_mask_check(rng) -> CheckResult:
                         faults.append(f"{how} mask differs at {b}x{c} {rows} m={m:g}")
     if faults:
         detail = "; ".join(faults[:3]) + (f" (and {len(faults) - 3} more)" if faults[3:] else "")
-    elif worst > 1.0:
+    elif not worst <= 1.0:
         detail = f"float32 grid {worst:.3g} times its error bound from the float64 one"
     else:
         detail = (f"bit-identical at B=128 and 131, m=50, 95 and 100, on tied and near-tied "

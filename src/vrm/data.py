@@ -29,9 +29,13 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.train_idx = np.asarray(self.train_idx, dtype=np.int64)
-        self.val_idx = np.asarray(self.val_idx, dtype=np.int64)
+        for name in ("labels", "train_idx", "val_idx"):
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):
+                whole = given.astype(np.int64, copy=False)
+            if not np.array_equal(whole, given):
+                raise InputError(f"dataset {name} must be whole numbers")
+            setattr(self, name, whole)
         self.n_classes = operator.index(self.n_classes)
         n = self.inputs.shape[0]
         if self.inputs.ndim != 2 or self.labels.shape != (n,):

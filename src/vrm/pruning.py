@@ -134,10 +134,10 @@ def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:
     by selection rather than a full sort.  Ties at the cutoff are all
     kept, and m = 100 keeps everything.
 
-    ``JE`` is a joint-entropy matrix, or a softened batch whose ``kind``
-    matrix is meant: its ISV mask comes from :func:`_screened_mask` when
-    the float64 grid spans more than one row block, and equals the
-    matrix's mask bit for bit.
+    ``JE`` is a joint-entropy matrix, finite and 2-D (else InputError), or
+    a softened batch whose ``kind`` matrix is meant: its ISV mask comes from
+    :func:`_screened_mask` when the float64 grid spans more than one row
+    block, and equals the matrix's mask bit for bit.
     """
     if not 0.0 < m <= 100.0:
         raise ParameterError("percentile must lie in (0, 100]")
@@ -151,9 +151,11 @@ def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:
             if screened is not None:
                 return EdgeMask(kind, screened[0], m, screened[1])
         JE = _mixture_entropy_grid(P, Q)
-    je = np.asarray(JE.data if isinstance(JE, Tensor) else JE, dtype=float)
+    je = np.asarray(JE, dtype=float)
     if je.size == 0:
         raise InputError("empty joint-entropy matrix")
+    if je.ndim != 2 or not np.isfinite(je).all():
+        raise InputError("joint-entropy matrix must be finite and 2-D")
     rank = _nearest_rank(m, je.size)
     threshold = np.partition(je, rank - 1, axis=None)[rank - 1]
     return EdgeMask(kind, je <= threshold, m, float(threshold))

@@ -108,19 +108,21 @@ def _epoch_batches(n_train: int, batch_size: int, seed: int, epoch: int):
         yield perm[b * batch_size:(b + 1) * batch_size]
 
 
-PARTS = ("ce_real", "ce_virtual", "isv", "icv")
+# the per-step breakdown row every OBJECTIVES entry returns, in the order
+# breakdown.csv writes it after epoch and total: the loss parts, 0.0 where an
+# objective has none, and the fractions of ISV and ICV edges kept
+STEP_COLUMNS = ("ce_real", "ce_virtual", "isv", "icv", "kept_isv_frac", "kept_icv_frac")
 
 
-def _parts(ce_real, ce_virtual=None, isv=None, icv=None) -> dict:
-    """The per-step loss components as floats; an absent one reads 0."""
-    values = (ce_real, ce_virtual, isv, icv)
-    return {k: 0.0 if v is None else v.item() for k, v in zip(PARTS, values)}
+def _row(*values) -> dict:
+    """The breakdown row of ``values``, given in :data:`STEP_COLUMNS` order."""
+    return dict(zip(STEP_COLUMNS, values, strict=True))
 
 
 def _ce_only(model, teacher, xb, yb, xv, config):
     """Label cross-entropy alone; the teacher is never consulted."""
     loss = ad.cross_entropy(model(xb), yb)
-    return loss, _parts(loss), (0.0, 0.0)
+    return loss, _row(loss.item(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _vrm(model, teacher, xb, yb, xv, config):
@@ -131,8 +133,8 @@ def _vrm(model, teacher, xb, yb, xv, config):
         t_batch = LogitBatch(Tensor(teacher.logits(xb)), Tensor(teacher.logits(xv)))
     bd = total_loss(s_batch, t_batch, yb, config.weights)
     b, c = s_batch.batch_size, s_batch.n_classes
-    parts = _parts(bd.ce_real, bd.ce_virtual, bd.isv, bd.icv)
-    return bd.total, parts, (bd.kept_isv / (b * b), bd.kept_icv / (c * c))
+    return bd.total, _row(bd.ce_real.item(), bd.ce_virtual.item(), bd.isv.item(),
+                          bd.icv.item(), bd.kept_isv / (b * b), bd.kept_icv / (c * c))
 
 
 # the classic distillation arms see the real view only, so any difference
@@ -153,7 +155,7 @@ def _im_kd(model, teacher, xb, yb, xv, config):
     s_logits, t_logits, ce = _single_view(model, teacher, xb, yb)
     kl = ad.kld(t_logits, s_logits, config.weights.tau)
     loss = ce + kl * config.im_kd_weight
-    return loss, _parts(ce, isv=kl), (1.0, 1.0)
+    return loss, _row(ce.item(), 0.0, kl.item(), 0.0, 1.0, 1.0)
 
 
 def _relation_arm(model, teacher, xb, yb, config, *encoders):
@@ -170,7 +172,8 @@ def _relation_arm(model, teacher, xb, yb, config, *encoders):
     loss = ce
     for rel, weight in zip(rels, (w.alpha, w.beta)):
         loss = loss + rel * weight
-    return loss, _parts(ce, None, *rels), (1.0, 1.0)
+    isv, icv = ([rel.item() for rel in rels] + [0.0])[:2]
+    return loss, _row(ce.item(), 0.0, isv, icv, 1.0, 1.0)
 
 
 def _gram(model, teacher, xb, yb, xv, config):
@@ -186,9 +189,8 @@ def _angular(model, teacher, xb, yb, xv, config):
 
 
 # objective -> fn(model, teacher, xb, yb, xv, config) -> (loss tensor,
-# PARTS dict, (kept ISV fraction, kept ICV fraction)).  The entries look
-# up their loss functions when called, so a rebinding of, say,
-# ``training.total_loss`` reaches them.
+# breakdown row).  The entries look up their loss functions when called, so
+# a rebinding of, say, ``training.total_loss`` reaches them.
 OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
               "gram": _gram, "angular": _angular}
 
@@ -206,8 +208,7 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
 
     for epoch in range(config.epochs):
         opt.lr = config.lr_at(epoch)
-        sums = dict.fromkeys(("total",) + PARTS, 0.0)
-        kept = [0.0, 0.0]
+        sums = dict.fromkeys(("total", *STEP_COLUMNS), 0.0)
         n_steps = 0
         for step, batch_idx in enumerate(_epoch_batches(
                 x_train.shape[0], config.batch_size, config.seed, epoch)):
@@ -215,35 +216,23 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
             xv = (virtual_batch(xb, config.augment, (epoch, step))
                   if needs_virtual else None)
             try:
-                loss, parts, fracs = step_loss(model, teacher, xb, yb, xv, config)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
+                loss, row = step_loss(model, teacher, xb, yb, xv, config)
+                row["total"] = loss.item()
+                if not np.isfinite(row["total"]):
                     raise NumericError("loss is not finite")
                 opt.zero_grad()
                 backward(loss)
                 opt.step()
             except NumericError as exc:
                 raise TrainingError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from exc
-            sums["total"] += loss_val
-            for k in PARTS:
-                sums[k] += parts[k]
-            kept[0] += fracs[0]
-            kept[1] += fracs[1]
+            for k, v in row.items():
+                sums[k] += v
             n_steps += 1
 
         records.append(EpochRecord(
-            epoch=epoch,
-            lr=opt.lr,
-            train_acc=accuracy(model, x_train, y_train),
-            val_acc=accuracy(model, data.val_inputs, data.val_labels),
-            total=sums["total"] / n_steps,
-            ce_real=sums["ce_real"] / n_steps,
-            ce_virtual=sums["ce_virtual"] / n_steps,
-            isv=sums["isv"] / n_steps,
-            icv=sums["icv"] / n_steps,
-            kept_isv_frac=kept[0] / n_steps,
-            kept_icv_frac=kept[1] / n_steps,
-        ))
+            epoch, opt.lr, accuracy(model, x_train, y_train),
+            accuracy(model, data.val_inputs, data.val_labels),
+            **{k: v / n_steps for k, v in sums.items()}))
     return records
 
 
@@ -323,6 +312,5 @@ def write_metrics_csv(records: list[EpochRecord], path) -> None:
 
 
 def write_breakdown_csv(records: list[EpochRecord], path) -> None:
-    cols = ["epoch", "total", "ce_real", "ce_virtual", "isv", "icv",
-            "kept_isv_frac", "kept_icv_frac"]
+    cols = ["epoch", "total", *STEP_COLUMNS]
     write_csv(path, cols, ([getattr(r, c) for c in cols] for r in records))

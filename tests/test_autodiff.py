@@ -205,6 +205,29 @@ def test_finite_diff_exact_quadratic():
     assert err < 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [0, 5])
+def test_finite_diff_check_fails_a_non_finite_gradient_entry(bad, entry):
+    # one entry of the reverse-mode gradient of sum(t^2)/2 is made non-finite;
+    # max() over a NaN error would keep the finite ones
+    def f(t):
+        out = (t * t * 0.5).sum()
+        if out.node is not None:  # the reverse-mode side, not the difference side
+            grad_fn = out.node.grad_fn
+
+            def spoiled(g):
+                (grad,) = grad_fn(g)
+                grad = np.array(grad, dtype=float)
+                grad.flat[entry] = bad
+                return (grad,)
+
+            out.node.grad_fn = spoiled
+        return out
+
+    x = np.random.default_rng(6).standard_normal(8)
+    assert finite_diff_check(f, Tensor(x)) == np.inf
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_finite_diff_cross_entropy(seed):
     rng = np.random.default_rng(seed)

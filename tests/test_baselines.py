@@ -126,16 +126,16 @@ def loss_of_last_layer(objective, student, teacher, xb, yb):
 def test_baseline_losses_zero_at_equality_and_nonnegative(objective):
     student, teacher, xb, yb, xv = models_and_batch(4, 5, 3)
     clone = MLP(student.spec)
-    _, parts, _ = OBJECTIVES[objective](student, clone, xb, yb, xv, CONFIG)
-    assert parts["isv"] == pytest.approx(0.0, abs=1e-15)
-    assert parts["icv"] == pytest.approx(0.0, abs=1e-15)
-    _, parts, _ = OBJECTIVES[objective](student, teacher, xb, yb, xv, CONFIG)
-    assert parts["isv"] > 0.0 and parts["icv"] >= 0.0
+    _, row = OBJECTIVES[objective](student, clone, xb, yb, xv, CONFIG)
+    assert row["isv"] == pytest.approx(0.0, abs=1e-15)
+    assert row["icv"] == pytest.approx(0.0, abs=1e-15)
+    _, row = OBJECTIVES[objective](student, teacher, xb, yb, xv, CONFIG)
+    assert row["isv"] > 0.0 and row["icv"] >= 0.0
 
 
 def test_baseline_gram_loss_scalar_oracle():
     student, teacher, xb, yb, _ = models_and_batch(5, 3, 4)
-    loss, parts, _ = OBJECTIVES["gram"](student, teacher, xb, yb, None, CONFIG)
+    loss, row = OBJECTIVES["gram"](student, teacher, xb, yb, None, CONFIG)
 
     def soft(z):
         e = np.exp(z / CONFIG.weights.tau)
@@ -149,10 +149,10 @@ def test_baseline_gram_loss_scalar_oracle():
         return np.where(np.abs(r) <= 1.0, 0.5 * r * r, np.abs(r) - 0.5).mean()
 
     zs, zt = soft(student.logits(xb)), soft(teacher.logits(xb))
-    assert parts["isv"] == pytest.approx(huber_mean(gram(zs) - gram(zt)), abs=1e-12)
-    assert parts["icv"] == pytest.approx(huber_mean(gram(zs.T) - gram(zt.T)), abs=1e-12)
+    assert row["isv"] == pytest.approx(huber_mean(gram(zs) - gram(zt)), abs=1e-12)
+    assert row["icv"] == pytest.approx(huber_mean(gram(zs.T) - gram(zt.T)), abs=1e-12)
     w = CONFIG.weights
-    want = parts["ce_real"] + w.alpha * parts["isv"] + w.beta * parts["icv"]
+    want = row["ce_real"] + w.alpha * row["isv"] + w.beta * row["icv"]
     assert loss.item() == pytest.approx(want, abs=1e-12)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vrm.autodiff
+import vrm.losses
 from vrm import cli
 from vrm.cli import main
 from vrm.data import (DATASET_MAGIC, Dataset, load_dataset, read_artifact, save_dataset,
@@ -634,6 +635,25 @@ def test_check_detects_injected_gradient_fault(run_env, capsys, monkeypatch):
     assert "grad:huber" in captured.err
 
 
+def test_check_detects_a_nan_in_the_relation_gradient(run_env, capsys, monkeypatch):
+    real_term = vrm.losses._relation_term
+
+    def nan_in_real_grad(*args):
+        total, grads = real_term(*args)
+        if grads is not None:
+            grads[0].flat[0] = np.nan
+        return total, grads
+
+    monkeypatch.setattr(vrm.losses, "_relation_term", nan_in_real_grad)
+    code = main(["check", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    failed = [line.split()[1].rstrip(":") for line in captured.out.splitlines()
+              if line.startswith("FAIL ")]
+    assert failed == ["grad:isv_edge_loss", "grad:icv_edge_loss", "grad:total_loss",
+                      "match:isv_edge_loss", "match:icv_edge_loss"]
+
+
 @pytest.mark.parametrize("case", ["milestones", "widths", "alphas", "config", "config-bytes"])
 def test_unparsable_numbers_exit_2_before_the_run_dir(run_env, capsys, case):
     data = gen_data(run_env)
@@ -690,6 +710,19 @@ def test_distill_on_a_non_finite_input_exits_3_before_the_run_dir(run_env, capsy
     inputs[5, 2] = np.nan
     nan_data = crafted_dataset(data, "nan.vrmdata", inputs=inputs)
     code = main(["distill", "--data", str(nan_data), "--objective", "ce_only",
+                 "--epochs", "2", "--milestones", "1", "--name", "x"])
+    assert_clean_error(capsys, code, 3)
+    assert not (run_env / "runs" / "x").exists()
+
+
+@pytest.mark.parametrize("array", ["labels", "train_idx"])
+def test_distill_on_fractional_labels_or_indices_exits_3_before_the_run_dir(run_env, capsys,
+                                                                           array):
+    data = gen_data(run_env)
+    values = getattr(load_dataset(data), array).astype(float)
+    values[1] += 0.7
+    bad = crafted_dataset(data, "fractional.vrmdata", **{array: values})
+    code = main(["distill", "--data", str(bad), "--objective", "ce_only",
                  "--epochs", "2", "--milestones", "1", "--name", "x"])
     assert_clean_error(capsys, code, 3)
     assert not (run_env / "runs" / "x").exists()

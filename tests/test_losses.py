@@ -260,13 +260,13 @@ def im_kd_case(seed, b, c, dim=4):
 def test_im_kd_examples():
     student, xb, yb = im_kd_case(16, 4, 3)
     teacher = MLP(MLPSpec([4, 6, 3], "relu", 99))
-    _, parts, fracs = OBJECTIVES["im_kd"](student, MLP(student.spec), xb, yb, None, TrainConfig())
-    assert parts["isv"] == pytest.approx(0.0, abs=1e-14)
-    assert fracs == (1.0, 1.0)
+    _, row = OBJECTIVES["im_kd"](student, MLP(student.spec), xb, yb, None, TrainConfig())
+    assert row["isv"] == pytest.approx(0.0, abs=1e-14)
+    assert (row["kept_isv_frac"], row["kept_icv_frac"]) == (1.0, 1.0)
 
     zero_w = TrainConfig(im_kd_weight=0.0)
-    loss, parts, _ = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, zero_w)
-    assert parts["isv"] > 0.0 and parts["ce_virtual"] == 0.0 and parts["icv"] == 0.0
+    loss, row = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, zero_w)
+    assert row["isv"] > 0.0 and row["ce_virtual"] == 0.0 and row["icv"] == 0.0
     ce = ad.cross_entropy(Tensor(student.logits(xb)), yb).item()
     assert loss.item() == pytest.approx(ce, abs=1e-12)
 
@@ -282,7 +282,7 @@ def test_im_kd_matches_scalar_oracle():
     student, xb, yb = im_kd_case(17, b, c)
     teacher = MLP(MLPSpec([4, 6, c], "relu", 98))
     config = TrainConfig(weights=VRMWeights(tau=tau), im_kd_weight=0.7)
-    loss, parts, _ = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, config)
+    loss, row = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, config)
 
     def kl_rows(zt, zs):
         total = 0.0
@@ -293,8 +293,8 @@ def test_im_kd_matches_scalar_oracle():
         return tau * tau * total / zt.shape[0]
 
     want = kl_rows(teacher.logits(xb), student.logits(xb))
-    assert parts["isv"] == pytest.approx(want, rel=1e-10)
-    assert loss.item() == pytest.approx(parts["ce_real"] + 0.7 * want, rel=1e-12)
+    assert row["isv"] == pytest.approx(want, rel=1e-10)
+    assert loss.item() == pytest.approx(row["ce_real"] + 0.7 * want, rel=1e-12)
 
 
 def test_uep_masks_equal_on_raw_and_softened_student():

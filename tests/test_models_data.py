@@ -127,6 +127,20 @@ def test_dataset_rejects_bad_shapes_and_split_indices():
     Dataset(x, y, np.array([0, 3]), np.array([], dtype=np.int64), 2)
 
 
+def test_dataset_rejects_labels_and_indices_that_are_not_whole_numbers():
+    x, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    train, val = np.array([0, 1]), np.array([2, 3])
+    for name, args in (("labels", (np.array([0.9, 1.7, 0.2, 1.0]), train, val)),
+                       ("labels", (np.array([0.0, NAN, 0.0, 1.0]), train, val)),
+                       ("train_idx", (y, np.array([0.6, 1.9]), val)),
+                       ("val_idx", (y, train, np.array([2.0, INF])))):
+        with pytest.raises(InputError, match=f"{name} must be whole numbers"):
+            Dataset(x, *args, 2)
+    whole = Dataset(x, y.astype(float), train.astype(float), val, 2)
+    assert whole.labels.dtype == whole.train_idx.dtype == np.int64
+    assert np.array_equal(whole.labels, y) and np.array_equal(whole.train_idx, train)
+
+
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])
 def test_dataset_rejects_non_finite_inputs(bad):
     x = np.zeros((4, 2))

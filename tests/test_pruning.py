@@ -186,6 +186,13 @@ def test_uep_mask_validation():
         uep_mask(np.ones((2, 2)), 101.0)
     with pytest.raises(InputError):
         uep_mask(np.empty((0, 0)), 50.0)
+    # a 1-D JE would give a 1-D mask, and a NaN one a NaN threshold that keeps nothing
+    for je in (np.ones(3), np.ones((2, 2, 2)), [[np.nan, np.nan], [np.nan, 1.0]],
+               [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(InputError, match="finite and 2-D"):
+            uep_mask(je, 100.0)
+    with pytest.raises(InputError, match="finite and 2-D"):
+        uep_mask(np.ones(3), 50.0)
 
 
 def test_apply_mask_shapes_and_kinds():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from vrm.errors import ParameterError, TrainingError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
 from vrm.training import (
+    OBJECTIVES,
+    STEP_COLUMNS,
+    EpochRecord,
     TrainConfig,
     distill_student,
     train_teacher,
@@ -163,4 +168,21 @@ def test_metrics_csv_writers(tmp_path, blobs_teacher):
     lines = m.read_text().splitlines()
     assert lines[0] == "epoch,lr,train_acc,val_acc"
     assert len(lines) == len(records) + 1
-    assert b.read_text().splitlines()[0].startswith("epoch,total,ce_real")
+    breakdown = b.read_text().splitlines()[0].split(",")
+    assert tuple(breakdown) == ("epoch", "total", *STEP_COLUMNS)
+    assert breakdown[:3] == ["epoch", "total", "ce_real"]
+    # the two files together hold every EpochRecord field, epoch in both
+    fields = [f.name for f in dataclasses.fields(EpochRecord)]
+    assert lines[0].split(",") + breakdown[1:] == fields
+
+
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
+def test_every_objective_row_has_the_step_columns(blobs, blobs_teacher, objective):
+    teacher, _ = blobs_teacher
+    xb, yb = blobs.train_inputs[:16], blobs.train_labels[:16]
+    xv = xb + 0.1
+    _, row = OBJECTIVES[objective](MLP(MLPSpec([6, 12, 3], "relu", 1)), teacher, xb, yb, xv,
+                                   TrainConfig(weights=VRMWeights(alpha=4.0, beta=1.0)))
+    assert tuple(row) == STEP_COLUMNS
+    assert all(type(v) is float for v in row.values())
+
