@@ -33,6 +33,7 @@ from .errors import (
     ParameterError,
     TrainingError,
     UsageError,
+    WorkerError,
 )
 from .graphs import (
     EdgeTensor,

@@ -4,9 +4,10 @@ self-check gate.
 
 Exit codes: 0 ok, 1 property failure, 2 a bad flag or an unwritable
 output, 3 a missing, unreadable, corrupt or mismatched input artifact,
-4 numeric divergence, 130 SIGINT, 143 SIGTERM.  The output root comes
-from VRM_RUN_DIR (default ./runs); every run directory carries a
-manifest that makes it self-describing.
+4 numeric divergence, 5 the worker process of a vrm run died, 130
+SIGINT, 143 SIGTERM.  The output root comes from VRM_RUN_DIR (default
+./runs); every run directory carries a manifest that makes it
+self-describing.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import __version__
 from .data import (AugmentSpec, Dataset, load_dataset, make_synthetic_dataset, read_input,
                    save_dataset, write_whole)
 from .diagnostics import PilotSpec, gradient_diffusion_pilot, write_pilot_csv
-from .errors import InputError, ParameterError, TrainingError
+from .errors import InputError, ParameterError, TrainingError, WorkerError
 from .losses import VRMWeights
 from .models import MLP, MLPSpec, load_checkpoint, save_checkpoint
 from .training import (
@@ -46,12 +47,14 @@ EXIT_PROPERTY = 1
 EXIT_FLAGS = 2
 EXIT_MISSING = 3
 EXIT_DIVERGED = 4
+EXIT_WORKER = 5
 
 # exception -> exit code, first match wins.  Input files are read through
 # data.read_input, which raises InputError, so an OSError that gets here
 # comes from the output side
 _EXIT_CODES = (
     (TrainingError, EXIT_DIVERGED),
+    (WorkerError, EXIT_WORKER),
     (InputError, EXIT_MISSING),
     (ParameterError, EXIT_FLAGS),
     (OSError, EXIT_FLAGS),

@@ -9,10 +9,11 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, check_fields
+from .errors import InputError, UsageError, check_fields
 
 DATASET_MAGIC = b"VRMDATA2"
 
@@ -316,41 +317,58 @@ _OPS = {
 }
 
 
-def _augment(x: np.ndarray, spec: AugmentSpec, entropy: np.ndarray) -> np.ndarray:
-    """Virtual views of the rows of ``x``; row i draws from the generator
-    ``np.random.default_rng(entropy[i])`` would give, for the [n, k] uint32
-    seed words ``entropy``.
+class AugmentPlan(NamedTuple):
+    """The draws of one batch's virtual views, made before the batch is
+    seen: for each op slot, a ``(op name, rows, draws)`` entry per op some
+    row drew in that slot, with the draws stacked over those rows.  ``key``
+    is the spec's seed, ``n_ops`` and ``op_pool``, then the step key, and
+    ``shape`` the batch's ``(rows, dim)``: the draws depend on nothing else."""
 
-    Each row picks ``spec.n_ops`` ops from its own stream and makes every
-    draw of them, in order, from that stream.  Then each op slot is applied
-    across the batch, one vectorized update per op, with the arithmetic of
-    a single row done elementwise.
-    """
-    out = np.array(x, dtype=np.float64)
+    key: tuple
+    shape: tuple
+    slots: tuple
+
+
+def _plan_key(spec: AugmentSpec, step_key) -> tuple:
+    return (spec.seed, spec.n_ops, spec.op_pool, *map(operator.index, step_key))
+
+
+def _draw(spec: AugmentSpec, entropy: np.ndarray, dim: int) -> tuple:
+    """The slots of :class:`AugmentPlan` for the [n, k] uint32 seed words
+    ``entropy``: row i draws from the generator
+    ``np.random.default_rng(entropy[i])`` would give.  Each row picks
+    ``spec.n_ops`` ops from its own stream and makes every draw of them,
+    in order, from that stream."""
     if spec.n_ops == 0:
-        return out
-    n_rows, dim = out.shape
-    pool = [_OPS[name] for name in spec.op_pool]
-    # slots[s][op] -> (rows that drew op in slot s, their draws)
+        return ()
+    # slots[s][op name] -> (rows that drew the op in slot s, their draws)
     slots = [{} for _ in range(spec.n_ops)]
     # the picks come from a Python-int stream; one generator, set to each
     # row's state after them, makes the op draws
     rng = np.random.Generator(np.random.PCG64(0))
     for i, (state, inc) in enumerate(_pcg64_states(entropy)):
         stream = _Stream(state, inc)
-        picks = stream.choice(len(pool), spec.n_ops)
+        picks = stream.choice(len(spec.op_pool), spec.n_ops)
         rng.bit_generator.state = stream.numpy_state()
         for slot, op_idx in zip(slots, picks):
-            draw, apply = pool[op_idx]
-            drawn = draw(rng, dim)
+            name = spec.op_pool[op_idx]
+            drawn = _OPS[name][0](rng, dim)
             if drawn is not None:
-                rows, draws = slot.setdefault(apply, ([], []))
+                rows, draws = slot.setdefault(name, ([], []))
                 rows.append(i)
                 draws.append(drawn)
+    return tuple(tuple((name, np.array(rows), tuple(np.array(column) for column in zip(*draws)))
+                       for name, (rows, draws) in slot.items()) for slot in slots)
+
+
+def _apply(x: np.ndarray, magnitude: float, slots: tuple) -> np.ndarray:
+    """The views of the rows of ``x`` under the drawn ``slots``: each op
+    slot in turn, one vectorized update per op, with the arithmetic of a
+    single row done elementwise."""
+    out = np.array(x, dtype=np.float64)
     for slot in slots:
-        for apply, (rows, draws) in slot.items():
-            stacked = [np.array(column) for column in zip(*draws)]
-            out[rows] = apply(out[rows], spec.magnitude, *stacked)
+        for name, rows, draws in slot:
+            out[rows] = _OPS[name][1](out[rows], magnitude, *draws)
     return out
 
 
@@ -365,18 +383,34 @@ def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     key = per_sample_seed if np.iterable(per_sample_seed) else (per_sample_seed,)
     words = _seed_words((spec.seed, *key))
-    return _augment(x.reshape(1, -1), spec, words[None, :]).reshape(x.shape)
+    slots = _draw(spec, words[None, :], x.size)
+    return _apply(x.reshape(1, -1), spec.magnitude, slots).reshape(x.shape)
 
 
-def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key: tuple) -> np.ndarray:
-    """Virtual views for a whole batch: sample i draws as
-    ``virtual_view(xb[i], spec, (*step_key, i))`` does."""
+def draw_plan(spec: AugmentSpec, step_key, shape) -> AugmentPlan:
+    """The draws of ``virtual_batch`` for a batch of ``shape`` (rows, dim)
+    at ``step_key``, made without the batch."""
+    n_rows, dim = shape
     prefix = _seed_words((spec.seed, *step_key))
     # a row index below 2**32 is the one word i
-    entropy = np.empty((len(xb), prefix.size + 1), dtype=np.uint32)
+    entropy = np.empty((n_rows, prefix.size + 1), dtype=np.uint32)
     entropy[:, :-1] = prefix
-    entropy[:, -1] = np.arange(len(xb))
-    return _augment(xb, spec, entropy)
+    entropy[:, -1] = np.arange(n_rows)
+    return AugmentPlan(_plan_key(spec, step_key), (n_rows, dim), _draw(spec, entropy, dim))
+
+
+def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key,
+                  plan: AugmentPlan | None = None) -> np.ndarray:
+    """Virtual views for a whole batch: sample i draws as
+    ``virtual_view(xb[i], spec, (*step_key, i))`` does.  ``plan``, when
+    given, is ``draw_plan(spec, step_key, xb.shape)`` made ahead of the
+    call; a plan drawn for another spec, key or shape raises UsageError."""
+    if plan is None:
+        plan = draw_plan(spec, step_key, np.shape(xb))
+    elif (plan.key, plan.shape) != (_plan_key(spec, step_key), np.shape(xb)):
+        raise UsageError(f"a plan drawn for {plan.key} at shape {plan.shape} cannot "
+                         f"make the views of {_plan_key(spec, step_key)} at {np.shape(xb)}")
+    return _apply(xb, spec.magnitude, plan.slots)
 
 
 # -- file format ---------------------------------------------------------

@@ -26,6 +26,10 @@ class TrainingError(RuntimeError):
         self.epoch = epoch
 
 
+class WorkerError(RuntimeError):
+    """A worker process a run reads from ended before the run did."""
+
+
 def check_fields(values, rules):
     """Raise :class:`ParameterError` ``"<field> <rule>, got <value>"`` for
     the first ``(field, ok, rule)`` row of ``rules`` whose ``ok`` is false;

@@ -3,9 +3,13 @@ under the relation-matching, instance-matching, plain-CE, and baseline
 objectives."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,8 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
-from .data import AugmentSpec, Dataset, virtual_batch, write_whole
-from .errors import InputError, NumericError, ParameterError, TrainingError, check_fields
+from .data import AugmentSpec, Dataset, draw_plan, virtual_batch, write_whole
+from .errors import (InputError, NumericError, ParameterError, TrainingError, WorkerError,
+                     check_fields)
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
@@ -195,9 +200,79 @@ OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
               "gram": _gram, "angular": _angular}
 
 
+def _write_plans(pipe, write_fd: int, mask, spec: AugmentSpec, shape, keys):
+    """The body of :func:`_drawn_ahead`'s worker, which never returns: it
+    writes the pickled ``draw_plan`` of each key to ``write_fd`` in turn,
+    blocking while the pipe is full, and leaves through ``os._exit``, so
+    it flushes none of the parent's stdio and runs none of its exit code.
+    A parent that closed the pipe (EPIPE) ends it quietly."""
+    code = 1
+    try:
+        # SIGTERM kills it outright, and a terminal's SIGINT is the parent's to handle
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        pipe.close()
+        with open(write_fd, "wb") as out:
+            for key in keys:
+                pickle.dump(draw_plan(spec, key, shape), out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        code = 0
+    except BrokenPipeError:
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _drawn_ahead(spec: AugmentSpec, shape, keys):
+    """Fork a worker that draws ``draw_plan(spec, key, shape)`` for each key
+    of ``keys`` in turn; the block gets a function that returns the next
+    plan.  The draws do not depend on the batch, so the worker makes them
+    while the caller trains, as far ahead as the pipe between them holds.
+    A worker that ends before its last plan raises WorkerError.  Leaving
+    closes the pipe and kills and reaps the worker, however the block ends."""
+    read_fd, write_fd = os.pipe()
+    pipe = open(read_fd, "rb")
+    pid = status = None
+    try:
+        # no signal handler may run in the child before it has its own handlers
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _write_plans(pipe, write_fd, mask, spec, shape, keys)
+        finally:
+            os.close(write_fd)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+        def stop():
+            nonlocal status
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                status = os.waitpid(pid, 0)[1]
+            return status
+
+        def next_plan():
+            try:
+                return pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(stop())
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise WorkerError(f"the virtual-view worker ended early ({how})") from None
+
+        yield next_plan
+    finally:
+        pipe.close()
+        if pid:
+            stop()
+
+
 def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
            objective: str) -> list[EpochRecord]:
-    """SGD on the :data:`OBJECTIVES` entry ``objective``, over full batches."""
+    """SGD on the :data:`OBJECTIVES` entry ``objective``, over full batches.
+    A vrm run draws its virtual views' randomness in a worker process
+    (:func:`_drawn_ahead`) and applies it to each batch here."""
     check_objective(objective, teacher, config, data)
     step_loss = OBJECTIVES[objective]
     x_train, y_train = data.train_inputs, data.train_labels
@@ -205,34 +280,41 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
     records: list[EpochRecord] = []
+    # the key of each batch _epoch_batches yields, in the loop's order
+    n_batches = len(x_train) // config.batch_size
+    keys = ((epoch, step) for epoch in range(config.epochs) for step in range(n_batches))
+    plans = (_drawn_ahead(config.augment, (config.batch_size, x_train.shape[1]), keys)
+             if needs_virtual else contextlib.nullcontext())
 
-    for epoch in range(config.epochs):
-        opt.lr = config.lr_at(epoch)
-        sums = dict.fromkeys(("total", *STEP_COLUMNS), 0.0)
-        n_steps = 0
-        for step, batch_idx in enumerate(_epoch_batches(
-                x_train.shape[0], config.batch_size, config.seed, epoch)):
-            xb, yb = x_train[batch_idx], y_train[batch_idx]
-            xv = (virtual_batch(xb, config.augment, (epoch, step))
-                  if needs_virtual else None)
-            try:
-                loss, row = step_loss(model, teacher, xb, yb, xv, config)
-                row["total"] = loss.item()
-                if not np.isfinite(row["total"]):
-                    raise NumericError("loss is not finite")
-                opt.zero_grad()
-                backward(loss)
-                opt.step()
-            except NumericError as exc:
-                raise TrainingError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from exc
-            for k, v in row.items():
-                sums[k] += v
-            n_steps += 1
+    with plans as next_plan:
+        for epoch in range(config.epochs):
+            opt.lr = config.lr_at(epoch)
+            sums = dict.fromkeys(("total", *STEP_COLUMNS), 0.0)
+            n_steps = 0
+            for step, batch_idx in enumerate(_epoch_batches(
+                    x_train.shape[0], config.batch_size, config.seed, epoch)):
+                xb, yb = x_train[batch_idx], y_train[batch_idx]
+                xv = (virtual_batch(xb, config.augment, (epoch, step), next_plan())
+                      if needs_virtual else None)
+                try:
+                    loss, row = step_loss(model, teacher, xb, yb, xv, config)
+                    row["total"] = loss.item()
+                    if not np.isfinite(row["total"]):
+                        raise NumericError("loss is not finite")
+                    opt.zero_grad()
+                    backward(loss)
+                    opt.step()
+                except NumericError as exc:
+                    raise TrainingError(f"diverged at epoch {epoch}: {exc}",
+                                        epoch=epoch) from exc
+                for k, v in row.items():
+                    sums[k] += v
+                n_steps += 1
 
-        records.append(EpochRecord(
-            epoch, opt.lr, accuracy(model, x_train, y_train),
-            accuracy(model, data.val_inputs, data.val_labels),
-            **{k: v / n_steps for k, v in sums.items()}))
+            records.append(EpochRecord(
+                epoch, opt.lr, accuracy(model, x_train, y_train),
+                accuracy(model, data.val_inputs, data.val_labels),
+                **{k: v / n_steps for k, v in sums.items()}))
     return records
 
 

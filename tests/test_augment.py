@@ -2,14 +2,19 @@
 replaced: same generator per sample, same draws, same bits.  The kernel
 seeds every row's generator at once and makes each row's op picks on a
 Python-int PCG64 stream; both are checked against numpy itself."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vrm.data
 from vrm.cli import EXIT_PROPERTY, main
 from vrm.data import (AUGMENT_OPS, AugmentSpec, _pcg64_states, _seed_words, _Stream,
                       virtual_batch, virtual_view)
-from vrm.errors import ParameterError
+from vrm.errors import ParameterError, UsageError
+from vrm.training import _drawn_ahead
 
 
 # -- reference: one generator and one op at a time, per sample ------------
@@ -185,6 +190,42 @@ def test_views_never_seed_a_generator_per_row(monkeypatch):
     spec = AugmentSpec(n_ops=4, magnitude=0.5, seed=BIG + 3)
     assert virtual_batch(xb, spec, (2, 3)).shape == (8, 5)
     assert virtual_view(xb[0], spec, (2, 3, 0)).shape == (5,)
+
+
+
+# -- plans drawn ahead, by the worker a vrm run forks ----------------------
+
+
+KEY_PART = st.integers(0, 2**64)
+
+
+@st.composite
+def plan_cases(draw):
+    pool = tuple(draw(st.permutations(AUGMENT_OPS))[:draw(st.integers(1, len(AUGMENT_OPS)))])
+    spec = AugmentSpec(n_ops=draw(st.integers(0, len(pool))),
+                       magnitude=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                       op_pool=pool, seed=draw(KEY_PART))
+    key = tuple(draw(st.lists(KEY_PART, max_size=3)))
+    return spec, key, draw(st.integers(1, 41)), draw(st.integers(1, 33))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(plan_cases(), st.integers(0, 2**32 - 1))
+def test_a_plan_from_the_worker_makes_the_views_drawn_inline(case, data_seed):
+    spec, key, b, d = case
+    xb = np.random.default_rng(data_seed).standard_normal((b, d))
+    xb[0] = 0.0   # a zero row: norm 0, signed zeros
+    with _drawn_ahead(spec, (b, d), [key]) as next_plan:
+        plan = next_plan()   # pickled by the worker and read back through its pipe
+    assert_same_bits(virtual_batch(xb, spec, key, plan), virtual_batch(xb, spec, key))
+    # a plan drawn for other arguments raises instead of making views
+    for other_spec, other_key, other_xb in (
+            (dataclasses.replace(spec, seed=spec.seed + 1), key, xb),
+            (spec, (*key, 0), xb),
+            (spec, key, np.vstack([xb, xb[:1]])),
+            (spec, key, np.hstack([xb, xb[:, :1]]))):
+        with pytest.raises(UsageError):
+            virtual_batch(other_xb, other_spec, other_key, plan)
 
 
 # -- the seeding and the op picks against numpy ---------------------------

@@ -757,6 +757,79 @@ def test_a_signal_ends_the_run_failed_with_one_error_line(run_env, signum, code,
     assert "status=failed" in manifest and f"error_class={error_class}" in manifest
 
 
+
+def child_pids(pid):
+    """The pids of the live or unreaped processes whose parent is ``pid``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid ...", where comm may hold spaces and parentheses
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError):   # the process ended while it was read
+            continue
+        if ppid == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="finds the worker in /proc")
+
+
+@pytest.fixture()
+def vrm_run(run_env):
+    """A long ``vrm distill`` of the vrm objective in a subprocess, once it has
+    forked its worker: (the process, the worker's pid, the run directory)."""
+    data = gen_data(run_env)
+    ckpt = train_teacher(run_env, data)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vrm.cli", "distill", "--data", str(data), "--teacher",
+         str(ckpt), "--objective", "vrm", "--epochs", "100000", "--milestones", "1",
+         "--batch-size", "16", "--widths", "6,12,3", "--name", "long"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (workers := child_pids(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert len(workers) == 1
+        yield proc, workers[0], run_env / "runs" / "long"
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+
+
+def assert_gone(pid):
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+@needs_proc
+def test_sigterm_ends_a_vrm_run_failed_and_leaves_no_worker(vrm_run):
+    proc, worker, run_dir = vrm_run
+    proc.send_signal(signal.SIGTERM)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 143
+    assert err.splitlines() == ["error: interrupted by SIGTERM"]
+    manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    assert "status=failed" in manifest and "error_class=Terminated" in manifest
+    assert_gone(worker)
+
+
+@needs_proc
+def test_a_killed_worker_fails_the_run_with_one_error_line(vrm_run):
+    proc, worker, run_dir = vrm_run
+    os.kill(worker, signal.SIGKILL)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_WORKER == 5
+    assert err.splitlines() == [
+        f"error: the virtual-view worker ended early (killed by signal {signal.SIGKILL:d})"]
+    manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    assert "status=failed" in manifest and "error_class=WorkerError" in manifest
+    assert_gone(worker)
+
+
 def test_a_run_puts_the_earlier_sigterm_handler_back(run_env):
     def earlier(signum, frame):
         pass

@@ -1,6 +1,8 @@
 """numpy stays the only runtime dependency: every module of the package
 imports nothing but the standard library, numpy and the package itself."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,14 @@ def test_package_imports_only_the_standard_library_and_numpy():
                for line, module in imported_modules(path)
                if module.partition(".")[0] not in ALLOWED]
     assert not outside, "; ".join(outside)
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    # a vrm run forks its one worker itself: importing multiprocessing alone
+    # raises a process's peak resident memory by about 1 MiB
+    code = ("import sys, vrm.cli; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

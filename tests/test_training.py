@@ -1,10 +1,11 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from vrm.data import AugmentSpec, make_synthetic_dataset
-from vrm.errors import ParameterError, TrainingError
+from vrm.errors import ParameterError, TrainingError, WorkerError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
 from vrm.training import (
@@ -12,6 +13,7 @@ from vrm.training import (
     STEP_COLUMNS,
     EpochRecord,
     TrainConfig,
+    _drawn_ahead,
     distill_student,
     train_teacher,
     write_breakdown_csv,
@@ -186,3 +188,54 @@ def test_every_objective_row_has_the_step_columns(blobs, blobs_teacher, objectiv
     assert tuple(row) == STEP_COLUMNS
     assert all(type(v) is float for v in row.values())
 
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pid of each process forked while the test runs."""
+    pids, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pid):
+    # waitpid finds no such child once its exit status has been collected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
+def test_only_vrm_forks_and_its_worker_is_reaped(blobs, blobs_teacher, quick_config, forks,
+                                                 objective):
+    teacher, _ = blobs_teacher
+    distill_student(MLPSpec([6, 12, 3], "relu", 1), teacher, blobs, quick_config, objective)
+    assert len(forks) == (objective == "vrm")
+    for pid in forks:
+        assert_reaped(pid)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverged_vrm_run_reaps_its_worker(blobs, blobs_teacher, forks):
+    teacher, _ = blobs_teacher
+    cfg = TrainConfig(epochs=5, milestones=(5,), lr=1e200, batch_size=16, seed=0)
+    with pytest.raises(TrainingError) as exc_info:
+        distill_student(MLPSpec([6, 12, 3], "relu", 1), teacher, blobs, cfg, "vrm")
+    assert exc_info.value.epoch == 0   # the worker still had later epochs' plans to draw
+    assert len(forks) == 1
+    assert_reaped(forks[0])
+
+
+def test_a_worker_that_fails_is_an_error_not_a_hang(forks):
+    # the second key is negative, so the worker's draw raises and it exits 1
+    with _drawn_ahead(AugmentSpec(), (4, 3), [(0, 0), (-1, 0)]) as next_plan:
+        assert next_plan().key == (0, 2, AugmentSpec().op_pool, 0, 0)
+        with pytest.raises(WorkerError, match="exit status 1"):
+            next_plan()
+    assert_reaped(forks[0])
