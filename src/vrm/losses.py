@@ -236,10 +236,11 @@ def _relation_term(op, R, V, P, N, keep, delta: float, scale: float, g):
     limit = _screen_limit(delta)
     # a flagged fiber leaves the quadratic path: cos = dot * 0 * 0, sign kept
     left = np.flatnonzero(quad & ~_cleared(cos, limit, length))
-    i, j = np.nonzero(_gathered_screen(s, t, inv, left, limit))
-    quad[i, j] = False
-    inv[:, i, j] = 0.0
-    cos[i, j] *= 0.0
+    if left.size:
+        i, j = np.nonzero(_gathered_screen(s, t, inv, left, limit))
+        quad[i, j] = False
+        inv[:, i, j] = 0.0
+        cos[i, j] *= 0.0
     total = np.subtract(quad, cos).sum()
 
     if g is not None:
@@ -252,21 +253,23 @@ def _relation_term(op, R, V, P, N, keep, delta: float, scale: float, g):
     del cos, inv
 
     # the exact path, in parts of about ad._BLOCK_BYTES
-    i, j = np.nonzero(~quad if keep is None else keep & ~quad)
-    step = max(1, ad._BLOCK_BYTES // (16 * length))
-    for lo in range(0, len(i), step):
-        rows, cols = i[lo:lo + step], j[lo:lo + step]
-        y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
-        if not np.isfinite(n_safe).all():
-            raise NumericError(f"{op} overflowed a squared norm")
-        res = y[0] - y[1]
-        slope = np.clip(res, -delta, delta)
-        # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
-        total += (slope * (res - 0.5 * slope)).sum()
-        if g is not None:
-            gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
-            np.add.at(d_real, cols, gx)
-            np.add.at(d_virtual, rows, -gx)
+    off = ~quad if keep is None else keep & ~quad
+    if off.any():
+        i, j = np.nonzero(off)
+        step = max(1, ad._BLOCK_BYTES // (16 * length))
+        for lo in range(0, len(i), step):
+            rows, cols = i[lo:lo + step], j[lo:lo + step]
+            y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
+            if not np.isfinite(n_safe).all():
+                raise NumericError(f"{op} overflowed a squared norm")
+            res = y[0] - y[1]
+            slope = np.clip(res, -delta, delta)
+            # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
+            total += (slope * (res - 0.5 * slope)).sum()
+            if g is not None:
+                gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
+                np.add.at(d_real, cols, gx)
+                np.add.at(d_virtual, rows, -gx)
     return total, None if g is None else (d_real, d_virtual)
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fcntl
+import functools
 import io
+import itertools
 import math
 import os
-import pickle
 import signal
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
-from .data import AugmentSpec, Dataset, draw_plan, virtual_batch, write_whole
+from .data import AugmentPlan, AugmentSpec, Dataset, draw_plan, virtual_batch, write_whole
 from .errors import (InputError, NumericError, ParameterError, TrainingError, WorkerError,
                      check_fields)
 from .graphs import LogitBatch
@@ -104,13 +106,18 @@ def accuracy(model: MLP, inputs: np.ndarray, labels: np.ndarray) -> float:
     return float((model.predict(inputs) == labels).mean())
 
 
+def _batch_rows(n_train: int, batch_size: int, seed: int, epoch: int) -> np.ndarray:
+    """The epoch's seeded shuffle as [batches, batch_size] row indices,
+    full batches only (relations need pairs)."""
+    perm = np.random.default_rng([seed, 7919, epoch]).permutation(n_train)
+    return perm[:n_train // batch_size * batch_size].reshape(-1, batch_size)
+
+
 def _epoch_batches(n_train: int, batch_size: int, seed: int, epoch: int):
-    """Seeded shuffle, full batches only (relations need pairs)."""
-    rng = np.random.default_rng([seed, 7919, epoch])
-    perm = rng.permutation(n_train)
-    n_batches = n_train // batch_size
-    for b in range(n_batches):
-        yield perm[b * batch_size:(b + 1) * batch_size]
+    """The rows of :func:`_batch_rows`, one batch at a time: the loop's own
+    generator, which a step timer may wrap, so a worker replays
+    :func:`_batch_rows` instead."""
+    yield from _batch_rows(n_train, batch_size, seed, epoch)
 
 
 # the per-step breakdown row every OBJECTIVES entry returns, in the order
@@ -124,18 +131,17 @@ def _row(*values) -> dict:
     return dict(zip(STEP_COLUMNS, values, strict=True))
 
 
-def _ce_only(model, teacher, xb, yb, xv, config):
+def _ce_only(model, t_logits, xb, yb, xv, config):
     """Label cross-entropy alone; the teacher is never consulted."""
     loss = ad.cross_entropy(model(xb), yb)
     return loss, _row(loss.item(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _vrm(model, teacher, xb, yb, xv, config):
+def _vrm(model, t_logits, xb, yb, xv, config):
     """Masked cross-view edge matching plus label CE on both views
     (:func:`total_loss`)."""
     s_batch = LogitBatch(model(xb), model(xv))
-    with ad.no_grad():
-        t_batch = LogitBatch(Tensor(teacher.logits(xb)), Tensor(teacher.logits(xv)))
+    t_batch = LogitBatch(*map(Tensor, t_logits))
     bd = total_loss(s_batch, t_batch, yb, config.weights)
     b, c = s_batch.batch_size, s_batch.n_classes
     return bd.total, _row(bd.ce_real.item(), bd.ce_virtual.item(), bd.isv.item(),
@@ -146,29 +152,27 @@ def _vrm(model, teacher, xb, yb, xv, config):
 # against vrm comes from the objective itself
 
 
-def _single_view(model, teacher, xb, yb):
+def _single_view(model, t_logits, xb, yb):
     """Student logits (on the tape), teacher logits (off it) and label CE."""
     s_logits = model(xb)
-    with ad.no_grad():
-        t_logits = Tensor(teacher.logits(xb))
-    return s_logits, t_logits, ad.cross_entropy(s_logits, yb)
+    return s_logits, Tensor(t_logits[0]), ad.cross_entropy(s_logits, yb)
 
 
-def _im_kd(model, teacher, xb, yb, xv, config):
+def _im_kd(model, t_logits, xb, yb, xv, config):
     """Instance matching (Hinton et al.): label CE plus the softened KL
     divergence from the teacher, logged in the ``isv`` column."""
-    s_logits, t_logits, ce = _single_view(model, teacher, xb, yb)
+    s_logits, t_logits, ce = _single_view(model, t_logits, xb, yb)
     kl = ad.kld(t_logits, s_logits, config.weights.tau)
     loss = ce + kl * config.im_kd_weight
     return loss, _row(ce.item(), 0.0, kl.item(), 0.0, 1.0, 1.0)
 
 
-def _relation_arm(model, teacher, xb, yb, config, *encoders):
+def _relation_arm(model, t_logits, xb, yb, config, *encoders):
     """Label CE plus, for each relation encoder in turn, the mean Huber
     distance between the encodings of the student's and the teacher's
     softened predictions, weighted by alpha, then beta."""
     w = config.weights
-    s_logits, t_logits, ce = _single_view(model, teacher, xb, yb)
+    s_logits, t_logits, ce = _single_view(model, t_logits, xb, yb)
     s_soft = ad.softmax(s_logits, axis=1, tau=w.tau)
     with ad.no_grad():
         t_soft = ad.softmax(t_logits, axis=1, tau=w.tau)
@@ -181,31 +185,155 @@ def _relation_arm(model, teacher, xb, yb, config, *encoders):
     return loss, _row(ce.item(), 0.0, isv, icv, 1.0, 1.0)
 
 
-def _gram(model, teacher, xb, yb, xv, config):
+def _gram(model, t_logits, xb, yb, xv, config):
     """SP baseline (Tung & Mori, 2019): inter-sample and inter-class Gram
     matrices, logged as ``isv`` and ``icv``."""
-    return _relation_arm(model, teacher, xb, yb, config, gram_inter_sample, gram_inter_class)
+    return _relation_arm(model, t_logits, xb, yb, config, gram_inter_sample, gram_inter_class)
 
 
-def _angular(model, teacher, xb, yb, xv, config):
+def _angular(model, t_logits, xb, yb, xv, config):
     """RKD-angle baseline (Park et al., 2019): third-order angular
     relations, logged as ``isv``."""
-    return _relation_arm(model, teacher, xb, yb, config, angular_relations)
+    return _relation_arm(model, t_logits, xb, yb, config, angular_relations)
 
 
-# objective -> fn(model, teacher, xb, yb, xv, config) -> (loss tensor,
-# breakdown row).  The entries look up their loss functions when called, so
-# a rebinding of, say, ``training.total_loss`` reaches them.
+# objective -> fn(model, t_logits, xb, yb, xv, config) -> (loss tensor,
+# breakdown row), where t_logits is the frozen teacher's logits on xb and on
+# xv, each None where the objective does without.  The entries look up their
+# loss functions when called, so a rebinding of, say, ``training.total_loss``
+# reaches them.
 OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
               "gram": _gram, "angular": _angular}
 
 
-def _write_plans(pipe, write_fd: int, mask, spec: AugmentSpec, shape, keys):
+def _teacher_step(teacher: MLP, spec: AugmentSpec | None, key, xb: np.ndarray) -> tuple:
+    """Step ``key`` of batch ``xb`` as ``(plan, xv, t_real, t_virtual)``:
+    the AugmentPlan of the batch's virtual views, the views, and the frozen
+    teacher's logits on the batch and on the views; ``(None, None, t_real,
+    None)`` for ``spec`` None.  The teacher runs on the batch as the loop
+    would, so its logits have the loop's bits."""
+    plan = xv = None
+    if spec is not None:
+        plan = draw_plan(spec, key, xb.shape)
+        xv = virtual_batch(xb, spec, key, plan)
+    return plan, xv, teacher.logits(xb), None if xv is None else teacher.logits(xv)
+
+
+# A worker's message is one int64 buffer, then one float64 buffer.  The
+# int64 one opens with its own length, the float64 one's length and the
+# length of the head after them.  The head of a step starts with _STEP, the
+# batch's rows and dim, and the step key: its part count, then per part the
+# count of its 32-bit words and the words, low first.  Then come the plan's
+# entry count and per entry its slot, its op's index in the spec's pool and
+# its draw count.  Last, per array (each entry's rows and draws, then the
+# teacher's logits on both views) its buffer (0 int64, 1 float64), offset,
+# rows and columns (-1 for a 1-D array).  An error's head is _ERROR and the
+# bytes of its text.
+_OPEN, _STEP, _ERROR = 3, 0, 1
+
+
+def _words(part: int) -> list:
+    """A nonnegative int's 32-bit words, low first; [0] for 0."""
+    words = [part & 0xFFFFFFFF]
+    while part := part >> 32:
+        words.append(part & 0xFFFFFFFF)
+    return words
+
+
+def _pack_step(spec: AugmentSpec, plan: AugmentPlan, t_real, t_virtual) -> tuple:
+    """The int64 and float64 buffers of one step's message."""
+    step_key = plan.key[3:]   # after the spec's seed, n_ops and op_pool
+    head = [_STEP, *plan.shape, len(step_key)]
+    for part in step_key:
+        words = _words(part)
+        head += [len(words), *words]
+    entries = [(s, name, rows, draws) for s, slot in enumerate(plan.slots)
+               for name, rows, draws in slot]
+    head.append(len(entries))
+    arrays = []
+    for s, name, rows, draws in entries:
+        head += [s, spec.op_pool.index(name), len(draws)]
+        arrays += [rows, *draws]
+    arrays += [t_real, t_virtual]
+    n_head = len(head) + 4 * len(arrays)
+    ends, parts = [_OPEN + n_head, 0], ([], [])
+    for a in arrays:
+        buf = int(a.dtype.kind == "f")
+        head += [buf, ends[buf], a.shape[0], a.shape[1] if a.ndim == 2 else -1]
+        ends[buf] += a.size
+        parts[buf].append(a.ravel())
+    ints = np.concatenate([np.array([*ends, n_head, *head], dtype=np.int64), *parts[0]])
+    return ints, np.concatenate(parts[1])
+
+
+def _pack_error(text: str) -> tuple:
+    head = [_ERROR, *text.encode()]
+    return np.array([_OPEN + len(head), 0, len(head), *head], dtype=np.int64), np.empty(0)
+
+
+def _unpack(spec: AugmentSpec, ints: np.ndarray, floats: np.ndarray) -> tuple:
+    """The ``(plan, t_real, t_virtual)`` of a step's message, its arrays
+    slices of ``ints`` and ``floats``; an error's raises NumericError."""
+    head = ints[_OPEN:_OPEN + ints[2]].tolist()
+    if head[0] == _ERROR:
+        raise NumericError(bytes(head[1:]).decode())
+    items = iter(head[1:])
+    shape = next(items), next(items)
+    step_key = []
+    for _ in range(next(items)):
+        n_words = next(items)
+        step_key.append(sum(next(items) << 32 * i for i in range(n_words)))
+    entries = [(next(items), spec.op_pool[next(items)], next(items))
+               for _ in range(next(items))]
+    bufs = (ints, floats)
+    # the rest of the head is one (buffer, offset, rows, columns) per array
+    arrays = iter([bufs[buf][at:at + rows] if cols < 0 else
+                   bufs[buf][at:at + rows * cols].reshape(rows, cols)
+                   for buf, at, rows, cols in zip(items, items, items, items)])
+    slots = [[] for _ in range(spec.n_ops)]
+    for s, name, n_draws in entries:
+        slots[s].append((name, next(arrays), tuple(itertools.islice(arrays, n_draws))))
+    plan = AugmentPlan((spec.seed, spec.n_ops, spec.op_pool, *step_key), shape,
+                       tuple(map(tuple, slots)))
+    return plan, next(arrays), next(arrays)
+
+
+def _fill(pipe, array: np.ndarray) -> None:
+    """Read ``array``'s bytes from ``pipe``; EOFError if it ends first."""
+    if pipe.readinto(array) != array.nbytes:
+        raise EOFError
+
+
+def _read_message(pipe) -> tuple:
+    """The int64 and float64 buffers of the next message, each read into a
+    fresh array, since the tensors made from them may keep them."""
+    opening = np.empty(_OPEN, dtype=np.int64)
+    _fill(pipe, opening)
+    ints = np.empty(opening[0], dtype=np.int64)
+    ints[:_OPEN] = opening
+    _fill(pipe, ints[_OPEN:])
+    floats = np.empty(opening[1])
+    _fill(pipe, floats)
+    return ints, floats
+
+
+def _widen(fd: int) -> None:
+    """Size the pipe ``fd`` at the system's limit (1 MiB by default: about
+    ten messages of a wide step, of which 64 KiB holds less than one);
+    where the limit cannot be read or set (Linux only), keep the size."""
+    with contextlib.suppress(OSError, ValueError, AttributeError):
+        with open("/proc/sys/fs/pipe-max-size") as limit:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(limit.read()))
+
+
+def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, batches):
     """The body of :func:`_drawn_ahead`'s worker, which never returns: it
-    writes the pickled ``draw_plan`` of each key to ``write_fd`` in turn,
-    blocking while the pipe is full, and leaves through ``os._exit``, so
-    it flushes none of the parent's stdio and runs none of its exit code.
-    A parent that closed the pipe (EPIPE) ends it quietly."""
+    writes the :func:`_teacher_step` of each of ``batches`` to ``write_fd``
+    as a message, blocking while the pipe is full, and a NumericError one
+    raises as an error message;
+    it leaves through ``os._exit``, so it flushes none of the parent's stdio
+    and runs none of its exit code.  A parent that closed the pipe (EPIPE)
+    ends it quietly."""
     code = 1
     try:
         # SIGTERM kills it outright, and a terminal's SIGINT is the parent's to handle
@@ -214,9 +342,17 @@ def _write_plans(pipe, write_fd: int, mask, spec: AugmentSpec, shape, keys):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pipe.close()
         with open(write_fd, "wb") as out:
-            for key in keys:
-                pickle.dump(draw_plan(spec, key, shape), out, pickle.HIGHEST_PROTOCOL)
+            def send(ints, floats):
+                out.write(ints)
+                out.write(floats)
                 out.flush()
+
+            try:
+                for key, xb in batches:
+                    plan, _, t_real, t_virtual = _teacher_step(teacher, spec, key, xb)
+                    send(*_pack_step(spec, plan, t_real, t_virtual))
+            except NumericError as exc:
+                send(*_pack_error(str(exc)))
         code = 0
     except BrokenPipeError:
         code = 0
@@ -225,14 +361,19 @@ def _write_plans(pipe, write_fd: int, mask, spec: AugmentSpec, shape, keys):
 
 
 @contextlib.contextmanager
-def _drawn_ahead(spec: AugmentSpec, shape, keys):
-    """Fork a worker that draws ``draw_plan(spec, key, shape)`` for each key
-    of ``keys`` in turn; the block gets a function that returns the next
-    plan.  The draws do not depend on the batch, so the worker makes them
-    while the caller trains, as far ahead as the pipe between them holds.
-    A worker that ends before its last plan raises WorkerError.  Leaving
-    closes the pipe and kills and reaps the worker, however the block ends."""
+def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
+    """Fork a worker that runs the :func:`_teacher_step` of each ``(key,
+    batch)`` of ``batches`` and writes it, but for its views, as a flat
+    message.  The block gets ``next_step(key, xb)``, which reads the next
+    message and returns its step with the views ``virtual_batch(xb, spec,
+    key, plan)`` makes, a UsageError for a plan of another key or shape.
+    The steps do not depend on the student, so the worker runs them while
+    the caller trains, as far ahead as the pipe between them holds.  A
+    NumericError of a step reaches the caller at that step; a worker that
+    ends before its last step raises WorkerError.  Leaving closes the pipe
+    and kills and reaps the worker, however the block ends."""
     read_fd, write_fd = os.pipe()
+    _widen(write_fd)
     pipe = open(read_fd, "rb")
     pid = status = None
     try:
@@ -241,38 +382,51 @@ def _drawn_ahead(spec: AugmentSpec, shape, keys):
         try:
             pid = os.fork()
             if pid == 0:
-                _write_plans(pipe, write_fd, mask, spec, shape, keys)
+                _write_steps(pipe, write_fd, mask, teacher, spec, batches)
         finally:
             os.close(write_fd)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-        def stop():
+        def reap():
             nonlocal status
-            if status is None:
-                os.kill(pid, signal.SIGKILL)
-                status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(pid, 0)[1]
             return status
 
-        def next_plan():
+        def next_step(key, xb):
             try:
-                return pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                code = os.waitstatus_to_exitcode(stop())
+                message = _read_message(pipe)
+            except EOFError:
+                # the worker's end of the pipe closes only as it exits, so a
+                # wait gets its own status, not that of a kill
+                code = os.waitstatus_to_exitcode(reap())
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise WorkerError(f"the virtual-view worker ended early ({how})") from None
+            plan, t_real, t_virtual = _unpack(spec, *message)
+            return plan, virtual_batch(xb, spec, key, plan), t_real, t_virtual
 
-        yield next_plan
+        yield next_step
     finally:
         pipe.close()
-        if pid:
-            stop()
+        if pid and status is None:
+            os.kill(pid, signal.SIGKILL)
+            reap()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
            objective: str) -> list[EpochRecord]:
     """SGD on the :data:`OBJECTIVES` entry ``objective``, over full batches.
-    A vrm run draws its virtual views' randomness in a worker process
-    (:func:`_drawn_ahead`) and applies it to each batch here."""
+    The teacher's logits, and a vrm run's virtual views, come from
+    :func:`_teacher_step`.  A vrm run that may use more than one CPU runs
+    it in a worker process (:func:`_drawn_ahead`) and makes each step's
+    views from the worker's plan here; otherwise it runs inline, where it
+    makes the views itself."""
     check_objective(objective, teacher, config, data)
     step_loss = OBJECTIVES[objective]
     x_train, y_train = data.train_inputs, data.train_labels
@@ -280,13 +434,19 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
     records: list[EpochRecord] = []
-    # the key of each batch _epoch_batches yields, in the loop's order
-    n_batches = len(x_train) // config.batch_size
-    keys = ((epoch, step) for epoch in range(config.epochs) for step in range(n_batches))
-    plans = (_drawn_ahead(config.augment, (config.batch_size, x_train.shape[1]), keys)
-             if needs_virtual else contextlib.nullcontext())
+    if step_loss is _ce_only:
+        source = contextlib.nullcontext(lambda key, xb: (None, None, None, None))
+    elif needs_virtual and _cpus() > 1:
+        # the key and the batch of each step, in the loop's order
+        batches = (((epoch, step), x_train[idx]) for epoch in range(config.epochs)
+                   for step, idx in enumerate(_batch_rows(
+                       len(x_train), config.batch_size, config.seed, epoch)))
+        source = _drawn_ahead(teacher, config.augment, batches)
+    else:
+        source = contextlib.nullcontext(functools.partial(
+            _teacher_step, teacher, config.augment if needs_virtual else None))
 
-    with plans as next_plan:
+    with source as next_step:
         for epoch in range(config.epochs):
             opt.lr = config.lr_at(epoch)
             sums = dict.fromkeys(("total", *STEP_COLUMNS), 0.0)
@@ -294,10 +454,9 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
             for step, batch_idx in enumerate(_epoch_batches(
                     x_train.shape[0], config.batch_size, config.seed, epoch)):
                 xb, yb = x_train[batch_idx], y_train[batch_idx]
-                xv = (virtual_batch(xb, config.augment, (epoch, step), next_plan())
-                      if needs_virtual else None)
                 try:
-                    loss, row = step_loss(model, teacher, xb, yb, xv, config)
+                    _, xv, *t_logits = next_step((epoch, step), xb)
+                    loss, row = step_loss(model, t_logits, xb, yb, xv, config)
                     row["total"] = loss.item()
                     if not np.isfinite(row["total"]):
                         raise NumericError("loss is not finite")

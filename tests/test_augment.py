@@ -14,6 +14,7 @@ from vrm.cli import EXIT_PROPERTY, main
 from vrm.data import (AUGMENT_OPS, AugmentSpec, _pcg64_states, _seed_words, _Stream,
                       virtual_batch, virtual_view)
 from vrm.errors import ParameterError, UsageError
+from vrm.models import MLP, MLPSpec
 from vrm.training import _drawn_ahead
 
 
@@ -215,9 +216,14 @@ def test_a_plan_from_the_worker_makes_the_views_drawn_inline(case, data_seed):
     spec, key, b, d = case
     xb = np.random.default_rng(data_seed).standard_normal((b, d))
     xb[0] = 0.0   # a zero row: norm 0, signed zeros
-    with _drawn_ahead(spec, (b, d), [key]) as next_plan:
-        plan = next_plan()   # pickled by the worker and read back through its pipe
+    teacher = MLP(MLPSpec([d, 5, 3], "relu", data_seed))
+    with _drawn_ahead(teacher, spec, [(key, xb)]) as next_step:
+        # written flat by the worker and read back through its pipe
+        plan, xv, t_real, t_virtual = next_step(key, xb)
     assert_same_bits(virtual_batch(xb, spec, key, plan), virtual_batch(xb, spec, key))
+    assert_same_bits(xv, virtual_batch(xb, spec, key))
+    assert_same_bits(t_real, teacher.logits(xb))
+    assert_same_bits(t_virtual, teacher.logits(xv))
     # a plan drawn for other arguments raises instead of making views
     for other_spec, other_key, other_xb in (
             (dataclasses.replace(spec, seed=spec.seed + 1), key, xb),

@@ -118,7 +118,7 @@ def models_and_batch(seed, b, c, dim=4):
 def loss_of_last_layer(objective, student, teacher, xb, yb):
     def f(w):
         student.weights[-1] = w
-        return OBJECTIVES[objective](student, teacher, xb, yb, None, CONFIG)[0]
+        return OBJECTIVES[objective](student, (teacher.logits(xb), None), xb, yb, None, CONFIG)[0]
     return f
 
 
@@ -126,16 +126,18 @@ def loss_of_last_layer(objective, student, teacher, xb, yb):
 def test_baseline_losses_zero_at_equality_and_nonnegative(objective):
     student, teacher, xb, yb, xv = models_and_batch(4, 5, 3)
     clone = MLP(student.spec)
-    _, row = OBJECTIVES[objective](student, clone, xb, yb, xv, CONFIG)
+    _, row = OBJECTIVES[objective](student, (clone.logits(xb), clone.logits(xv)), xb, yb, xv,
+                                   CONFIG)
     assert row["isv"] == pytest.approx(0.0, abs=1e-15)
     assert row["icv"] == pytest.approx(0.0, abs=1e-15)
-    _, row = OBJECTIVES[objective](student, teacher, xb, yb, xv, CONFIG)
+    _, row = OBJECTIVES[objective](student, (teacher.logits(xb), teacher.logits(xv)), xb, yb, xv,
+                                   CONFIG)
     assert row["isv"] > 0.0 and row["icv"] >= 0.0
 
 
 def test_baseline_gram_loss_scalar_oracle():
     student, teacher, xb, yb, _ = models_and_batch(5, 3, 4)
-    loss, row = OBJECTIVES["gram"](student, teacher, xb, yb, None, CONFIG)
+    loss, row = OBJECTIVES["gram"](student, (teacher.logits(xb), None), xb, yb, None, CONFIG)
 
     def soft(z):
         e = np.exp(z / CONFIG.weights.tau)

@@ -16,7 +16,7 @@ from vrm.cli import main
 from vrm.data import (DATASET_MAGIC, Dataset, load_dataset, read_artifact, save_dataset,
                       write_artifact)
 from vrm.errors import ParameterError
-from vrm.models import MLP, MLPSpec, save_checkpoint
+from vrm.models import MLP, MLPSpec, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -141,6 +141,26 @@ def test_distill_divergence_exits_4(run_env, capsys):
     assert code == 4
     assert "diverged at epoch" in capsys.readouterr().err
     manifest = (run_env / "runs" / "boom" / "manifest.txt").read_text()
+    assert "status=diverged" in manifest and "error_class=TrainingError" in manifest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_teacher_exits_4_with_one_error_line(run_env, capsys):
+    # the teacher's logits overflow in the worker that runs it, and the run
+    # still ends as a divergence at its first step
+    data = gen_data(run_env)
+    teacher, _ = load_checkpoint(train_teacher(run_env, data))
+    for w in teacher.weights[:2]:
+        w.data = w.data * 1e200
+    save_checkpoint(teacher, run_env / "big.ckpt")
+    capsys.readouterr()
+    code = main(["distill", "--data", str(data), "--teacher", str(run_env / "big.ckpt"),
+                 "--objective", "vrm", "--epochs", "3", "--milestones", "2",
+                 "--batch-size", "16", "--widths", "6,12,3", "--name", "big"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: diverged at epoch 0: affine produced non-finite values"]
+    manifest = (run_env / "runs" / "big" / "manifest.txt").read_text()
     assert "status=diverged" in manifest and "error_class=TrainingError" in manifest
 
 
@@ -772,8 +792,10 @@ def child_pids(pid):
     return kids
 
 
-needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                                reason="finds the worker in /proc")
+# a vrm run forks its worker only where it may use two CPUs or more
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists() or len(os.sched_getaffinity(0)) < 2,
+    reason="finds the worker in /proc, and a run on one CPU forks none")
 
 
 @pytest.fixture()

@@ -316,6 +316,80 @@ def test_screen_paths_give_the_same_bits(monkeypatch, kind, batch):
         assert_same_bits(x, y)
 
 
+def unskipped_relation_term(op, R, V, P, N, keep, delta, scale, g):
+    """``losses._relation_term`` with its screen and its exact path run on
+    every call, even on no fiber."""
+    length = R.shape[1]
+    s, t, quad, inv, cos = losses._quadratic(R, V, P, N, keep)
+    limit = losses._screen_limit(delta)
+    left = np.flatnonzero(quad & ~losses._cleared(cos, limit, length))
+    i, j = np.nonzero(losses._gathered_screen(s, t, inv, left, limit))
+    quad[i, j] = False
+    inv[:, i, j] = 0.0
+    cos[i, j] *= 0.0
+    total = np.subtract(quad, cos).sum()
+    if g is not None:
+        gs = g * scale
+        c = np.stack((cos * inv[0] * inv[0] * -gs, inv[0] * inv[1] * gs))
+        d_real = (c.transpose(0, 2, 1) @ s - t * c.sum(axis=1)[:, :, None]).sum(axis=0)
+        d_virtual = (c @ t - s * c.sum(axis=2)[:, :, None]).sum(axis=0)
+    i, j = np.nonzero(~quad if keep is None else keep & ~quad)
+    step = max(1, ad._BLOCK_BYTES // (16 * length))
+    for lo in range(0, len(i), step):
+        rows, cols = i[lo:lo + step], j[lo:lo + step]
+        y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
+        res = y[0] - y[1]
+        slope = np.clip(res, -delta, delta)
+        total += (slope * (res - 0.5 * slope)).sum()
+        if g is not None:
+            gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
+            np.add.at(d_real, cols, gx)
+            np.add.at(d_virtual, rows, -gx)
+    return total, None if g is None else (d_real, d_virtual)
+
+
+def relation_rows(rng, n, length, converged):
+    """R, V, P, N of an [n, n] fiber grid of fibers of ``length``.  A
+    converged student equals its teacher, so the L2 bound clears every
+    quadratic fiber, and it ties V[1] to R[3], so fiber [1, 3] is dead and
+    takes the exact path; otherwise every fiber is quadratic and few are
+    cleared."""
+    R, V, P, N = (rng.standard_normal((n, length)) for _ in range(4))
+    if converged:
+        V[1] = R[3]
+        P, N = R.copy(), V.copy()
+    return R, V, P, N
+
+
+@pytest.mark.parametrize("g", [None, 2.0])
+@pytest.mark.parametrize("n,length", [(32, 10), (10, 32)])
+@pytest.mark.parametrize("converged", [True, False])
+def test_a_skipped_screen_or_exact_path_gives_the_unskipped_bits(monkeypatch, converged, n,
+                                                                  length, g):
+    # converged: nothing is left to screen, one fiber takes the exact path;
+    # else fibers are left to screen, none is flagged at this delta, and so
+    # no kept fiber takes the exact path
+    delta = 1.0 if converged else 1.7
+    rows = relation_rows(np.random.default_rng(n), n, length, converged)
+    keep = None if converged else np.random.default_rng(1).random((n, n)) < 0.9
+    _, _, quad, _, cos = losses._quadratic(*rows, keep)
+    left = quad & ~losses._cleared(cos, losses._screen_limit(delta), length)
+    exact = ~quad if keep is None else keep & ~quad
+    assert (left.any(), exact.sum()) == ((False, 1) if converged else (True, 0))
+    calls = []
+    for name in ("_gathered_screen", "_unit_fibers"):
+        module = losses if name == "_gathered_screen" else ad
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    got = losses._relation_term("term", *rows, keep, delta, 0.25, g)
+    assert calls == (["_unit_fibers"] if converged else ["_gathered_screen"])
+    want = unskipped_relation_term("term", *rows, keep, delta, 0.25, g)
+    assert_same_bits(got[0], want[0])
+    for x, y in zip(got[1] or (), want[1] or (), strict=True):
+        assert_same_bits(x, y)
+
+
 def relation_screen_check():
     return next(r for r in checks.exactness_checks() if r.name == "exact:relation_screen")
 

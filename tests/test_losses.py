@@ -260,19 +260,21 @@ def im_kd_case(seed, b, c, dim=4):
 def test_im_kd_examples():
     student, xb, yb = im_kd_case(16, 4, 3)
     teacher = MLP(MLPSpec([4, 6, 3], "relu", 99))
-    _, row = OBJECTIVES["im_kd"](student, MLP(student.spec), xb, yb, None, TrainConfig())
+    _, row = OBJECTIVES["im_kd"](student, (MLP(student.spec).logits(xb), None), xb, yb, None,
+                                TrainConfig())
     assert row["isv"] == pytest.approx(0.0, abs=1e-14)
     assert (row["kept_isv_frac"], row["kept_icv_frac"]) == (1.0, 1.0)
 
     zero_w = TrainConfig(im_kd_weight=0.0)
-    loss, row = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, zero_w)
+    loss, row = OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None, zero_w)
     assert row["isv"] > 0.0 and row["ce_virtual"] == 0.0 and row["icv"] == 0.0
     ce = ad.cross_entropy(Tensor(student.logits(xb)), yb).item()
     assert loss.item() == pytest.approx(ce, abs=1e-12)
 
     def f(w):
         student.weights[-1] = w
-        return OBJECTIVES["im_kd"](student, teacher, xb, yb, None, TrainConfig())[0]
+        return OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None,
+                                   TrainConfig())[0]
 
     assert finite_diff_check(f, student.weights[-1].data) < 1e-4
 
@@ -282,7 +284,7 @@ def test_im_kd_matches_scalar_oracle():
     student, xb, yb = im_kd_case(17, b, c)
     teacher = MLP(MLPSpec([4, 6, c], "relu", 98))
     config = TrainConfig(weights=VRMWeights(tau=tau), im_kd_weight=0.7)
-    loss, row = OBJECTIVES["im_kd"](student, teacher, xb, yb, None, config)
+    loss, row = OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None, config)
 
     def kl_rows(zt, zs):
         total = 0.0

@@ -115,7 +115,9 @@ def test_table_entry_matches_reference_bit_for_bit(objective, seed, b, c):
     yb = rng.integers(0, c, size=b)
     xv = virtual_batch(xb, augment, (seed, 0))
 
-    got = evaluate(OBJECTIVES[objective], spec, teacher, xb, yb, xv, config)
+    # the table takes the teacher's logits, the reference the teacher itself
+    t_logits = teacher.logits(xb), teacher.logits(xv)
+    got = evaluate(OBJECTIVES[objective], spec, t_logits, xb, yb, xv, config)
     want = evaluate(lambda *args: reference_step_loss(objective, *args),
                     spec, teacher, xb, yb, xv, config)
     assert_same_bits(got[0], want[0])

@@ -1,11 +1,15 @@
 import dataclasses
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vrm.data import AugmentSpec, make_synthetic_dataset
-from vrm.errors import ParameterError, TrainingError, WorkerError
+from vrm.errors import ParameterError, TrainingError, UsageError, WorkerError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
 from vrm.training import (
@@ -183,16 +187,24 @@ def test_every_objective_row_has_the_step_columns(blobs, blobs_teacher, objectiv
     teacher, _ = blobs_teacher
     xb, yb = blobs.train_inputs[:16], blobs.train_labels[:16]
     xv = xb + 0.1
-    _, row = OBJECTIVES[objective](MLP(MLPSpec([6, 12, 3], "relu", 1)), teacher, xb, yb, xv,
+    _, row = OBJECTIVES[objective](MLP(MLPSpec([6, 12, 3], "relu", 1)),
+                                   (teacher.logits(xb), teacher.logits(xv)), xb, yb, xv,
                                    TrainConfig(weights=VRMWeights(alpha=4.0, beta=1.0)))
     assert tuple(row) == STEP_COLUMNS
     assert all(type(v) is float for v in row.values())
 
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make the process see ``cpus`` as the CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
 @pytest.fixture()
 def forks(monkeypatch):
-    """The pid of each process forked while the test runs."""
+    """The pid of each process forked while the test runs, on two CPUs
+    whatever the host has, so that a vrm run forks its worker."""
+    use_cpus(monkeypatch, {0, 1})
     pids, real_fork = [], os.fork
 
     def recording_fork():
@@ -234,8 +246,118 @@ def test_a_diverged_vrm_run_reaps_its_worker(blobs, blobs_teacher, forks):
 
 def test_a_worker_that_fails_is_an_error_not_a_hang(forks):
     # the second key is negative, so the worker's draw raises and it exits 1
-    with _drawn_ahead(AugmentSpec(), (4, 3), [(0, 0), (-1, 0)]) as next_plan:
-        assert next_plan().key == (0, 2, AugmentSpec().op_pool, 0, 0)
+    xb, teacher = np.zeros((4, 3)), MLP(MLPSpec([3, 5, 2]))
+    with _drawn_ahead(teacher, AugmentSpec(), [((0, 0), xb), ((-1, 0), xb)]) as next_step:
+        assert next_step((0, 0), xb)[0].key == (0, 2, AugmentSpec().op_pool, 0, 0)
         with pytest.raises(WorkerError, match="exit status 1"):
-            next_plan()
+            next_step((-1, 0), xb)
     assert_reaped(forks[0])
+
+
+def test_a_worker_slow_to_exit_is_waited_for_not_killed(forks, monkeypatch):
+    # the worker lingers after its end of the pipe has closed: the error
+    # still gives its exit status, not a kill by the run
+    real_exit = os._exit
+
+    def slow_exit(code):
+        time.sleep(0.2)
+        real_exit(code)
+
+    monkeypatch.setattr(os, "_exit", slow_exit)
+    xb = np.zeros((4, 3))
+    with _drawn_ahead(MLP(MLPSpec([3, 5, 2])), AugmentSpec(), [((-1, 0), xb)]) as next_step:
+        with pytest.raises(WorkerError, match="exit status 1"):
+            next_step((-1, 0), xb)
+    assert_reaped(forks[0])
+
+
+def outputs(student, records, tmp_path):
+    """The bytes a run writes: metrics.csv, breakdown.csv and the weights."""
+    tmp_path.mkdir()
+    write_metrics_csv(records, tmp_path / "metrics.csv")
+    write_breakdown_csv(records, tmp_path / "breakdown.csv")
+    return ((tmp_path / "metrics.csv").read_bytes(), (tmp_path / "breakdown.csv").read_bytes(),
+            b"".join(p.data.tobytes() for p in student.parameters()))
+
+
+def test_one_cpu_runs_the_steps_inline_with_the_forked_bytes(blobs, blobs_teacher, quick_config,
+                                                             forks, monkeypatch, tmp_path):
+    teacher, _ = blobs_teacher
+    spec = MLPSpec([6, 12, 3], "relu", 1)
+    forked = outputs(*distill_student(spec, teacher, blobs, quick_config, "vrm"),
+                     tmp_path / "forked")
+    assert len(forks) == 1
+    use_cpus(monkeypatch, {0})
+    inline = outputs(*distill_student(spec, teacher, blobs, quick_config, "vrm"),
+                     tmp_path / "inline")
+    assert len(forks) == 1
+    assert inline == forked
+
+
+def overflowing(teacher):
+    """A copy of ``teacher`` with its first two layers' weights times 1e200,
+    so that its logits overflow on every batch."""
+    big = MLP(teacher.spec)
+    for p, q in zip(big.parameters(), teacher.parameters()):
+        p.data = q.data * (1e200 if any(p is w for w in big.weights[:2]) else 1.0)
+    return big
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_teacher_diverges_alike_forked_and_inline(blobs, blobs_teacher,
+                                                                quick_config, forks,
+                                                                monkeypatch):
+    teacher = overflowing(blobs_teacher[0])
+    errors = []
+    for cpus in ({0, 1}, {0}):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(TrainingError) as exc_info:
+            distill_student(MLPSpec([6, 12, 3], "relu", 1), teacher, blobs, quick_config, "vrm")
+        errors.append((type(exc_info.value), str(exc_info.value), exc_info.value.epoch))
+    assert errors == 2 * [(TrainingError, "diverged at epoch 0: affine produced non-finite "
+                                          "values", 0)]
+    assert len(forks) == 1
+    assert_reaped(forks[0])
+
+
+def test_a_message_for_another_step_raises_usage_error(forks):
+    spec, xb = AugmentSpec(), np.ones((4, 3))
+    with _drawn_ahead(MLP(MLPSpec([3, 5, 2])), spec, [((0, 1), xb)]) as next_step:
+        with pytest.raises(UsageError, match=r"\(0, 2, .*, 0, 1\)"):
+            next_step((0, 0), xb)
+
+
+def check_worker_logits(batch_size, widths, n_steps=8):
+    """The teacher logits the worker sends for ``n_steps`` shuffled batches
+    are, bit for bit, the ones ``teacher.logits`` gives in this process."""
+    rng = np.random.default_rng(batch_size)
+    teacher = MLP(MLPSpec(list(widths), "relu", 3))
+    x = rng.standard_normal((3 * batch_size, widths[0]))
+    spec = AugmentSpec(seed=5)
+    batches = [((0, step), x[rng.permutation(len(x))[:batch_size]]) for step in range(n_steps)]
+    with _drawn_ahead(teacher, spec, batches) as next_step:
+        for key, xb in batches:
+            _, xv, t_real, t_virtual = next_step(key, xb)
+            assert t_real.tobytes() == teacher.logits(xb).tobytes()
+            assert t_virtual.tobytes() == teacher.logits(xv).tobytes()
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# the teachers of the two vrm workloads of bench/vrmbench/workloads.py
+@pytest.mark.parametrize("batch_size,widths", [(32, (16, 128, 64, 10)),
+                                               (128, (32, 128, 64, 32))])
+@pytest.mark.parametrize("blas", ["pinned", "unpinned"])
+def test_the_workers_teacher_logits_are_the_parents_bit_for_bit(batch_size, widths, blas):
+    # a fresh process, with BLAS on one thread or on as many as it picks
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    if blas == "pinned":
+        env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = ("from test_training import check_worker_logits; "
+            f"check_worker_logits({batch_size}, {widths})")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
