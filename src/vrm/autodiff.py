@@ -422,43 +422,49 @@ def l2_normalize(x, axis=-1) -> Tensor:
     raises NumericError instead.
     """
     x = _coerce(x)
-    y, n_safe, live = _unit_fibers(x.data, axis)
-    if not np.isfinite(n_safe).all():
-        raise NumericError("l2_normalize overflowed a squared norm")
+    y, n_safe, dead = _unit_fibers(x.data, axis, "l2_normalize")
 
     def grad_fn(g):
-        return (_unit_fibers_grad(g, y, n_safe, live, axis),)
+        return (_unit_fibers_grad(g, y, n_safe, dead, axis),)
 
     return _result(y, (x,), grad_fn, "l2_normalize")
 
 
-def _unit_fibers(x, axis):
+def _unit_fibers(x, axis, op):
     """The array rule behind :func:`l2_normalize`, for fused ops that
     normalize an intermediate they never put on the tape.  Returns the
-    unit fibers and the saved state :func:`_unit_fibers_grad` needs."""
+    unit fibers and the saved state :func:`_unit_fibers_grad` needs: the
+    guarded norms and the dead fibers, None when every fiber is live.
+    Raises NumericError naming ``op`` when a squared norm overflows."""
     # the squares' buffer (in x's layout) then takes y
     sq = np.multiply(x, x)
-    n = np.sqrt(sq.sum(axis=axis, keepdims=True))
-    live = n >= DEFAULT_NORM_EPS
+    n = np.sqrt(np.add.reduce(sq, axis=axis, keepdims=True))
     # guarding and zeroing the dead fibers changes nothing when there are none
-    all_live = live.all()
-    n_safe = n if all_live else np.where(live, n, 1.0)
+    # (a NaN norm is dead, and fails the test)
+    if np.minimum.reduce(n, axis=None, initial=np.inf) >= DEFAULT_NORM_EPS:
+        dead, n_safe = None, n
+    else:
+        live = n >= DEFAULT_NORM_EPS
+        dead, n_safe = ~live, np.where(live, n, 1.0)
+    # n_safe holds no NaN, so this is np.isfinite(n_safe).all()
+    if not np.maximum.reduce(n_safe, axis=None, initial=0.0) < np.inf:
+        raise NumericError(f"{op} overflowed a squared norm")
     y = np.divide(x, n_safe, out=sq)
-    if not all_live:
-        np.copyto(y, 0.0, where=~live)
-    return y, n_safe, live
+    if dead is not None:
+        np.copyto(y, 0.0, where=dead)
+    return y, n_safe, dead
 
 
-def _unit_fibers_grad(g, y, n_safe, live, axis):
+def _unit_fibers_grad(g, y, n_safe, dead, axis):
     """Gradient of :func:`_unit_fibers` with respect to its input ``x``:
-    (g - y <g, y>) / |x| on live fibers, zero on the rest."""
+    (g - y <g, y>) / |x| on live fibers, zero on the ``dead`` ones."""
     gx = np.multiply(g, y)
-    inner = gx.sum(axis=axis, keepdims=True)
+    inner = np.add.reduce(gx, axis=axis, keepdims=True)
     np.multiply(y, inner, out=gx)
     np.subtract(g, gx, out=gx)
     gx /= n_safe
-    if not live.all():
-        np.copyto(gx, 0.0, where=~live)
+    if dead is not None:
+        np.copyto(gx, 0.0, where=dead)
     return gx
 
 
@@ -481,7 +487,8 @@ def huber(a, b, delta=1.0) -> Tensor:
     Quadratic 0.5 r^2 for |r| <= delta, linear delta (|r| - delta/2)
     outside; continuous with continuous first derivative at the joint.
     """
-    if delta <= 0:
+    # a NaN delta fails this test too
+    if not delta > 0:
         raise ParameterError("huber delta must be positive")
     a, b = _coerce(a), _coerce(b)
     r = a.data - b.data

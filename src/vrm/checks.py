@@ -431,7 +431,7 @@ def _relation_screen_check(rng) -> CheckResult:
                 left = _gathered_screen(s, t, inv, np.flatnonzero(quad & ~cleared), limit)
                 if not np.array_equal(left, flagged):
                     faults.append(f"flags of the fibers left differ at {where}")
-                counts += cleared.sum(), (quad & ~cleared).sum(), flagged.sum()
+                counts += cleared.sum(), (quad & ~cleared).sum(), len(flagged)
                 # the diagonal's distance from T, in ulps of T
                 bound = np.sqrt(np.maximum(2.0 - 2.0 * cos.diagonal() + 2.0 * _cos_error(length),
                                            0.0))

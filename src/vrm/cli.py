@@ -4,10 +4,10 @@ self-check gate.
 
 Exit codes: 0 ok, 1 property failure, 2 a bad flag or an unwritable
 output, 3 a missing, unreadable, corrupt or mismatched input artifact,
-4 numeric divergence, 5 the worker process of a vrm run died, 130
-SIGINT, 143 SIGTERM.  The output root comes from VRM_RUN_DIR (default
-./runs); every run directory carries a manifest that makes it
-self-describing.
+4 numeric divergence, 5 the worker process of a vrm run died, 129
+SIGHUP, 130 SIGINT, 143 SIGTERM.  The output root comes from
+VRM_RUN_DIR (default ./runs); every run directory carries a manifest
+that makes it self-describing.
 """
 from __future__ import annotations
 
@@ -62,12 +62,21 @@ _EXIT_CODES = (
 
 
 class Terminated(BaseException):
-    """SIGTERM arrived while a run was open.  Like KeyboardInterrupt for
-    SIGINT, it unwinds through the run's exit, past ``except Exception``."""
+    """SIGTERM or SIGHUP, ``signum``, arrived while a run was open.  Like
+    KeyboardInterrupt for SIGINT, it unwinds through the run's exit, past
+    ``except Exception``."""
+
+    def __init__(self, signum):
+        super().__init__(signum)
+        self.signum = signum
 
 
 def _raise_terminated(signum, frame):
-    raise Terminated
+    raise Terminated(signum)
+
+
+# the signals that end an open run as Terminated
+_RUN_SIGNALS = (signal.SIGTERM, signal.SIGHUP)
 
 
 # the files each command's run writes beside its manifest, as glob patterns
@@ -84,8 +93,8 @@ class Run:
     manifest.  Entering creates both, at status=running; leaving ends the
     run ``complete``, or ``diverged`` (a TrainingError) or ``failed`` with
     ``error_class`` when an exception escapes, which then propagates.
-    While the run is open SIGTERM raises Terminated, so a killed run ends
-    ``failed`` too; the earlier handler comes back on leaving.
+    While the run is open SIGTERM and SIGHUP raise Terminated, so a killed
+    run ends ``failed`` too; the earlier handlers come back on leaving.
     A ``--name`` must be one directory name, so the run stays under the root.
     A run given a ``--name`` used before removes the files its command
     writes there (``_RUN_OUTPUTS``) before its manifest says running, so
@@ -121,13 +130,14 @@ class Run:
         self._t0 = time.monotonic()
         self._write()
         # only the main thread may set a handler; a run on another thread keeps the process's
-        self._sigterm = (signal.signal(signal.SIGTERM, _raise_terminated)
-                         if threading.current_thread() is threading.main_thread() else None)
+        self._earlier = ({signum: signal.signal(signum, _raise_terminated)
+                          for signum in _RUN_SIGNALS}
+                         if threading.current_thread() is threading.main_thread() else {})
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self._sigterm is not None:
-            signal.signal(signal.SIGTERM, self._sigterm)
+        for signum, handler in self._earlier.items():
+            signal.signal(signum, handler)
         if exc_type is None:
             self.fields["status"] = "complete"
         elif isinstance(exc, TrainingError):
@@ -477,9 +487,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args, parser)
     except (KeyboardInterrupt, Terminated) as exc:
-        name = "SIGTERM" if isinstance(exc, Terminated) else "SIGINT"
-        print(f"error: interrupted by {name}", file=sys.stderr)
-        return 128 + getattr(signal, name)
+        signum = exc.signum if isinstance(exc, Terminated) else signal.SIGINT
+        print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         message, flags = str(exc), getattr(args, "flags", {})
         field = message.split(" ", 1)[0]

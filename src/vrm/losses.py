@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError, NumericError, UsageError, check_fields
+from .errors import InputError, ParameterError, UsageError, check_fields
 # the objective builds no edges itself; build_isv_edges and build_icv_edges
 # stay bound here because the benchmark's tracer wraps the step's helpers by name
 from .graphs import (EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, check_items,
@@ -121,50 +121,65 @@ def _cleared(cos, limit, length):
 
 
 def _gathered_screen(s, t, inv, fibers, limit):
-    """The [n, n] boolean of the screened ``fibers`` (flat indices into
-    the [n, n] grid) that have a component of y - u past ``limit``; no
-    other fiber is flagged.  Fiber [i, j] of model b is (t[b, j] - s[b,
-    i]) times inv[b, i, j], formed in float32 and gathered in parts of
-    about ``ad._BLOCK_BYTES``."""
+    """The screened ``fibers`` (flat indices into the [n, n] grid, in
+    order) that have a component of y - u past ``limit``; no other fiber
+    is flagged.  Fiber [i, j] of model b is (t[b, j] - s[b, i]) times
+    inv[b, i, j], formed in float32 and gathered in parts of about
+    ``ad._BLOCK_BYTES``."""
     n, length = s.shape[1:]
     # rows past float32's range become inf; only fibers not screened hold them
     with np.errstate(over="ignore"):
         s, t = s.astype(np.float32), t.astype(np.float32)
-    inv = np.take(inv.reshape(2, -1), fibers, axis=1).astype(np.float32)[..., None]
+    inv = inv.reshape(2, -1).take(fibers, axis=1).astype(np.float32)[..., None]
     step = max(1, ad._BLOCK_BYTES // (8 * length))
     grid = np.empty((2, 2, min(step, len(fibers)), length), dtype=np.float32)
-    flagged = np.zeros(n * n, dtype=bool)
+    hit = np.empty(len(fibers), dtype=bool)
     for lo in range(0, len(fibers), step):
         part = fibers[lo:lo + step]
         rows, cols = np.divmod(part, n)
         d, s_part = grid[:, :, :len(part)]
         # the indices are in range; mode="raise" would buffer the output
-        np.take(t, cols, axis=1, out=d, mode="clip")
-        np.take(s, rows, axis=1, out=s_part, mode="clip")
+        t.take(cols, axis=1, out=d, mode="clip")
+        s.take(rows, axis=1, out=s_part, mode="clip")
         # each model's fiber t - s times inv, then |y - u| of the two
         d -= s_part
         d *= inv[:, lo:lo + step]
         y = np.abs(np.subtract(d[0], d[1], out=d[0]), out=d[0])
-        flagged[part[np.flatnonzero(y > limit) // length]] = True
-    return flagged.reshape(n, n)
+        np.logical_or.reduce(y > limit, axis=1, out=hit[lo:lo + step])
+    return fibers[hit]
 
 
 def _quadratic(R, V, P, N, keep):
     """The fibers of rows R, V, P, N (see :func:`_relation_term`): each
     model's i side s and j side t, fiber [b, i, j] = t[b, j] - s[b, i];
     the [n, n] quadratic fibers ``keep`` keeps (all for None); inv, 1/ns
-    and 1/nt on them, else 0; and cos, the cross dot times both."""
-    s, t = np.stack((V, N)), np.stack((R, P))
-    sq = np.einsum("bij,bij->bi", s, s)[:, :, None] + np.einsum("bij,bij->bi", t, t)[:, None]
-    n2 = sq - 2.0 * (s @ t.transpose(0, 2, 1))
-    quad = ((n2 > _CANCEL * sq) & (n2 > _FLOOR) & (sq < _CEIL)).all(axis=0)
+    and 1/nt on them, else 0; and cos, the cross dot times both.  The four
+    rows share a layout (the views' C rows, or for ICV their F columns),
+    and each block of ``rows`` keeps it, as ``np.stack`` does: the norms'
+    and dots' einsum sums in an order that follows the layout."""
+    rows = np.concatenate((V[None], N[None], R[None], P[None]))
+    s, t = rows[:2], rows[2:]
+    norms = np.einsum("bij,bij->bi", rows, rows)
+    sq = norms[:2, :, None] + norms[2:, None]
+    # n2 = sq - 2 (s . t), as sq + (-2 (s . t)), in place
+    n2 = s @ t.transpose(0, 2, 1)
+    n2 *= -2.0
+    n2 += sq
+    # n2 > c sq, n2 > _FLOOR and sq < _CEIL in both models (a NaN fails them all)
+    quad = sq < _CEIL
+    sq *= _CANCEL
+    quad &= n2 > np.maximum(sq, _FLOOR, out=sq)
+    quad = quad[0] & quad[1]
     if keep is not None:
         quad &= keep
-    inv = quad / np.sqrt(np.where(quad, n2, 1.0))
-    del sq, n2
+    # 1 / sqrt(n2) on quad, 1 / inf = 0 elsewhere
+    np.copyto(n2, np.inf, where=~quad)
+    inv = np.divide(1.0, np.sqrt(n2, out=n2), out=n2)
     # D_s . D_t = r.rho + v.nu - r.nu - v.rho
-    cos = np.einsum("ij,ij->i", V, N)[:, None] + np.einsum("ij,ij->i", R, P)
-    cos -= (s @ t[::-1].transpose(0, 2, 1)).sum(axis=0)
+    dots = np.einsum("bij,bij->bi", rows[0::2], rows[1::2])
+    cross = np.matmul(s, t[::-1].transpose(0, 2, 1), out=sq)
+    cos = np.add.outer(dots[0], dots[1])
+    cos -= np.add(cross[0], cross[1], out=cross[0])
     cos *= inv[0]
     cos *= inv[1]
     return s, t, quad, inv, cos
@@ -235,41 +250,52 @@ def _relation_term(op, R, V, P, N, keep, delta: float, scale: float, g):
     s, t, quad, inv, cos = _quadratic(R, V, P, N, keep)
     limit = _screen_limit(delta)
     # a flagged fiber leaves the quadratic path: cos = dot * 0 * 0, sign kept
-    left = np.flatnonzero(quad & ~_cleared(cos, limit, length))
+    left = (quad & ~_cleared(cos, limit, length)).ravel().nonzero()[0]
     if left.size:
-        i, j = np.nonzero(_gathered_screen(s, t, inv, left, limit))
-        quad[i, j] = False
-        inv[:, i, j] = 0.0
-        cos[i, j] *= 0.0
+        flagged = _gathered_screen(s, t, inv, left, limit)
+        if flagged.size:
+            quad.reshape(-1)[flagged] = False
+            inv.reshape(2, -1)[:, flagged] = 0.0
+            cos.reshape(-1)[flagged] *= 0.0
     total = np.subtract(quad, cos).sum()
 
     if g is not None:
         gs = g * scale
         # [-Z, W]: fiber [b, i, j] adds -c[b, i, j] (t[b, j] - s[b, i]) to its rows
-        c = np.stack((cos * inv[0] * inv[0] * -gs, inv[0] * inv[1] * gs))
-        d_real = (c.transpose(0, 2, 1) @ s - t * c.sum(axis=1)[:, :, None]).sum(axis=0)
-        d_virtual = (c @ t - s * c.sum(axis=2)[:, :, None]).sum(axis=0)
+        # formed in inv's buffer: c[1] = inv[1] inv[0] gs first, as inv[0] is overwritten
+        c = inv
+        c[1] *= inv[0]
+        c[1] *= gs
+        cos *= inv[0]
+        cos *= inv[0]
+        np.multiply(cos, -gs, out=c[0])
+        d_real = c.transpose(0, 2, 1) @ s
+        d_real -= t * np.add.reduce(c, axis=1)[:, :, None]
+        d_real = d_real[0] + d_real[1]
+        d_virtual = c @ t
+        d_virtual -= s * np.add.reduce(c, axis=2)[:, :, None]
+        d_virtual = d_virtual[0] + d_virtual[1]
         del c
     del cos, inv
 
-    # the exact path, in parts of about ad._BLOCK_BYTES
-    off = ~quad if keep is None else keep & ~quad
-    if off.any():
-        i, j = np.nonzero(off)
-        step = max(1, ad._BLOCK_BYTES // (16 * length))
-        for lo in range(0, len(i), step):
-            rows, cols = i[lo:lo + step], j[lo:lo + step]
-            y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
-            if not np.isfinite(n_safe).all():
-                raise NumericError(f"{op} overflowed a squared norm")
-            res = y[0] - y[1]
-            slope = np.clip(res, -delta, delta)
-            # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
-            total += (slope * (res - 0.5 * slope)).sum()
-            if g is not None:
-                gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
-                np.add.at(d_real, cols, gx)
-                np.add.at(d_virtual, rows, -gx)
+    # the exact path, in parts of about ad._BLOCK_BYTES; quad is within keep
+    i, j = (~quad if keep is None else keep ^ quad).nonzero()
+    step = max(1, ad._BLOCK_BYTES // (16 * length))
+    for lo in range(0, len(i), step):
+        rows, cols = i[lo:lo + step], j[lo:lo + step]
+        y, n_safe, dead = ad._unit_fibers(t.take(cols, axis=1) - s.take(rows, axis=1), 2, op)
+        res = y[0] - y[1]
+        # np.clip's bits, without its Python wrapper
+        slope = np.minimum(np.maximum(res, -delta), delta)
+        # 1/2 res^2 inside delta, delta (|res| - delta/2) past it
+        total += (slope * (res - 0.5 * slope)).sum()
+        if g is not None:
+            gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0],
+                                      None if dead is None else dead[0], 1).ravel()
+            # by flat element, so np.add.at takes numpy's fast path for 1-D targets
+            at = (np.array((cols, rows)) * length)[:, :, None] + np.arange(length)
+            np.add.at(d_real.reshape(-1), at[0].ravel(), gx)
+            np.subtract.at(d_virtual.reshape(-1), at[1].ravel(), gx)
     return total, None if g is None else (d_real, d_virtual)
 
 
@@ -316,6 +342,9 @@ def icv_edge_loss(student: LogitBatch, teacher: LogitBatch, mask: EdgeMask | Non
 
 
 def _edge_term(kind, student: LogitBatch, teacher: LogitBatch, mask, delta, upstream):
+    # as huber checks it, so a NaN fails too
+    if not delta > 0:
+        raise ParameterError("huber delta must be positive")
     if student.real.shape != teacher.real.shape:
         raise UsageError("student and teacher shapes differ")
     rows = relation_items(kind, *(x.data for x in (student.real, student.virtual,

@@ -227,9 +227,10 @@ def _teacher_step(teacher: MLP, spec: AugmentSpec | None, key, xb: np.ndarray) -
 # entry count and per entry its slot, its op's index in the spec's pool and
 # its draw count.  Last, per array (each entry's rows and draws, then the
 # teacher's logits on both views) its buffer (0 int64, 1 float64), offset,
-# rows and columns (-1 for a 1-D array).  An error's head is _ERROR and the
-# bytes of its text.
-_OPEN, _STEP, _ERROR = 3, 0, 1
+# rows and columns (-1 for a 1-D array).  An error's head is _ERROR (a
+# NumericError) or _FAILED (any other exception, as its class and text) and
+# the bytes of its text.
+_OPEN, _STEP, _ERROR, _FAILED = 3, 0, 1, 2
 
 
 def _words(part: int) -> list:
@@ -266,17 +267,18 @@ def _pack_step(spec: AugmentSpec, plan: AugmentPlan, t_real, t_virtual) -> tuple
     return ints, np.concatenate(parts[1])
 
 
-def _pack_error(text: str) -> tuple:
-    head = [_ERROR, *text.encode()]
+def _pack_error(kind: int, text: str) -> tuple:
+    head = [kind, *text.encode()]
     return np.array([_OPEN + len(head), 0, len(head), *head], dtype=np.int64), np.empty(0)
 
 
 def _unpack(spec: AugmentSpec, ints: np.ndarray, floats: np.ndarray) -> tuple:
     """The ``(plan, t_real, t_virtual)`` of a step's message, its arrays
-    slices of ``ints`` and ``floats``; an error's raises NumericError."""
+    slices of ``ints`` and ``floats``; an error's raises NumericError, and
+    a failure's WorkerError with the worker's exception."""
     head = ints[_OPEN:_OPEN + ints[2]].tolist()
-    if head[0] == _ERROR:
-        raise NumericError(bytes(head[1:]).decode())
+    if head[0] != _STEP:
+        raise (NumericError if head[0] == _ERROR else WorkerError)(bytes(head[1:]).decode())
     items = iter(head[1:])
     shape = next(items), next(items)
     step_key = []
@@ -330,15 +332,17 @@ def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, bat
     """The body of :func:`_drawn_ahead`'s worker, which never returns: it
     writes the :func:`_teacher_step` of each of ``batches`` to ``write_fd``
     as a message, blocking while the pipe is full, and a NumericError one
-    raises as an error message;
-    it leaves through ``os._exit``, so it flushes none of the parent's stdio
+    raises as an error message; any other exception it sends as a failure
+    message, then exits 1.
+    It leaves through ``os._exit``, so it flushes none of the parent's stdio
     and runs none of its exit code.  A parent that closed the pipe (EPIPE)
     ends it quietly."""
     code = 1
     try:
-        # SIGTERM kills it outright, and a terminal's SIGINT is the parent's to handle
+        # SIGTERM kills it outright; a terminal's SIGINT and SIGHUP are the parent's to handle
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGHUP, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pipe.close()
         with open(write_fd, "wb") as out:
@@ -352,7 +356,11 @@ def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, bat
                     plan, _, t_real, t_virtual = _teacher_step(teacher, spec, key, xb)
                     send(*_pack_step(spec, plan, t_real, t_virtual))
             except NumericError as exc:
-                send(*_pack_error(str(exc)))
+                send(*_pack_error(_ERROR, str(exc)))
+            except Exception as exc:
+                # the parent names it in its WorkerError; leaving here exits 1
+                send(*_pack_error(_FAILED, f"{type(exc).__name__}: {exc}"))
+                return
         code = 0
     except BrokenPipeError:
         code = 0
@@ -370,7 +378,8 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
     The steps do not depend on the student, so the worker runs them while
     the caller trains, as far ahead as the pipe between them holds.  A
     NumericError of a step reaches the caller at that step; a worker that
-    ends before its last step raises WorkerError.  Leaving closes the pipe
+    ends before its last step raises WorkerError, which names the
+    exception that ended it, if any.  Leaving closes the pipe
     and kills and reaps the worker, however the block ends."""
     read_fd, write_fd = os.pipe()
     _widen(write_fd)
@@ -378,7 +387,8 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
     pid = status = None
     try:
         # no signal handler may run in the child before it has its own handlers
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                      (signal.SIGINT, signal.SIGTERM, signal.SIGHUP))
         try:
             pid = os.fork()
             if pid == 0:
@@ -394,14 +404,14 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
 
         def next_step(key, xb):
             try:
-                message = _read_message(pipe)
-            except EOFError:
+                plan, t_real, t_virtual = _unpack(spec, *_read_message(pipe))
+            except (EOFError, WorkerError) as exc:
                 # the worker's end of the pipe closes only as it exits, so a
                 # wait gets its own status, not that of a kill
                 code = os.waitstatus_to_exitcode(reap())
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise WorkerError(f"the virtual-view worker ended early ({how})") from None
-            plan, t_real, t_virtual = _unpack(spec, *message)
+                failure = f": {exc}" if isinstance(exc, WorkerError) else ""
+                raise WorkerError(f"the virtual-view worker ended early ({how}){failure}") from None
             return plan, virtual_batch(xb, spec, key, plan), t_real, t_virtual
 
         yield next_step

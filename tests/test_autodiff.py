@@ -68,8 +68,10 @@ def test_l2_normalize_zero_branch_has_zero_gradient():
 
 
 def test_huber_rejects_bad_delta():
-    with pytest.raises(ParameterError):
-        ad.huber(Tensor([1.0]), Tensor([0.0]), delta=-1.0)
+    # a NaN delta too, which no comparison passes
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="huber delta must be positive"):
+            ad.huber(Tensor([1.0]), Tensor([0.0]), delta=delta)
 
 
 def test_huber_branch_values():

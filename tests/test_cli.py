@@ -749,8 +749,9 @@ def test_distill_on_fractional_labels_or_indices_exits_3_before_the_run_dir(run_
 
 
 @pytest.mark.parametrize("signum, code, error_class", [
-    (signal.SIGTERM, 143, "Terminated"), (signal.SIGINT, 130, "KeyboardInterrupt")],
-    ids=["SIGTERM", "SIGINT"])
+    (signal.SIGTERM, 143, "Terminated"), (signal.SIGINT, 130, "KeyboardInterrupt"),
+    (signal.SIGHUP, 129, "Terminated")],
+    ids=["SIGTERM", "SIGINT", "SIGHUP"])
 def test_a_signal_ends_the_run_failed_with_one_error_line(run_env, signum, code, error_class):
     data = gen_data(run_env)
     run_dir = run_env / "runs" / "long"
@@ -840,6 +841,22 @@ def test_sigterm_ends_a_vrm_run_failed_and_leaves_no_worker(vrm_run):
 
 
 @needs_proc
+def test_sighup_ends_a_vrm_run_failed_and_leaves_no_worker(vrm_run):
+    # a hangup reaches the worker too, which leaves it to the run
+    proc, worker, run_dir = vrm_run
+    os.kill(worker, signal.SIGHUP)
+    time.sleep(0.3)
+    assert proc.poll() is None and worker in child_pids(proc.pid)
+    proc.send_signal(signal.SIGHUP)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 129
+    assert err.splitlines() == ["error: interrupted by SIGHUP"]
+    manifest = (run_dir / "manifest.txt").read_text().splitlines()
+    assert "status=failed" in manifest and "error_class=Terminated" in manifest
+    assert_gone(worker)
+
+
+@needs_proc
 def test_a_killed_worker_fails_the_run_with_one_error_line(vrm_run):
     proc, worker, run_dir = vrm_run
     os.kill(worker, signal.SIGKILL)
@@ -853,17 +870,20 @@ def test_a_killed_worker_fails_the_run_with_one_error_line(vrm_run):
 
 
 def test_a_run_puts_the_earlier_sigterm_handler_back(run_env):
+    # and the earlier SIGHUP handler
     def earlier(signum, frame):
         pass
 
     data = gen_data(run_env)
-    previous = signal.signal(signal.SIGTERM, earlier)
+    previous = {signum: signal.signal(signum, earlier)
+                for signum in (signal.SIGTERM, signal.SIGHUP)}
     try:
         assert main(["distill", "--data", str(data), "--objective", "ce_only",
                      "--epochs", "1", "--milestones", "1", "--name", "x"]) == 0
-        assert signal.getsignal(signal.SIGTERM) is earlier
+        assert all(signal.getsignal(signum) is earlier for signum in previous)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def test_a_run_on_another_thread_leaves_the_sigterm_handler_alone(run_env):

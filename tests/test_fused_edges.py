@@ -23,7 +23,7 @@ from vrm import autodiff as ad
 from vrm import checks, losses
 from vrm.autodiff import Tensor, backward, finite_diff_check, row_slice
 from vrm.checks import term_bound
-from vrm.errors import InputError, NumericError
+from vrm.errors import InputError, NumericError, ParameterError
 from vrm.graphs import (EdgeTensor, LogitBatch, build_icv_edges, build_isv_edges, relation_items,
                         soften)
 from vrm.losses import VRMWeights, icv_edge_loss, isv_edge_loss, loss_icv, loss_isv, total_loss
@@ -316,14 +316,50 @@ def test_screen_paths_give_the_same_bits(monkeypatch, kind, batch):
         assert_same_bits(x, y)
 
 
+# -- the relation term against a frozen copy of its earlier form ----------------
+
+
+def frozen_quadratic(R, V, P, N, keep):
+    """``losses._quadratic`` as it stood before its numpy calls were cut:
+    the same s, t, quad, inv and cos, formed from fresh temporaries."""
+    s, t = np.stack((V, N)), np.stack((R, P))
+    sq = np.einsum("bij,bij->bi", s, s)[:, :, None] + np.einsum("bij,bij->bi", t, t)[:, None]
+    n2 = sq - 2.0 * (s @ t.transpose(0, 2, 1))
+    quad = ((n2 > losses._CANCEL * sq) & (n2 > losses._FLOOR) & (sq < losses._CEIL)).all(axis=0)
+    if keep is not None:
+        quad &= keep
+    inv = quad / np.sqrt(np.where(quad, n2, 1.0))
+    cos = np.einsum("ij,ij->i", V, N)[:, None] + np.einsum("ij,ij->i", R, P)
+    cos -= (s @ t[::-1].transpose(0, 2, 1)).sum(axis=0)
+    cos *= inv[0]
+    cos *= inv[1]
+    return s, t, quad, inv, cos
+
+
+def frozen_screen(s, t, inv, fibers, limit):
+    """The [n, n] flags of the float32 screen of ``fibers``, formed as the
+    earlier ``losses._gathered_screen`` formed them."""
+    n, length = s.shape[1:]
+    with np.errstate(over="ignore"):
+        s, t = s.astype(np.float32), t.astype(np.float32)
+    inv = np.take(inv.reshape(2, -1), fibers, axis=1).astype(np.float32)[..., None]
+    flagged = np.zeros(n * n, dtype=bool)
+    rows, cols = np.divmod(fibers, n)
+    y = np.abs(np.subtract(*((t[:, cols] - s[:, rows]) * inv)))
+    flagged[fibers[np.flatnonzero(y > limit) // length]] = True
+    return flagged.reshape(n, n)
+
+
 def unskipped_relation_term(op, R, V, P, N, keep, delta, scale, g):
-    """``losses._relation_term`` with its screen and its exact path run on
-    every call, even on no fiber."""
+    """``losses._relation_term`` as it stood before its numpy calls were
+    cut, with its screen and its exact path run on every call, even on no
+    fiber: the unit fibers and their gradient as ``l2_normalize`` forms
+    them, and the gradients scattered row by row with ``np.add.at``."""
     length = R.shape[1]
-    s, t, quad, inv, cos = losses._quadratic(R, V, P, N, keep)
+    s, t, quad, inv, cos = frozen_quadratic(R, V, P, N, keep)
     limit = losses._screen_limit(delta)
     left = np.flatnonzero(quad & ~losses._cleared(cos, limit, length))
-    i, j = np.nonzero(losses._gathered_screen(s, t, inv, left, limit))
+    i, j = np.nonzero(frozen_screen(s, t, inv, left, limit))
     quad[i, j] = False
     inv[:, i, j] = 0.0
     cos[i, j] *= 0.0
@@ -337,12 +373,20 @@ def unskipped_relation_term(op, R, V, P, N, keep, delta, scale, g):
     step = max(1, ad._BLOCK_BYTES // (16 * length))
     for lo in range(0, len(i), step):
         rows, cols = i[lo:lo + step], j[lo:lo + step]
-        y, n_safe, live = ad._unit_fibers(t[:, cols] - s[:, rows], 2)
+        x = t[:, cols] - s[:, rows]
+        n = np.sqrt((x * x).sum(axis=2, keepdims=True))
+        live = n >= ad.DEFAULT_NORM_EPS
+        n_safe = np.where(live, n, 1.0)
+        if not np.isfinite(n_safe).all():
+            raise NumericError(f"{op} overflowed a squared norm")
+        y = np.where(live, x / n_safe, 0.0)
         res = y[0] - y[1]
         slope = np.clip(res, -delta, delta)
         total += (slope * (res - 0.5 * slope)).sum()
         if g is not None:
-            gx = ad._unit_fibers_grad(gs * slope, y[0], n_safe[0], live[0], 1)
+            gy = gs * slope
+            gx = (gy - y[0] * (gy * y[0]).sum(axis=1, keepdims=True)) / n_safe[0]
+            gx = np.where(live[0], gx, 0.0)
             np.add.at(d_real, cols, gx)
             np.add.at(d_virtual, rows, -gx)
     return total, None if g is None else (d_real, d_virtual)
@@ -390,6 +434,88 @@ def test_a_skipped_screen_or_exact_path_gives_the_unskipped_bits(monkeypatch, co
         assert_same_bits(x, y)
 
 
+def student_rows(rng, n, length, student, tied, layout="C"):
+    """R, V, P, N of an [n, n] fiber grid: the teacher's P and N softmax
+    rows, the student's equal to them (converged: the L2 bound clears every
+    quadratic fiber), within 2% of them (near: a few fibers flagged at
+    delta 0.05) or drawn apart (random: most left to the screen).  ``tied``
+    makes fiber [1, 0] dead in both models and fiber [0, 1] a cancellation
+    in the student's, so both take the exact path.  ``layout`` "F" lays
+    the four out as the ICV term's class columns are, "C" as the ISV
+    term's rows."""
+    P, N = probs(rng, n, length), probs(rng, n, length)
+    if student == "random":
+        R, V = probs(rng, n, length), probs(rng, n, length)
+    else:
+        jitter = 0.0 if student == "converged" else 0.02
+        R, V = (x + jitter * x * rng.standard_normal(x.shape) for x in (P, N))
+    if tied:
+        V[1], N[1] = R[0], P[0]
+        V[0], N[0] = R[1] + 1e-9 * rng.standard_normal(length), P[1]
+    return tuple(np.asarray(x, order=layout) for x in (R, V, P, N))
+
+
+TERM_SHAPES = [(32, 10), (10, 32), (128, 32), (32, 128)]
+
+
+@given(shape=st.one_of(st.tuples(st.integers(2, 40), st.integers(2, 40)),
+                       st.sampled_from(TERM_SHAPES)),
+       keep=st.sampled_from(["all", "random", "none"]),
+       delta=st.sampled_from([0.05, 0.3, 1.0]),
+       student=st.sampled_from(["converged", "near", "random"]),
+       tied=st.booleans(),
+       layout=st.sampled_from(["C", "F"]),
+       g=st.sampled_from([None, 2.0, 128.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(32, 10), keep="random", delta=0.05, student="near", tied=True, layout="C",
+         g=128.0, seed=0)
+@example(shape=(10, 32), keep="random", delta=1.0, student="random", tied=True, layout="F",
+         g=2.0, seed=0)
+@example(shape=(128, 32), keep="all", delta=0.05, student="near", tied=True, layout="C",
+         g=128.0, seed=0)
+@example(shape=(32, 128), keep="random", delta=0.3, student="random", tied=True, layout="F",
+         g=None, seed=0)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_relation_term_keeps_the_unskipped_bits(shape, keep, delta, student, tied, layout, g,
+                                                seed):
+    """The total and both gradients of ``losses._relation_term``, bit for
+    bit those of its earlier, unskipped form: a keep of every fiber (None),
+    of a random 80% or of none, on converged, near and random students,
+    with and without a dead and a cancelled fiber, on C rows (ISV) and F
+    columns (ICV)."""
+    n, length = shape
+    rng = np.random.default_rng(seed)
+    rows = student_rows(rng, n, length, student, tied, layout)
+    keep = {"all": None, "random": rng.random((n, n)) < 0.8,
+            "none": np.zeros((n, n), dtype=bool)}[keep]
+    scale = 1.0 / (n * n * length)
+    got = losses._relation_term("term", *rows, keep, delta, scale, g)
+    want = unskipped_relation_term("term", *rows, keep, delta, scale, g)
+    assert_same_bits(got[0], want[0])
+    for x, y in zip(got[1] or (), want[1] or (), strict=True):
+        assert_same_bits(x, y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+
+
+@pytest.mark.parametrize("shape", TERM_SHAPES)
+def test_student_rows_reach_the_screen_and_the_exact_path(shape):
+    # a converged student leaves nothing to the screen; at delta 1 a random
+    # one leaves fibers, some flagged and some not; the ties send two fibers
+    # to the exact path
+    n, length = shape
+    for student, delta in (("converged", 0.05), ("random", 1.0)):
+        rows = student_rows(np.random.default_rng(0), n, length, student, True)
+        s, t, quad, inv, cos = losses._quadratic(*rows, None)
+        assert (~quad).sum() == 2
+        limit = losses._screen_limit(delta)
+        left = np.flatnonzero(quad & ~losses._cleared(cos, limit, length))
+        flagged = losses._gathered_screen(s, t, inv, left, limit)
+        if student == "converged":
+            assert len(left) == 0
+        else:
+            assert 0 < len(flagged) < len(left)
+
+
 def relation_screen_check():
     return next(r for r in checks.exactness_checks() if r.name == "exact:relation_screen")
 
@@ -413,6 +539,18 @@ def test_relation_screen_check_catches_a_fault(monkeypatch, fault):
     want = ("flags of the fibers left differ" if fault == "over-clearing"
             else "stand-in reaches the limit")
     assert not result.passed and want in result.detail
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "composite"])
+@pytest.mark.parametrize("kind", ["ISV", "ICV"])
+def test_a_delta_that_is_not_positive_is_a_parameter_error(kind, fused, delta):
+    # the fused term rejects it as the composite's huber does, before any work
+    rng = np.random.default_rng(6)
+    real, virtual = probs(rng, 6, 4), probs(rng, 6, 4)
+    teacher = LogitBatch(probs(rng, 6, 4), probs(rng, 6, 4))
+    with pytest.raises(ParameterError, match="huber delta must be positive"):
+        run_term(kind, real, virtual, teacher, None, delta, fused)
 
 
 @pytest.mark.parametrize("kind", ["ISV", "ICV"])

@@ -254,6 +254,17 @@ def test_a_worker_that_fails_is_an_error_not_a_hang(forks):
     assert_reaped(forks[0])
 
 
+def test_a_worker_that_raises_names_its_exception(forks):
+    # the worker's draw of a negative key raises ValueError: the error keeps
+    # the worker's exit status and adds the exception's class and text
+    xb = np.zeros((4, 3))
+    with _drawn_ahead(MLP(MLPSpec([3, 5, 2])), AugmentSpec(), [((-1, 0), xb)]) as next_step:
+        with pytest.raises(WorkerError, match=r"^the virtual-view worker ended early "
+                                              r"\(exit status 1\): ValueError: \S"):
+            next_step((-1, 0), xb)
+    assert_reaped(forks[0])
+
+
 def test_a_worker_slow_to_exit_is_waited_for_not_killed(forks, monkeypatch):
     # the worker lingers after its end of the pipe has closed: the error
     # still gives its exit status, not a kill by the run
