@@ -336,10 +336,10 @@ def match_checks() -> list[CheckResult]:
 
 
 def exactness_checks() -> list[CheckResult]:
-    """The virtual-view kernel against per-row numpy generators, bit for
-    bit (sign bits included), so drift under another numpy shows here;
-    then the screened ISV mask (:func:`_uep_mask_check`) and the relation
-    term's screen (:func:`_relation_screen_check`)."""
+    """The virtual-view kernel's vectorized apply against the per-row
+    apply, bit for bit (sign bits included); then the screened ISV mask
+    (:func:`_uep_mask_check`) and the relation term's screen
+    (:func:`_relation_screen_check`)."""
     rng = np.random.default_rng(300)
     # virtual views at the vrm_desk and vrm_wide batch shapes, a seed of two words
     spec = AugmentSpec(n_ops=2, magnitude=0.3, seed=2**32 + 3)
@@ -350,8 +350,8 @@ def exactness_checks() -> list[CheckResult]:
             differ.append(f"B={shape[0]}, D={shape[1]}")
     return [CheckResult(
         "exact:virtual_batch", not differ,
-        f"kernel and per-row generators differ at {'; '.join(differ)}" if differ
-        else "bit-identical to per-row default_rng and Generator.choice (B=32 and 128)"),
+        f"vectorized and per-row apply differ at {'; '.join(differ)}" if differ
+        else "vectorized apply bit-identical to the per-row apply (B=32 and 128)"),
         _uep_mask_check(rng), _relation_screen_check(rng)]
 
 
@@ -513,8 +513,9 @@ def _entropy_error(je, P, Q):
 def _reference_views(xb, spec: AugmentSpec, step_key) -> np.ndarray:
     """Row i of :func:`virtual_batch` from its own ``default_rng((spec.seed,
     *step_key, i))``, its op picks from ``Generator.choice``, and the ops
-    applied to the row alone.  The kernel replays numpy's seeding and
-    ``choice`` on its own, so a numpy that changes either shows here."""
+    applied to the row alone.  The kernel draws from the same generators
+    but applies each op to all the rows that drew it at once, so this
+    checks the vectorized apply against the per-row one."""
     out = np.array(xb, dtype=np.float64)
     for i, row in enumerate(out):
         rng = np.random.default_rng([spec.seed, *step_key, i])

@@ -2,7 +2,6 @@
 checksummed artifact format that dataset and checkpoint files share."""
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -41,6 +40,8 @@ class Dataset:
         n = self.inputs.shape[0]
         if self.inputs.ndim != 2 or self.labels.shape != (n,):
             raise InputError("need [n, dim] inputs and one label per row")
+        if self.inputs.shape[1] == 0:
+            raise InputError("dataset inputs have no feature columns")
         if not np.isfinite(self.inputs).all():
             raise InputError("dataset inputs must be finite")
         if n == 0:
@@ -155,111 +156,6 @@ def _seed_words(parts) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-# numpy's SeedSequence hash constants (4-word pool) and PCG64's multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT, _MASK64, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_consts(init: int, mult: int, n_calls: int) -> np.ndarray:
-    """The [n_calls + 1, 1] uint32 constants of successive SeedSequence
-    hashes from ``init``: call t xors with entry t, multiplies by entry t + 1."""
-    return np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(n_calls + 1)],
-                    dtype=np.uint32)[:, None]
-
-
-def _hash(v, consts, t, calls):
-    """Hash calls t .. t + calls - 1 of ``v``, one per row of the result."""
-    v = (v ^ consts[t:t + calls]) * consts[t + 1:t + calls + 1]
-    return v ^ v >> np.uint32(16)
-
-
-def _mix(x, y):
-    v = x * _MIX_L - y * _MIX_R
-    return v ^ v >> np.uint32(16)
-
-
-def _pcg64_states(entropy: np.ndarray) -> list:
-    """``(state, inc)`` of ``np.random.PCG64(row)`` for each row of the
-    [n, k] uint32 ``entropy``, as Python ints: SeedSequence's mixing of its
-    4-word pool, its ``generate_state(4, uint64)`` and PCG64's seeding, all
-    of which NEP 19 keeps fixed.  The 32-bit steps run on [4, n] uint32
-    arrays for all rows at once, wrapping as numpy's C does (one source
-    word's updates of the other three are independent); the 128-bit steps
-    run on Python ints."""
-    n, k = entropy.shape
-    hashes = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, k - 4))
-    pool = np.zeros((4, n), dtype=np.uint32)
-    pool[:k] = entropy[:, :4].T
-    pool = _hash(pool, hashes, 0, 4)
-    for src in range(4):
-        others = [dst for dst in range(4) if dst != src]
-        pool[others] = _mix(pool[others], _hash(pool[src], hashes, 4 + 3 * src, 3))
-    for i in range(4, k):
-        pool = _mix(pool, _hash(entropy[:, i], hashes, 4 * i, 4))
-    # generate_state cycles through the pool for its 8 words, which it
-    # reads as 4 little-endian uint64s: seed's high and low halves, then initseq's
-    words = _hash(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in np.ascontiguousarray(words.T, "<u4").view("<u8").tolist():
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
-
-
-class _Stream:
-    """numpy's PCG64 on Python ints from a ``(state, inc)``: the LCG step,
-    the XSL-RR output and the buffered upper half of a 64-bit output,
-    which ``next32`` hands out before stepping again."""
-
-    __slots__ = ("state", "inc", "has_uint32", "uinteger")
-
-    def __init__(self, state: int, inc: int):
-        self.state, self.inc = state, inc
-        self.has_uint32 = self.uinteger = 0
-
-    def next32(self) -> int:
-        if self.has_uint32:
-            self.has_uint32 = 0
-            return self.uinteger
-        self.state = s = (self.state * _PCG_MULT + self.inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        rot = s >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        self.has_uint32, self.uinteger = 1, x >> 32
-        return x & 0xFFFFFFFF
-
-    def bounded(self, high: int) -> int:
-        """A draw from [0, high] by Lemire's rejection, for high < 2**32 - 1,
-        as numpy's ``random_bounded_uint64`` makes it."""
-        if high == 0:
-            return 0
-        span = high + 1
-        m = self.next32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (0xFFFFFFFF - high) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self.next32() * span
-        return m >> 32
-
-    def choice(self, pop: int, size: int) -> list:
-        """``Generator.choice(pop, size, replace=False)`` for pop <= 10000:
-        Floyd's sampling, then a Fisher-Yates shuffle of the picks."""
-        picks = []
-        for j in range(pop - size, pop):
-            v = self.bounded(j)
-            picks.append(j if v in picks else v)
-        for i in range(size - 1, 0, -1):
-            j = self.bounded(i)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
-
-    def numpy_state(self) -> dict:
-        return {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
-                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # sqrt(row . row) per row, which is np.linalg.norm of a 1-D float64
     # row; a reduction over axis 1 differs from it in the last bit on some rows
@@ -335,22 +231,16 @@ def _plan_key(spec: AugmentSpec, step_key) -> tuple:
 
 def _draw(spec: AugmentSpec, entropy: np.ndarray, dim: int) -> tuple:
     """The slots of :class:`AugmentPlan` for the [n, k] uint32 seed words
-    ``entropy``: row i draws from the generator
-    ``np.random.default_rng(entropy[i])`` would give.  Each row picks
-    ``spec.n_ops`` ops from its own stream and makes every draw of them,
-    in order, from that stream."""
+    ``entropy``: row i draws from its own ``np.random.default_rng(entropy[i])``.
+    It picks ``spec.n_ops`` ops with ``Generator.choice`` and makes every
+    draw of them, in order, from the same generator."""
     if spec.n_ops == 0:
         return ()
     # slots[s][op name] -> (rows that drew the op in slot s, their draws)
     slots = [{} for _ in range(spec.n_ops)]
-    # the picks come from a Python-int stream; one generator, set to each
-    # row's state after them, makes the op draws
-    rng = np.random.Generator(np.random.PCG64(0))
-    for i, (state, inc) in enumerate(_pcg64_states(entropy)):
-        stream = _Stream(state, inc)
-        picks = stream.choice(len(spec.op_pool), spec.n_ops)
-        rng.bit_generator.state = stream.numpy_state()
-        for slot, op_idx in zip(slots, picks):
+    for i, words in enumerate(entropy):
+        rng = np.random.default_rng(words)
+        for slot, op_idx in zip(slots, rng.choice(len(spec.op_pool), spec.n_ops, replace=False)):
             name = spec.op_pool[op_idx]
             drawn = _OPS[name][0](rng, dim)
             if drawn is not None:

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
-from .data import AugmentPlan, AugmentSpec, Dataset, draw_plan, virtual_batch, write_whole
+from .data import (AugmentPlan, AugmentSpec, Dataset, _seed_words, draw_plan, virtual_batch,
+                   write_whole)
 from .errors import (InputError, NumericError, ParameterError, TrainingError, WorkerError,
                      check_fields)
 from .graphs import LogitBatch
@@ -233,20 +234,12 @@ def _teacher_step(teacher: MLP, spec: AugmentSpec | None, key, xb: np.ndarray) -
 _OPEN, _STEP, _ERROR, _FAILED = 3, 0, 1, 2
 
 
-def _words(part: int) -> list:
-    """A nonnegative int's 32-bit words, low first; [0] for 0."""
-    words = [part & 0xFFFFFFFF]
-    while part := part >> 32:
-        words.append(part & 0xFFFFFFFF)
-    return words
-
-
 def _pack_step(spec: AugmentSpec, plan: AugmentPlan, t_real, t_virtual) -> tuple:
     """The int64 and float64 buffers of one step's message."""
     step_key = plan.key[3:]   # after the spec's seed, n_ops and op_pool
     head = [_STEP, *plan.shape, len(step_key)]
     for part in step_key:
-        words = _words(part)
+        words = _seed_words((part,)).tolist()
         head += [len(words), *words]
     entries = [(s, name, rows, draws) for s, slot in enumerate(plan.slots)
                for name, rows, draws in slot]

@@ -1,7 +1,9 @@
 """The batched virtual-view kernel against the per-sample reference it
 replaced: same generator per sample, same draws, same bits.  The kernel
-seeds every row's generator at once and makes each row's op picks on a
-Python-int PCG64 stream; both are checked against numpy itself."""
+draws each row from its own ``np.random.default_rng`` on the row's seed
+words, then applies each op to every row that drew it at once; the
+reference seeds from the list of key parts and applies one op to one
+sample at a time."""
 import dataclasses
 
 import numpy as np
@@ -11,8 +13,7 @@ from hypothesis import strategies as st
 
 import vrm.data
 from vrm.cli import EXIT_PROPERTY, main
-from vrm.data import (AUGMENT_OPS, AugmentSpec, _pcg64_states, _seed_words, _Stream,
-                      virtual_batch, virtual_view)
+from vrm.data import AUGMENT_OPS, AugmentSpec, _seed_words, virtual_batch, virtual_view
 from vrm.errors import ParameterError, UsageError
 from vrm.models import MLP, MLPSpec
 from vrm.training import _drawn_ahead
@@ -182,18 +183,6 @@ def test_numpy_integer_key_parts_give_the_int_key_bits():
                      virtual_batch(x, spec, (BIG, 7)))
 
 
-def test_views_never_seed_a_generator_per_row(monkeypatch):
-    def per_row_seeding(*args, **kwargs):
-        raise AssertionError("np.random.default_rng called")
-
-    monkeypatch.setattr(np.random, "default_rng", per_row_seeding)
-    xb = np.arange(40.0).reshape(8, 5)
-    spec = AugmentSpec(n_ops=4, magnitude=0.5, seed=BIG + 3)
-    assert virtual_batch(xb, spec, (2, 3)).shape == (8, 5)
-    assert virtual_view(xb[0], spec, (2, 3, 0)).shape == (5,)
-
-
-
 # -- plans drawn ahead, by the worker a vrm run forks ----------------------
 
 
@@ -234,70 +223,45 @@ def test_a_plan_from_the_worker_makes_the_views_drawn_inline(case, data_seed):
             virtual_batch(other_xb, other_spec, other_key, plan)
 
 
-# -- the seeding and the op picks against numpy ---------------------------
+# -- long seeds: every seed-word count the kernel and reference share -----
 
 
-def numpy_pcg64(state, inc, has_uint32=0, uinteger=0):
-    bitgen = np.random.PCG64(0)
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": has_uint32, "uinteger": uinteger}
-    return np.random.Generator(bitgen)
+def parts_of_words(rng, k):
+    """Nonnegative ints whose ``_seed_words`` are k words, some of them 0
+    or 0xFFFFFFFF; the first part is the spec's seed."""
+    cuts = np.sort(rng.choice(np.arange(1, k), size=rng.integers(0, k), replace=False))
+    parts = []
+    for n_words in np.diff([0, *cuts, k]):
+        words = [int(rng.choice([0, 0xFFFFFFFF, rng.integers(1, 2**32)])) for _ in range(n_words)]
+        if n_words > 1 and words[-1] == 0:
+            words[-1] = 0xFFFFFFFF   # a zero top word would be no word at all
+        parts.append(sum(word << 32 * j for j, word in enumerate(words)))
+    return parts
 
 
 @pytest.mark.parametrize("k", range(1, 13))
-def test_pcg64_states_match_numpy_seeding(k):
+def test_seeds_of_every_word_count_match_the_reference(k):
     rng = np.random.default_rng(100 + k)
-    entropy = rng.integers(0, 2**32, size=(12, k), dtype=np.uint32)
-    entropy[0] = 0
-    entropy[1] = 0xFFFFFFFF
-    entropy[2, ::2] = 0xFFFFFFFF
-    for row, (state, inc) in zip(entropy, _pcg64_states(entropy)):
-        want = np.random.PCG64(row).state["state"]
-        assert (state, inc) == (want["state"], want["inc"])
-
-
-def test_stream_choice_matches_generator_choice():
-    # every size <= pop <= 40, from fresh states and from states holding
-    # a buffered half-word; the streams must also end in the same state
-    rng = np.random.default_rng(11)
-    for pop in range(41):
-        for size in range(pop + 1):
-            for buffered in (0, 1):
-                state = int(rng.integers(0, 2**63)) << 65 | int(rng.integers(0, 2**63))
-                inc = int(rng.integers(0, 2**63)) << 1 | 1
-                uinteger = int(rng.integers(0, 2**32))
-                stream = _Stream(state, inc)
-                stream.has_uint32, stream.uinteger = buffered, uinteger
-                gen = numpy_pcg64(state, inc, buffered, uinteger)
-                assert stream.choice(pop, size) == gen.choice(pop, size, replace=False).tolist()
-                assert stream.numpy_state() == gen.bit_generator.state
-
-
-def test_stream_bounded_rejection_matches_numpy():
-    # a state whose next 64-bit output is 0: the Lemire draw on [0, 2]
-    # (threshold 2**32 % 3 = 1) rejects both zero halves, then steps again
-    mult = vrm.data._PCG_MULT
-    inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
-    zero_output = (0x9E3779B97F4A7C15 << 64) | 0x9E3779B97F4A7C15   # high half == low half
-    prev = (zero_output - inc) * pow(mult, -1, 2**128) % 2**128
-    stream = _Stream(prev, inc)
-    assert stream.next32() == 0 and stream.next32() == 0
-    stream = _Stream(prev, inc)
-    gen = numpy_pcg64(prev, inc)
-    assert stream.choice(3, 1) == gen.choice(3, 1, replace=False).tolist()
-    assert stream.state == (zero_output * mult + inc) % 2**128   # two steps taken
-    assert stream.numpy_state() == gen.bit_generator.state
+    for _ in range(4):
+        seed, *key = parts_of_words(rng, k)
+        assert _seed_words((seed, *key)).size == k
+        spec = AugmentSpec(n_ops=int(rng.integers(1, len(AUGMENT_OPS) + 1)), magnitude=0.5,
+                           seed=seed)
+        xb = rng.standard_normal((12, 7))
+        assert_same_bits(virtual_batch(xb, spec, key), ref_virtual_batch(xb, spec, key))
+        assert_same_bits(virtual_view(xb[0], spec, tuple(key)),
+                         ref_virtual_view(xb[0], spec, tuple(key)))
 
 
 def test_exactness_check_catches_swapped_picks(monkeypatch, capsys):
-    real_choice = _Stream.choice
+    real_draw = vrm.data._draw
 
-    def swapped(self, pop, size):
+    def swapped(spec, entropy, dim):
         # the batch kernel applies each row's first two ops in the other's slot
-        picks = real_choice(self, pop, size)
-        return picks[1::-1] + picks[2:]
+        slots = real_draw(spec, entropy, dim)
+        return slots[1::-1] + slots[2:]
 
-    monkeypatch.setattr(vrm.data._Stream, "choice", swapped)
+    monkeypatch.setattr(vrm.data, "_draw", swapped)
     assert main(["check", "--quick"]) == EXIT_PROPERTY
     out = capsys.readouterr().out
     assert "FAIL exact:virtual_batch:" in out and "differ" in out

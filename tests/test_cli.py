@@ -724,6 +724,21 @@ def test_distill_rejects_bad_split_indices_and_empty_data(run_env, capsys, monke
     assert not (run_env / "runs" / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [["train-teacher"], ["distill", "--objective", "ce_only"]],
+                         ids=["train-teacher", "distill"])
+def test_a_dataset_with_no_feature_columns_exits_3_not_blaming_widths(run_env, capsys, argv):
+    data = gen_data(run_env)
+    n = load_dataset(data).inputs.shape[0]
+    no_columns = crafted_dataset(data, "no_columns.vrmdata", inputs=np.zeros((n, 0)))
+    code = main([*argv, "--data", str(no_columns), "--epochs", "2", "--milestones", "1",
+                 "--name", "x"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "feature columns" in err and "--widths" not in err
+    assert not (run_env / "runs" / "x").exists()
+
+
 def test_distill_on_a_non_finite_input_exits_3_before_the_run_dir(run_env, capsys):
     data = gen_data(run_env)
     inputs = load_dataset(data).inputs.copy()

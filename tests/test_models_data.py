@@ -127,6 +127,12 @@ def test_dataset_rejects_bad_shapes_and_split_indices():
     Dataset(x, y, np.array([0, 3]), np.array([], dtype=np.int64), 2)
 
 
+def test_dataset_rejects_inputs_with_no_feature_columns():
+    y = np.array([0, 1, 0, 1])
+    with pytest.raises(InputError, match="no feature columns"):
+        Dataset(np.zeros((4, 0)), y, np.array([0, 1]), np.array([2, 3]), 2)
+
+
 def test_dataset_rejects_labels_and_indices_that_are_not_whole_numbers():
     x, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
     train, val = np.array([0, 1]), np.array([2, 3])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrm.data import AugmentSpec, make_synthetic_dataset
+from vrm.data import AugmentSpec, draw_plan, make_synthetic_dataset, virtual_batch
 from vrm.errors import ParameterError, TrainingError, UsageError, WorkerError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
@@ -18,6 +18,8 @@ from vrm.training import (
     EpochRecord,
     TrainConfig,
     _drawn_ahead,
+    _pack_step,
+    _unpack,
     distill_student,
     train_teacher,
     write_breakdown_csv,
@@ -336,6 +338,21 @@ def test_a_message_for_another_step_raises_usage_error(forks):
     with _drawn_ahead(MLP(MLPSpec([3, 5, 2])), spec, [((0, 1), xb)]) as next_step:
         with pytest.raises(UsageError, match=r"\(0, 2, .*, 0, 1\)"):
             next_step((0, 0), xb)
+
+
+def test_a_step_message_carries_each_key_part_as_its_32_bit_words():
+    key = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 5)
+    spec, xb = AugmentSpec(n_ops=3, seed=2**40 + 1), np.arange(12.0).reshape(4, 3)
+    plan = draw_plan(spec, key, xb.shape)
+    ints, floats = _pack_step(spec, plan, np.zeros((4, 2)), np.ones((4, 2)))
+    # the head: _STEP, rows, dim, the part count, then per part its word
+    # count and its words, low first
+    assert ints[3:23].tolist() == [0, 4, 3, 5, 1, 0, 1, 2**32 - 1, 2, 0, 1, 3, 0, 0, 1,
+                                   4, 5, 0, 0, 1]
+    got, t_real, t_virtual = _unpack(spec, ints, floats)
+    assert got.key == plan.key and got.shape == plan.shape
+    assert np.array_equal(virtual_batch(xb, spec, key, got), virtual_batch(xb, spec, key))
+    assert np.array_equal(t_real, np.zeros((4, 2))) and np.array_equal(t_virtual, np.ones((4, 2)))
 
 
 def check_worker_logits(batch_size, widths, n_steps=8):
