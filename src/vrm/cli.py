@@ -4,8 +4,8 @@ self-check gate.
 
 Exit codes: 0 ok, 1 property failure, 2 a bad flag or an unwritable
 output, 3 a missing, unreadable, corrupt or mismatched input artifact,
-4 numeric divergence, 5 the worker process of a vrm run died, 129
-SIGHUP, 130 SIGINT, 143 SIGTERM.  The output root comes from
+4 numeric divergence, 5 the teacher worker of a distillation died,
+129 SIGHUP, 130 SIGINT, 143 SIGTERM.  The output root comes from
 VRM_RUN_DIR (default ./runs); every run directory carries a manifest
 that makes it self-describing.
 """

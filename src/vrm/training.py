@@ -12,7 +12,9 @@ import itertools
 import math
 import os
 import signal
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
 from .data import (AugmentPlan, AugmentSpec, Dataset, _seed_words, draw_plan, virtual_batch,
                    write_whole)
-from .errors import (InputError, NumericError, ParameterError, TrainingError, WorkerError,
-                     check_fields)
+from .errors import (InputError, NumericError, ParameterError, TrainingError, UsageError,
+                     WorkerError, check_fields)
 from .graphs import LogitBatch
 from .losses import VRMWeights, total_loss
 from .models import MLP, MLPSpec
@@ -132,7 +134,7 @@ def _row(*values) -> dict:
     return dict(zip(STEP_COLUMNS, values, strict=True))
 
 
-def _ce_only(model, t_logits, xb, yb, xv, config):
+def _ce_only(model, t_side, xb, yb, xv, config):
     """Label cross-entropy alone; the teacher is never consulted."""
     loss = ad.cross_entropy(model(xb), yb)
     return loss, _row(loss.item(), 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -149,36 +151,49 @@ def _vrm(model, t_logits, xb, yb, xv, config):
                           bd.icv.item(), bd.kept_isv / (b * b), bd.kept_icv / (c * c))
 
 
+def _vrm_teacher(teacher: MLP, config: TrainConfig, key, xb: np.ndarray) -> tuple:
+    """Step ``key`` of batch ``xb`` as ``(plan, xv, (t_real, t_virtual))``:
+    the AugmentPlan of the batch's virtual views, the views, and the frozen
+    teacher's logits on the batch and on the views.  The teacher runs on
+    the batch as the loop would, so its logits have the loop's bits."""
+    plan = draw_plan(config.augment, key, xb.shape)
+    xv = virtual_batch(xb, config.augment, key, plan)
+    return plan, xv, (teacher.logits(xb), teacher.logits(xv))
+
+
 # the classic distillation arms see the real view only, so any difference
 # against vrm comes from the objective itself
 
 
-def _single_view(model, t_logits, xb, yb):
-    """Student logits (on the tape), teacher logits (off it) and label CE."""
+def _single_view(model, xb, yb):
+    """Student logits (on the tape) and label CE."""
     s_logits = model(xb)
-    return s_logits, Tensor(t_logits[0]), ad.cross_entropy(s_logits, yb)
+    return s_logits, ad.cross_entropy(s_logits, yb)
 
 
 def _im_kd(model, t_logits, xb, yb, xv, config):
     """Instance matching (Hinton et al.): label CE plus the softened KL
     divergence from the teacher, logged in the ``isv`` column."""
-    s_logits, t_logits, ce = _single_view(model, t_logits, xb, yb)
-    kl = ad.kld(t_logits, s_logits, config.weights.tau)
+    s_logits, ce = _single_view(model, xb, yb)
+    kl = ad.kld(Tensor(t_logits[0]), s_logits, config.weights.tau)
     loss = ce + kl * config.im_kd_weight
     return loss, _row(ce.item(), 0.0, kl.item(), 0.0, 1.0, 1.0)
 
 
-def _relation_arm(model, t_logits, xb, yb, config, *encoders):
+def _teacher_logits(teacher: MLP, config: TrainConfig, key, xb: np.ndarray) -> tuple:
+    """The frozen teacher's logits on the batch."""
+    return None, None, (teacher.logits(xb),)
+
+
+def _relation_arm(model, t_encodings, xb, yb, config, *encoders):
     """Label CE plus, for each relation encoder in turn, the mean Huber
-    distance between the encodings of the student's and the teacher's
-    softened predictions, weighted by alpha, then beta."""
+    distance between its encoding of the student's softened predictions
+    and ``t_encodings``' entry, weighted by alpha, then beta."""
     w = config.weights
-    s_logits, t_logits, ce = _single_view(model, t_logits, xb, yb)
+    s_logits, ce = _single_view(model, xb, yb)
     s_soft = ad.softmax(s_logits, axis=1, tau=w.tau)
-    with ad.no_grad():
-        t_soft = ad.softmax(t_logits, axis=1, tau=w.tau)
-    rels = [ad.huber(encode(s_soft), encode(t_soft).detach(), w.huber_delta).mean()
-            for encode in encoders]
+    rels = [ad.huber(encode(s_soft), Tensor(target), w.huber_delta).mean()
+            for encode, target in zip(encoders, t_encodings, strict=True)]
     loss = ce
     for rel, weight in zip(rels, (w.alpha, w.beta)):
         loss = loss + rel * weight
@@ -186,69 +201,98 @@ def _relation_arm(model, t_logits, xb, yb, config, *encoders):
     return loss, _row(ce.item(), 0.0, isv, icv, 1.0, 1.0)
 
 
-def _gram(model, t_logits, xb, yb, xv, config):
+def _encodings(t_logits: np.ndarray, config: TrainConfig, *encoders) -> tuple:
+    """Each encoder's encoding of the softened teacher logits ``t_logits``,
+    made off the tape, as arrays."""
+    with ad.no_grad():
+        t_soft = ad.softmax(Tensor(t_logits), axis=1, tau=config.weights.tau)
+        return tuple(encode(t_soft).data for encode in encoders)
+
+
+def _gram(model, t_grams, xb, yb, xv, config):
     """SP baseline (Tung & Mori, 2019): inter-sample and inter-class Gram
     matrices, logged as ``isv`` and ``icv``."""
-    return _relation_arm(model, t_logits, xb, yb, config, gram_inter_sample, gram_inter_class)
+    return _relation_arm(model, t_grams, xb, yb, config, gram_inter_sample, gram_inter_class)
+
+
+def _gram_teacher(teacher, config, key, xb):
+    """The teacher's inter-sample [B, B] and inter-class [C, C] Gram matrices."""
+    return None, None, _encodings(teacher.logits(xb), config, gram_inter_sample,
+                                  gram_inter_class)
 
 
 def _angular(model, t_logits, xb, yb, xv, config):
     """RKD-angle baseline (Park et al., 2019): third-order angular
-    relations, logged as ``isv``."""
-    return _relation_arm(model, t_logits, xb, yb, config, angular_relations)
+    relations, logged as ``isv``.  The teacher's [B, B, B] angles are
+    made here from its logits, which cross a worker's pipe at B x C."""
+    return _relation_arm(model, _encodings(t_logits[0], config, angular_relations), xb, yb,
+                         config, angular_relations)
 
 
-# objective -> fn(model, t_logits, xb, yb, xv, config) -> (loss tensor,
-# breakdown row), where t_logits is the frozen teacher's logits on xb and on
-# xv, each None where the objective does without.  The entries look up their
-# loss functions when called, so a rebinding of, say, ``training.total_loss``
-# reaches them.
-OBJECTIVES = {"vrm": _vrm, "im_kd": _im_kd, "ce_only": _ce_only,
-              "gram": _gram, "angular": _angular}
+class Objective(NamedTuple):
+    """One training objective.  ``teacher_side(teacher, config, key, xb)``
+    is the work step ``key`` of batch ``xb`` does on the frozen teacher
+    alone, ``(plan, xv, arrays)``: a vrm step's AugmentPlan and virtual
+    views (None elsewhere) and the float64 arrays the student side takes;
+    None for an objective that never consults the teacher.
+    ``loss(model, arrays, xb, yb, xv, config)`` is the student side: the
+    loss tensor and the breakdown row."""
+
+    loss: Callable
+    teacher_side: Callable | None
 
 
-def _teacher_step(teacher: MLP, spec: AugmentSpec | None, key, xb: np.ndarray) -> tuple:
-    """Step ``key`` of batch ``xb`` as ``(plan, xv, t_real, t_virtual)``:
-    the AugmentPlan of the batch's virtual views, the views, and the frozen
-    teacher's logits on the batch and on the views; ``(None, None, t_real,
-    None)`` for ``spec`` None.  The teacher runs on the batch as the loop
-    would, so its logits have the loop's bits."""
-    plan = xv = None
-    if spec is not None:
-        plan = draw_plan(spec, key, xb.shape)
-        xv = virtual_batch(xb, spec, key, plan)
-    return plan, xv, teacher.logits(xb), None if xv is None else teacher.logits(xv)
+# Both sides look up the functions they call when called, so a rebinding of,
+# say, ``training.total_loss`` reaches them.
+OBJECTIVES = {"vrm": Objective(_vrm, _vrm_teacher), "im_kd": Objective(_im_kd, _teacher_logits),
+              "ce_only": Objective(_ce_only, None), "gram": Objective(_gram, _gram_teacher),
+              "angular": Objective(_angular, _teacher_logits)}
+
+
+def teacher_side(objective: str, teacher: MLP | None, config: TrainConfig):
+    """The step function ``(key, xb) -> (plan, xv, arrays)`` of the
+    :data:`OBJECTIVES` entry ``objective``'s teacher side on ``teacher``;
+    ``(None, None, ())`` for an objective without one."""
+    side = OBJECTIVES[objective].teacher_side
+    if side is None:
+        return lambda key, xb: (None, None, ())
+    return functools.partial(side, teacher, config)
 
 
 # A worker's message is one int64 buffer, then one float64 buffer.  The
 # int64 one opens with its own length, the float64 one's length and the
 # length of the head after them.  The head of a step starts with _STEP, the
 # batch's rows and dim, and the step key: its part count, then per part the
-# count of its 32-bit words and the words, low first.  Then come the plan's
-# entry count and per entry its slot, its op's index in the spec's pool and
-# its draw count.  Last, per array (each entry's rows and draws, then the
-# teacher's logits on both views) its buffer (0 int64, 1 float64), offset,
-# rows and columns (-1 for a 1-D array).  An error's head is _ERROR (a
-# NumericError) or _FAILED (any other exception, as its class and text) and
-# the bytes of its text.
+# count of its 32-bit words and the words, low first.  Then comes the plan:
+# -1 for none, else its entry count and per entry its slot, its op's index
+# in the spec's pool and its draw count.  Last, per array (each plan entry's
+# rows and draws, then the teacher side's arrays, each C-ordered with one or
+# two dimensions) its buffer (0 int64, 1 float64), offset, rows and columns
+# (-1 for a 1-D array).  An error's head is _ERROR (a NumericError) or
+# _FAILED (any other exception, as its class and text) and the bytes of its
+# text.
 _OPEN, _STEP, _ERROR, _FAILED = 3, 0, 1, 2
 
 
-def _pack_step(spec: AugmentSpec, plan: AugmentPlan, t_real, t_virtual) -> tuple:
-    """The int64 and float64 buffers of one step's message."""
-    step_key = plan.key[3:]   # after the spec's seed, n_ops and op_pool
-    head = [_STEP, *plan.shape, len(step_key)]
-    for part in step_key:
+def _pack_step(spec: AugmentSpec, key, shape, plan: AugmentPlan | None, arrays) -> tuple:
+    """The int64 and float64 buffers of one step's message: step ``key``
+    of a batch of ``shape``, its ``plan`` of ``spec`` or None, and the
+    teacher side's ``arrays``."""
+    head = [_STEP, *shape, len(key)]
+    for part in key:
         words = _seed_words((part,)).tolist()
         head += [len(words), *words]
-    entries = [(s, name, rows, draws) for s, slot in enumerate(plan.slots)
-               for name, rows, draws in slot]
-    head.append(len(entries))
-    arrays = []
-    for s, name, rows, draws in entries:
-        head += [s, spec.op_pool.index(name), len(draws)]
-        arrays += [rows, *draws]
-    arrays += [t_real, t_virtual]
+    plan_arrays = []
+    if plan is None:
+        head.append(-1)
+    else:
+        entries = [(s, name, rows, draws) for s, slot in enumerate(plan.slots)
+                   for name, rows, draws in slot]
+        head.append(len(entries))
+        for s, name, rows, draws in entries:
+            head += [s, spec.op_pool.index(name), len(draws)]
+            plan_arrays += [rows, *draws]
+    arrays = [*plan_arrays, *arrays]
     n_head = len(head) + 4 * len(arrays)
     ends, parts = [_OPEN + n_head, 0], ([], [])
     for a in arrays:
@@ -257,7 +301,7 @@ def _pack_step(spec: AugmentSpec, plan: AugmentPlan, t_real, t_virtual) -> tuple
         ends[buf] += a.size
         parts[buf].append(a.ravel())
     ints = np.concatenate([np.array([*ends, n_head, *head], dtype=np.int64), *parts[0]])
-    return ints, np.concatenate(parts[1])
+    return ints, np.concatenate((np.empty(0), *parts[1]))
 
 
 def _pack_error(kind: int, text: str) -> tuple:
@@ -266,31 +310,36 @@ def _pack_error(kind: int, text: str) -> tuple:
 
 
 def _unpack(spec: AugmentSpec, ints: np.ndarray, floats: np.ndarray) -> tuple:
-    """The ``(plan, t_real, t_virtual)`` of a step's message, its arrays
-    slices of ``ints`` and ``floats``; an error's raises NumericError, and
-    a failure's WorkerError with the worker's exception."""
+    """The ``(key, shape, plan, arrays)`` of a step's message: its step
+    key, its batch's shape, its AugmentPlan of ``spec`` or None, and the
+    teacher side's arrays, slices of ``ints`` and ``floats``.  An error's
+    raises NumericError, and a failure's WorkerError with the worker's
+    exception."""
     head = ints[_OPEN:_OPEN + ints[2]].tolist()
     if head[0] != _STEP:
         raise (NumericError if head[0] == _ERROR else WorkerError)(bytes(head[1:]).decode())
     items = iter(head[1:])
     shape = next(items), next(items)
-    step_key = []
+    key = []
     for _ in range(next(items)):
         n_words = next(items)
-        step_key.append(sum(next(items) << 32 * i for i in range(n_words)))
+        key.append(sum(next(items) << 32 * i for i in range(n_words)))
+    n_entries = next(items)
     entries = [(next(items), spec.op_pool[next(items)], next(items))
-               for _ in range(next(items))]
+               for _ in range(max(n_entries, 0))]
     bufs = (ints, floats)
     # the rest of the head is one (buffer, offset, rows, columns) per array
     arrays = iter([bufs[buf][at:at + rows] if cols < 0 else
                    bufs[buf][at:at + rows * cols].reshape(rows, cols)
                    for buf, at, rows, cols in zip(items, items, items, items)])
-    slots = [[] for _ in range(spec.n_ops)]
-    for s, name, n_draws in entries:
-        slots[s].append((name, next(arrays), tuple(itertools.islice(arrays, n_draws))))
-    plan = AugmentPlan((spec.seed, spec.n_ops, spec.op_pool, *step_key), shape,
-                       tuple(map(tuple, slots)))
-    return plan, next(arrays), next(arrays)
+    plan = None
+    if n_entries >= 0:
+        slots = [[] for _ in range(spec.n_ops)]
+        for s, name, n_draws in entries:
+            slots[s].append((name, next(arrays), tuple(itertools.islice(arrays, n_draws))))
+        plan = AugmentPlan((spec.seed, spec.n_ops, spec.op_pool, *key), shape,
+                           tuple(map(tuple, slots)))
+    return tuple(key), shape, plan, tuple(arrays)
 
 
 def _fill(pipe, array: np.ndarray) -> None:
@@ -321,12 +370,28 @@ def _widen(fd: int) -> None:
             fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(limit.read()))
 
 
-def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, batches):
+def _cpus() -> set:
+    """The CPUs the calling thread may run on; all the machine's where the
+    platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
+
+
+def _pin(cpus) -> None:
+    """Run the calling thread on ``cpus`` only; where the platform has no
+    affinity or the call fails, leave it where it runs."""
+    with contextlib.suppress(OSError, AttributeError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _write_steps(pipe, write_fd: int, mask, cpu, step, spec: AugmentSpec, batches):
     """The body of :func:`_drawn_ahead`'s worker, which never returns: it
-    writes the :func:`_teacher_step` of each of ``batches`` to ``write_fd``
-    as a message, blocking while the pipe is full, and a NumericError one
-    raises as an error message; any other exception it sends as a failure
-    message, then exits 1.
+    pins itself to ``cpu`` (None: stays where it runs), then writes the
+    ``step(key, xb)`` of each of ``batches`` to ``write_fd`` as a message,
+    blocking while the pipe is full, and a NumericError one raises as an
+    error message; any other exception it sends as a failure message,
+    then exits 1.
     It leaves through ``os._exit``, so it flushes none of the parent's stdio
     and runs none of its exit code.  A parent that closed the pipe (EPIPE)
     ends it quietly."""
@@ -338,6 +403,8 @@ def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, bat
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pipe.close()
+        if cpu is not None:
+            _pin({cpu})
         with open(write_fd, "wb") as out:
             def send(ints, floats):
                 out.write(ints)
@@ -346,8 +413,8 @@ def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, bat
 
             try:
                 for key, xb in batches:
-                    plan, _, t_real, t_virtual = _teacher_step(teacher, spec, key, xb)
-                    send(*_pack_step(spec, plan, t_real, t_virtual))
+                    plan, _, arrays = step(key, xb)
+                    send(*_pack_step(spec, key, xb.shape, plan, arrays))
             except NumericError as exc:
                 send(*_pack_error(_ERROR, str(exc)))
             except Exception as exc:
@@ -362,18 +429,27 @@ def _write_steps(pipe, write_fd: int, mask, teacher: MLP, spec: AugmentSpec, bat
 
 
 @contextlib.contextmanager
-def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
-    """Fork a worker that runs the :func:`_teacher_step` of each ``(key,
-    batch)`` of ``batches`` and writes it, but for its views, as a flat
-    message.  The block gets ``next_step(key, xb)``, which reads the next
-    message and returns its step with the views ``virtual_batch(xb, spec,
-    key, plan)`` makes, a UsageError for a plan of another key or shape.
+def _drawn_ahead(step, spec: AugmentSpec, batches):
+    """Fork a worker that runs ``step(key, xb)``, a :func:`teacher_side`,
+    on each ``(key, batch)`` of ``batches`` and writes its plan and arrays
+    as a flat message.  The block gets ``next_step(key, xb)``, which reads
+    the next message and returns it as ``step`` would, a plan of ``spec``
+    with the views ``virtual_batch(xb, spec, key, plan)`` makes; a
+    UsageError for a message of another key or shape.
     The steps do not depend on the student, so the worker runs them while
     the caller trains, as far ahead as the pipe between them holds.  A
     NumericError of a step reaches the caller at that step; a worker that
     ends before its last step raises WorkerError, which names the
-    exception that ended it, if any.  Leaving closes the pipe
-    and kills and reaps the worker, however the block ends."""
+    exception that ended it, if any.
+    Where the calling thread may run on two CPUs or more, the worker pins
+    itself to the last of them and the thread runs on the others while
+    the worker lives, so that neither waits for the other's CPU (with the
+    worker pinned alone, the two still shared one CPU in some processes).
+    Leaving closes the pipe, kills and reaps the worker, and puts the
+    thread back on the CPUs it had, however the block ends; a thread it
+    started meanwhile keeps the narrower set."""
+    cpus = _cpus()
+    cpu = max(cpus) if len(cpus) > 1 else None
     read_fd, write_fd = os.pipe()
     _widen(write_fd)
     pipe = open(read_fd, "rb")
@@ -385,10 +461,12 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
         try:
             pid = os.fork()
             if pid == 0:
-                _write_steps(pipe, write_fd, mask, teacher, spec, batches)
+                _write_steps(pipe, write_fd, mask, cpu, step, spec, batches)
         finally:
             os.close(write_fd)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if cpu is not None:
+            _pin(cpus - {cpu})
 
         def reap():
             nonlocal status
@@ -397,15 +475,19 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
 
         def next_step(key, xb):
             try:
-                plan, t_real, t_virtual = _unpack(spec, *_read_message(pipe))
+                got_key, shape, plan, arrays = _unpack(spec, *_read_message(pipe))
             except (EOFError, WorkerError) as exc:
                 # the worker's end of the pipe closes only as it exits, so a
                 # wait gets its own status, not that of a kill
                 code = os.waitstatus_to_exitcode(reap())
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 failure = f": {exc}" if isinstance(exc, WorkerError) else ""
-                raise WorkerError(f"the virtual-view worker ended early ({how}){failure}") from None
-            return plan, virtual_batch(xb, spec, key, plan), t_real, t_virtual
+                raise WorkerError(f"the teacher worker ended early ({how}){failure}") from None
+            xv = None if plan is None else virtual_batch(xb, spec, key, plan)
+            if (got_key, shape) != (tuple(key), xb.shape):
+                raise UsageError(f"the teacher worker's step {got_key} at shape {shape} "
+                                 f"is not step {tuple(key)} at shape {xb.shape}")
+            return plan, xv, arrays
 
         yield next_step
     finally:
@@ -413,41 +495,33 @@ def _drawn_ahead(teacher: MLP, spec: AugmentSpec, batches):
         if pid and status is None:
             os.kill(pid, signal.SIGKILL)
             reap()
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        if pid and cpu is not None:
+            _pin(cpus)
 
 
 def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
            objective: str) -> list[EpochRecord]:
     """SGD on the :data:`OBJECTIVES` entry ``objective``, over full batches.
-    The teacher's logits, and a vrm run's virtual views, come from
-    :func:`_teacher_step`.  A vrm run that may use more than one CPU runs
-    it in a worker process (:func:`_drawn_ahead`) and makes each step's
-    views from the worker's plan here; otherwise it runs inline, where it
-    makes the views itself."""
+    Each step's teacher side (:func:`teacher_side`) runs in a worker
+    process (:func:`_drawn_ahead`) where the objective has one and the
+    process may use two CPUs or more, and a vrm step's views are made
+    here from the worker's plan; otherwise the loop calls the same
+    function inline, which makes the views itself."""
     check_objective(objective, teacher, config, data)
-    step_loss = OBJECTIVES[objective]
+    entry = OBJECTIVES[objective]
     x_train, y_train = data.train_inputs, data.train_labels
-    needs_virtual = step_loss is _vrm
     params = model.parameters()
     opt = SGD(params, config.lr, config.momentum, config.weight_decay)
     records: list[EpochRecord] = []
-    if step_loss is _ce_only:
-        source = contextlib.nullcontext(lambda key, xb: (None, None, None, None))
-    elif needs_virtual and _cpus() > 1:
+    step_teacher = teacher_side(objective, teacher, config)
+    if entry.teacher_side is not None and len(_cpus()) > 1:
         # the key and the batch of each step, in the loop's order
         batches = (((epoch, step), x_train[idx]) for epoch in range(config.epochs)
                    for step, idx in enumerate(_batch_rows(
                        len(x_train), config.batch_size, config.seed, epoch)))
-        source = _drawn_ahead(teacher, config.augment, batches)
+        source = _drawn_ahead(step_teacher, config.augment, batches)
     else:
-        source = contextlib.nullcontext(functools.partial(
-            _teacher_step, teacher, config.augment if needs_virtual else None))
+        source = contextlib.nullcontext(step_teacher)
 
     with source as next_step:
         for epoch in range(config.epochs):
@@ -458,8 +532,8 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
                     x_train.shape[0], config.batch_size, config.seed, epoch)):
                 xb, yb = x_train[batch_idx], y_train[batch_idx]
                 try:
-                    _, xv, *t_logits = next_step((epoch, step), xb)
-                    loss, row = step_loss(model, t_logits, xb, yb, xv, config)
+                    _, xv, t_side = next_step((epoch, step), xb)
+                    loss, row = entry.loss(model, t_side, xb, yb, xv, config)
                     row["total"] = loss.item()
                     if not np.isfinite(row["total"]):
                         raise NumericError("loss is not finite")
@@ -494,7 +568,7 @@ def check_objective(objective: str, teacher: MLP | None, config: TrainConfig,
     fewer classes than they relate."""
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}")
-    if objective != "ce_only" and teacher is None:
+    if OBJECTIVES[objective].teacher_side is not None and teacher is None:
         raise ParameterError(f"objective {objective!r} needs a teacher")
     n_train = len(data.train_idx)
     if config.batch_size > n_train:

@@ -16,7 +16,7 @@ from vrm.cli import EXIT_PROPERTY, main
 from vrm.data import AUGMENT_OPS, AugmentSpec, _seed_words, virtual_batch, virtual_view
 from vrm.errors import ParameterError, UsageError
 from vrm.models import MLP, MLPSpec
-from vrm.training import _drawn_ahead
+from vrm.training import TrainConfig, _drawn_ahead, teacher_side
 
 
 # -- reference: one generator and one op at a time, per sample ------------
@@ -206,9 +206,10 @@ def test_a_plan_from_the_worker_makes_the_views_drawn_inline(case, data_seed):
     xb = np.random.default_rng(data_seed).standard_normal((b, d))
     xb[0] = 0.0   # a zero row: norm 0, signed zeros
     teacher = MLP(MLPSpec([d, 5, 3], "relu", data_seed))
-    with _drawn_ahead(teacher, spec, [(key, xb)]) as next_step:
+    side = teacher_side("vrm", teacher, TrainConfig(augment=spec))
+    with _drawn_ahead(side, spec, [(key, xb)]) as next_step:
         # written flat by the worker and read back through its pipe
-        plan, xv, t_real, t_virtual = next_step(key, xb)
+        plan, xv, (t_real, t_virtual) = next_step(key, xb)
     assert_same_bits(virtual_batch(xb, spec, key, plan), virtual_batch(xb, spec, key))
     assert_same_bits(xv, virtual_batch(xb, spec, key))
     assert_same_bits(t_real, teacher.logits(xb))

@@ -6,7 +6,7 @@ from vrm.baselines import angular_relations, gram_inter_class, gram_inter_sample
 from vrm.errors import InputError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
-from vrm.training import OBJECTIVES, TrainConfig
+from vrm.training import OBJECTIVES, TrainConfig, teacher_side
 
 
 def test_gram_inter_sample_orthonormal_rows():
@@ -115,29 +115,33 @@ def models_and_batch(seed, b, c, dim=4):
     return student, teacher, xb, yb, xv
 
 
+def step_loss(objective, student, teacher, xb, yb):
+    """The objective's (loss, row) on batch ``xb``, its teacher side made by
+    the function a run makes it with."""
+    _, xv, t_side = teacher_side(objective, teacher, CONFIG)((0, 0), xb)
+    return OBJECTIVES[objective].loss(student, t_side, xb, yb, xv, CONFIG)
+
+
 def loss_of_last_layer(objective, student, teacher, xb, yb):
     def f(w):
         student.weights[-1] = w
-        return OBJECTIVES[objective](student, (teacher.logits(xb), None), xb, yb, None, CONFIG)[0]
+        return step_loss(objective, student, teacher, xb, yb)[0]
     return f
 
 
 @pytest.mark.parametrize("objective", ["gram", "angular", "vrm"])
 def test_baseline_losses_zero_at_equality_and_nonnegative(objective):
-    student, teacher, xb, yb, xv = models_and_batch(4, 5, 3)
-    clone = MLP(student.spec)
-    _, row = OBJECTIVES[objective](student, (clone.logits(xb), clone.logits(xv)), xb, yb, xv,
-                                   CONFIG)
+    student, teacher, xb, yb, _ = models_and_batch(4, 5, 3)
+    _, row = step_loss(objective, student, MLP(student.spec), xb, yb)
     assert row["isv"] == pytest.approx(0.0, abs=1e-15)
     assert row["icv"] == pytest.approx(0.0, abs=1e-15)
-    _, row = OBJECTIVES[objective](student, (teacher.logits(xb), teacher.logits(xv)), xb, yb, xv,
-                                   CONFIG)
+    _, row = step_loss(objective, student, teacher, xb, yb)
     assert row["isv"] > 0.0 and row["icv"] >= 0.0
 
 
 def test_baseline_gram_loss_scalar_oracle():
     student, teacher, xb, yb, _ = models_and_batch(5, 3, 4)
-    loss, row = OBJECTIVES["gram"](student, (teacher.logits(xb), None), xb, yb, None, CONFIG)
+    loss, row = step_loss("gram", student, teacher, xb, yb)
 
     def soft(z):
         e = np.exp(z / CONFIG.weights.tau)

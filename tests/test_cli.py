@@ -878,7 +878,7 @@ def test_a_killed_worker_fails_the_run_with_one_error_line(vrm_run):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == cli.EXIT_WORKER == 5
     assert err.splitlines() == [
-        f"error: the virtual-view worker ended early (killed by signal {signal.SIGKILL:d})"]
+        f"error: the teacher worker ended early (killed by signal {signal.SIGKILL:d})"]
     manifest = (run_dir / "manifest.txt").read_text().splitlines()
     assert "status=failed" in manifest and "error_class=WorkerError" in manifest
     assert_gone(worker)

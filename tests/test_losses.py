@@ -20,7 +20,7 @@ from vrm.losses import (
 )
 from vrm.models import MLP, MLPSpec
 from vrm.pruning import EdgeMask, joint_entropy_matrix, uep_mask
-from vrm.training import OBJECTIVES, TrainConfig
+from vrm.training import OBJECTIVES, TrainConfig, teacher_side
 
 
 def raw_pair(rng, b, c):
@@ -257,24 +257,29 @@ def im_kd_case(seed, b, c, dim=4):
     return MLP(MLPSpec([dim, 5, c], "relu", seed)), xb, yb
 
 
+def im_kd_loss(student, teacher, xb, yb, config):
+    """The im_kd (loss, row) on batch ``xb``, its teacher side made by the
+    function a run makes it with."""
+    _, xv, t_side = teacher_side("im_kd", teacher, config)((0, 0), xb)
+    return OBJECTIVES["im_kd"].loss(student, t_side, xb, yb, xv, config)
+
+
 def test_im_kd_examples():
     student, xb, yb = im_kd_case(16, 4, 3)
     teacher = MLP(MLPSpec([4, 6, 3], "relu", 99))
-    _, row = OBJECTIVES["im_kd"](student, (MLP(student.spec).logits(xb), None), xb, yb, None,
-                                TrainConfig())
+    _, row = im_kd_loss(student, MLP(student.spec), xb, yb, TrainConfig())
     assert row["isv"] == pytest.approx(0.0, abs=1e-14)
     assert (row["kept_isv_frac"], row["kept_icv_frac"]) == (1.0, 1.0)
 
     zero_w = TrainConfig(im_kd_weight=0.0)
-    loss, row = OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None, zero_w)
+    loss, row = im_kd_loss(student, teacher, xb, yb, zero_w)
     assert row["isv"] > 0.0 and row["ce_virtual"] == 0.0 and row["icv"] == 0.0
     ce = ad.cross_entropy(Tensor(student.logits(xb)), yb).item()
     assert loss.item() == pytest.approx(ce, abs=1e-12)
 
     def f(w):
         student.weights[-1] = w
-        return OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None,
-                                   TrainConfig())[0]
+        return im_kd_loss(student, teacher, xb, yb, TrainConfig())[0]
 
     assert finite_diff_check(f, student.weights[-1].data) < 1e-4
 
@@ -284,7 +289,7 @@ def test_im_kd_matches_scalar_oracle():
     student, xb, yb = im_kd_case(17, b, c)
     teacher = MLP(MLPSpec([4, 6, c], "relu", 98))
     config = TrainConfig(weights=VRMWeights(tau=tau), im_kd_weight=0.7)
-    loss, row = OBJECTIVES["im_kd"](student, (teacher.logits(xb), None), xb, yb, None, config)
+    loss, row = im_kd_loss(student, teacher, xb, yb, config)
 
     def kl_rows(zt, zs):
         total = 0.0

@@ -20,7 +20,7 @@ from vrm.errors import ParameterError
 from vrm.graphs import LogitBatch
 from vrm.losses import VRMWeights, total_loss
 from vrm.models import MLP, MLPSpec
-from vrm.training import OBJECTIVES, TrainConfig
+from vrm.training import OBJECTIVES, TrainConfig, teacher_side
 
 # -- reference if-chain --------------------------------------------------
 
@@ -115,9 +115,11 @@ def test_table_entry_matches_reference_bit_for_bit(objective, seed, b, c):
     yb = rng.integers(0, c, size=b)
     xv = virtual_batch(xb, augment, (seed, 0))
 
-    # the table takes the teacher's logits, the reference the teacher itself
-    t_logits = teacher.logits(xb), teacher.logits(xv)
-    got = evaluate(OBJECTIVES[objective], spec, t_logits, xb, yb, xv, config)
+    # the table's student side takes what its teacher side makes of the
+    # teacher (and a vrm step's views), the reference the teacher itself
+    _, t_xv, t_side = teacher_side(objective, teacher, config)((seed, 0), xb)
+    assert_same_bits(t_xv, xv if objective == "vrm" else None)
+    got = evaluate(OBJECTIVES[objective].loss, spec, t_side, xb, yb, t_xv, config)
     want = evaluate(lambda *args: reference_step_loss(objective, *args),
                     spec, teacher, xb, yb, xv, config)
     assert_same_bits(got[0], want[0])
