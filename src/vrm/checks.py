@@ -522,9 +522,9 @@ def _reference_views(xb, spec: AugmentSpec, step_key) -> np.ndarray:
         view = row[None, :].copy()
         for op_idx in rng.choice(len(spec.op_pool), size=spec.n_ops, replace=False):
             draw, apply = _OPS[spec.op_pool[op_idx]]
-            drawn = draw(rng, len(row))
-            if drawn is not None:
-                view = apply(view, spec.magnitude, *(np.array([d]) for d in drawn))
+            drawn = np.zeros((1, len(row) + 2))
+            if draw(rng, len(row), drawn[0]):
+                view = apply(view, spec.magnitude, drawn)
         out[i] = view[0]
     return out
 

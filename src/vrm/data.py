@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, UsageError, check_fields
+from .errors import InputError, check_fields
 
 DATASET_MAGIC = b"VRMDATA2"
 
@@ -159,49 +159,59 @@ def _seed_words(parts) -> np.ndarray:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # sqrt(row . row) per row, which is np.linalg.norm of a 1-D float64
     # row; a reduction over axis 1 differs from it in the last bit on some rows
-    return np.array([math.sqrt(row.dot(row)) for row in rows])
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).reshape(-1))
 
 
 # Each op draws for one row from that row's generator, then is applied to
-# every row that drew it in the same slot at once.  draw(rng, dim) returns
-# the row's draws, or None when the op leaves the row as it is;
-# apply(rows, magnitude, *draws stacked over the rows) returns the new rows.
+# every row that drew it in the same slot at once.  draw(rng, dim, out)
+# writes the row's draws into ``out``, its dim + 2 floats of the plan's
+# draws, and returns False when the op leaves the row as it is;
+# apply(rows, magnitude, draws) returns the new rows from their draws,
+# stacked [rows, dim + 2].  gaussian_noise draws a direction, its norm and
+# a fraction of the budget; feature_dropout the coordinates it softens,
+# whole numbers a float64 holds exactly; the others one signed fraction.
 
 
-def _noise_draw(rng, dim):
-    g = rng.standard_normal(dim)
-    g_norm = math.sqrt(g.dot(g))
+def _noise_draw(rng, dim, out):
+    out[:dim] = g = rng.standard_normal(dim)
+    out[dim] = g_norm = math.sqrt(g.dot(g))
     if g_norm == 0.0:
-        return None
-    return g, g_norm, rng.uniform()
+        return False
+    out[dim + 1] = rng.uniform()
+    return True
 
 
-def _noise_apply(x, magnitude, g, g_norm, u):
+def _noise_apply(x, magnitude, draws):
+    dim = x.shape[1]
     budget = magnitude * (_row_norms(x) + 1.0)
-    return x + (budget * u)[:, None] * (g / g_norm[:, None])
+    return x + (budget * draws[:, dim + 1])[:, None] * (draws[:, :dim] / draws[:, dim, None])
 
 
-def _dropout_draw(rng, dim):
+def _dropout_draw(rng, dim, out):
     # soften a random quarter of the coordinates instead of zeroing
     # them outright, which keeps the perturbation inside the budget
-    return (rng.choice(dim, size=max(1, dim // 4), replace=False),)
+    k = max(1, dim // 4)
+    out[:k] = rng.choice(dim, size=k, replace=False)
+    return True
 
 
-def _dropout_apply(x, magnitude, idx):
+def _dropout_apply(x, magnitude, draws):
+    idx = draws[:, :max(1, x.shape[1] // 4)].astype(np.intp)
     x[np.arange(x.shape[0])[:, None], idx] *= 1.0 - magnitude
     return x
 
 
-def _signed_draw(rng, dim):
-    return (rng.uniform(-1.0, 1.0),)
+def _signed_draw(rng, dim, out):
+    out[0] = rng.uniform(-1.0, 1.0)
+    return True
 
 
-def _scale_apply(x, magnitude, u):
-    return x * (1.0 + magnitude * u)[:, None]
+def _scale_apply(x, magnitude, draws):
+    return x * (1.0 + magnitude * draws[:, 0])[:, None]
 
 
-def _shift_apply(x, magnitude, u):
-    shift = magnitude * u * (_row_norms(x) + 1.0) / np.sqrt(x.shape[1])
+def _shift_apply(x, magnitude, draws):
+    shift = magnitude * draws[:, 0] * (_row_norms(x) + 1.0) / np.sqrt(x.shape[1])
     return x + shift[:, None]
 
 
@@ -215,50 +225,53 @@ _OPS = {
 
 class AugmentPlan(NamedTuple):
     """The draws of one batch's virtual views, made before the batch is
-    seen: for each op slot, a ``(op name, rows, draws)`` entry per op some
-    row drew in that slot, with the draws stacked over those rows.  ``key``
-    is the spec's seed, ``n_ops`` and ``op_pool``, then the step key, and
-    ``shape`` the batch's ``(rows, dim)``: the draws depend on nothing else."""
+    seen, as three arrays that only this module reads, each with one entry
+    s per op slot.  ``rows`` [n_ops, B]: the batch's rows, the ones slot s
+    leaves as they are first, then those of each op of the pool in turn,
+    ascending within a group.  ``ends`` [n_ops, len(op_pool) + 1]: where
+    each of those groups ends in ``rows[s]``.  ``draws`` [n_ops, B, dim + 2]:
+    each row's draws for slot s, in ``rows[s]`` order."""
 
-    key: tuple
-    shape: tuple
-    slots: tuple
-
-
-def _plan_key(spec: AugmentSpec, step_key) -> tuple:
-    return (spec.seed, spec.n_ops, spec.op_pool, *map(operator.index, step_key))
+    rows: np.ndarray
+    ends: np.ndarray
+    draws: np.ndarray
 
 
-def _draw(spec: AugmentSpec, entropy: np.ndarray, dim: int) -> tuple:
-    """The slots of :class:`AugmentPlan` for the [n, k] uint32 seed words
+def _draw(spec: AugmentSpec, entropy: np.ndarray, dim: int) -> AugmentPlan:
+    """The :class:`AugmentPlan` for the [n, k] uint32 seed words
     ``entropy``: row i draws from its own ``np.random.default_rng(entropy[i])``.
     It picks ``spec.n_ops`` ops with ``Generator.choice`` and makes every
     draw of them, in order, from the same generator."""
-    if spec.n_ops == 0:
-        return ()
-    # slots[s][op name] -> (rows that drew the op in slot s, their draws)
-    slots = [{} for _ in range(spec.n_ops)]
-    for i, words in enumerate(entropy):
+    n_pool = len(spec.op_pool)
+    draws = np.zeros((spec.n_ops, len(entropy), dim + 2))
+    # groups[s, i]: 0 where slot s leaves row i as it is, else 1 + the pool
+    # index of the op it drew
+    groups = np.zeros((spec.n_ops, len(entropy)), dtype=np.intp)
+    draw_ops = [_OPS[name][0] for name in spec.op_pool]
+    # with no op slot there is nothing to draw, so no generator is made
+    for i, words in enumerate(entropy if spec.n_ops else ()):
         rng = np.random.default_rng(words)
-        for slot, op_idx in zip(slots, rng.choice(len(spec.op_pool), spec.n_ops, replace=False)):
-            name = spec.op_pool[op_idx]
-            drawn = _OPS[name][0](rng, dim)
-            if drawn is not None:
-                rows, draws = slot.setdefault(name, ([], []))
-                rows.append(i)
-                draws.append(drawn)
-    return tuple(tuple((name, np.array(rows), tuple(np.array(column) for column in zip(*draws)))
-                       for name, (rows, draws) in slot.items()) for slot in slots)
+        for s, op_idx in enumerate(rng.choice(n_pool, spec.n_ops, replace=False).tolist()):
+            if draw_ops[op_idx](rng, dim, draws[s, i]):
+                groups[s, i] = op_idx + 1
+    rows = np.argsort(groups, axis=1, kind="stable")
+    ends = (groups[:, :, None] <= np.arange(n_pool + 1)).sum(axis=1)
+    return AugmentPlan(rows, ends, np.take_along_axis(draws, rows[:, :, None], axis=1))
 
 
-def _apply(x: np.ndarray, magnitude: float, slots: tuple) -> np.ndarray:
-    """The views of the rows of ``x`` under the drawn ``slots``: each op
-    slot in turn, one vectorized update per op, with the arithmetic of a
-    single row done elementwise."""
+def _apply(x: np.ndarray, spec: AugmentSpec, plan: AugmentPlan) -> np.ndarray:
+    """The views of the rows of ``x`` under ``plan``: each op slot in
+    turn gathers the rows in the slot's order, makes one vectorized update
+    per op on its contiguous group, with the arithmetic of a single row
+    done elementwise, and scatters them back."""
     out = np.array(x, dtype=np.float64)
-    for slot in slots:
-        for name, rows, draws in slot:
-            out[rows] = _OPS[name][1](out[rows], magnitude, *draws)
+    apply_ops = [_OPS[name][1] for name in spec.op_pool]
+    for rows, ends, draws in zip(*plan):
+        ends, views = ends.tolist(), out[rows]
+        for apply, start, end in zip(apply_ops, ends, ends[1:]):
+            if start < end:
+                views[start:end] = apply(views[start:end], spec.magnitude, draws[start:end])
+        out[rows] = views
     return out
 
 
@@ -273,8 +286,8 @@ def virtual_view(x: np.ndarray, spec: AugmentSpec, per_sample_seed) -> np.ndarra
     x = np.asarray(x, dtype=np.float64)
     key = per_sample_seed if np.iterable(per_sample_seed) else (per_sample_seed,)
     words = _seed_words((spec.seed, *key))
-    slots = _draw(spec, words[None, :], x.size)
-    return _apply(x.reshape(1, -1), spec.magnitude, slots).reshape(x.shape)
+    plan = _draw(spec, words[None, :], x.size)
+    return _apply(x.reshape(1, -1), spec, plan).reshape(x.shape)
 
 
 def draw_plan(spec: AugmentSpec, step_key, shape) -> AugmentPlan:
@@ -286,7 +299,7 @@ def draw_plan(spec: AugmentSpec, step_key, shape) -> AugmentPlan:
     entropy = np.empty((n_rows, prefix.size + 1), dtype=np.uint32)
     entropy[:, :-1] = prefix
     entropy[:, -1] = np.arange(n_rows)
-    return AugmentPlan(_plan_key(spec, step_key), (n_rows, dim), _draw(spec, entropy, dim))
+    return _draw(spec, entropy, dim)
 
 
 def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key,
@@ -294,13 +307,10 @@ def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key,
     """Virtual views for a whole batch: sample i draws as
     ``virtual_view(xb[i], spec, (*step_key, i))`` does.  ``plan``, when
     given, is ``draw_plan(spec, step_key, xb.shape)`` made ahead of the
-    call; a plan drawn for another spec, key or shape raises UsageError."""
+    call; the caller vouches that it was drawn for this spec, key and shape."""
     if plan is None:
         plan = draw_plan(spec, step_key, np.shape(xb))
-    elif (plan.key, plan.shape) != (_plan_key(spec, step_key), np.shape(xb)):
-        raise UsageError(f"a plan drawn for {plan.key} at shape {plan.shape} cannot "
-                         f"make the views of {_plan_key(spec, step_key)} at {np.shape(xb)}")
-    return _apply(xb, spec.magnitude, plan.slots)
+    return _apply(xb, spec, plan)
 
 
 # -- file format ---------------------------------------------------------

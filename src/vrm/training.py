@@ -21,8 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .baselines import angular_relations, gram_inter_class, gram_inter_sample
-from .data import (AugmentPlan, AugmentSpec, Dataset, _seed_words, draw_plan, virtual_batch,
-                   write_whole)
+from .data import AugmentPlan, AugmentSpec, Dataset, draw_plan, virtual_batch, write_whole
 from .errors import (InputError, NumericError, ParameterError, TrainingError, UsageError,
                      WorkerError, check_fields)
 from .graphs import LogitBatch
@@ -261,43 +260,28 @@ def teacher_side(objective: str, teacher: MLP | None, config: TrainConfig):
 
 # A worker's message is one int64 buffer, then one float64 buffer.  The
 # int64 one opens with its own length, the float64 one's length and the
-# length of the head after them.  The head of a step starts with _STEP, the
-# batch's rows and dim, and the step key: its part count, then per part the
-# count of its 32-bit words and the words, low first.  Then comes the plan:
-# -1 for none, else its entry count and per entry its slot, its op's index
-# in the spec's pool and its draw count.  Last, per array (each plan entry's
-# rows and draws, then the teacher side's arrays, each C-ordered with one or
-# two dimensions) its buffer (0 int64, 1 float64), offset, rows and columns
-# (-1 for a 1-D array).  An error's head is _ERROR (a NumericError) or
-# _FAILED (any other exception, as its class and text) and the bytes of its
-# text.
+# length of the head after them.  The head of a step is _STEP, the batch's
+# rows and dim, the step key's part count and its parts, and how many of
+# the arrays are an AugmentPlan's fields (3, or 0 for none).  Then, per
+# array (the plan's, then the teacher side's, each C-ordered), its buffer
+# (0 int64, 1 float64), offset, dimension count and dimensions.  An
+# error's head is _ERROR (a NumericError) or _FAILED (any other exception,
+# as its class and text) and the bytes of its text.
 _OPEN, _STEP, _ERROR, _FAILED = 3, 0, 1, 2
 
 
-def _pack_step(spec: AugmentSpec, key, shape, plan: AugmentPlan | None, arrays) -> tuple:
+def _pack_step(key, shape, plan: AugmentPlan | None, arrays) -> tuple:
     """The int64 and float64 buffers of one step's message: step ``key``
-    of a batch of ``shape``, its ``plan`` of ``spec`` or None, and the
-    teacher side's ``arrays``."""
-    head = [_STEP, *shape, len(key)]
-    for part in key:
-        words = _seed_words((part,)).tolist()
-        head += [len(words), *words]
-    plan_arrays = []
-    if plan is None:
-        head.append(-1)
-    else:
-        entries = [(s, name, rows, draws) for s, slot in enumerate(plan.slots)
-                   for name, rows, draws in slot]
-        head.append(len(entries))
-        for s, name, rows, draws in entries:
-            head += [s, spec.op_pool.index(name), len(draws)]
-            plan_arrays += [rows, *draws]
-    arrays = [*plan_arrays, *arrays]
-    n_head = len(head) + 4 * len(arrays)
+    of a batch of ``shape``, its ``plan`` or None, and the teacher side's
+    ``arrays``.  A key part outside int64 raises OverflowError."""
+    plan = tuple(plan or ())
+    arrays = (*plan, *arrays)
+    head = [_STEP, *shape, len(key), *key, len(plan)]
+    n_head = len(head) + sum(3 + a.ndim for a in arrays)
     ends, parts = [_OPEN + n_head, 0], ([], [])
     for a in arrays:
         buf = int(a.dtype.kind == "f")
-        head += [buf, ends[buf], a.shape[0], a.shape[1] if a.ndim == 2 else -1]
+        head += [buf, ends[buf], a.ndim, *a.shape]
         ends[buf] += a.size
         parts[buf].append(a.ravel())
     ints = np.concatenate([np.array([*ends, n_head, *head], dtype=np.int64), *parts[0]])
@@ -309,37 +293,23 @@ def _pack_error(kind: int, text: str) -> tuple:
     return np.array([_OPEN + len(head), 0, len(head), *head], dtype=np.int64), np.empty(0)
 
 
-def _unpack(spec: AugmentSpec, ints: np.ndarray, floats: np.ndarray) -> tuple:
+def _unpack(ints: np.ndarray, floats: np.ndarray) -> tuple:
     """The ``(key, shape, plan, arrays)`` of a step's message: its step
-    key, its batch's shape, its AugmentPlan of ``spec`` or None, and the
-    teacher side's arrays, slices of ``ints`` and ``floats``.  An error's
-    raises NumericError, and a failure's WorkerError with the worker's
-    exception."""
+    key, its batch's shape, its AugmentPlan or None, and the teacher
+    side's arrays, slices of ``ints`` and ``floats``.  An error's raises
+    NumericError, and a failure's WorkerError with the worker's exception."""
     head = ints[_OPEN:_OPEN + ints[2]].tolist()
     if head[0] != _STEP:
         raise (NumericError if head[0] == _ERROR else WorkerError)(bytes(head[1:]).decode())
-    items = iter(head[1:])
-    shape = next(items), next(items)
-    key = []
-    for _ in range(next(items)):
-        n_words = next(items)
-        key.append(sum(next(items) << 32 * i for i in range(n_words)))
-    n_entries = next(items)
-    entries = [(next(items), spec.op_pool[next(items)], next(items))
-               for _ in range(max(n_entries, 0))]
-    bufs = (ints, floats)
-    # the rest of the head is one (buffer, offset, rows, columns) per array
-    arrays = iter([bufs[buf][at:at + rows] if cols < 0 else
-                   bufs[buf][at:at + rows * cols].reshape(rows, cols)
-                   for buf, at, rows, cols in zip(items, items, items, items)])
-    plan = None
-    if n_entries >= 0:
-        slots = [[] for _ in range(spec.n_ops)]
-        for s, name, n_draws in entries:
-            slots[s].append((name, next(arrays), tuple(itertools.islice(arrays, n_draws))))
-        plan = AugmentPlan((spec.seed, spec.n_ops, spec.op_pool, *key), shape,
-                           tuple(map(tuple, slots)))
-    return tuple(key), shape, plan, tuple(arrays)
+    n_parts = head[3]
+    key, n_plan = tuple(head[4:4 + n_parts]), head[4 + n_parts]
+    items, bufs, arrays = iter(head[5 + n_parts:]), (ints, floats), []
+    # the rest of the head is one (buffer, offset, ndim, *dims) per array
+    for buf, at, ndim in zip(items, items, items):
+        dims = list(itertools.islice(items, ndim))
+        arrays.append(bufs[buf][at:at + math.prod(dims)].reshape(dims))
+    plan = AugmentPlan(*arrays[:n_plan]) if n_plan else None
+    return key, tuple(head[1:3]), plan, tuple(arrays[n_plan:])
 
 
 def _fill(pipe, array: np.ndarray) -> None:
@@ -385,7 +355,7 @@ def _pin(cpus) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _write_steps(pipe, write_fd: int, mask, cpu, step, spec: AugmentSpec, batches):
+def _write_steps(pipe, write_fd: int, mask, cpu, step, batches):
     """The body of :func:`_drawn_ahead`'s worker, which never returns: it
     pins itself to ``cpu`` (None: stays where it runs), then writes the
     ``step(key, xb)`` of each of ``batches`` to ``write_fd`` as a message,
@@ -414,7 +384,7 @@ def _write_steps(pipe, write_fd: int, mask, cpu, step, spec: AugmentSpec, batche
             try:
                 for key, xb in batches:
                     plan, _, arrays = step(key, xb)
-                    send(*_pack_step(spec, key, xb.shape, plan, arrays))
+                    send(*_pack_step(key, xb.shape, plan, arrays))
             except NumericError as exc:
                 send(*_pack_error(_ERROR, str(exc)))
             except Exception as exc:
@@ -434,8 +404,9 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
     on each ``(key, batch)`` of ``batches`` and writes its plan and arrays
     as a flat message.  The block gets ``next_step(key, xb)``, which reads
     the next message and returns it as ``step`` would, a plan of ``spec``
-    with the views ``virtual_batch(xb, spec, key, plan)`` makes; a
-    UsageError for a message of another key or shape.
+    with the views ``virtual_batch(xb, spec, key, plan)`` makes.  A
+    message of another key or shape raises UsageError before its plan is
+    applied, so this check is what ties a plan to its batch.
     The steps do not depend on the student, so the worker runs them while
     the caller trains, as far ahead as the pipe between them holds.  A
     NumericError of a step reaches the caller at that step; a worker that
@@ -461,7 +432,7 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
         try:
             pid = os.fork()
             if pid == 0:
-                _write_steps(pipe, write_fd, mask, cpu, step, spec, batches)
+                _write_steps(pipe, write_fd, mask, cpu, step, batches)
         finally:
             os.close(write_fd)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -475,7 +446,7 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
 
         def next_step(key, xb):
             try:
-                got_key, shape, plan, arrays = _unpack(spec, *_read_message(pipe))
+                got_key, shape, plan, arrays = _unpack(*_read_message(pipe))
             except (EOFError, WorkerError) as exc:
                 # the worker's end of the pipe closes only as it exits, so a
                 # wait gets its own status, not that of a kill
@@ -483,10 +454,10 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 failure = f": {exc}" if isinstance(exc, WorkerError) else ""
                 raise WorkerError(f"the teacher worker ended early ({how}){failure}") from None
-            xv = None if plan is None else virtual_batch(xb, spec, key, plan)
             if (got_key, shape) != (tuple(key), xb.shape):
                 raise UsageError(f"the teacher worker's step {got_key} at shape {shape} "
                                  f"is not step {tuple(key)} at shape {xb.shape}")
+            xv = None if plan is None else virtual_batch(xb, spec, key, plan)
             return plan, xv, arrays
 
         yield next_step

@@ -4,8 +4,6 @@ draws each row from its own ``np.random.default_rng`` on the row's seed
 words, then applies each op to every row that drew it at once; the
 reference seeds from the list of key parts and applies one op to one
 sample at a time."""
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,9 @@ from hypothesis import strategies as st
 
 import vrm.data
 from vrm.cli import EXIT_PROPERTY, main
-from vrm.data import AUGMENT_OPS, AugmentSpec, _seed_words, virtual_batch, virtual_view
-from vrm.errors import ParameterError, UsageError
+from vrm.data import (AUGMENT_OPS, AugmentSpec, _row_norms, _seed_words, virtual_batch,
+                      virtual_view)
+from vrm.errors import ParameterError
 from vrm.models import MLP, MLPSpec
 from vrm.training import TrainConfig, _drawn_ahead, teacher_side
 
@@ -135,6 +134,21 @@ def test_virtual_batch_leaves_its_input_alone():
     assert np.array_equal(xb, before)
 
 
+# zero rows, rows whose squares underflow or overflow, and ones in between
+ROW_SCALE = st.sampled_from([0.0, 1e-300, 1e-160, 1e-5, 1.0, 1e5, 1e160, 1e300])
+
+
+# the reference views share _row_norms with the kernel, so exact:virtual_batch
+# cannot see it drift: it is held to np.linalg.norm here
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(ROW_SCALE, min_size=1, max_size=40), st.integers(1, 130),
+       st.integers(0, 2**32 - 1))
+def test_row_norms_are_each_rows_linalg_norm_bit_for_bit(scales, dim, seed):
+    rows = np.random.default_rng(seed).standard_normal((len(scales), dim))
+    rows *= np.array(scales)[:, None]
+    assert_same_bits(_row_norms(rows), np.array([np.linalg.norm(row) for row in rows]))
+
+
 @pytest.mark.parametrize("parts", [[0], [0, 0, 0], [7, 1, 2], [BIG - 1, BIG, BIG + 1],
                                    [3 * BIG**2 + 5, 0, 2**70], [np.int64(4), 9]])
 def test_seed_words_give_the_list_seeded_generator_state(parts):
@@ -186,7 +200,8 @@ def test_numpy_integer_key_parts_give_the_int_key_bits():
 # -- plans drawn ahead, by the worker a vrm run forks ----------------------
 
 
-KEY_PART = st.integers(0, 2**64)
+# a step key crosses the pipe as int64 parts; the spec's seed stays in the worker
+KEY_PART = st.integers(0, 2**63 - 1)
 
 
 @st.composite
@@ -194,7 +209,7 @@ def plan_cases(draw):
     pool = tuple(draw(st.permutations(AUGMENT_OPS))[:draw(st.integers(1, len(AUGMENT_OPS)))])
     spec = AugmentSpec(n_ops=draw(st.integers(0, len(pool))),
                        magnitude=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-                       op_pool=pool, seed=draw(KEY_PART))
+                       op_pool=pool, seed=draw(st.integers(0, 2**64)))
     key = tuple(draw(st.lists(KEY_PART, max_size=3)))
     return spec, key, draw(st.integers(1, 41)), draw(st.integers(1, 33))
 
@@ -214,14 +229,6 @@ def test_a_plan_from_the_worker_makes_the_views_drawn_inline(case, data_seed):
     assert_same_bits(xv, virtual_batch(xb, spec, key))
     assert_same_bits(t_real, teacher.logits(xb))
     assert_same_bits(t_virtual, teacher.logits(xv))
-    # a plan drawn for other arguments raises instead of making views
-    for other_spec, other_key, other_xb in (
-            (dataclasses.replace(spec, seed=spec.seed + 1), key, xb),
-            (spec, (*key, 0), xb),
-            (spec, key, np.vstack([xb, xb[:1]])),
-            (spec, key, np.hstack([xb, xb[:, :1]]))):
-        with pytest.raises(UsageError):
-            virtual_batch(other_xb, other_spec, other_key, plan)
 
 
 # -- long seeds: every seed-word count the kernel and reference share -----
@@ -259,8 +266,8 @@ def test_exactness_check_catches_swapped_picks(monkeypatch, capsys):
 
     def swapped(spec, entropy, dim):
         # the batch kernel applies each row's first two ops in the other's slot
-        slots = real_draw(spec, entropy, dim)
-        return slots[1::-1] + slots[2:]
+        return vrm.data.AugmentPlan(*(np.concatenate([field[1::-1], field[2:]])
+                                      for field in real_draw(spec, entropy, dim)))
 
     monkeypatch.setattr(vrm.data, "_draw", swapped)
     assert main(["check", "--quick"]) == EXIT_PROPERTY

@@ -29,6 +29,23 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert not outside, "; ".join(outside)
 
 
+def names_imported_from(path, module):
+    """(line, name) of each name the source file ``path`` imports from the
+    package's ``module``, relatively or absolutely."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, module), (0, f"vrm.{module}")):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
+def test_training_imports_no_private_name_of_data():
+    # an AugmentPlan's format stays behind data.py: training carries the
+    # plan's arrays across the worker's pipe without reading them
+    private = [f"training.py:{line} imports {name}" for line, name
+               in names_imported_from(PACKAGE / "training.py", "data") if name.startswith("_")]
+    assert not private, "; ".join(private)
+
+
 def test_importing_the_cli_loads_no_process_pool_module():
     # a vrm run forks its one worker itself: importing multiprocessing alone
     # raises a process's peak resident memory by about 1 MiB

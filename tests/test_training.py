@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -274,7 +275,7 @@ def test_a_worker_that_fails_is_an_error_not_a_hang(forks):
     xb, spec = np.zeros((4, 3)), AugmentSpec()
     side = vrm_side(MLP(MLPSpec([3, 5, 2])), spec)
     with _drawn_ahead(side, spec, [((0, 0), xb), ((-1, 0), xb)]) as next_step:
-        assert next_step((0, 0), xb)[0].key == (0, 2, spec.op_pool, 0, 0)
+        assert np.array_equal(next_step((0, 0), xb)[1], virtual_batch(xb, spec, (0, 0)))
         with pytest.raises(WorkerError, match="exit status 1"):
             next_step((-1, 0), xb)
     assert_reaped(forks[0])
@@ -365,41 +366,79 @@ def test_an_overflowing_teacher_diverges_alike_forked_and_inline(blobs, blobs_te
     assert_reaped(forks[0])
 
 
-@pytest.mark.parametrize("objective,match", [
-    ("vrm", r"\(0, 2, .*, 0, 1\)"),
-    ("gram", r"^the teacher worker's step \(0, 1\) at shape \(4, 3\) is not step \(0, 0\) "
-             r"at shape \(4, 3\)$")])
-def test_a_message_for_another_step_raises_usage_error(forks, objective, match):
+@pytest.mark.parametrize("key,shape", [((0, 0), (4, 3)), ((0, 1), (5, 3)), ((0, 1), (4, 4))],
+                         ids=["key", "rows", "dim"])
+@pytest.mark.parametrize("objective", ["vrm", "gram"])
+def test_a_message_for_another_step_raises_usage_error(forks, objective, key, shape):
+    # the worker's message is for step (0, 1) at shape (4, 3); the check
+    # comes before a vrm plan is applied to the loop's batch
     spec, xb = AugmentSpec(), np.ones((4, 3))
     side = teacher_side(objective, MLP(MLPSpec([3, 5, 2])), TrainConfig(augment=spec))
     with _drawn_ahead(side, spec, [((0, 1), xb)]) as next_step:
-        with pytest.raises(UsageError, match=match):
-            next_step((0, 0), xb)
+        with pytest.raises(UsageError, match=re.escape(
+                f"the teacher worker's step (0, 1) at shape (4, 3) is not step {key} "
+                f"at shape {shape}")):
+            next_step(key, np.ones(shape))
 
 
-def test_a_step_message_carries_each_key_part_as_its_32_bit_words():
-    key = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 5)
-    spec, xb = AugmentSpec(n_ops=3, seed=2**40 + 1), np.arange(12.0).reshape(4, 3)
+def same_arrays(got, want):
+    return [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes())
+                                                              for a in want]
+
+
+def test_a_step_message_carries_each_key_part_as_one_int64():
+    key = (0, 2**32 - 1, 2**32, 2**63 - 1)
+    spec, xb = AugmentSpec(n_ops=3, seed=2**70 + 1), np.arange(12.0).reshape(4, 3)
     plan = draw_plan(spec, key, xb.shape)
-    ints, floats = _pack_step(spec, key, xb.shape, plan, (np.zeros((4, 2)), np.ones((4, 2))))
-    # the head: _STEP, rows, dim, the part count, then per part its word
-    # count and its words, low first
-    assert ints[3:23].tolist() == [0, 4, 3, 5, 1, 0, 1, 2**32 - 1, 2, 0, 1, 3, 0, 0, 1,
-                                   4, 5, 0, 0, 1]
-    got_key, shape, got, (t_real, t_virtual) = _unpack(spec, ints, floats)
+    ints, floats = _pack_step(key, xb.shape, plan, (np.zeros((4, 2)), np.ones((4, 2))))
+    # the head: _STEP, rows, dim, the part count, the parts, then the plan's 3 arrays
+    assert ints[3:12].tolist() == [0, 4, 3, 4, 0, 2**32 - 1, 2**32, 2**63 - 1, 3]
+    got_key, shape, got, (t_real, t_virtual) = _unpack(ints, floats)
     assert got_key == key and shape == xb.shape
-    assert got.key == plan.key and got.shape == plan.shape
+    assert same_arrays(got, plan)
     assert np.array_equal(virtual_batch(xb, spec, key, got), virtual_batch(xb, spec, key))
     assert np.array_equal(t_real, np.zeros((4, 2))) and np.array_equal(t_virtual, np.ones((4, 2)))
 
 
-def test_a_step_message_without_a_plan_carries_its_arrays_and_their_shapes():
+@pytest.mark.parametrize("part", [2**63, 2**64, -2**63 - 1])
+def test_a_key_part_outside_int64_cannot_be_packed(part):
+    with pytest.raises(OverflowError):
+        _pack_step((0, part), (4, 3), None, ())
+
+
+def test_a_worker_whose_key_cannot_be_packed_is_a_worker_error(forks):
+    # the worker draws the plan of a key past int64, then fails to send it
+    xb, spec, key = np.zeros((4, 3)), AugmentSpec(), (2**63, 0)
+    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), spec, [(key, xb)]) as next_step:
+        with pytest.raises(WorkerError, match=r"\(exit status 1\): OverflowError: \S"):
+            next_step(key, xb)
+    assert_reaped(forks[0])
+
+
+@pytest.mark.parametrize("shapes", [[(4,), (5, 5), (2, 3, 4)], [(1,), (1, 1), (1, 1, 1)],
+                                    [(0,), (3, 0), (0, 2, 2)], []],
+                         ids=["some", "ones", "empty", "none"])
+def test_a_step_message_without_a_plan_carries_its_arrays_and_their_shapes(shapes):
     rng = np.random.default_rng(0)
-    arrays = (rng.standard_normal((5, 5)), rng.standard_normal((10, 10)), rng.standard_normal(4))
-    ints, floats = _pack_step(AugmentSpec(), (2, 7), (5, 3), None, arrays)
-    got_key, shape, plan, got = _unpack(AugmentSpec(), ints, floats)
+    arrays = [make(shape) for shape in shapes
+              for make in (rng.standard_normal, lambda s: rng.integers(-2**63, 2**63 - 1, s))]
+    ints, floats = _pack_step((2, 7), (5, 3), None, arrays)
+    got_key, shape, plan, got = _unpack(ints, floats)
     assert (got_key, shape, plan) == ((2, 7), (5, 3), None)
-    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in arrays]
+    assert same_arrays(got, arrays)
+
+
+@pytest.mark.parametrize("n_ops,rows", [(0, 4), (0, 1), (2, 1), (4, 1), (4, 6)])
+def test_a_plan_crosses_the_message_at_every_slot_and_row_count(n_ops, rows):
+    spec, key = AugmentSpec(n_ops=n_ops, magnitude=0.5), (3, 1)
+    xb = np.random.default_rng(n_ops).standard_normal((rows, 5))
+    plan = draw_plan(spec, key, xb.shape)
+    assert [a.shape for a in plan] == [(n_ops, rows), (n_ops, len(spec.op_pool) + 1),
+                                       (n_ops, rows, 7)]
+    got_key, shape, got, arrays = _unpack(*_pack_step(key, xb.shape, plan, (np.ones(rows),)))
+    assert (got_key, shape) == (key, xb.shape)
+    assert same_arrays(got, plan) and same_arrays(arrays, (np.ones(rows),))
+    assert np.array_equal(virtual_batch(xb, spec, key, got), virtual_batch(xb, spec, key))
 
 
 def check_worker_logits(batch_size, widths, n_steps=8, objective="vrm"):
