@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import _OPS, AugmentSpec, virtual_batch
+from .data import _OPS, AUGMENT_OPS, AugmentSpec, virtual_batch
 from .graphs import (
     LogitBatch,
     brute_force_edges,
@@ -520,8 +520,8 @@ def _reference_views(xb, spec: AugmentSpec, step_key) -> np.ndarray:
     for i, row in enumerate(out):
         rng = np.random.default_rng([spec.seed, *step_key, i])
         view = row[None, :].copy()
-        for op_idx in rng.choice(len(spec.op_pool), size=spec.n_ops, replace=False):
-            draw, apply = _OPS[spec.op_pool[op_idx]]
+        for op_idx in rng.choice(len(AUGMENT_OPS), size=spec.n_ops, replace=False):
+            draw, apply = _OPS[AUGMENT_OPS[op_idx]]
             drawn = np.zeros((1, len(row) + 2))
             if draw(rng, len(row), drawn[0]):
                 view = apply(view, spec.magnitude, drawn)

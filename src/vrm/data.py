@@ -16,9 +16,6 @@ from .errors import InputError, check_fields
 
 DATASET_MAGIC = b"VRMDATA2"
 
-AUGMENT_OPS = ("gaussian_noise", "feature_dropout", "random_scale", "random_shift")
-
-
 @dataclass
 class Dataset:
     inputs: np.ndarray
@@ -95,47 +92,27 @@ def make_synthetic_dataset(kind: str, n_classes: int, dim: int, n_per_class: int
     n = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes), n_per_class)
 
-    if kind == "blobs":
-        centers = rng.normal(size=(n_classes, dim)) * 3.0
-        inputs = centers[labels] + noise * rng.standard_normal((n, dim))
-    else:
-        t = (np.arange(n_per_class) + 0.5) / n_per_class
-        xy = np.empty((n, 2))
-        for k in range(n_classes):
-            theta = 2.0 * np.pi * (k / n_classes + 0.5 * t)
-            radius = 0.5 + 2.5 * t
-            rows = slice(k * n_per_class, (k + 1) * n_per_class)
-            xy[rows, 0] = radius * np.cos(theta)
-            xy[rows, 1] = radius * np.sin(theta)
-        xy += noise * rng.standard_normal((n, 2))
-        lift, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
-        inputs = xy @ lift.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "blobs":
+            centers = rng.normal(size=(n_classes, dim)) * 3.0
+            inputs = centers[labels] + noise * rng.standard_normal((n, dim))
+        else:
+            t = (np.arange(n_per_class) + 0.5) / n_per_class
+            xy = np.empty((n, 2))
+            for k in range(n_classes):
+                theta = 2.0 * np.pi * (k / n_classes + 0.5 * t)
+                radius = 0.5 + 2.5 * t
+                rows = slice(k * n_per_class, (k + 1) * n_per_class)
+                xy[rows, 0] = radius * np.cos(theta)
+                xy[rows, 1] = radius * np.sin(theta)
+            xy += noise * rng.standard_normal((n, 2))
+            lift, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+            inputs = xy @ lift.T
+    check_fields(locals(), (("noise", np.isfinite(inputs).all(), "must keep the inputs finite"),))
 
     perm = rng.permutation(n)
     n_train = int(round(0.8 * n))
     return Dataset(inputs, labels, perm[:n_train], perm[n_train:], n_classes)
-
-
-@dataclass
-class AugmentSpec:
-    """How virtual views are produced: ``n_ops`` operations drawn
-    without replacement from ``op_pool``, each bounded so that one op
-    moves a point by at most magnitude * (|x| + 1)."""
-
-    n_ops: int = 2
-    magnitude: float = 0.3
-    op_pool: tuple = AUGMENT_OPS
-    seed: int = 0
-
-    def __post_init__(self):
-        self.op_pool = pool = tuple(self.op_pool)
-        self.n_ops, self.seed = operator.index(self.n_ops), operator.index(self.seed)
-        check_fields(vars(self), (
-            ("op_pool", set(pool) <= set(AUGMENT_OPS) and len(set(pool)) == len(pool),
-             f"must name distinct ops of {AUGMENT_OPS}"),
-            ("n_ops", 0 <= self.n_ops <= len(pool), f"must lie in [0, {len(pool)}]"),
-            ("magnitude", 0 <= self.magnitude <= 1, "must lie in [0, 1]"),
-            ("seed", self.seed >= 0, "must be nonnegative")))
 
 
 def _seed_words(parts) -> np.ndarray:
@@ -170,6 +147,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 # stacked [rows, dim + 2].  gaussian_noise draws a direction, its norm and
 # a fraction of the budget; feature_dropout the coordinates it softens,
 # whole numbers a float64 holds exactly; the others one signed fraction.
+# A row picks ops by their index in ``_OPS`` below, so its order is part of
+# every view's bits.
 
 
 def _noise_draw(rng, dim, out):
@@ -221,16 +200,36 @@ _OPS = {
     "random_scale": (_signed_draw, _scale_apply),
     "random_shift": (_signed_draw, _shift_apply),
 }
+AUGMENT_OPS = tuple(_OPS)
+_DRAWS, _APPLIES = zip(*_OPS.values())
+
+
+@dataclass
+class AugmentSpec:
+    """How virtual views are produced: ``n_ops`` operations of
+    ``AUGMENT_OPS`` drawn without replacement, each bounded so that one op
+    moves a point by at most magnitude * (|x| + 1)."""
+
+    n_ops: int = 2
+    magnitude: float = 0.3
+    seed: int = 0
+
+    def __post_init__(self):
+        self.n_ops, self.seed = operator.index(self.n_ops), operator.index(self.seed)
+        check_fields(vars(self), (
+            ("n_ops", 0 <= self.n_ops <= len(AUGMENT_OPS), f"must lie in [0, {len(AUGMENT_OPS)}]"),
+            ("magnitude", 0 <= self.magnitude <= 1, "must lie in [0, 1]"),
+            ("seed", self.seed >= 0, "must be nonnegative")))
 
 
 class AugmentPlan(NamedTuple):
     """The draws of one batch's virtual views, made before the batch is
     seen, as three arrays that only this module reads, each with one entry
     s per op slot.  ``rows`` [n_ops, B]: the batch's rows, the ones slot s
-    leaves as they are first, then those of each op of the pool in turn,
-    ascending within a group.  ``ends`` [n_ops, len(op_pool) + 1]: where
-    each of those groups ends in ``rows[s]``.  ``draws`` [n_ops, B, dim + 2]:
-    each row's draws for slot s, in ``rows[s]`` order."""
+    leaves as they are first, then those of each op of ``AUGMENT_OPS`` in
+    turn, ascending within a group.  ``ends`` [n_ops, len(AUGMENT_OPS) + 1]:
+    where each of those groups ends in ``rows[s]``.  ``draws``
+    [n_ops, B, dim + 2]: each row's draws for slot s, in ``rows[s]`` order."""
 
     rows: np.ndarray
     ends: np.ndarray
@@ -242,20 +241,18 @@ def _draw(spec: AugmentSpec, entropy: np.ndarray, dim: int) -> AugmentPlan:
     ``entropy``: row i draws from its own ``np.random.default_rng(entropy[i])``.
     It picks ``spec.n_ops`` ops with ``Generator.choice`` and makes every
     draw of them, in order, from the same generator."""
-    n_pool = len(spec.op_pool)
     draws = np.zeros((spec.n_ops, len(entropy), dim + 2))
-    # groups[s, i]: 0 where slot s leaves row i as it is, else 1 + the pool
+    # groups[s, i]: 0 where slot s leaves row i as it is, else 1 + the table
     # index of the op it drew
     groups = np.zeros((spec.n_ops, len(entropy)), dtype=np.intp)
-    draw_ops = [_OPS[name][0] for name in spec.op_pool]
     # with no op slot there is nothing to draw, so no generator is made
     for i, words in enumerate(entropy if spec.n_ops else ()):
         rng = np.random.default_rng(words)
-        for s, op_idx in enumerate(rng.choice(n_pool, spec.n_ops, replace=False).tolist()):
-            if draw_ops[op_idx](rng, dim, draws[s, i]):
+        for s, op_idx in enumerate(rng.choice(len(_DRAWS), spec.n_ops, replace=False).tolist()):
+            if _DRAWS[op_idx](rng, dim, draws[s, i]):
                 groups[s, i] = op_idx + 1
     rows = np.argsort(groups, axis=1, kind="stable")
-    ends = (groups[:, :, None] <= np.arange(n_pool + 1)).sum(axis=1)
+    ends = (groups[:, :, None] <= np.arange(len(_DRAWS) + 1)).sum(axis=1)
     return AugmentPlan(rows, ends, np.take_along_axis(draws, rows[:, :, None], axis=1))
 
 
@@ -265,10 +262,9 @@ def _apply(x: np.ndarray, spec: AugmentSpec, plan: AugmentPlan) -> np.ndarray:
     per op on its contiguous group, with the arithmetic of a single row
     done elementwise, and scatters them back."""
     out = np.array(x, dtype=np.float64)
-    apply_ops = [_OPS[name][1] for name in spec.op_pool]
     for rows, ends, draws in zip(*plan):
         ends, views = ends.tolist(), out[rows]
-        for apply, start, end in zip(apply_ops, ends, ends[1:]):
+        for apply, start, end in zip(_APPLIES, ends, ends[1:]):
             if start < end:
                 views[start:end] = apply(views[start:end], spec.magnitude, draws[start:end])
         out[rows] = views

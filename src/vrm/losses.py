@@ -186,8 +186,9 @@ def _quadratic(R, V, P, N, keep):
 
 
 def _screen_limit(delta):
-    """The float32 screen's limit, delta (1 - 2^-22) - _SLACK."""
-    return np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK)
+    """The float32 screen's limit, delta (1 - 2^-22) - _SLACK, +inf past float32's range."""
+    with np.errstate(over="ignore"):
+        return np.float32(delta * (1.0 - 2.0 ** -22) - _SLACK)
 
 
 def _relation_term(op, R, V, P, N, keep, delta: float, scale: float, g):

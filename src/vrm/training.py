@@ -50,7 +50,7 @@ class TrainConfig:
             ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
             ("momentum", math.isfinite(self.momentum), "must be finite"),
             ("weight_decay", math.isfinite(self.weight_decay), "must be finite"),
-            ("lr_decay", math.isfinite(self.lr_decay), "must be finite"),
+            ("lr_decay", 0 < self.lr_decay < math.inf, "must be finite and positive"),
             ("im_kd_weight", math.isfinite(self.im_kd_weight), "must be finite"),
             ("batch_size", self.batch_size >= 2, "must be >= 2 (relations need pairs)"),
             ("milestones", all(a < b for a, b in zip(stones, stones[1:])),
@@ -494,15 +494,16 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     else:
         source = contextlib.nullcontext(step_teacher)
 
-    with source as next_step:
+    # each op checks its result, so numpy's warnings would only repeat a TrainingError
+    with np.errstate(over="ignore", invalid="ignore"), source as next_step:
         for epoch in range(config.epochs):
             opt.lr = config.lr_at(epoch)
             sums = dict.fromkeys(("total", *STEP_COLUMNS), 0.0)
             n_steps = 0
-            for step, batch_idx in enumerate(_epoch_batches(
-                    x_train.shape[0], config.batch_size, config.seed, epoch)):
-                xb, yb = x_train[batch_idx], y_train[batch_idx]
-                try:
+            try:
+                for step, batch_idx in enumerate(_epoch_batches(
+                        x_train.shape[0], config.batch_size, config.seed, epoch)):
+                    xb, yb = x_train[batch_idx], y_train[batch_idx]
                     _, xv, t_side = next_step((epoch, step), xb)
                     loss, row = entry.loss(model, t_side, xb, yb, xv, config)
                     row["total"] = loss.item()
@@ -511,17 +512,16 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
                     opt.zero_grad()
                     backward(loss)
                     opt.step()
-                except NumericError as exc:
-                    raise TrainingError(f"diverged at epoch {epoch}: {exc}",
-                                        epoch=epoch) from exc
-                for k, v in row.items():
-                    sums[k] += v
-                n_steps += 1
-
-            records.append(EpochRecord(
-                epoch, opt.lr, accuracy(model, x_train, y_train),
-                accuracy(model, data.val_inputs, data.val_labels),
-                **{k: v / n_steps for k, v in sums.items()}))
+                    for k, v in row.items():
+                        sums[k] += v
+                    n_steps += 1
+                # non-finite weights from the epoch's last step first show here
+                train_acc = accuracy(model, x_train, y_train)
+                val_acc = accuracy(model, data.val_inputs, data.val_labels)
+            except NumericError as exc:
+                raise TrainingError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from exc
+            records.append(EpochRecord(epoch, opt.lr, train_acc, val_acc,
+                                       **{k: v / n_steps for k, v in sums.items()}))
     return records
 
 

@@ -181,6 +181,54 @@ def test_reused_name_keeps_no_output_of_the_earlier_run(run_env, capsys):
     assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.txt"]
 
 
+# flag values that each once gave a traceback, a numpy warning or the
+# wrong exit code: the command and its flags, the exit code, the one stderr
+# line (its start, for a divergence; None for a run that completes) and
+# lines of the run's manifest.  The data's train split is one batch, 48 rows
+# at the default batch size of 32, so its one step is each epoch's last.
+STDERR_CASES = {
+    "distill-alpha": (["distill", "--alpha", "1e308", "--epochs", "1"], 4,
+                      "error: diverged at epoch 0: ", ["status=diverged", "epoch=0"]),
+    "teacher-lr": (["train-teacher", "--lr", "1e300", "--epochs", "2"], 4,
+                   "error: diverged at epoch 0: ", ["status=diverged", "epoch=0"]),
+    "lr-decay": (["distill", "--lr-decay", "-1", "--milestones", "0"], 2,
+                 "error: --lr-decay must be finite and positive, got -1.0", []),
+    "noise": (["gen-data", "--noise", "1e308"], 2,
+              "error: --noise must keep the inputs finite, got 1e+308", []),
+    "delta": (["distill", "--delta", "1e308", "--epochs", "1"], 0, None, ["status=complete"]),
+}
+
+
+@pytest.mark.parametrize("case", STDERR_CASES)
+def test_a_flag_value_gives_its_exit_code_and_at_most_one_error_line(run_env, case):
+    argv, code, line, manifest = STDERR_CASES[case]
+    data = run_env / "data.vrmdata"
+    gen_flags = ["--kind", "blobs", "--classes", "3", "--dim", "4", "--per-class", "20"]
+    assert main(["gen-data", *gen_flags, "--out", str(data)]) == 0
+    assert main(["train-teacher", "--data", str(data), "--widths", "4,8,3", "--epochs", "2",
+                 "--name", "teach"]) == 0
+    if argv[0] == "gen-data":
+        argv = [*argv, *gen_flags, "--out", str(run_env / "noisy.vrmdata")]
+    else:
+        argv = [*argv, "--data", str(data), "--name", "run"]
+    if argv[0] == "distill":
+        argv += ["--teacher", str(run_env / "runs" / "teach" / "teacher.ckpt")]
+    # in a process of its own, as a user runs it, so numpy's warnings reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "vrm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    if line is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(line)
+    if manifest:
+        written = (run_env / "runs" / "run" / "manifest.txt").read_text().splitlines()
+        assert set(manifest) <= set(written)
+
+
 def assert_clean_error(capsys, code, want_code):
     err = capsys.readouterr().err
     assert code == want_code

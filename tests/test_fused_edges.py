@@ -434,6 +434,22 @@ def test_a_skipped_screen_or_exact_path_gives_the_unskipped_bits(monkeypatch, co
         assert_same_bits(x, y)
 
 
+@pytest.mark.parametrize("g", [None, 2.0])
+def test_a_delta_past_float32s_range_gives_the_bits_of_delta_4_without_a_warning(g):
+    # every fiber is quadratic, and no component of y - u passes 2, so the
+    # limit of delta 4 flags none of them and the +inf one clears them all
+    rows = relation_rows(np.random.default_rng(3), 32, 10, converged=False)
+    assert losses._quadratic(*rows, None)[2].all()
+    assert losses._screen_limit(1e308) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = losses._relation_term("term", *rows, None, 1e308, 0.25, g)
+    want = losses._relation_term("term", *rows, None, 4.0, 0.25, g)
+    assert_same_bits(got[0], want[0])
+    for x, y in zip(got[1] or (), want[1] or (), strict=True):
+        assert_same_bits(x, y)
+
+
 def student_rows(rng, n, length, student, tied, layout="C"):
     """R, V, P, N of an [n, n] fiber grid: the teacher's P and N softmax
     rows, the student's equal to them (converged: the L2 bound clears every

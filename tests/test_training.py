@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vrm import training
-from vrm.data import AugmentSpec, draw_plan, make_synthetic_dataset, virtual_batch
+from vrm.data import AUGMENT_OPS, AugmentSpec, draw_plan, make_synthetic_dataset, virtual_batch
 from vrm.errors import ParameterError, TrainingError, UsageError, WorkerError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
@@ -170,6 +170,22 @@ def test_divergence_raises_training_error(blobs):
     with pytest.raises(TrainingError) as exc_info:
         train_teacher(MLPSpec([6, 24, 3], "relu", 0), blobs, cfg)
     assert exc_info.value.epoch is not None
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, teacher: train_teacher(
+        MLPSpec([4, 8, 3], "relu", 1), data, TrainConfig(lr=1e300, epochs=2, batch_size=32)),
+    lambda data, teacher: distill_student(
+        MLPSpec([4, 8, 3], "relu", 1), teacher, data,
+        TrainConfig(weights=VRMWeights(alpha=1e308), epochs=1, batch_size=32), "vrm"),
+], ids=["teacher-lr", "distill-alpha"])
+def test_a_divergence_on_an_epochs_last_step_is_a_training_error(run):
+    # a train split of one batch (48 rows at batch 32), so the step that leaves
+    # non-finite weights is the epoch's last, and only its accuracy reads them
+    data = make_synthetic_dataset("blobs", 3, 4, 20, 0.5, seed=0)
+    with pytest.raises(TrainingError, match="^diverged at epoch 0: ") as exc_info:
+        run(data, MLP(MLPSpec([4, 8, 3], "relu", 0)))
+    assert exc_info.value.epoch == 0
 
 
 def test_metrics_csv_writers(tmp_path, blobs_teacher):
@@ -433,7 +449,7 @@ def test_a_plan_crosses_the_message_at_every_slot_and_row_count(n_ops, rows):
     spec, key = AugmentSpec(n_ops=n_ops, magnitude=0.5), (3, 1)
     xb = np.random.default_rng(n_ops).standard_normal((rows, 5))
     plan = draw_plan(spec, key, xb.shape)
-    assert [a.shape for a in plan] == [(n_ops, rows), (n_ops, len(spec.op_pool) + 1),
+    assert [a.shape for a in plan] == [(n_ops, rows), (n_ops, len(AUGMENT_OPS) + 1),
                                        (n_ops, rows, 7)]
     got_key, shape, got, arrays = _unpack(*_pack_step(key, xb.shape, plan, (np.ones(rows),)))
     assert (got_key, shape) == (key, xb.shape)
