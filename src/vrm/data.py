@@ -303,7 +303,8 @@ def virtual_batch(xb: np.ndarray, spec: AugmentSpec, step_key,
     """Virtual views for a whole batch: sample i draws as
     ``virtual_view(xb[i], spec, (*step_key, i))`` does.  ``plan``, when
     given, is ``draw_plan(spec, step_key, xb.shape)`` made ahead of the
-    call; the caller vouches that it was drawn for this spec, key and shape."""
+    call, and ``step_key`` is not read; the caller vouches that the plan
+    was drawn for this spec, key and shape."""
     if plan is None:
         plan = draw_plan(spec, step_key, np.shape(xb))
     return _apply(xb, spec, plan)

@@ -48,10 +48,10 @@ class TrainConfig:
         self.milestones = stones = tuple(self.milestones)
         check_fields(vars(self), (
             ("lr", 0 < self.lr < math.inf, "must be finite and positive"),
-            ("momentum", math.isfinite(self.momentum), "must be finite"),
-            ("weight_decay", math.isfinite(self.weight_decay), "must be finite"),
+            ("momentum", 0 <= self.momentum < 1, "must be finite and lie in [0, 1)"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "must be finite and nonnegative"),
             ("lr_decay", 0 < self.lr_decay < math.inf, "must be finite and positive"),
-            ("im_kd_weight", math.isfinite(self.im_kd_weight), "must be finite"),
+            ("im_kd_weight", 0 <= self.im_kd_weight < math.inf, "must be finite and nonnegative"),
             ("batch_size", self.batch_size >= 2, "must be >= 2 (relations need pairs)"),
             ("milestones", all(a < b for a, b in zip(stones, stones[1:])),
              "must be strictly increasing"),
@@ -139,11 +139,15 @@ def _ce_only(model, t_side, xb, yb, xv, config):
     return loss, _row(loss.item(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _vrm(model, t_logits, xb, yb, xv, config):
+def _vrm(model, t_side, xb, yb, xv, config):
     """Masked cross-view edge matching plus label CE on both views
-    (:func:`total_loss`)."""
+    (:func:`total_loss`).  ``t_side`` is :func:`_vrm_teacher`'s arrays; where
+    ``xv`` is None (a worker's step), the views are made here from its plan."""
+    *plan, t_real, t_virtual = t_side
+    if xv is None:
+        xv = virtual_batch(xb, config.augment, None, AugmentPlan(*plan))
     s_batch = LogitBatch(model(xb), model(xv))
-    t_batch = LogitBatch(*map(Tensor, t_logits))
+    t_batch = LogitBatch(Tensor(t_real), Tensor(t_virtual))
     bd = total_loss(s_batch, t_batch, yb, config.weights)
     b, c = s_batch.batch_size, s_batch.n_classes
     return bd.total, _row(bd.ce_real.item(), bd.ce_virtual.item(), bd.isv.item(),
@@ -151,13 +155,14 @@ def _vrm(model, t_logits, xb, yb, xv, config):
 
 
 def _vrm_teacher(teacher: MLP, config: TrainConfig, key, xb: np.ndarray) -> tuple:
-    """Step ``key`` of batch ``xb`` as ``(plan, xv, (t_real, t_virtual))``:
-    the AugmentPlan of the batch's virtual views, the views, and the frozen
-    teacher's logits on the batch and on the views.  The teacher runs on
-    the batch as the loop would, so its logits have the loop's bits."""
+    """Step ``key`` of batch ``xb`` as ``(xv, (*plan, t_real, t_virtual))``:
+    the batch's virtual views, then the three arrays of their AugmentPlan
+    and the frozen teacher's logits on the batch and on the views.  The
+    teacher runs on the batch as the loop would, so its logits have the
+    loop's bits."""
     plan = draw_plan(config.augment, key, xb.shape)
     xv = virtual_batch(xb, config.augment, key, plan)
-    return plan, xv, (teacher.logits(xb), teacher.logits(xv))
+    return xv, (*plan, teacher.logits(xb), teacher.logits(xv))
 
 
 # the classic distillation arms see the real view only, so any difference
@@ -181,7 +186,7 @@ def _im_kd(model, t_logits, xb, yb, xv, config):
 
 def _teacher_logits(teacher: MLP, config: TrainConfig, key, xb: np.ndarray) -> tuple:
     """The frozen teacher's logits on the batch."""
-    return None, None, (teacher.logits(xb),)
+    return None, (teacher.logits(xb),)
 
 
 def _relation_arm(model, t_encodings, xb, yb, config, *encoders):
@@ -216,8 +221,7 @@ def _gram(model, t_grams, xb, yb, xv, config):
 
 def _gram_teacher(teacher, config, key, xb):
     """The teacher's inter-sample [B, B] and inter-class [C, C] Gram matrices."""
-    return None, None, _encodings(teacher.logits(xb), config, gram_inter_sample,
-                                  gram_inter_class)
+    return None, _encodings(teacher.logits(xb), config, gram_inter_sample, gram_inter_class)
 
 
 def _angular(model, t_logits, xb, yb, xv, config):
@@ -231,85 +235,83 @@ def _angular(model, t_logits, xb, yb, xv, config):
 class Objective(NamedTuple):
     """One training objective.  ``teacher_side(teacher, config, key, xb)``
     is the work step ``key`` of batch ``xb`` does on the frozen teacher
-    alone, ``(plan, xv, arrays)``: a vrm step's AugmentPlan and virtual
-    views (None elsewhere) and the float64 arrays the student side takes;
-    None for an objective that never consults the teacher.
-    ``loss(model, arrays, xb, yb, xv, config)`` is the student side: the
-    loss tensor and the breakdown row."""
+    alone, ``(xv, arrays)``: a vrm step's virtual views (None elsewhere)
+    and the int64 and float64 arrays the student side takes, all that a
+    worker sends of it; None for an objective that never consults the
+    teacher.  ``loss(model, arrays, xb, yb, xv, config)`` is the student
+    side: the loss tensor and the breakdown row, where ``xv`` is None
+    for a step whose teacher side ran in a worker.  ``min_batch`` and
+    ``min_classes`` are the fewest samples in a batch and classes in the
+    data that the objective's relations take."""
 
     loss: Callable
     teacher_side: Callable | None
+    min_batch: int = 2
+    min_classes: int = 1
 
 
 # Both sides look up the functions they call when called, so a rebinding of,
-# say, ``training.total_loss`` reaches them.
-OBJECTIVES = {"vrm": Objective(_vrm, _vrm_teacher), "im_kd": Objective(_im_kd, _teacher_logits),
-              "ce_only": Objective(_ce_only, None), "gram": Objective(_gram, _gram_teacher),
-              "angular": Objective(_angular, _teacher_logits)}
+# say, ``training.total_loss`` reaches them.  RKD angles join three samples.
+OBJECTIVES = {"vrm": Objective(_vrm, _vrm_teacher, min_classes=2),
+              "im_kd": Objective(_im_kd, _teacher_logits), "ce_only": Objective(_ce_only, None),
+              "gram": Objective(_gram, _gram_teacher, min_classes=2),
+              "angular": Objective(_angular, _teacher_logits, min_batch=3)}
 
 
 def teacher_side(objective: str, teacher: MLP | None, config: TrainConfig):
-    """The step function ``(key, xb) -> (plan, xv, arrays)`` of the
+    """The step function ``(key, xb) -> (xv, arrays)`` of the
     :data:`OBJECTIVES` entry ``objective``'s teacher side on ``teacher``;
-    ``(None, None, ())`` for an objective without one."""
+    ``(None, ())`` for an objective without one."""
     side = OBJECTIVES[objective].teacher_side
     if side is None:
-        return lambda key, xb: (None, None, ())
+        return lambda key, xb: (None, ())
     return functools.partial(side, teacher, config)
 
 
-# A worker's message is one int64 buffer, then one float64 buffer.  The
-# int64 one opens with its own length, the float64 one's length and the
-# length of the head after them.  The head of a step is _STEP, the batch's
-# rows and dim, the step key's part count and its parts, and how many of
-# the arrays are an AugmentPlan's fields (3, or 0 for none).  Then, per
-# array (the plan's, then the teacher side's, each C-ordered), its buffer
-# (0 int64, 1 float64), offset, dimension count and dimensions.  An
-# error's head is _ERROR (a NumericError) or _FAILED (any other exception,
-# as its class and text) and the bytes of its text.
-_OPEN, _STEP, _ERROR, _FAILED = 3, 0, 1, 2
+# A worker's message is one buffer of int64 words.  Word 0 is its length and
+# word 1 where its head ends.  The head of a step is _STEP, the batch's rows
+# and dim, the step key's part count and its parts, then per array of the
+# teacher side (each C-ordered, int64 or float64) whether it is float64, the
+# word it starts at, its dimension count and its dimensions; the arrays'
+# words follow the head, a float64 one's as their bits.  An error's head is
+# _ERROR (a NumericError) or _FAILED (any other exception, as its class and
+# text) and the bytes of its text.
+_STEP, _ERROR, _FAILED = 0, 1, 2
 
 
-def _pack_step(key, shape, plan: AugmentPlan | None, arrays) -> tuple:
-    """The int64 and float64 buffers of one step's message: step ``key``
-    of a batch of ``shape``, its ``plan`` or None, and the teacher side's
-    ``arrays``.  A key part outside int64 raises OverflowError."""
-    plan = tuple(plan or ())
-    arrays = (*plan, *arrays)
-    head = [_STEP, *shape, len(key), *key, len(plan)]
-    n_head = len(head) + sum(3 + a.ndim for a in arrays)
-    ends, parts = [_OPEN + n_head, 0], ([], [])
+def _pack_step(key, shape, arrays) -> np.ndarray:
+    """The message of step ``key`` of a batch of ``shape`` and the teacher
+    side's ``arrays``.  A key part outside int64 raises OverflowError."""
+    head = [_STEP, *shape, len(key), *key]
+    at = 2 + len(head) + sum(3 + a.ndim for a in arrays)
     for a in arrays:
-        buf = int(a.dtype.kind == "f")
-        head += [buf, ends[buf], a.ndim, *a.shape]
-        ends[buf] += a.size
-        parts[buf].append(a.ravel())
-    ints = np.concatenate([np.array([*ends, n_head, *head], dtype=np.int64), *parts[0]])
-    return ints, np.concatenate((np.empty(0), *parts[1]))
+        head += [a.dtype.kind == "f", at, a.ndim, *a.shape]
+        at += a.size
+    return np.concatenate([np.array([at, 2 + len(head), *head], dtype=np.int64),
+                           *(a.ravel().view(np.int64) for a in arrays)])
 
 
-def _pack_error(kind: int, text: str) -> tuple:
+def _pack_error(kind: int, text: str) -> np.ndarray:
     head = [kind, *text.encode()]
-    return np.array([_OPEN + len(head), 0, len(head), *head], dtype=np.int64), np.empty(0)
+    return np.array([2 + len(head), 2 + len(head), *head], dtype=np.int64)
 
 
-def _unpack(ints: np.ndarray, floats: np.ndarray) -> tuple:
-    """The ``(key, shape, plan, arrays)`` of a step's message: its step
-    key, its batch's shape, its AugmentPlan or None, and the teacher
-    side's arrays, slices of ``ints`` and ``floats``.  An error's raises
+def _unpack(message: np.ndarray) -> tuple:
+    """The ``(key, shape, arrays)`` of a step's ``message``: its step key,
+    its batch's shape and the teacher side's arrays, slices of ``message``
+    (a float64 one through a float64 view).  An error's raises
     NumericError, and a failure's WorkerError with the worker's exception."""
-    head = ints[_OPEN:_OPEN + ints[2]].tolist()
+    head = message[2:message[1]].tolist()
     if head[0] != _STEP:
         raise (NumericError if head[0] == _ERROR else WorkerError)(bytes(head[1:]).decode())
     n_parts = head[3]
-    key, n_plan = tuple(head[4:4 + n_parts]), head[4 + n_parts]
-    items, bufs, arrays = iter(head[5 + n_parts:]), (ints, floats), []
-    # the rest of the head is one (buffer, offset, ndim, *dims) per array
-    for buf, at, ndim in zip(items, items, items):
+    items, arrays = iter(head[4 + n_parts:]), []
+    # the rest of the head is one (float64?, start, ndim, *dims) per array
+    for is_float, at, ndim in zip(items, items, items):
         dims = list(itertools.islice(items, ndim))
-        arrays.append(bufs[buf][at:at + math.prod(dims)].reshape(dims))
-    plan = AugmentPlan(*arrays[:n_plan]) if n_plan else None
-    return key, tuple(head[1:3]), plan, tuple(arrays[n_plan:])
+        words = message[at:at + math.prod(dims)]
+        arrays.append((words.view(np.float64) if is_float else words).reshape(dims))
+    return tuple(head[4:4 + n_parts]), tuple(head[1:3]), tuple(arrays)
 
 
 def _fill(pipe, array: np.ndarray) -> None:
@@ -318,17 +320,15 @@ def _fill(pipe, array: np.ndarray) -> None:
         raise EOFError
 
 
-def _read_message(pipe) -> tuple:
-    """The int64 and float64 buffers of the next message, each read into a
-    fresh array, since the tensors made from them may keep them."""
-    opening = np.empty(_OPEN, dtype=np.int64)
-    _fill(pipe, opening)
-    ints = np.empty(opening[0], dtype=np.int64)
-    ints[:_OPEN] = opening
-    _fill(pipe, ints[_OPEN:])
-    floats = np.empty(opening[1])
-    _fill(pipe, floats)
-    return ints, floats
+def _read_message(pipe) -> np.ndarray:
+    """The next message, read into a fresh array, since the tensors made
+    from it may keep it."""
+    length = np.empty(1, dtype=np.int64)
+    _fill(pipe, length)
+    message = np.empty(length[0], dtype=np.int64)
+    message[0] = length[0]
+    _fill(pipe, message[1:])
+    return message
 
 
 def _widen(fd: int) -> None:
@@ -376,20 +376,18 @@ def _write_steps(pipe, write_fd: int, mask, cpu, step, batches):
         if cpu is not None:
             _pin({cpu})
         with open(write_fd, "wb") as out:
-            def send(ints, floats):
-                out.write(ints)
-                out.write(floats)
+            def send(message):
+                out.write(message)
                 out.flush()
 
             try:
                 for key, xb in batches:
-                    plan, _, arrays = step(key, xb)
-                    send(*_pack_step(key, xb.shape, plan, arrays))
+                    send(_pack_step(key, xb.shape, step(key, xb)[1]))
             except NumericError as exc:
-                send(*_pack_error(_ERROR, str(exc)))
+                send(_pack_error(_ERROR, str(exc)))
             except Exception as exc:
                 # the parent names it in its WorkerError; leaving here exits 1
-                send(*_pack_error(_FAILED, f"{type(exc).__name__}: {exc}"))
+                send(_pack_error(_FAILED, f"{type(exc).__name__}: {exc}"))
                 return
         code = 0
     except BrokenPipeError:
@@ -399,14 +397,14 @@ def _write_steps(pipe, write_fd: int, mask, cpu, step, batches):
 
 
 @contextlib.contextmanager
-def _drawn_ahead(step, spec: AugmentSpec, batches):
+def _drawn_ahead(step, batches):
     """Fork a worker that runs ``step(key, xb)``, a :func:`teacher_side`,
-    on each ``(key, batch)`` of ``batches`` and writes its plan and arrays
-    as a flat message.  The block gets ``next_step(key, xb)``, which reads
-    the next message and returns it as ``step`` would, a plan of ``spec``
-    with the views ``virtual_batch(xb, spec, key, plan)`` makes.  A
-    message of another key or shape raises UsageError before its plan is
-    applied, so this check is what ties a plan to its batch.
+    on each ``(key, batch)`` of ``batches`` and writes its arrays as a flat
+    message.  The block gets ``next_step(key, xb)``, which reads the next
+    message and returns ``(None, arrays)``: ``step``'s result without the
+    views, which the student side makes from the arrays where it has any.
+    A message of another key or shape raises UsageError before any of its
+    arrays is used, so this check is what ties them to their batch.
     The steps do not depend on the student, so the worker runs them while
     the caller trains, as far ahead as the pipe between them holds.  A
     NumericError of a step reaches the caller at that step; a worker that
@@ -446,7 +444,7 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
 
         def next_step(key, xb):
             try:
-                got_key, shape, plan, arrays = _unpack(*_read_message(pipe))
+                got_key, shape, arrays = _unpack(_read_message(pipe))
             except (EOFError, WorkerError) as exc:
                 # the worker's end of the pipe closes only as it exits, so a
                 # wait gets its own status, not that of a kill
@@ -457,8 +455,7 @@ def _drawn_ahead(step, spec: AugmentSpec, batches):
             if (got_key, shape) != (tuple(key), xb.shape):
                 raise UsageError(f"the teacher worker's step {got_key} at shape {shape} "
                                  f"is not step {tuple(key)} at shape {xb.shape}")
-            xv = None if plan is None else virtual_batch(xb, spec, key, plan)
-            return plan, xv, arrays
+            return None, arrays
 
         yield next_step
     finally:
@@ -476,8 +473,8 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     Each step's teacher side (:func:`teacher_side`) runs in a worker
     process (:func:`_drawn_ahead`) where the objective has one and the
     process may use two CPUs or more, and a vrm step's views are made
-    here from the worker's plan; otherwise the loop calls the same
-    function inline, which makes the views itself."""
+    here from the plan among the worker's arrays; otherwise the loop calls
+    the same function inline, which makes the views itself."""
     check_objective(objective, teacher, config, data)
     entry = OBJECTIVES[objective]
     x_train, y_train = data.train_inputs, data.train_labels
@@ -490,7 +487,7 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
         batches = (((epoch, step), x_train[idx]) for epoch in range(config.epochs)
                    for step, idx in enumerate(_batch_rows(
                        len(x_train), config.batch_size, config.seed, epoch)))
-        source = _drawn_ahead(step_teacher, config.augment, batches)
+        source = _drawn_ahead(step_teacher, batches)
     else:
         source = contextlib.nullcontext(step_teacher)
 
@@ -504,7 +501,7 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
                 for step, batch_idx in enumerate(_epoch_batches(
                         x_train.shape[0], config.batch_size, config.seed, epoch)):
                     xb, yb = x_train[batch_idx], y_train[batch_idx]
-                    _, xv, t_side = next_step((epoch, step), xb)
+                    xv, t_side = next_step((epoch, step), xb)
                     loss, row = entry.loss(model, t_side, xb, yb, xv, config)
                     row["total"] = loss.item()
                     if not np.isfinite(row["total"]):
@@ -525,11 +522,6 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     return records
 
 
-# the fewest (samples in a batch, classes in the data) an objective's relations
-# take, where (2, 1) is not enough: RKD angles join three samples
-_RELATION_SHAPES = {"vrm": (2, 2), "gram": (2, 2), "angular": (3, 1)}
-
-
 def check_objective(objective: str, teacher: MLP | None, config: TrainConfig,
                     data: Dataset) -> None:
     """Reject a run before any work.  ParameterError, naming the field, for
@@ -539,18 +531,18 @@ def check_objective(objective: str, teacher: MLP | None, config: TrainConfig,
     fewer classes than they relate."""
     if objective not in OBJECTIVES:
         raise ParameterError(f"objective must be one of {', '.join(OBJECTIVES)}")
-    if OBJECTIVES[objective].teacher_side is not None and teacher is None:
+    entry = OBJECTIVES[objective]
+    if entry.teacher_side is not None and teacher is None:
         raise ParameterError(f"objective {objective!r} needs a teacher")
     n_train = len(data.train_idx)
     if config.batch_size > n_train:
         raise ParameterError(f"batch_size {config.batch_size} exceeds the "
                              f"{n_train} training samples")
-    samples, classes = _RELATION_SHAPES.get(objective, (2, 1))
-    if config.batch_size < samples:
-        raise ParameterError(f"batch_size {config.batch_size} is below the {samples} "
+    if config.batch_size < entry.min_batch:
+        raise ParameterError(f"batch_size {config.batch_size} is below the {entry.min_batch} "
                              f"samples {objective} relations take")
-    if data.n_classes < classes:
-        raise InputError(f"{objective} relations take at least {classes} classes, "
+    if data.n_classes < entry.min_classes:
+        raise InputError(f"{objective} relations take at least {entry.min_classes} classes, "
                          f"the data has {data.n_classes}")
 
 

@@ -118,7 +118,7 @@ def models_and_batch(seed, b, c, dim=4):
 def step_loss(objective, student, teacher, xb, yb):
     """The objective's (loss, row) on batch ``xb``, its teacher side made by
     the function a run makes it with."""
-    _, xv, t_side = teacher_side(objective, teacher, CONFIG)((0, 0), xb)
+    xv, t_side = teacher_side(objective, teacher, CONFIG)((0, 0), xb)
     return OBJECTIVES[objective].loss(student, t_side, xb, yb, xv, CONFIG)
 
 

@@ -193,6 +193,12 @@ STDERR_CASES = {
                    "error: diverged at epoch 0: ", ["status=diverged", "epoch=0"]),
     "lr-decay": (["distill", "--lr-decay", "-1", "--milestones", "0"], 2,
                  "error: --lr-decay must be finite and positive, got -1.0", []),
+    "momentum": (["distill", "--momentum", "-1"], 2,
+                 "error: --momentum must be finite and lie in [0, 1), got -1.0", []),
+    "weight-decay": (["distill", "--weight-decay", "-5"], 2,
+                     "error: --weight-decay must be finite and nonnegative, got -5.0", []),
+    "im-kd-weight": (["distill", "--objective", "im_kd", "--im-kd-weight", "-1"], 2,
+                     "error: --im-kd-weight must be finite and nonnegative, got -1.0", []),
     "noise": (["gen-data", "--noise", "1e308"], 2,
               "error: --noise must keep the inputs finite, got 1e+308", []),
     "delta": (["distill", "--delta", "1e308", "--epochs", "1"], 0, None, ["status=complete"]),
@@ -227,6 +233,9 @@ def test_a_flag_value_gives_its_exit_code_and_at_most_one_error_line(run_env, ca
     if manifest:
         written = (run_env / "runs" / "run" / "manifest.txt").read_text().splitlines()
         assert set(manifest) <= set(written)
+    if code == 2:
+        assert not (run_env / "runs" / "run").exists()
+        assert not (run_env / "noisy.vrmdata").exists()
 
 
 def assert_clean_error(capsys, code, want_code):

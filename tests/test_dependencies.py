@@ -46,6 +46,23 @@ def test_training_imports_no_private_name_of_data():
     assert not private, "; ".join(private)
 
 
+# the functions that carry a teacher side's arrays between the worker and the loop
+TRANSPORT = ("_pack_step", "_unpack", "_read_message", "_write_steps", "_drawn_ahead")
+
+
+def test_the_workers_transport_names_nothing_of_data():
+    # it moves arrays and knows nothing of the views some of them make
+    path = PACKAGE / "training.py"
+    from_data = {name for _, name in names_imported_from(path, "data")}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(TRANSPORT) <= set(functions)
+    named = [f"{name}:{node.lineno} names {node.id}" for name in TRANSPORT
+             for node in ast.walk(functions[name])
+             if isinstance(node, ast.Name) and node.id in from_data]
+    assert not named, "; ".join(named)
+
+
 def test_importing_the_cli_loads_no_process_pool_module():
     # a vrm run forks its one worker itself: importing multiprocessing alone
     # raises a process's peak resident memory by about 1 MiB

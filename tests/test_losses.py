@@ -260,7 +260,7 @@ def im_kd_case(seed, b, c, dim=4):
 def im_kd_loss(student, teacher, xb, yb, config):
     """The im_kd (loss, row) on batch ``xb``, its teacher side made by the
     function a run makes it with."""
-    _, xv, t_side = teacher_side("im_kd", teacher, config)((0, 0), xb)
+    xv, t_side = teacher_side("im_kd", teacher, config)((0, 0), xb)
     return OBJECTIVES["im_kd"].loss(student, t_side, xb, yb, xv, config)
 
 

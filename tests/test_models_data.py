@@ -33,9 +33,11 @@ RECORD_CASES = [
     (VRMWeights, {"tau": INF}), (VRMWeights, {"huber_delta": 0.0}),
     (VRMWeights, {"uep_percentile": 0.0}), (VRMWeights, {"uep_percentile": 101.0}),
     (TrainConfig, {"lr": 0.0}), (TrainConfig, {"lr": -INF}), (TrainConfig, {"momentum": NAN}),
-    (TrainConfig, {"weight_decay": INF}), (TrainConfig, {"lr_decay": NAN}),
-    (TrainConfig, {"lr_decay": 0.0}), (TrainConfig, {"lr_decay": -1.0}),
-    (TrainConfig, {"im_kd_weight": -INF}), (TrainConfig, {"batch_size": 1}),
+    (TrainConfig, {"momentum": -1.0}), (TrainConfig, {"momentum": 1.0}),
+    (TrainConfig, {"weight_decay": INF}), (TrainConfig, {"weight_decay": -5.0}),
+    (TrainConfig, {"lr_decay": NAN}), (TrainConfig, {"lr_decay": 0.0}),
+    (TrainConfig, {"lr_decay": -1.0}), (TrainConfig, {"im_kd_weight": -INF}),
+    (TrainConfig, {"im_kd_weight": -1.0}), (TrainConfig, {"batch_size": 1}),
     (TrainConfig, {"milestones": (3, 3)}), (TrainConfig, {"epochs": 0}),
     (TrainConfig, {"seed": -1}),
     (AugmentSpec, {"n_ops": 5}), (AugmentSpec, {"n_ops": -1}),

@@ -117,7 +117,7 @@ def test_table_entry_matches_reference_bit_for_bit(objective, seed, b, c):
 
     # the table's student side takes what its teacher side makes of the
     # teacher (and a vrm step's views), the reference the teacher itself
-    _, t_xv, t_side = teacher_side(objective, teacher, config)((seed, 0), xb)
+    t_xv, t_side = teacher_side(objective, teacher, config)((seed, 0), xb)
     assert_same_bits(t_xv, xv if objective == "vrm" else None)
     got = evaluate(OBJECTIVES[objective].loss, spec, t_side, xb, yb, t_xv, config)
     want = evaluate(lambda *args: reference_step_loss(objective, *args),

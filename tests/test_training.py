@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from vrm import training
-from vrm.data import AUGMENT_OPS, AugmentSpec, draw_plan, make_synthetic_dataset, virtual_batch
+from vrm.data import (AUGMENT_OPS, AugmentPlan, AugmentSpec, draw_plan, make_synthetic_dataset,
+                      virtual_batch)
 from vrm.errors import ParameterError, TrainingError, UsageError, WorkerError
 from vrm.losses import VRMWeights
 from vrm.models import MLP, MLPSpec
@@ -61,6 +62,7 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ParameterError):
         TrainConfig(seed=-1)
+    TrainConfig(momentum=0.0, weight_decay=0.0, im_kd_weight=0.0)   # each range's closed end
     cfg = TrainConfig(lr=0.2, lr_decay=0.5, milestones=(2, 4))
     assert cfg.lr_at(0) == 0.2 and cfg.lr_at(2) == 0.1 and cfg.lr_at(4) == 0.05
 
@@ -210,7 +212,7 @@ def test_every_objective_row_has_the_step_columns(blobs, blobs_teacher, objectiv
     teacher, _ = blobs_teacher
     xb, yb = blobs.train_inputs[:16], blobs.train_labels[:16]
     config = TrainConfig(weights=VRMWeights(alpha=4.0, beta=1.0))
-    _, xv, t_side = teacher_side(objective, teacher, config)((0, 0), xb)
+    xv, t_side = teacher_side(objective, teacher, config)((0, 0), xb)
     _, row = OBJECTIVES[objective].loss(MLP(MLPSpec([6, 12, 3], "relu", 1)), t_side, xb, yb, xv,
                                         config)
     assert tuple(row) == STEP_COLUMNS
@@ -290,8 +292,8 @@ def test_a_worker_that_fails_is_an_error_not_a_hang(forks):
     # the second key is negative, so the worker's draw raises and it exits 1
     xb, spec = np.zeros((4, 3)), AugmentSpec()
     side = vrm_side(MLP(MLPSpec([3, 5, 2])), spec)
-    with _drawn_ahead(side, spec, [((0, 0), xb), ((-1, 0), xb)]) as next_step:
-        assert np.array_equal(next_step((0, 0), xb)[1], virtual_batch(xb, spec, (0, 0)))
+    with _drawn_ahead(side, [((0, 0), xb), ((-1, 0), xb)]) as next_step:
+        assert same_arrays(next_step((0, 0), xb)[1], side((0, 0), xb)[1])
         with pytest.raises(WorkerError, match="exit status 1"):
             next_step((-1, 0), xb)
     assert_reaped(forks[0])
@@ -301,8 +303,7 @@ def test_a_worker_that_raises_names_its_exception(forks):
     # the worker's draw of a negative key raises ValueError: the error keeps
     # the worker's exit status and adds the exception's class and text
     xb, spec = np.zeros((4, 3)), AugmentSpec()
-    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), spec,
-                      [((-1, 0), xb)]) as next_step:
+    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), [((-1, 0), xb)]) as next_step:
         with pytest.raises(WorkerError, match=r"^the teacher worker ended early "
                                               r"\(exit status 1\): ValueError: \S"):
             next_step((-1, 0), xb)
@@ -320,8 +321,7 @@ def test_a_worker_slow_to_exit_is_waited_for_not_killed(forks, monkeypatch):
 
     monkeypatch.setattr(os, "_exit", slow_exit)
     xb, spec = np.zeros((4, 3)), AugmentSpec()
-    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), spec,
-                      [((-1, 0), xb)]) as next_step:
+    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), [((-1, 0), xb)]) as next_step:
         with pytest.raises(WorkerError, match="exit status 1"):
             next_step((-1, 0), xb)
     assert_reaped(forks[0])
@@ -350,6 +350,28 @@ def test_one_cpu_runs_the_steps_inline_with_the_forked_bytes(blobs, blobs_teache
                      tmp_path / "inline")
     assert len(forks) == 1
     assert inline == forked
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["forked", "inline"])
+def test_a_vrm_run_makes_each_steps_views_once_in_the_loops_process(blobs, blobs_teacher,
+                                                                     quick_config, forks,
+                                                                     monkeypatch, inline):
+    # forked, the loop makes them from the worker's plan; inline, the teacher
+    # side makes them and the student side takes them as they are
+    teacher, _ = blobs_teacher
+    if inline:
+        use_cpus(monkeypatch, {0})
+    calls, real = [], training.virtual_batch
+
+    def counted(*args):
+        calls.append(os.getpid())   # a worker appends to its own copy
+        return real(*args)
+
+    monkeypatch.setattr(training, "virtual_batch", counted)
+    distill_student(MLPSpec([6, 12, 3], "relu", 1), teacher, blobs, quick_config, "vrm")
+    n_steps = len(blobs.train_inputs) // quick_config.batch_size * quick_config.epochs
+    assert calls == n_steps * [os.getpid()]
+    assert len(forks) == (not inline)
 
 
 def overflowing(teacher):
@@ -387,10 +409,10 @@ def test_an_overflowing_teacher_diverges_alike_forked_and_inline(blobs, blobs_te
 @pytest.mark.parametrize("objective", ["vrm", "gram"])
 def test_a_message_for_another_step_raises_usage_error(forks, objective, key, shape):
     # the worker's message is for step (0, 1) at shape (4, 3); the check
-    # comes before a vrm plan is applied to the loop's batch
-    spec, xb = AugmentSpec(), np.ones((4, 3))
-    side = teacher_side(objective, MLP(MLPSpec([3, 5, 2])), TrainConfig(augment=spec))
-    with _drawn_ahead(side, spec, [((0, 1), xb)]) as next_step:
+    # comes before any of its arrays (a vrm plan) is used on the loop's batch
+    xb = np.ones((4, 3))
+    side = teacher_side(objective, MLP(MLPSpec([3, 5, 2])), TrainConfig())
+    with _drawn_ahead(side, [((0, 1), xb)]) as next_step:
         with pytest.raises(UsageError, match=re.escape(
                 f"the teacher worker's step (0, 1) at shape (4, 3) is not step {key} "
                 f"at shape {shape}")):
@@ -406,26 +428,28 @@ def test_a_step_message_carries_each_key_part_as_one_int64():
     key = (0, 2**32 - 1, 2**32, 2**63 - 1)
     spec, xb = AugmentSpec(n_ops=3, seed=2**70 + 1), np.arange(12.0).reshape(4, 3)
     plan = draw_plan(spec, key, xb.shape)
-    ints, floats = _pack_step(key, xb.shape, plan, (np.zeros((4, 2)), np.ones((4, 2))))
-    # the head: _STEP, rows, dim, the part count, the parts, then the plan's 3 arrays
-    assert ints[3:12].tolist() == [0, 4, 3, 4, 0, 2**32 - 1, 2**32, 2**63 - 1, 3]
-    got_key, shape, got, (t_real, t_virtual) = _unpack(ints, floats)
+    message = _pack_step(key, xb.shape, (*plan, np.zeros((4, 2)), np.ones((4, 2))))
+    # after the length and the head's end, the head: _STEP, rows, dim, the
+    # part count, the parts
+    assert message[2:10].tolist() == [0, 4, 3, 4, 0, 2**32 - 1, 2**32, 2**63 - 1]
+    got_key, shape, (*got, t_real, t_virtual) = _unpack(message)
     assert got_key == key and shape == xb.shape
     assert same_arrays(got, plan)
-    assert np.array_equal(virtual_batch(xb, spec, key, got), virtual_batch(xb, spec, key))
+    assert np.array_equal(virtual_batch(xb, spec, None, AugmentPlan(*got)),
+                          virtual_batch(xb, spec, key))
     assert np.array_equal(t_real, np.zeros((4, 2))) and np.array_equal(t_virtual, np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("part", [2**63, 2**64, -2**63 - 1])
 def test_a_key_part_outside_int64_cannot_be_packed(part):
     with pytest.raises(OverflowError):
-        _pack_step((0, part), (4, 3), None, ())
+        _pack_step((0, part), (4, 3), ())
 
 
 def test_a_worker_whose_key_cannot_be_packed_is_a_worker_error(forks):
     # the worker draws the plan of a key past int64, then fails to send it
     xb, spec, key = np.zeros((4, 3)), AugmentSpec(), (2**63, 0)
-    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), spec, [(key, xb)]) as next_step:
+    with _drawn_ahead(vrm_side(MLP(MLPSpec([3, 5, 2])), spec), [(key, xb)]) as next_step:
         with pytest.raises(WorkerError, match=r"\(exit status 1\): OverflowError: \S"):
             next_step(key, xb)
     assert_reaped(forks[0])
@@ -434,27 +458,37 @@ def test_a_worker_whose_key_cannot_be_packed_is_a_worker_error(forks):
 @pytest.mark.parametrize("shapes", [[(4,), (5, 5), (2, 3, 4)], [(1,), (1, 1), (1, 1, 1)],
                                     [(0,), (3, 0), (0, 2, 2)], []],
                          ids=["some", "ones", "empty", "none"])
-def test_a_step_message_without_a_plan_carries_its_arrays_and_their_shapes(shapes):
+def test_a_step_message_carries_its_arrays_and_their_shapes(shapes):
     rng = np.random.default_rng(0)
     arrays = [make(shape) for shape in shapes
               for make in (rng.standard_normal, lambda s: rng.integers(-2**63, 2**63 - 1, s))]
-    ints, floats = _pack_step((2, 7), (5, 3), None, arrays)
-    got_key, shape, plan, got = _unpack(ints, floats)
-    assert (got_key, shape, plan) == ((2, 7), (5, 3), None)
+    message = _pack_step((2, 7), (5, 3), arrays)
+    assert message.dtype == np.int64 and message[0] == len(message)
+    got_key, shape, got = _unpack(message)
+    assert (got_key, shape) == ((2, 7), (5, 3))
     assert same_arrays(got, arrays)
 
 
 @pytest.mark.parametrize("n_ops,rows", [(0, 4), (0, 1), (2, 1), (4, 1), (4, 6)])
 def test_a_plan_crosses_the_message_at_every_slot_and_row_count(n_ops, rows):
-    spec, key = AugmentSpec(n_ops=n_ops, magnitude=0.5), (3, 1)
-    xb = np.random.default_rng(n_ops).standard_normal((rows, 5))
-    plan = draw_plan(spec, key, xb.shape)
-    assert [a.shape for a in plan] == [(n_ops, rows), (n_ops, len(AUGMENT_OPS) + 1),
-                                       (n_ops, rows, 7)]
-    got_key, shape, got, arrays = _unpack(*_pack_step(key, xb.shape, plan, (np.ones(rows),)))
-    assert (got_key, shape) == (key, xb.shape)
-    assert same_arrays(got, plan) and same_arrays(arrays, (np.ones(rows),))
-    assert np.array_equal(virtual_batch(xb, spec, key, got), virtual_batch(xb, spec, key))
+    # vrm's five arrays cross, and the views the student side makes from
+    # them are the views its teacher side makes inline
+    config, key = TrainConfig(augment=AugmentSpec(n_ops=n_ops, magnitude=0.5)), (3, 1)
+    rng = np.random.default_rng(n_ops)
+    xb, yb = rng.standard_normal((rows, 5)), rng.integers(0, 3, rows)
+    xv, arrays = teacher_side("vrm", MLP(MLPSpec([5, 4, 3], "relu", 0)), config)(key, xb)
+    assert [a.shape for a in arrays] == [(n_ops, rows), (n_ops, len(AUGMENT_OPS) + 1),
+                                         (n_ops, rows, 7), (rows, 3), (rows, 3)]
+    got_key, shape, got = _unpack(_pack_step(key, xb.shape, arrays))
+    assert (got_key, shape) == (key, xb.shape) and same_arrays(got, arrays)
+    student, seen = MLP(MLPSpec([5, 4, 3], "relu", 1)), []
+
+    def model(x):
+        seen.append(x)
+        return student(x)
+
+    OBJECTIVES["vrm"].loss(model, got, xb, yb, None, config)
+    assert seen[0] is xb and seen[1].tobytes() == xv.tobytes()
 
 
 def check_worker_logits(batch_size, widths, n_steps=8, objective="vrm"):
@@ -467,15 +501,15 @@ def check_worker_logits(batch_size, widths, n_steps=8, objective="vrm"):
     config = TrainConfig(augment=AugmentSpec(seed=5))
     side = teacher_side(objective, teacher, config)
     batches = [((0, step), x[rng.permutation(len(x))[:batch_size]]) for step in range(n_steps)]
-    with _drawn_ahead(side, config.augment, batches) as next_step:
+    with _drawn_ahead(side, batches) as next_step:
         for key, xb in batches:
-            _, xv, arrays = next_step(key, xb)
-            want = side(key, xb)[2]
+            xv, arrays = next_step(key, xb)
+            assert xv is None and same_arrays(arrays, side(key, xb)[1])
             if objective == "vrm":
-                assert arrays[0].tobytes() == teacher.logits(xb).tobytes()
-                assert arrays[1].tobytes() == teacher.logits(xv).tobytes()
-            assert [(a.shape, a.tobytes()) for a in arrays] == [(a.shape, a.tobytes())
-                                                                for a in want]
+                *plan, t_real, t_virtual = arrays
+                xv = virtual_batch(xb, config.augment, None, AugmentPlan(*plan))
+                assert t_real.tobytes() == teacher.logits(xb).tobytes()
+                assert t_virtual.tobytes() == teacher.logits(xv).tobytes()
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
