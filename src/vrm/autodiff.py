@@ -2,7 +2,8 @@
 
 The op set is intentionally small: elementwise arithmetic, matmul,
 reductions, shape moves, and the fused numeric ops the distillation
-losses are built from (softmax, normalized differences, Huber).
+losses are built from (softmax, normalized differences, Huber, and the
+softened KL divergence as one node whose teacher side is detached).
 Storage and vectorized arithmetic are numpy; the tape is our own.
 """
 from __future__ import annotations
@@ -294,16 +295,6 @@ def tanh(x) -> Tensor:
     return _result(out, (x,), grad_fn, "tanh")
 
 
-def exp(x) -> Tensor:
-    x = _coerce(x)
-    out = np.exp(x.data)
-
-    def grad_fn(g):
-        return (g * out,)
-
-    return _result(out, (x,), grad_fn, "exp")
-
-
 # -- reductions and shape moves ----------------------------------------
 
 
@@ -375,38 +366,33 @@ def row_slice(x, start, stop) -> Tensor:
 # -- fused numeric ops --------------------------------------------------
 
 
+def _softmax(x, axis):
+    """The softmax of array ``x`` along ``axis``, stabilized by subtracting
+    each slice's max: exact under per-slice shifts, and no exp overflows."""
+    u = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(u)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(x):
+    """The log-softmax of the rows of array ``x``, with :func:`_softmax`'s shift."""
+    u = x - x.max(axis=1, keepdims=True)
+    return u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+
+
 def softmax(z, axis=-1, tau=1.0) -> Tensor:
     """Temperature-scaled softmax along ``axis``, stabilized by
     max-subtraction so the result is exact under per-slice logit shifts."""
     if tau <= 0:
         raise ParameterError("softmax temperature must be positive")
     z = _coerce(z)
-    u = z.data / tau
-    u = u - u.max(axis=axis, keepdims=True)
-    e = np.exp(u)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = _softmax(z.data / tau, axis)
 
     def grad_fn(g):
         inner = (g * p).sum(axis=axis, keepdims=True)
         return ((g - inner) * p / tau,)
 
     return _result(p, (z,), grad_fn, "softmax")
-
-
-def log_softmax(z, axis=-1, tau=1.0) -> Tensor:
-    if tau <= 0:
-        raise ParameterError("softmax temperature must be positive")
-    z = _coerce(z)
-    u = z.data / tau
-    u = u - u.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(u).sum(axis=axis, keepdims=True))
-    lsm = u - lse
-
-    def grad_fn(g):
-        p = np.exp(lsm)
-        return ((g - p * g.sum(axis=axis, keepdims=True)) / tau,)
-
-    return _result(lsm, (z,), grad_fn, "log_softmax")
 
 
 DEFAULT_NORM_EPS = 1e-12
@@ -511,9 +497,7 @@ def cross_entropy(logits, labels) -> Tensor:
     n, c = logits.shape
     if y.shape != (n,) or y.min() < 0 or y.max() >= c:
         raise InputError("labels must be integers in [0, classes)")
-    u = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(u).sum(axis=1, keepdims=True))
-    lsm = u - lse
+    lsm = _log_softmax(logits.data)
     out = -lsm[np.arange(n), y].mean()
 
     def grad_fn(g):
@@ -526,17 +510,26 @@ def cross_entropy(logits, labels) -> Tensor:
 
 def kld(teacher_logits, student_logits, tau=1.0) -> Tensor:
     """Temperature-softened KL divergence, teacher relative to student,
-    scaled by tau^2 and averaged over the batch."""
+    scaled by tau^2 and averaged over the batch, as one tape node.  The
+    teacher is a constant: only the student's logits get a gradient."""
     if tau <= 0:
         raise ParameterError("kld temperature must be positive")
     t, s = _coerce(teacher_logits), _coerce(student_logits)
     if t.shape != s.shape or t.ndim != 2:
         raise InputError("kld expects matching [batch, classes] logits")
-    lt = log_softmax(t, axis=1, tau=tau)
-    ls = log_softmax(s, axis=1, tau=tau)
-    pt = exp(lt)
-    per_elem = mul(pt, add(lt, mul(ls, -1.0)))
-    return mul(tsum(per_elem), tau * tau / t.shape[0])
+    lt = _log_softmax(t.data / tau)
+    ls = _log_softmax(s.data / tau)
+    pt = np.exp(lt)
+    scale = tau * tau / t.shape[0]
+    out = (pt * (lt + ls * -1.0)).sum() * scale
+
+    def grad_fn(g):
+        # d/dls of sum(pt * (lt - ls)) * scale, formed in this order, then
+        # the log-softmax backward
+        gl = np.broadcast_to(g * scale, ls.shape) * pt * -1.0
+        return ((gl - np.exp(ls) * gl.sum(axis=1, keepdims=True)) / tau,)
+
+    return _result(np.asarray(out), (s,), grad_fn, "kld")
 
 
 def finite_diff_check(f, x, h=1e-5) -> float:

@@ -335,6 +335,11 @@ def cmd_ablate(args, parser) -> int:
     alphas = _parse_list(args.alphas, "--alphas", float)
     if not objectives or not seeds or not alphas:
         parser.error("empty sweep grid")
+    # as parsed, so 1 and 1.0 are one alpha: a repeat would rerun a cell
+    for flag, values, text in (("--objectives", objectives, args.objectives),
+                               ("--seeds", seeds, args.seeds), ("--alphas", alphas, args.alphas)):
+        if len(set(values)) < len(values):
+            raise ParameterError(f"{flag} must list distinct values, got {text!r}")
 
     cfg_base = _effective(args)
     data = load_dataset(args.data)

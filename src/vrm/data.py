@@ -43,6 +43,9 @@ class Dataset:
             raise InputError("dataset inputs must be finite")
         if n == 0:
             raise InputError("dataset is empty")
+        # a model is built n_classes wide, so a corrupt count cannot allocate
+        if self.n_classes > n:
+            raise InputError(f"dataset has {self.n_classes} classes, more than its {n} samples")
         for name, idx in (("train", self.train_idx), ("val", self.val_idx)):
             if idx.ndim != 1 or idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise InputError(f"{name} split indices must be a vector in [0, {n})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _row_blocks
+from .autodiff import Tensor, _row_blocks, _softmax
 from .errors import InputError, ParameterError, UsageError
 from .graphs import EdgeTensor, LogitBatch
 
@@ -117,13 +117,7 @@ def _grid_inputs(batch: LogitBatch, kind: str):
                 raise InputError(f"{name} rows are not distributions")
         return real, virt
     # class columns are not distributions; normalize each over the batch
-    return _batch_softmax(real).T, _batch_softmax(virt).T
-
-
-def _batch_softmax(m):
-    u = m - m.max(axis=0, keepdims=True)
-    e = np.exp(u)
-    return e / e.sum(axis=0, keepdims=True)
+    return _softmax(real, 0).T, _softmax(virt, 0).T
 
 
 def uep_mask(JE, m: float, kind: str = "ISV") -> EdgeMask:

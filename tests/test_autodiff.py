@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vrm import autodiff as ad
-from vrm.autodiff import Tensor, backward, finite_diff_check
+from vrm.autodiff import Tape, Tensor, backward, finite_diff_check
 from vrm.errors import InputError, NumericError, ParameterError, UsageError
-from vrm.graphs import build_inter_sample_edges
+from vrm.graphs import LogitBatch, build_inter_sample_edges, soften
+from vrm.pruning import _grid_inputs
 
 
 def test_tensor_rejects_non_finite():
@@ -146,6 +149,149 @@ def test_kld_shift_invariance_and_nonnegativity():
     shifted = ad.kld(Tensor(zt + shifts), Tensor(zs), tau=3.0).item()
     assert shifted == pytest.approx(base, abs=1e-12)
     assert base >= 0.0
+
+
+# -- the stabilized softmax against frozen copies of its earlier forms ---------
+
+
+def frozen_log_softmax(z, tau):
+    """The ``log_softmax`` op over rows, as it stood before ``kld`` was fused."""
+    u = z.data / tau
+    u = u - u.max(axis=1, keepdims=True)
+    lsm = u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+
+    def grad_fn(g):
+        p = np.exp(lsm)
+        return ((g - p * g.sum(axis=1, keepdims=True)) / tau,)
+
+    return ad._result(lsm, (z,), grad_fn, "log_softmax")
+
+
+def frozen_exp(x):
+    """The ``exp`` op, as it stood before ``kld`` was fused."""
+    out = np.exp(x.data)
+    return ad._result(out, (x,), lambda g: (g * out,), "exp")
+
+
+def frozen_kld(t, s, tau):
+    """``kld`` as the 8-node composite it was."""
+    lt, ls = frozen_log_softmax(t, tau), frozen_log_softmax(s, tau)
+    per_elem = ad.mul(frozen_exp(lt), ad.add(lt, ad.mul(ls, -1.0)))
+    return ad.mul(ad.tsum(per_elem), tau * tau / t.shape[0])
+
+
+def frozen_softmax(z, axis, tau):
+    """The ``softmax`` op's value and gradient rule, as they stood."""
+    u = z.data / tau
+    u = u - u.max(axis=axis, keepdims=True)
+    e = np.exp(u)
+    p = e / e.sum(axis=axis, keepdims=True)
+    return p, lambda g: (g - (g * p).sum(axis=axis, keepdims=True)) * p / tau
+
+
+def frozen_cross_entropy(logits, y):
+    """``cross_entropy``'s value and gradient for upstream ``g``, as they stood."""
+    n = len(y)
+    u = logits - logits.max(axis=1, keepdims=True)
+    lsm = u - np.log(np.exp(u).sum(axis=1, keepdims=True))
+    p = np.exp(lsm)
+    p[np.arange(n), y] -= 1.0
+    return -lsm[np.arange(n), y].mean(), lambda g: g * p / n
+
+
+def frozen_batch_softmax(m):
+    """``pruning._batch_softmax``, which made the ICV grid's inputs."""
+    u = m - m.max(axis=0, keepdims=True)
+    e = np.exp(u)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def logit_pair(seed, b, c, scale):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((b, c)) * scale, rng.standard_normal((b, c)) * scale
+
+
+SHAPES = st.tuples(st.integers(1, 39), st.integers(1, 39))
+TAUS = st.sampled_from([0.5, 1.0, 4.0]) | st.floats(0.5, 7.3)
+SCALES = st.floats(0.1, 1e2)
+UPSTREAMS = st.sampled_from([1.0, -1.0]) | st.floats(-4.0, 4.0)
+
+
+@given(shape=SHAPES, tau=TAUS, scale=SCALES, upstream=UPSTREAMS, seed=st.integers(0, 2**16))
+@example(shape=(1, 1), tau=0.5, scale=1e2, upstream=-1.0, seed=0)
+@example(shape=(1, 7), tau=1.0, scale=0.1, upstream=1.0, seed=1)
+@example(shape=(9, 1), tau=4.0, scale=1e2, upstream=-2.5, seed=2)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_kld_is_the_eight_node_composite_bit_for_bit(shape, tau, scale, upstream, seed):
+    t, s = logit_pair(seed, *shape, scale)
+    got, want = [], []
+    for fn, out in ((ad.kld, got), (frozen_kld, want)):
+        x = Tensor(s.copy(), requires_grad=True)
+        loss = fn(Tensor(t), x, tau)
+        backward(loss * upstream)
+        out += [loss.data, x.grad]
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
+@given(shape=SHAPES, tau=TAUS, scale=SCALES, axis=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**16))
+@example(shape=(1, 1), tau=0.5, scale=1e2, axis=0, seed=0)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_softmax_keeps_its_bits(shape, tau, scale, axis, seed):
+    z, up = logit_pair(seed, *shape, scale)
+    x = Tensor(z.copy(), requires_grad=True)
+    p = ad.softmax(x, axis=axis, tau=tau)
+    backward((p * Tensor(up)).sum())
+    want, grad_fn = frozen_softmax(Tensor(z), axis, tau)
+    assert_same_bits(p.data, want)
+    assert_same_bits(x.grad, grad_fn(up))
+
+
+@given(shape=SHAPES, scale=SCALES, upstream=UPSTREAMS, seed=st.integers(0, 2**16))
+@example(shape=(1, 1), scale=1e2, upstream=-1.0, seed=0)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_cross_entropy_keeps_its_bits(shape, scale, upstream, seed):
+    z, _ = logit_pair(seed, *shape, scale)
+    y = np.random.default_rng(seed).integers(0, shape[1], shape[0])
+    x = Tensor(z.copy(), requires_grad=True)
+    loss = ad.cross_entropy(x, y)
+    backward(loss * upstream)
+    want, grad_fn = frozen_cross_entropy(z, y)
+    assert_same_bits(loss.data, want)
+    assert_same_bits(x.grad, grad_fn(upstream))
+
+
+@given(shape=SHAPES, tau=TAUS, scale=SCALES, seed=st.integers(0, 2**16))
+@example(shape=(1, 1), tau=0.5, scale=1e2, seed=0)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_icv_grid_inputs_keep_their_bits(shape, tau, scale, seed):
+    batch = soften(LogitBatch(*logit_pair(seed, *shape, scale)), tau)
+    got = _grid_inputs(batch, "ICV")
+    want = (frozen_batch_softmax(batch.real.data).T, frozen_batch_softmax(batch.virtual.data).T)
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
+def test_kld_gives_a_teacher_that_requires_grad_no_gradient():
+    rng = np.random.default_rng(5)
+    t = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    backward(ad.kld(t, s, tau=2.0))
+    assert t.grad is None
+    assert s.grad is not None
+
+
+def test_kld_records_one_tape_node():
+    rng = np.random.default_rng(6)
+    s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    tape = Tape.trace(ad.kld(Tensor(rng.standard_normal((3, 4))), s, tau=2.0))
+    assert [t.node.op for t in tape.nodes if t.node is not None] == ["kld"]
 
 
 def test_backward_sum_gradient():
@@ -338,11 +484,10 @@ OVERFLOWS = [
     ("add", lambda: ad.add(Tensor([1e308]), Tensor([1e308]))),
     ("mul", lambda: ad.mul(Tensor([1e200]), Tensor([1e200]))),
     ("matmul", lambda: ad.matmul(Tensor([[1e308, 1e308]]), Tensor([[1.0], [1.0]]))),
-    ("exp", lambda: ad.exp(Tensor([710.0]))),
     ("sum", lambda: ad.tsum(Tensor([1e308, 1e308]))),
     ("mean", lambda: ad.tmean(Tensor([1e308, 1e308]))),
     ("softmax", lambda: ad.softmax(Tensor([[1.0, 2.0]]), tau=1e-308)),
-    ("log_softmax", lambda: ad.log_softmax(Tensor([[1.0, 2.0]]), tau=1e-308)),
+    ("kld", lambda: ad.kld(Tensor([[1.0, 2.0]]), Tensor([[2.0, 1.0]]), tau=1e-308)),
     # a squared norm that overflows would map its fiber to all zeros
     ("l2_normalize", lambda: ad.l2_normalize(Tensor([[1e200, 1e200]]))),
     ("l2_normalize", lambda: build_inter_sample_edges(np.array([[1e200, 1e200], [-1e200, -1e200]]))),

@@ -424,6 +424,27 @@ def test_class_relations_on_one_class_data_exit_3_before_the_run_dir(run_env, ca
 
 
 @pytest.mark.parametrize("command", ["train-teacher", "distill", "ablate"])
+def test_a_class_count_above_the_sample_count_exits_3_before_the_run_dir(run_env, capsys,
+                                                                         command):
+    # a model this wide would be a multi-GiB allocation
+    rng = np.random.default_rng(0)
+    data = run_env / "wide.vrmdata"
+    write_artifact(data, DATASET_MAGIC, {"n_classes": 10**7},
+                   {"inputs": rng.standard_normal((60, 6)), "labels": np.arange(60) % 3,
+                    "train_idx": np.arange(48), "val_idx": np.arange(48, 60)})
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    common = ["--data", str(data), "--epochs", "1", "--milestones", "1", "--name", "wide"]
+    argv = {"train-teacher": ["train-teacher", *common],
+            "distill": ["distill", *common, "--teacher", str(ckpt)],
+            "ablate": ["ablate", *common, "--teacher", str(ckpt), "--objectives", "ce_only"]}
+    assert main(argv[command]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: dataset has {10**7} classes, more than its 60 samples"]
+    assert not (run_env / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "distill", "ablate"])
 def test_negative_seed_exits_2_before_the_run_dir(run_env, capsys, command):
     data = gen_data(run_env)
     ckpt = run_env / "teacher.ckpt"
@@ -625,6 +646,23 @@ def test_ablate_rejects_empty_grid(run_env, capsys, flag):
               "--name", "empty"])
     assert exc_info.value.code == 2
     assert "empty sweep grid" in capsys.readouterr().err
+    assert not (run_env / "runs").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--objectives", "vrm,vrm"), ("--seeds", "0,0"),
+                                        ("--alphas", "1,1.0")])
+def test_ablate_rejects_a_repeated_sweep_value(run_env, capsys, flag, value):
+    # a repeat, as parsed, would run the same cell twice
+    data = gen_data(run_env)
+    ckpt = run_env / "teacher.ckpt"
+    save_checkpoint(MLP(MLPSpec([6, 8, 3], "relu", 0)), ckpt)
+    axes = {"--objectives": "ce_only", "--seeds": "0", "--alphas": "4", flag: value}
+    code = main(["ablate", "--data", str(data), "--teacher", str(ckpt), "--epochs", "2",
+                 "--milestones", "1", *[tok for item in axes.items() for tok in item],
+                 "--name", "twice"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} must list distinct values, got {value!r}"]
     assert not (run_env / "runs").exists()
 
 

@@ -63,6 +63,24 @@ def test_the_workers_transport_names_nothing_of_data():
     assert not named, "; ".join(named)
 
 
+def exp_calls(path):
+    """Lines of the ``np.exp`` (or ``numpy.exp``) calls in the source file ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            yield node.lineno
+
+
+def test_every_exp_call_is_in_autodiff():
+    # the stabilized softmax is written once, in autodiff's array helpers
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert list(exp_calls(PACKAGE / "autodiff.py"))
+    outside = [f"{path.name}:{line}" for path in sources if path.name != "autodiff.py"
+               for line in exp_calls(path)]
+    assert not outside, "np.exp outside autodiff.py: " + "; ".join(outside)
+
+
 def test_importing_the_cli_loads_no_process_pool_module():
     # a vrm run forks its one worker itself: importing multiprocessing alone
     # raises a process's peak resident memory by about 1 MiB

@@ -113,6 +113,13 @@ def test_dataset_type_invariants():
         Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 3]), np.array([0, 1]), np.array([2, 3]), 3)
     with pytest.raises(InputError):
         Dataset(np.zeros((4, 2)), np.array([0, 1, 1, 0]), np.array([0, 1]), np.array([1, 3]), 2)
+    # a model is built n_classes wide, so the count is bounded by the samples
+    for wide in (5, 10**7):
+        with pytest.raises(InputError, match=f"{wide} classes, more than its 4 samples"):
+            Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.array([0, 1]), np.array([2, 3]),
+                    wide)
+    assert Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.array([0, 1]), np.array([2, 3]),
+                   4).n_classes == 4
 
 
 def test_dataset_rejects_bad_shapes_and_split_indices():

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 import vrm.autodiff
 import vrm.checks
 import vrm.pruning
-from vrm.autodiff import Tensor, finite_diff_check
+from vrm.autodiff import Tensor, _softmax, finite_diff_check
 from vrm.errors import InputError, ParameterError, UsageError
 from vrm.graphs import LogitBatch, build_isv_edges, soften
 from vrm.losses import VRMWeights, total_loss, uep_masks_for
 from vrm.pruning import (
-    _batch_softmax,
     _exact_entries,
     _grid_inputs,
     _mixture_entropy_grid,
@@ -317,7 +316,7 @@ def reference_joint_entropy(batch, kind):
     real, virt = batch.real.data, batch.virtual.data
     if kind == "ISV":
         return reference_grid(real, virt)
-    return reference_grid(_batch_softmax(real).T, _batch_softmax(virt).T)
+    return reference_grid(_softmax(real, 0).T, _softmax(virt, 0).T)
 
 
 def with_zero_mixture_entry(rng, b, c, kind):
@@ -347,7 +346,7 @@ def test_blocked_joint_entropy_is_bit_identical(kind, shape, zero):
     if kind == "ISV":
         P, Q = batch.real.data, batch.virtual.data
     else:
-        P, Q = _batch_softmax(batch.real.data).T, _batch_softmax(batch.virtual.data).T
+        P, Q = _softmax(batch.real.data, 0).T, _softmax(batch.virtual.data, 0).T
     mix_zero = (P[None, :, :] + Q[:, None, :]) / 2.0 == 0.0
     assert mix_zero.any() == zero
     got = joint_entropy_matrix(batch, kind)
