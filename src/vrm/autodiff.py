@@ -5,8 +5,19 @@ reductions, shape moves, and the fused numeric ops the distillation
 losses are built from (softmax, normalized differences, Huber, and the
 softened KL divergence as one node whose teacher side is detached).
 Storage and vectorized arithmetic are numpy; the tape is our own.
+
+Every tensor's data is finite.  Constructors check their input, and an
+op that can turn finite inputs non-finite (an overflowing sum, product
+or exp) scans its result and raises a NumericError naming itself, so
+the first op in execution order to make a non-finite value is the one
+named.  The ops in ``_UNSCANNED`` map finite inputs to finite outputs
+(relu, tanh, the shape moves, and l2_normalize, whose unit or zero
+fibers are bounded and which raises on its own when a squared norm
+overflows), so by induction their results need no scan.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,7 +65,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not (math.isfinite(data) if type(data) is float else np.isfinite(arr).all()):
             raise InputError("tensor data must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -75,10 +86,10 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The one value of a size-1 tensor of any shape, as a float."""
+        return self.data.item()
 
-    def __float__(self):
-        return float(self.data)
+    __float__ = item
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -86,7 +97,14 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view of the same data with no tape history."""
-        return Tensor(self.data, requires_grad=False)
+        # the data was checked when this tensor was made
+        out = Tensor.__new__(Tensor)
+        out.data = self.data
+        out.requires_grad = False
+        out.grad = None
+        out.node = None
+        out._backward_spent = False
+        return out
 
     # -- arithmetic ---------------------------------------------------
 
@@ -96,7 +114,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(_coerce(other), -1.0))
+        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -137,19 +155,22 @@ class Tape:
         order = []
         seen = set()
         stack = [(root, False)]
+        visit, mark, push, pop = order.append, seen.add, stack.append, stack.pop
         while stack:
-            t, expanded = stack.pop()
+            t, expanded = pop()
             if expanded:
-                order.append(t)
+                visit(t)
                 continue
-            if id(t) in seen:
+            key = id(t)
+            if key in seen:
                 continue
-            seen.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for inp in t.node.inputs:
+            mark(key)
+            push((t, True))
+            node = t.node
+            if node is not None:
+                for inp in node.inputs:
                     if id(inp) not in seen:
-                        stack.append((inp, False))
+                        push((inp, False))
         return Tape(order)
 
 
@@ -184,7 +205,7 @@ def backward(loss: Tensor) -> dict:
         for inp, gi in zip(t.node.inputs, t.node.grad_fn(g)):
             if gi is None:
                 continue
-            if not (inp.requires_grad or inp.node is not None):
+            if not _takes_grad(inp):
                 continue
             key = id(inp)
             if key in pending:
@@ -201,20 +222,40 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# ops whose result is finite whenever their inputs are (module docstring)
+_UNSCANNED = frozenset({"relu", "tanh", "transpose", "reshape", "row_slice", "l2_normalize"})
+
+
 def _result(arr, inputs, grad_fn, op) -> Tensor:
-    if not np.isfinite(arr).all():
+    # a 0-d result (each loss) is checked as one float, with no ufunc call
+    if op not in _UNSCANNED and not (
+            math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise NumericError(f"{op} produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.grad = None
     out._backward_spent = False
-    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
-    out.node = _Node(tuple(inputs), grad_fn, op) if out.requires_grad else None
+    requires_grad = False
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                requires_grad = True
+                break
+    out.requires_grad = requires_grad
+    out.node = _Node(tuple(inputs), grad_fn, op) if requires_grad else None
     return out
+
+
+def _takes_grad(t) -> bool:
+    """Whether ``backward`` keeps a gradient formed for input ``t``; ops
+    with several inputs form none for an input that takes none."""
+    return t.requires_grad or t.node is not None
 
 
 def _unbroadcast(grad, shape):
     """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -232,9 +273,24 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if _takes_grad(a) else None,
+                _unbroadcast(g, b.shape) if _takes_grad(b) else None)
 
     return _result(out, (a, b), grad_fn, "add")
+
+
+def sub(a, b) -> Tensor:
+    """``a - b`` as one tape node, bit-identical to ``a + b * -1.0`` in its
+    value and both gradients: ``b``'s is negated after the broadcast sum,
+    as the composite's ``mul`` negated it, so signed zeros match too."""
+    a, b = _coerce(a), _coerce(b)
+    out = a.data - b.data
+
+    def grad_fn(g):
+        return (_unbroadcast(g, a.shape) if _takes_grad(a) else None,
+                -_unbroadcast(g, b.shape) if _takes_grad(b) else None)
+
+    return _result(out, (a, b), grad_fn, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -242,7 +298,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if _takes_grad(a) else None,
+                _unbroadcast(g * a.data, b.shape) if _takes_grad(b) else None)
 
     return _result(out, (a, b), grad_fn, "mul")
 
@@ -254,7 +311,8 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if _takes_grad(a) else None,
+                a.data.T @ g if _takes_grad(b) else None)
 
     return _result(out, (a, b), grad_fn, "matmul")
 
@@ -269,7 +327,7 @@ def affine(x, w, b) -> Tensor:
 
     def grad_fn(g):
         # a network's input carries no gradient, so none is formed for it
-        gx = g @ w.data.T if x.requires_grad or x.node is not None else None
+        gx = g @ w.data.T if _takes_grad(x) else None
         return gx, x.data.T @ g, _unbroadcast(g, b.shape)
 
     return _result(out, (x, w, b), grad_fn, "affine")
@@ -299,8 +357,8 @@ def tanh(x) -> Tensor:
 
 
 def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
+    """Broadcast the gradient of a reduction over ``axis`` (not None) back
+    to the input's ``shape``, as a read-only view."""
     if not keepdims:
         axes = axis if isinstance(axis, tuple) else (axis,)
         axes = tuple(a % len(shape) for a in axes)
@@ -314,6 +372,8 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
+        if axis is None:
+            return (np.full(x.shape, g),)
         return (_expand_reduced(g, x.shape, axis, keepdims).copy(),)
 
     return _result(np.asarray(out), (x,), grad_fn, "sum")
@@ -321,10 +381,14 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 
 def tmean(x, axis=None, keepdims=False) -> Tensor:
     x = _coerce(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.size if axis is None else x.data.size // out.size
+    # ndarray.mean's arithmetic (numpy's _methods._mean) without its wrapper
+    total = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
+    count = x.data.size // total.size
+    out = total / count
 
     def grad_fn(g):
+        if axis is None:
+            return (np.full(x.shape, g / count),)
         return (_expand_reduced(g, x.shape, axis, keepdims) / count,)
 
     return _result(np.asarray(out), (x,), grad_fn, "mean")
@@ -480,10 +544,12 @@ def huber(a, b, delta=1.0) -> Tensor:
     r = a.data - b.data
     absr = np.abs(r)
     out = np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
-    dr = np.clip(r, -delta, delta)
+    # np.clip's bits without its wrapper
+    dr = np.minimum(np.maximum(r, -delta), delta)
 
     def grad_fn(g):
-        return _unbroadcast(g * dr, a.shape), _unbroadcast(-g * dr, b.shape)
+        return (_unbroadcast(g * dr, a.shape) if _takes_grad(a) else None,
+                _unbroadcast(-g * dr, b.shape) if _takes_grad(b) else None)
 
     return _result(out, (a, b), grad_fn, "huber")
 
@@ -495,7 +561,9 @@ def cross_entropy(logits, labels) -> Tensor:
         raise InputError("cross_entropy expects [batch, classes] logits")
     y = np.asarray(labels)
     n, c = logits.shape
-    if y.shape != (n,) or y.min() < 0 or y.max() >= c:
+    if n == 0:
+        raise InputError("cross_entropy expects a non-empty batch")
+    if y.shape != (n,) or y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= c:
         raise InputError("labels must be integers in [0, classes)")
     lsm = _log_softmax(logits.data)
     out = -lsm[np.arange(n), y].mean()

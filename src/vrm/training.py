@@ -491,7 +491,8 @@ def _train(model: MLP, teacher, data: Dataset, config: TrainConfig,
     else:
         source = contextlib.nullcontext(step_teacher)
 
-    # each op checks its result, so numpy's warnings would only repeat a TrainingError
+    # every op that can overflow checks its result (autodiff's docstring), so
+    # numpy's warnings would only repeat a TrainingError
     with np.errstate(over="ignore", invalid="ignore"), source as next_step:
         for epoch in range(config.epochs):
             opt.lr = config.lr_at(epoch)

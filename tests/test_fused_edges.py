@@ -764,7 +764,7 @@ def test_overflowing_logits_raise_in_the_public_builders(kind):
     real[1] = 1e308
     virtual[1] = -1e308
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="add produced non-finite values"):
+        with pytest.raises(NumericError, match="sub produced non-finite values"):
             BUILDERS[kind](LogitBatch(real, virtual))
 
 
